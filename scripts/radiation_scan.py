@@ -19,14 +19,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from elastowave import constant_force, make_material, oscillatory_trajectory
-from elastowave.pointforce3d import QuadSpec, radiation_split
+from elastowave.pointforce3d import QuadSpec, lw_fields
 
 
 def rms_parts(mat, traj, prof, nhat, radius, omega, n_phases=16):
     period = 2.0 * math.pi / omega
     acc, vel = [], []
     for j in range(n_phases):
-        s = radiation_split(
+        s = lw_fields(
             mat, traj, prof, radius * nhat, 10.0 + period * j / n_phases,
             QuadSpec(rel_tol=1e-8),
         )

@@ -18,26 +18,19 @@ from .kinematics import (
     sinusoid_force,
     bump_force,
     polynomial_force,
-    eval_trajectory,
-    eval_force,
     retarded_time,
     retarded_time_bisection,
 )
 from .pointforce3d import (
     FieldSample,
     QuadSpec,
-    KappaQuadrature,
     lw_fields,
     lw_displacement,
-    lw_distortion,
-    lw_velocity,
-    radiation_split,
     stokes_displacement,
     stokes_gradient,
     stokes_gradient_split,
     kelvin_displacement,
     kelvin_gradient,
-    kappa_integrate,
 )
 from .lineforce2d import (
     FieldSample2D,
@@ -47,8 +40,6 @@ from .lineforce2d import (
     antiplane_fields,
     antiplane_sample,
     inplane_displacement,
-    inplane_distortion,
-    inplane_velocity,
     inplane_fields,
 )
 from .verify import (

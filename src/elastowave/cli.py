@@ -291,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--config", required=True)
     p_val.add_argument("--out", default=None)
     p_val.add_argument("--seed", type=int, default=None)
-    p_val.add_argument("--threads", type=int, default=None)
     p_val.add_argument("--list", action="store_true", help="list check names and exit")
     p_val.add_argument("--checks", default=None, help="comma list of checks to run")
     p_val.add_argument(

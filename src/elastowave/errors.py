@@ -17,6 +17,10 @@ class NoRetardationError(ElastowaveError):
     """No retarded time exists on the trajectory's domain of definition."""
 
 
+class RetardedConvergenceError(ElastowaveError, RuntimeError):
+    """Retarded-time iteration ran out of steps before meeting its stop rule."""
+
+
 class SingularPointError(ElastowaveError):
     """Observer lies on (or numerically too close to) the source worldline."""
 

@@ -8,8 +8,13 @@ its analytic derivative. The retarded-time condition
 
 is strictly monotone in t' whenever the source stays slower than the wave
 speed 1/kappa, so a bracketed Newton iteration with bisection fallback
-always converges to the unique root. The same solver serves 3D points and
-2D lines (``dim=2`` restricts the geometry to the x1-x2 plane).
+always converges to the unique root. ``retarded_time`` accepts one
+slowness or an array of them and solves all rows in one vectorized
+iteration. On a bounded trajectory domain, rows whose root precedes the
+first knot come back masked (``valid`` False): the force vanishes there,
+so they contribute nothing. A scalar call raises NoRetardationError
+instead. The same solver serves 3D points and 2D lines (``dim=2``
+restricts the geometry to the x1-x2 plane).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from scipy.interpolate import CubicSpline, PPoly
 from .errors import (
     ExtrapolationError,
     NoRetardationError,
+    RetardedConvergenceError,
     SingularPointError,
     SupersonicError,
 )
@@ -43,8 +49,6 @@ __all__ = [
     "sinusoid_force",
     "bump_force",
     "polynomial_force",
-    "eval_trajectory",
-    "eval_force",
     "retarded_time",
     "retarded_time_bisection",
 ]
@@ -53,6 +57,8 @@ DEFAULT_RETARDED_TOL = 1e-12
 DEFAULT_R_MIN = 1e-9
 
 _VMAX_SAMPLES = 10_000
+_NEWTON_ITERATIONS = 120
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,9 @@ class ForceProfile:
 class RetardedState:
     """Solved retarded time and the geometric bundle evaluated there.
 
+    A solve over an array of slownesses gives every attribute a leading
+    row axis.
+
     Attributes:
         t_ret: retarded time [s]
         rvec:  R = x - s(t_ret) [m] (2 or 3 components)
@@ -120,6 +129,10 @@ class RetardedState:
         pc:    Doppler denominator R - kappa * (V . R) [m], positive for
                subsonic motion
         slowness: kappa = 1/c used for this solve [s/m]
+        v, a:  source velocity and acceleration at t_ret
+        valid: False on rows whose root precedes a bounded trajectory
+               domain; their geometry is taken at the domain start and
+               carries no force
     """
 
     t_ret: float
@@ -128,6 +141,9 @@ class RetardedState:
     n: np.ndarray
     pc: float
     slowness: float
+    v: np.ndarray
+    a: np.ndarray
+    valid: np.ndarray | bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +253,6 @@ def tabulated_trajectory(times, positions) -> Trajectory:
     return Trajectory("tabulated", _sampled_vmax(fn, *dom), fn, dom)
 
 
-def eval_trajectory(traj: Trajectory, t: float):
-    """Return (s, V, A) at time t; errors outside a tabulated domain."""
-    return traj.eval(t)
-
-
 # ---------------------------------------------------------------------------
 # force-profile presets
 
@@ -333,88 +344,72 @@ def polynomial_force(coefficients, t_on: float) -> ForceProfile:
     return ForceProfile("polynomial", float(t_on), fn)
 
 
-def eval_force(profile: ForceProfile, t: float):
-    """Return (Q, Qdot) at time t."""
-    return profile.eval(t)
-
-
 # ---------------------------------------------------------------------------
 # retarded-time solving
 
-def _retardation_geometry(traj, x, t, dim):
-    s, v, _ = traj.eval(t)
-    rvec = x - s[:dim]
-    r = math.sqrt(float(rvec @ rvec))
-    return rvec, r, v[:dim]
+def _bracket(traj, x, t, k, dim):
+    """Per-row bracket [lo, hi] with f(lo) >= 0 >= f(hi), f = t - t' - kappa R(t').
 
-
-def _bracket(traj, x, t, slowness, dim):
-    """Bracket [lo, hi] with f(lo) >= 0 >= f(hi) for f = t - t' - kappa R(t').
-
-    For |V| <= vmax with kappa*vmax < 1 the initial bracket is already
-    guaranteed; geometric expansion only fires when a sampled vmax slightly
-    underestimates the true supremum.
+    |V| <= vmax with kappa*vmax < 1 guarantees it. On a bounded domain the
+    bracket is clamped to the first knot, and rows whose root precedes it
+    are masked (``valid`` False) with lo = hi = domain[0]. Only a clamped
+    bracket pays for that check: f(domain[0]) < 0 puts the root before
+    the first knot.
     """
-    kv = slowness * traj.vmax
-    _, r_now, _ = _retardation_geometry(traj, x, t, dim)
-    lo = t - slowness * r_now / (1.0 - kv)
-    hi = t - slowness * r_now / (1.0 + kv)
-
-    def f(tp):
-        _, r, _ = _retardation_geometry(traj, x, tp, dim)
-        return t - tp - slowness * r
-
+    s_now, _, _ = traj.eval(t)
+    d_now = x - s_now[:dim]
+    r_now = math.sqrt(float(d_now @ d_now))
+    kv = k * traj.vmax
+    lo = t - k * r_now / (1.0 - kv)
+    hi = t - k * r_now / (1.0 + kv)
+    valid = np.ones(k.shape, dtype=bool)
     t_min = traj.domain[0]
-    if hi < t_min:
-        raise NoRetardationError(
-            f"retarded time for event (t={t:g}) precedes the trajectory domain"
-        )
-    if lo < t_min:
-        lo = t_min
-    flo = f(lo)
-    span = max(hi - lo, slowness * max(r_now, 1.0), 1e-9)
-    while flo < 0.0:
-        if lo <= t_min:
-            raise NoRetardationError(
-                f"retarded time for event (t={t:g}) precedes the trajectory domain"
-            )
-        lo = max(lo - span, t_min)
-        span *= 2.0
-        flo = f(lo)
-    fhi = f(hi)
-    while fhi > 0.0:
-        new_hi = min(0.5 * (hi + t), t)
-        if new_hi == hi:
-            break
-        hi = new_hi
-        fhi = f(hi)
-    return lo, hi, flo, fhi
+    if t_min > -math.inf and lo.min() < t_min:
+        s_min, _, _ = traj.eval(t_min)
+        d_min = x - s_min[:dim]
+        f_min = t - t_min - k * math.sqrt(float(d_min @ d_min))
+        valid = (hi >= t_min) & (f_min >= 0.0)
+        lo = np.where(valid, np.maximum(lo, t_min), t_min)
+        hi = np.where(valid, hi, t_min)
+    return lo, hi, valid
 
 
-def _finalize_state(traj, x, t, tp, slowness, r_min, dim):
-    rvec, r, v = _retardation_geometry(traj, x, tp, dim)
-    if r < r_min:
+def _no_retardation(t):
+    return NoRetardationError(
+        f"retarded time for event (t={t:g}) precedes the trajectory domain"
+    )
+
+
+def _finalize_state(traj, x, tp, slowness, r_min, dim, valid=True):
+    """Geometry at the solved retarded time(s); masked rows are not checked."""
+    s, v, a = traj.eval(tp)
+    rvec = x - s[..., :dim]
+    v = v[..., :dim]
+    r = np.sqrt(np.add.reduce(rvec * rvec, axis=-1))
+    pc = r - slowness * np.add.reduce(v * rvec, axis=-1)
+    if ((r < r_min) & valid).any():
         raise SingularPointError(
-            f"observer within r_min={r_min:g} of the source worldline at t'={tp:g}"
+            f"observer within r_min={r_min:g} of the source worldline at t'={np.min(tp):g}"
         )
-    pc = r - slowness * float(v @ rvec)
-    if pc <= 0.0:
+    if ((pc <= 0.0) & valid).any():
         raise SupersonicError(
-            f"non-positive Doppler denominator P_c={pc:g}; motion is not subsonic "
-            f"for slowness {slowness:g}"
+            f"non-positive Doppler denominator P_c={np.min(pc):g}; motion is not "
+            f"subsonic for slowness {np.max(slowness):g}"
         )
     return RetardedState(
-        t_ret=tp, rvec=rvec, r=r, n=rvec / r, pc=pc, slowness=slowness
+        t_ret=tp, rvec=rvec, r=r, n=rvec / r[..., None], pc=pc, slowness=slowness,
+        v=v, a=a[..., :dim], valid=valid,
     )
 
 
 def _check_slowness(traj, slowness):
-    if slowness <= 0.0:
+    k = np.asarray(slowness)
+    if k.min() <= 0.0:
         raise ValueError("slowness must be positive")
-    if slowness * traj.vmax >= 1.0:
+    if k.max() * traj.vmax >= 1.0:
         raise SupersonicError(
             f"trajectory vmax={traj.vmax:g} is not subsonic for wave speed "
-            f"{1.0 / slowness:g}"
+            f"{1.0 / k.max():g}"
         )
 
 
@@ -422,50 +417,68 @@ def retarded_time(
     traj: Trajectory,
     x,
     t: float,
-    slowness: float,
+    slowness,
     tol: float = DEFAULT_RETARDED_TOL,
     r_min: float = DEFAULT_R_MIN,
     dim: int = 3,
 ) -> RetardedState:
     """Solve t - t' - kappa |x - s(t')| = 0 for the unique subsonic root.
 
-    Bracketed Newton with bisection fallback; the residual is driven to
-    |f| <= tol * max(1, t - t'). Raises NoRetardationError when the root
-    precedes a bounded trajectory domain, SingularPointError when the
+    ``slowness`` is one kappa or an array of them; every row runs in one
+    vectorized bracketed Newton iteration with bisection fallback. A row
+    stops once |f| <= tol * max(1, t - t') plus the rounding floor of f
+    near t', then takes one final Newton increment. On a bounded
+    trajectory domain an array row whose root precedes the first knot is
+    masked (``valid`` False); a scalar call raises NoRetardationError
+    instead. Raises RetardedConvergenceError when a row has not met the
+    stop rule after the iteration budget, SingularPointError when the
     observer sits on the worldline, SupersonicError when kappa*vmax >= 1.
     """
     x = np.asarray(x, dtype=float)[:dim]
-    _check_slowness(traj, slowness)
-    lo, hi, flo, fhi = _bracket(traj, x, t, slowness, dim)
-    if fhi >= 0.0:
-        tp = hi
-    else:
-        tp = 0.5 * (lo + hi)
-        for _ in range(120):
-            rvec, r, v = _retardation_geometry(traj, x, tp, dim)
-            fval = t - tp - slowness * r
-            if fval == 0.0:
+    k = np.asarray(slowness, dtype=float)
+    scalar = k.ndim == 0
+    k = k.reshape(-1)
+    _check_slowness(traj, k)
+    lo, hi, valid = _bracket(traj, x, t, k, dim)
+    if scalar and not valid[0]:
+        raise _no_retardation(t)
+    # Stop rule, fixed per row from the bracket: tol * max(1, t - t') with
+    # t - t' >= t - hi, plus the rounding floor of f = t - t' - kappa R,
+    # which max(|t|, |lo|) bounds (every term is at most |t| + |t'|).
+    stop = tol * np.maximum(1.0, t - hi) + 8.0 * _EPS * np.maximum(abs(t), np.abs(lo))
+    tp = 0.5 * (lo + hi)
+    done = ~valid
+    # r = 0 (observer on the worldline) divides by zero; _finalize_state
+    # reports it.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_ITERATIONS):
+            s, v, _ = traj.eval(tp)
+            rv = x - s[:, :dim]
+            r = np.sqrt(np.einsum("ni,ni->n", rv, rv))
+            fval = t - tp - k * r
+            pos = fval > 0.0
+            lo = np.where(pos, tp, lo)
+            hi = np.where(pos, hi, tp)
+            t_new = tp + fval / (1.0 - k * np.einsum("ni,ni->n", v[:, :dim], rv) / r)
+            conv = np.abs(fval) <= stop
+            # A converged row takes one final Newton increment, which keeps
+            # solver jitter at machine level; downstream adaptive quadrature
+            # of smooth kappa-integrands relies on that. Other rows bisect
+            # whenever Newton leaves the bracket.
+            inside = (lo < t_new) & (t_new < hi)
+            t_new = np.where(inside, t_new, np.where(conv, tp, 0.5 * (lo + hi)))
+            tp = np.where(done, tp, t_new)
+            done = done | conv
+            if done.all():
                 break
-            if fval > 0.0:
-                lo = tp
-            else:
-                hi = tp
-            df = -1.0 + (slowness * float(v @ rvec) / r if r > 0.0 else 0.0)
-            t_new = tp - fval / df
-            if abs(fval) <= tol * max(1.0, t - tp):
-                # One final Newton increment past the tolerance keeps solver
-                # jitter at machine level; downstream adaptive quadrature of
-                # smooth kappa-integrands relies on that. The increment is
-                # tiny here, so a non-strict bracket test suffices.
-                if lo <= t_new <= hi:
-                    tp = t_new
-                break
-            if not lo < t_new < hi:
-                t_new = 0.5 * (lo + hi)
-            if t_new == tp:
-                break
-            tp = t_new
-    return _finalize_state(traj, x, t, tp, slowness, r_min, dim)
+        else:
+            raise RetardedConvergenceError(
+                f"retarded time for event (t={t:g}) not converged after "
+                f"{_NEWTON_ITERATIONS} steps at slowness {k[~done]}"
+            )
+    if scalar:
+        return _finalize_state(traj, x, float(tp[0]), float(k[0]), r_min, dim)
+    return _finalize_state(traj, x, tp, k, r_min, dim, valid)
 
 
 def retarded_time_bisection(
@@ -480,17 +493,17 @@ def retarded_time_bisection(
     """Plain-bisection reference solver for the same root as retarded_time."""
     x = np.asarray(x, dtype=float)[:dim]
     _check_slowness(traj, slowness)
-    lo, hi, flo, fhi = _bracket(traj, x, t, slowness, dim)
-    if fhi >= 0.0:
-        return _finalize_state(traj, x, t, hi, slowness, r_min, dim)
-    eps = np.finfo(float).eps
+    lo, hi, valid = _bracket(traj, x, t, np.array([slowness], dtype=float), dim)
+    if not valid[0]:
+        raise _no_retardation(t)
+    lo, hi = float(lo[0]), float(hi[0])
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 4.0 * eps * max(1.0, abs(lo), abs(hi)):
+        if hi - lo <= 4.0 * _EPS * max(1.0, abs(lo), abs(hi)):
             break
-        _, r, _ = _retardation_geometry(traj, x, mid, dim)
-        if t - mid - slowness * r > 0.0:
+        mid = 0.5 * (lo + hi)
+        rvec = x - traj.eval(mid)[0][:dim]
+        if t - mid - slowness * math.sqrt(float(rvec @ rvec)) > 0.0:
             lo = mid
         else:
             hi = mid
-    return _finalize_state(traj, x, t, 0.5 * (lo + hi), slowness, r_min, dim)
+    return _finalize_state(traj, x, 0.5 * (lo + hi), slowness, r_min, dim)

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    NoRetardationError,
     SingularPointError,
     UnboundedHistoryError,
     WavefrontProximityWarning,
@@ -61,8 +60,6 @@ __all__ = [
     "antiplane_fields",
     "antiplane_sample",
     "inplane_displacement",
-    "inplane_distortion",
-    "inplane_velocity",
     "inplane_fields",
 ]
 
@@ -132,14 +129,6 @@ def _check_2d_inputs(mat, traj, prof):
         )
 
 
-def _upper_limit(traj, x, t, c, tol, r_min):
-    """Retarded time for wave speed c in the plane, or None if unreachable."""
-    try:
-        return retarded_time(traj, x, t, 1.0 / c, tol=tol, r_min=r_min, dim=2)
-    except NoRetardationError:
-        return None
-
-
 @dataclass(frozen=True)
 class _SingularEnd:
     """Upper history limit where the kernel's S vanishes."""
@@ -148,14 +137,27 @@ class _SingularEnd:
     b_gap: float  # t - b
     kappa: float  # slowness of the singular kernel
     s_b: np.ndarray  # source position at b
-    r_b: float  # R(b)
+    rvec_b: np.ndarray  # R(b) = x - s_b
+    r_b: float  # |R(b)|
+    pc_b: float  # Doppler denominator at b
 
 
-def _singular_end(x, t, st):
-    return _SingularEnd(
-        b=st.t_ret, b_gap=t - st.t_ret, kappa=st.slowness,
-        s_b=(x - st.rvec), r_b=st.r,
-    )
+def _singular_ends(traj, prof, x, t, speeds, tol, r_min):
+    """Upper history limits (retarded times in the plane) for ``speeds``.
+
+    One retarded solve serves every speed. An entry is None when its
+    retarded time precedes the switch-on or the worldline: that kernel
+    has no history.
+    """
+    st = retarded_time(traj, x, t, 1.0 / np.asarray(speeds), tol=tol, r_min=r_min, dim=2)
+    return [
+        _SingularEnd(
+            b=st.t_ret[i], b_gap=t - st.t_ret[i], kappa=st.slowness[i],
+            s_b=x - st.rvec[i], rvec_b=st.rvec[i], r_b=st.r[i], pc_b=st.pc[i],
+        )
+        if st.valid[i] and st.t_ret[i] > prof.t_on else None
+        for i in range(len(speeds))
+    ]
 
 
 def _stable_s2(end, x, s_tp, r_tp, w):
@@ -234,8 +236,8 @@ def antiplane_displacement(
     """u3 of an anti-plane line force: transversal history integral."""
     _check_2d_inputs(mat, traj, prof)
     x = np.asarray(x, dtype=float)[:2]
-    st = _upper_limit(traj, x, t, mat.cT, tol_ret, r_min)
-    if st is None or st.t_ret <= prof.t_on:
+    (end,) = _singular_ends(traj, prof, x, t, [mat.cT], tol_ret, r_min)
+    if end is None:
         return 0.0
 
     def kernel(tp, rvec, r, s_sing):
@@ -243,7 +245,7 @@ def antiplane_displacement(
         return np.array([q3 / s_sing])
 
     val = _history_quad(
-        kernel, traj, x, t, prof.t_on, _singular_end(x, t, st), rel_tol, r_min, n_fixed
+        kernel, traj, x, t, prof.t_on, end, rel_tol, r_min, n_fixed
     )
     return float(np.asarray(val)[0]) / (2.0 * math.pi * mat.rho * mat.cT ** 2)
 
@@ -267,16 +269,17 @@ def antiplane_fields(
     """
     _check_2d_inputs(mat, traj, prof)
     x = np.asarray(x, dtype=float)[:2]
-    st = _upper_limit(traj, x, t, mat.cT, tol_ret, r_min)
-    if st is None or st.t_ret <= prof.t_on:
+    (end,) = _singular_ends(traj, prof, x, t, [mat.cT], tol_ret, r_min)
+    if end is None:
         return np.zeros(2), 0.0
-    t_up = st.t_ret
+    t_up = end.b
     kap = 1.0 / mat.cT
-    end = _singular_end(x, t, st)
 
     w_max = math.sqrt(t_up - prof.t_on)
     # Sensitivities of the retarded limit: dtT/dt = R/P, dtT/dx = -kap R_vec/P.
-    dtup = np.array([st.r / st.pc, -kap * st.rvec[0] / st.pc, -kap * st.rvec[1] / st.pc])
+    dtup = np.array(
+        [end.r_b / end.pc_b, -kap * end.rvec_b[0] / end.pc_b, -kap * end.rvec_b[1] / end.pc_b]
+    )
 
     def integrand(w):
         tp = t_up - w * w
@@ -331,11 +334,9 @@ def inplane_displacement(
     """u_alpha of an in-plane line force: both history integrals of plane strain."""
     _check_2d_inputs(mat, traj, prof)
     x = np.asarray(x, dtype=float)[:2]
-    st_l = _upper_limit(traj, x, t, mat.cL, tol_ret, r_min)
-    if st_l is None or st_l.t_ret <= prof.t_on:
+    end_l, end_t = _singular_ends(traj, prof, x, t, [mat.cL, mat.cT], tol_ret, r_min)
+    if end_l is None:
         return np.zeros(2)
-    st_t = _upper_limit(traj, x, t, mat.cT, tol_ret, r_min)
-    t_t = st_t.t_ret if st_t is not None else -math.inf
     kL2 = 1.0 / mat.cL ** 2
 
     def lt_parts(tp, rvec, r, q):
@@ -357,17 +358,15 @@ def inplane_displacement(
         tt = nn_q * s_sing + (nn_q - q) * (tb2 / s_sing)
         return (lt - tt) / r2
 
-    end_l = _singular_end(x, t, st_l)
     total = np.zeros(2)
-    if t_t > prof.t_on:
+    if end_t is not None:
         # Shared interval: the far history of the two kernels cancels
         # pointwise, so integrate their difference.
-        end_t = _singular_end(x, t, st_t)
         total += np.asarray(
             _history_quad(kernel_diff, traj, x, t, prof.t_on, end_t, rel_tol, r_min)
         )
         total += np.asarray(
-            _history_quad(kernel_l, traj, x, t, t_t, end_l, rel_tol, r_min)
+            _history_quad(kernel_l, traj, x, t, end_t.b, end_l, rel_tol, r_min)
         )
     else:
         total += np.asarray(
@@ -454,13 +453,3 @@ def inplane_fields(
     return FieldSample2D(
         plane="in-plane", u=u_of(x, t), beta=beta, v=v, fd_error=errs
     )
-
-
-def inplane_distortion(mat, traj, prof, x, t, **kw) -> np.ndarray:
-    """beta_alpha_gamma = d_gamma u_alpha by wavefront-aware differencing."""
-    return inplane_fields(mat, traj, prof, x, t, **kw).beta
-
-
-def inplane_velocity(mat, traj, prof, x, t, **kw) -> np.ndarray:
-    """v_alpha = d_t u_alpha by wavefront-aware differencing."""
-    return inplane_fields(mat, traj, prof, x, t, **kw).v

@@ -13,7 +13,8 @@ path.
 The distortion and velocity split naturally into a part driven by the
 force rate Qdot, a part driven by the source acceleration Vdot (the
 radiation part, decaying as 1/R), and a velocity-only remainder (the
-near field, 1/R^2). ``radiation_split`` exposes that decomposition.
+near field, 1/R^2). ``lw_fields`` returns that decomposition as
+``beta_parts`` and ``v_parts``.
 
 Static-source limits reduce to the classical time-dependent concentrated
 force solution (``stokes_*``) and, for constant strength, to the static
@@ -25,11 +26,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoRetardationError, SupersonicError, TransonicAccuracyWarning
+from .errors import SupersonicError, TransonicAccuracyWarning
 from .kinematics import (
     DEFAULT_R_MIN,
     DEFAULT_RETARDED_TOL,
@@ -43,19 +44,14 @@ from .quadrature import adaptive_gauss_legendre
 
 __all__ = [
     "QuadSpec",
-    "KappaQuadrature",
     "FieldSample",
     "lw_fields",
     "lw_displacement",
-    "lw_distortion",
-    "lw_velocity",
-    "radiation_split",
     "stokes_displacement",
     "stokes_gradient",
     "stokes_gradient_split",
     "kelvin_displacement",
     "kelvin_gradient",
-    "kappa_integrate",
 ]
 
 _I3 = np.eye(3)
@@ -68,21 +64,6 @@ class QuadSpec:
     rel_tol: float = 1e-10
     nodes: int = 16
     max_depth: int = 44
-
-
-@dataclass
-class KappaQuadrature:
-    """Realized slowness quadrature for one observation event.
-
-    Nodes are strictly interior to [1/cL, 1/cT]; weights sum to the
-    interval length 1/cT - 1/cL. ``states`` caches the retarded solve at
-    each node so displacement, distortion, velocity and the radiation
-    split all share one solve per node.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    states: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -110,7 +91,7 @@ def _require_subsonic(mat: Material, traj: Trajectory):
             f"vmax={traj.vmax:g} exceeds 0.95*cT={0.95 * mat.cT:g}; "
             "field accuracy is not guaranteed this close to the transonic limit",
             TransonicAccuracyWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -124,156 +105,42 @@ def _require_history(traj: Trajectory, prof: ForceProfile):
 
 
 # ---------------------------------------------------------------------------
-# per-channel term assembly
+# channel kernels
 #
-# Each retarded channel is characterized by (p, k, G, m): an overall
-# prefactor p, the channel slowness k, a projector G acting on the force,
-# and a sign multiplier m for the purely geometric gradient terms.
-#   transversal:   p = kT^2, k = kT, Gq = q - n (n.q),       m = +1
-#   longitudinal:  p = kL^2, k = kL, Gq = n (n.q),           m = -1
-#   intermediate:  p = kappa, k = kappa, Gq = 3 n (n.q) - q, m = -3
+# Each retarded row is characterized by (p, G, m): an overall prefactor p,
+# a projector Gq = ga q + gb n (n.q) acting on the force, and a sign
+# multiplier m for the purely geometric gradient terms. The channel
+# slowness k is the slowness of the row's retarded solve.
+#   transversal:   p = kT^2,  Gq = q - n (n.q),      m = +1
+#   longitudinal:  p = kL^2,  Gq = n (n.q),          m = -1
+#   intermediate:  p = kappa, Gq = 3 n (n.q) - q,    m = -3
+# ga multiplies (row, 3) arrays, so the far-channel values are a column.
 
-def _channel_terms(p, k, m, st: RetardedState, v, a, q, qd, gq, gqd):
-    rv = st.rvec
-    r = st.r
-    pc = st.pc
-    rq = float(rv @ q)
-    vq = float(v @ q)
-    vr = float(v @ rv)
-    ar = float(a @ rv)
-    vv = float(v @ v)
-    pc2 = pc * pc
-    pc3 = pc2 * pc
-
-    u = (p / pc) * gq
-
-    b_qdot = (p * k / pc2) * np.outer(gqd, rv)
-    b_acc = (p * k * k * ar / pc3) * np.outer(gq, rv)
-    geom = (
-        (rq / (r * r * pc)) * (_I3 + (k / pc) * np.outer(v, rv))
-        + np.outer(rv, q + (k * vq / pc) * rv) / (r * r * pc)
-        - (2.0 * rq / (r ** 3 * pc2)) * np.outer(rv, rv)
-    )
-    b_vel = (p / pc3) * np.outer(gq, (1.0 - k * k * vv) * rv - (k * pc) * v) + (p * m) * geom
-
-    v_qdot = (p * r / pc2) * gqd
-    v_acc = (p * k * r * ar / pc3) * gq
-    geom_v = ((rq * v + vq * rv) / (r * pc2)) - (2.0 * vr * rq / (r ** 3 * pc2)) * rv
-    v_vel = (p * (vr - k * r * vv) / pc3) * gq + (p * m) * geom_v
-
-    return u, b_qdot, b_vel, b_acc, v_qdot, v_vel, v_acc
+_FAR_GA = np.array([[1.0], [0.0]])
+_FAR_GB = np.array([-1.0, 1.0])
+_FAR_M = np.array([1.0, -1.0])
+_MID_GA, _MID_GB, _MID_M = -1.0, 3.0, -3.0
 
 
-def _motion_and_force(traj, prof, st):
-    _, v, a = traj.eval(st.t_ret)
+def _project(st: RetardedState, ga, gb, vec):
+    """Channel projection G vec = ga vec + gb n (n.vec), row by row."""
+    return ga * vec + (gb * np.einsum("ni,ni->n", st.n, vec))[:, None] * st.n
+
+
+def _displacement_terms(st, prof, p, ga, gb, m):
+    # Rows whose root precedes the worldline carry no force.
+    q = prof.eval(st.t_ret)[0] * st.valid[:, None]
+    return (p / st.pc)[:, None] * _project(st, ga, gb, q)
+
+
+def _field_terms(st, prof, p, ga, gb, m):
+    """All field components of each row, in the 39-wide layout of lw_fields."""
     q, qd = prof.eval(st.t_ret)
-    return v, a, q, qd
-
-
-def _far_channel(mat, traj, prof, st, transversal):
-    """Transversal or longitudinal channel contribution (7-tuple of terms)."""
-    v, a, q, qd = _motion_and_force(traj, prof, st)
-    n = st.n
-    nq = float(n @ q) * n
-    nqd = float(n @ qd) * n
-    if transversal:
-        k = 1.0 / mat.cT
-        gq, gqd, m = q - nq, qd - nqd, 1.0
-    else:
-        k = 1.0 / mat.cL
-        gq, gqd, m = nq, nqd, -1.0
-    return _channel_terms(k * k, k, m, st, v, a, q, qd, gq, gqd)
-
-
-def _kappa_integrand_full(traj, prof, st):
-    """All field components of the intermediate-slowness integrand at one node."""
-    v, a, q, qd = _motion_and_force(traj, prof, st)
-    n = st.n
-    gq = 3.0 * float(n @ q) * n - q
-    gqd = 3.0 * float(n @ qd) * n - qd
-    k = st.slowness
-    u, b_qd, b_vel, b_acc, v_qd, v_vel, v_acc = _channel_terms(
-        k, k, -3.0, st, v, a, q, qd, gq, gqd
-    )
-    return np.concatenate(
-        [u, b_qd.ravel(), b_vel.ravel(), b_acc.ravel(), v_qd, v_vel, v_acc]
-    )
-
-
-class _StateCache:
-    """Retarded-time solves for one (x, t), keyed by slowness."""
-
-    def __init__(self, traj, x, t, tol, r_min):
-        self.traj = traj
-        self.x = x
-        self.t = t
-        self.tol = tol
-        self.r_min = r_min
-        self.states: dict[float, RetardedState | None] = {}
-
-    def state(self, kappa: float) -> RetardedState | None:
-        st = self.states.get(kappa, _MISSING)
-        if st is _MISSING:
-            try:
-                st = retarded_time(self.traj, self.x, self.t, kappa, self.tol, self.r_min)
-            except NoRetardationError:
-                # Root precedes the worldline; the force vanishes there.
-                st = None
-            self.states[kappa] = st
-        return st
-
-
-_MISSING = object()
-
-
-def _solve_retarded_batch(traj, x, t, kappas, tol, r_min):
-    """Vectorized bracketed Newton over an array of slownesses.
-
-    Only used for trajectories defined on all of time, where a root always
-    exists; the scalar path handles bounded domains.
-    """
-    from .errors import SingularPointError
-
-    kappas = np.asarray(kappas, dtype=float)
-    s_now, _, _ = traj.eval(t)
-    r_now = float(np.linalg.norm(x - s_now))
-    kv = kappas * traj.vmax
-    lo = t - kappas * r_now / (1.0 - kv)
-    hi = t - kappas * r_now / (1.0 + kv)
-    tp = 0.5 * (lo + hi)
-    eps = np.finfo(float).eps
-    for _ in range(120):
-        s, v, _ = traj.eval(tp)
-        rv = x[None, :] - s
-        r = np.sqrt(np.einsum("ni,ni->n", rv, rv))
-        fval = t - tp - kappas * r
-        pos = fval > 0.0
-        lo = np.where(pos, tp, lo)
-        hi = np.where(pos, hi, tp)
-        df = -1.0 + kappas * np.einsum("ni,ni->n", v, rv) / r
-        t_new = tp - fval / df
-        outside = ~((lo < t_new) & (t_new < hi))
-        t_new = np.where(outside, 0.5 * (lo + hi), t_new)
-        done = np.abs(fval) <= 64.0 * eps * np.maximum(1.0, t - tp)
-        tp = np.where(done, tp, t_new)
-        if bool(np.all(done)):
-            break
-    s, v, a = traj.eval(tp)
-    rv = x[None, :] - s
-    r = np.sqrt(np.einsum("ni,ni->n", rv, rv))
-    if np.any(r < r_min):
-        raise SingularPointError(
-            f"observer within r_min={r_min:g} of the source worldline"
-        )
-    pc = r - kappas * np.einsum("ni,ni->n", v, rv)
-    if np.any(pc <= 0.0):
-        raise SupersonicError("non-positive Doppler denominator in batched solve")
-    return tp, rv, r, pc, v, a
-
-
-def _batch_channel_terms(p, k, m, rv, r, pc, v, a, q, qd, gq, gqd):
-    """Vectorized analog of _channel_terms over a leading node axis."""
-    n_nodes = rv.shape[0]
+    mask = st.valid[:, None]
+    q, qd = q * mask, qd * mask
+    gq, gqd = _project(st, ga, gb, q), _project(st, ga, gb, qd)
+    k, rv, r, pc, v, a = st.slowness, st.rvec, st.r, st.pc, st.v, st.a
+    n_rows = rv.shape[0]
     rq = np.einsum("ni,ni->n", rv, q)
     vq = np.einsum("ni,ni->n", v, q)
     vr = np.einsum("ni,ni->n", v, rv)
@@ -289,7 +156,7 @@ def _batch_channel_terms(p, k, m, rv, r, pc, v, a, q, qd, gq, gqd):
     u = (p / pc)[:, None] * gq
     b_qdot = (p * k / pc2)[:, None, None] * outer(gqd, rv)
     b_acc = (p * k * k * ar / pc3)[:, None, None] * outer(gq, rv)
-    eye = np.broadcast_to(_I3, (n_nodes, 3, 3))
+    eye = np.broadcast_to(_I3, (n_rows, 3, 3))
     geom = (
         (rq / (r2 * pc))[:, None, None] * (eye + (k / pc)[:, None, None] * outer(v, rv))
         + outer(rv, q + ((k * vq / pc)[:, None] * rv)) / (r2 * pc)[:, None, None]
@@ -309,9 +176,9 @@ def _batch_channel_terms(p, k, m, rv, r, pc, v, a, q, qd, gq, gqd):
     return np.concatenate(
         [
             u,
-            b_qdot.reshape(n_nodes, 9),
-            b_vel.reshape(n_nodes, 9),
-            b_acc.reshape(n_nodes, 9),
+            b_qdot.reshape(n_rows, 9),
+            b_vel.reshape(n_rows, 9),
+            b_acc.reshape(n_rows, 9),
             v_qdot,
             v_vel,
             v_acc,
@@ -320,25 +187,31 @@ def _batch_channel_terms(p, k, m, rv, r, pc, v, a, q, qd, gq, gqd):
     )
 
 
-def _batch_kappa_full(traj, prof, x, t, kappas, tol, r_min):
-    tp, rv, r, pc, v, a = _solve_retarded_batch(traj, x, t, kappas, tol, r_min)
-    q, qd = prof.eval(tp)
-    nvec = rv / r[:, None]
-    nq = np.einsum("ni,ni->n", nvec, q)
-    nqd = np.einsum("ni,ni->n", nvec, qd)
-    gq = 3.0 * nq[:, None] * nvec - q
-    gqd = 3.0 * nqd[:, None] * nvec - qd
-    m = np.full_like(kappas, -3.0)
-    return _batch_channel_terms(kappas, kappas, m, rv, r, pc, v, a, q, qd, gq, gqd)
+def _retarded_sum(terms, mat, traj, prof, x, t, quad, tol_ret, r_min):
+    """Sum ``terms`` over the two far channels and the slowness integral.
 
+    Every row is solved by ``retarded_time``; the transversal and
+    longitudinal channels share one 2-row call, and the slowness
+    integrand evaluates each quadrature panel in one call.
+    """
+    _require_subsonic(mat, traj)
+    _require_history(traj, prof)
+    x = np.asarray(x, dtype=float)
+    kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
+    quad = quad or QuadSpec()
 
-def _batch_kappa_u(traj, prof, x, t, kappas, tol, r_min):
-    tp, rv, r, pc, _, _ = _solve_retarded_batch(traj, x, t, kappas, tol, r_min)
-    q, _ = prof.eval(tp)
-    nvec = rv / r[:, None]
-    nq = np.einsum("ni,ni->n", nvec, q)
-    gq = 3.0 * nq[:, None] * nvec - q
-    return (kappas / pc)[:, None] * gq
+    far = np.array([kT, kL])
+    st = retarded_time(traj, x, t, far, tol_ret, r_min)
+    total = terms(st, prof, far * far, _FAR_GA, _FAR_GB, _FAR_M).sum(axis=0)
+
+    def integrand(kappas):
+        st = retarded_time(traj, x, t, kappas, tol_ret, r_min)
+        return terms(st, prof, kappas, _MID_GA, _MID_GB, _MID_M)
+
+    return total + adaptive_gauss_legendre(
+        integrand, kL, kT, rel_tol=quad.rel_tol, nodes=quad.nodes,
+        max_depth=quad.max_depth, vectorized=True,
+    )
 
 
 def lw_fields(
@@ -356,38 +229,8 @@ def lw_fields(
     One retarded solve per slowness node is shared by every returned
     quantity. Events the force has not yet influenced give exactly zero.
     """
-    _require_subsonic(mat, traj)
-    _require_history(traj, prof)
-    x = np.asarray(x, dtype=float)
-    kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
-    quad = quad or QuadSpec()
-    cache = _StateCache(traj, x, t, tol_ret, r_min)
-
     # Vector layout: u(3) | b_qdot(9) | b_vel(9) | b_acc(9) | v_qdot(3) | v_vel(3) | v_acc(3)
-    acc = np.zeros(39)
-    for kappa, transversal in ((kT, True), (kL, False)):
-        st = cache.state(kappa)
-        if st is None:
-            continue
-        terms = _far_channel(mat, traj, prof, st, transversal)
-        acc += np.concatenate([np.ravel(term) for term in terms])
-
-    batch_ok = math.isinf(traj.domain[0]) and math.isinf(traj.domain[1])
-    if batch_ok:
-        def integrand(kappas):
-            return _batch_kappa_full(traj, prof, x, t, kappas, tol_ret, r_min)
-    else:
-        def integrand(kappa):
-            st = cache.state(kappa)
-            if st is None:
-                return np.zeros(39)
-            return _kappa_integrand_full(traj, prof, st)
-
-    acc += adaptive_gauss_legendre(
-        integrand, kL, kT, rel_tol=quad.rel_tol, nodes=quad.nodes,
-        max_depth=quad.max_depth, vectorized=batch_ok,
-    )
-
+    acc = _retarded_sum(_field_terms, mat, traj, prof, x, t, quad, tol_ret, r_min)
     pref = 1.0 / (4.0 * math.pi * mat.rho)
     beta_parts = {
         "qdot": -pref * acc[3:12].reshape(3, 3),
@@ -419,58 +262,8 @@ def lw_displacement(
     r_min: float = DEFAULT_R_MIN,
 ) -> np.ndarray:
     """Displacement only; cheaper than lw_fields when derivatives are not needed."""
-    _require_subsonic(mat, traj)
-    _require_history(traj, prof)
-    x = np.asarray(x, dtype=float)
-    kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
-    quad = quad or QuadSpec()
-    cache = _StateCache(traj, x, t, tol_ret, r_min)
-
-    u = np.zeros(3)
-    for kappa, transversal in ((kT, True), (kL, False)):
-        st = cache.state(kappa)
-        if st is None:
-            continue
-        _, _, q, _ = _motion_and_force(traj, prof, st)
-        n = st.n
-        nq = float(n @ q) * n
-        gq = (q - nq) if transversal else nq
-        u += (kappa * kappa / st.pc) * gq
-
-    batch_ok = math.isinf(traj.domain[0]) and math.isinf(traj.domain[1])
-    if batch_ok:
-        def integrand(kappas):
-            return _batch_kappa_u(traj, prof, x, t, kappas, tol_ret, r_min)
-    else:
-        def integrand(kappa):
-            st = cache.state(kappa)
-            if st is None:
-                return np.zeros(3)
-            _, _, q, _ = _motion_and_force(traj, prof, st)
-            n = st.n
-            gq = 3.0 * float(n @ q) * n - q
-            return (kappa / st.pc) * gq
-
-    u += adaptive_gauss_legendre(
-        integrand, kL, kT, rel_tol=quad.rel_tol, nodes=quad.nodes,
-        max_depth=quad.max_depth, vectorized=batch_ok,
-    )
+    u = _retarded_sum(_displacement_terms, mat, traj, prof, x, t, quad, tol_ret, r_min)
     return u / (4.0 * math.pi * mat.rho)
-
-
-def lw_distortion(mat, traj, prof, x, t, quad=None, **kw) -> np.ndarray:
-    """Elastic distortion beta_ik = d_k u_i at one event."""
-    return lw_fields(mat, traj, prof, x, t, quad, **kw).beta
-
-
-def lw_velocity(mat, traj, prof, x, t, quad=None, **kw) -> np.ndarray:
-    """Particle velocity v_i = d_t u_i at one event."""
-    return lw_fields(mat, traj, prof, x, t, quad, **kw).v
-
-
-def radiation_split(mat, traj, prof, x, t, quad=None, **kw) -> FieldSample:
-    """Fields with the {vel, acc, qdot} decomposition guaranteed present."""
-    return lw_fields(mat, traj, prof, x, t, quad, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -573,51 +366,3 @@ def _kappa_moment(prof, t, r, kL, kT, rel_tol):
         return kappa * q
 
     return adaptive_gauss_legendre(f, kL, kT, rel_tol=rel_tol)
-
-
-# ---------------------------------------------------------------------------
-# generic slowness integration
-
-def kappa_integrate(
-    f,
-    mat: Material,
-    rel_tol: float = 1e-10,
-    state_fn=None,
-    nodes: int = 16,
-    max_depth: int = 44,
-    full_output: bool = False,
-):
-    """Integrate a per-slowness bundle over kappa in [1/cL, 1/cT].
-
-    ``f(kappa)`` (or ``f(kappa, state)`` when ``state_fn`` supplies the
-    retarded solve for that node) returns a float or 1d array. With
-    ``full_output`` the realized KappaQuadrature (nodes, weights, cached
-    states) is returned alongside the value.
-    """
-    kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
-    states: dict[float, RetardedState | None] = {}
-
-    if state_fn is None:
-        def g(kappa):
-            return np.atleast_1d(np.asarray(f(kappa), dtype=float))
-    else:
-        def g(kappa):
-            st = states.get(kappa)
-            if st is None and kappa not in states:
-                st = state_fn(kappa)
-                states[kappa] = st
-            return np.atleast_1d(np.asarray(f(kappa, st), dtype=float))
-
-    panels: list | None = [] if full_output else None
-    value = adaptive_gauss_legendre(
-        g, kL, kT, rel_tol=rel_tol, nodes=nodes, max_depth=max_depth, collect=panels
-    )
-    if value.size == 1:
-        value = float(value[0])
-    if not full_output:
-        return value
-    all_nodes = np.concatenate([p[0] for p in panels])
-    all_weights = np.concatenate([p[1] for p in panels])
-    order = np.argsort(all_nodes)
-    kq = KappaQuadrature(nodes=all_nodes[order], weights=all_weights[order], states=states)
-    return value, kq

@@ -52,7 +52,6 @@ from .pointforce3d import (
     kelvin_gradient,
     lw_displacement,
     lw_fields,
-    radiation_split,
     stokes_displacement,
     stokes_gradient,
 )
@@ -599,7 +598,7 @@ def check_radiation_uniform_zero(seed=0, n_cases=10, tolerance=1e-14):
         )
         prof = _random_smooth_force(rng)[0]
         x = rng.uniform(1.0, 3.0) * _random_unit(rng)
-        s = radiation_split(mat, traj, prof, x, rng.uniform(0.0, 2.0))
+        s = lw_fields(mat, traj, prof, x, rng.uniform(0.0, 2.0))
         scale = max(float(np.max(np.abs(s.beta))), 1e-300)
         worst = max(worst, float(np.max(np.abs(s.beta_parts["acc"]))) / scale)
         worst = max(worst, float(np.max(np.abs(s.v_parts["acc"]))) / scale)
@@ -625,7 +624,7 @@ def check_radiation_farfield(seed=0, tolerance=1e-2, radius=60.0, n_phases=16):
     def rms(radius_):
         vals = []
         for j in range(n_phases):
-            s = radiation_split(mat, traj, prof, radius_ * nhat, 10.0 + period * j / n_phases, quad)
+            s = lw_fields(mat, traj, prof, radius_ * nhat, 10.0 + period * j / n_phases, quad)
             vals.append(float(np.linalg.norm(s.beta_parts["acc"])))
         return math.sqrt(float(np.mean(np.square(vals))))
 

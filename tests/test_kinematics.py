@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from elastowave.errors import (
     ExtrapolationError,
     NoRetardationError,
+    RetardedConvergenceError,
     SingularPointError,
     SupersonicError,
 )
 from elastowave.kinematics import (
+    Trajectory,
     bump_force,
     oscillatory_trajectory,
     piecewise_polynomial_trajectory,
@@ -23,8 +25,6 @@ from elastowave.kinematics import (
     step_force,
     tabulated_trajectory,
     uniform_trajectory,
-    eval_force,
-    eval_trajectory,
 )
 
 
@@ -33,7 +33,7 @@ from elastowave.kinematics import (
 
 def test_static_eval():
     traj = static_trajectory([1.0, 2.0, 3.0])
-    s, v, a = eval_trajectory(traj, 17.3)
+    s, v, a = traj.eval(17.3)
     np.testing.assert_allclose(s, [1, 2, 3], atol=0)
     assert np.all(v == 0) and np.all(a == 0)
     assert traj.vmax == 0.0
@@ -142,7 +142,7 @@ def test_qdot_is_derivative(prof):
 
 def test_profile_vanishes_before_switch_on():
     prof = step_force([1.0, 1.0, 1.0], t_on=2.0)
-    q, qd = eval_force(prof, 1.9999)
+    q, qd = prof.eval(1.9999)
     assert np.all(q == 0) and np.all(qd == 0)
     q, qd = prof.eval(2.0)
     np.testing.assert_allclose(q, 1.0, atol=0)
@@ -248,8 +248,69 @@ def test_solver_properties(vx, vy, x1, x2, t, kappa):
 
 
 def test_monotonicity_in_slowness():
-    traj = oscillatory_trajectory([0, 0, 0], [0.2, 0.1, 0], 1.1, 0.3)
-    x = np.array([1.5, -0.7, 0.4])
+    # One array call returns the roots of the scalar calls and of the
+    # bisection oracle, row by row; rows whose root precedes a bounded
+    # domain come back masked, where a scalar call raises.
+    tab = tabulated_trajectory(
+        np.linspace(0.0, 4.0, 41),
+        np.column_stack([0.2 * np.sin(np.linspace(0, 4, 41)), np.zeros(41), np.zeros(41)]),
+    )
+    cases = [
+        (oscillatory_trajectory([0, 0, 0], [0.2, 0.1, 0], 1.1, 0.3), [1.5, -0.7, 0.4], 2.0, 3),
+        (tab, [1.5, -0.7, 0.4], 1.4, 3),  # slowness window crosses domain[0] = 0
+        (oscillatory_trajectory([0, 0, 0], [0.2, 0.1, 0], 1.1, 0.3), [1.5, -0.7], 2.0, 2),
+    ]
     kappas = np.linspace(0.3, 0.95, 12)
-    roots = [retarded_time(traj, x, 2.0, k).t_ret for k in kappas]
-    assert np.all(np.diff(roots) < 0.0)
+    for traj, x, t, dim in cases:
+        st = retarded_time(traj, x, t, kappas, dim=dim)
+        assert st.rvec.shape == (12, dim)
+        for i, k in enumerate(kappas):
+            if not st.valid[i]:
+                with pytest.raises(NoRetardationError):
+                    retarded_time(traj, x, t, k, dim=dim)
+                with pytest.raises(NoRetardationError):
+                    retarded_time_bisection(traj, x, t, k, dim=dim)
+                continue
+            assert retarded_time(traj, x, t, k, dim=dim).t_ret == st.t_ret[i]
+            t_b = retarded_time_bisection(traj, x, t, k, dim=dim).t_ret
+            assert abs(st.t_ret[i] - t_b) <= 1e-12 * max(1.0, abs(t))
+        roots = st.t_ret[st.valid]
+        assert roots.size >= 4 and np.all(np.diff(roots) < 0.0)
+        if traj is tab:
+            assert not st.valid.all()
+
+
+def _counting(traj):
+    calls = []
+
+    def fn(t):
+        calls.append(np.size(t))
+        return traj.eval(t)
+
+    return Trajectory(traj.kind, traj.vmax, fn, traj.domain), calls
+
+
+def test_late_event_converges():
+    # At t = 1e3 the residual floor of f is ~1e-13 from the rounding of t'
+    # itself; the stop rule must reach it in a few steps.
+    traj, calls = _counting(oscillatory_trajectory([0, 0, 0], [0.2, 0.1, 0], 1.0))
+    x = np.array([1.2, 0.8, 0.6])  # 1.6 from the orbit centre
+    t = 1e3
+    kappas = np.array([1.0, 0.8, 1.0 / math.sqrt(3.0)])
+    st = retarded_time(traj, x, t, kappas)
+    assert len(calls) <= 8
+    for i, k in enumerate(kappas):
+        del calls[:]
+        assert retarded_time(traj, x, t, k).t_ret == st.t_ret[i]
+        assert len(calls) <= 8
+        t_b = retarded_time_bisection(traj, x, t, k).t_ret
+        assert abs(st.t_ret[i] - t_b) <= 1e-12 * t
+
+
+def test_nonconvergence_raises():
+    # A declared vmax below the true speed voids the bracket; the solver
+    # must say so instead of returning an unconverged root.
+    moving = uniform_trajectory([0, 0, 0], [0.5, 0, 0])
+    liar = Trajectory("uniform", 0.0, moving.eval)
+    with pytest.raises(RetardedConvergenceError, match="t=3"):
+        retarded_time(liar, [2.0, 1.0, 0], 3.0, 0.8)

@@ -74,14 +74,20 @@ def test_vectorized_mode_matches_scalar():
 
 
 def test_collect_nodes_and_weights():
-    panels = []
-    adaptive_gauss_legendre(
-        lambda x: np.array([x * x]), 0.0, 3.0, rel_tol=1e-10, collect=panels
-    )
-    nodes = np.concatenate([p[0] for p in panels])
-    weights = np.concatenate([p[1] for p in panels])
-    assert np.all((nodes > 0.0) & (nodes < 3.0))
-    assert weights.sum() == pytest.approx(3.0, rel=1e-14)
+    # accepted nodes are strictly interior and the weights sum to the
+    # interval, in both the scalar and the vectorized (slowness-integral) mode
+    for f, vectorized in (
+        (lambda x: np.array([x * x]), False),
+        (lambda xs: np.column_stack([xs * xs, 1.0 / (1.0 + xs)]), True),
+    ):
+        panels = []
+        adaptive_gauss_legendre(
+            f, 0.0, 3.0, rel_tol=1e-10, collect=panels, vectorized=vectorized
+        )
+        nodes = np.concatenate([p[0] for p in panels])
+        weights = np.concatenate([p[1] for p in panels])
+        assert np.all((nodes > 0.0) & (nodes < 3.0))
+        assert weights.sum() == pytest.approx(3.0, rel=1e-14)
 
 
 def test_non_convergence_raises_with_estimate():
