@@ -25,6 +25,7 @@ from .pointforce3d import (
     FieldSample,
     QuadSpec,
     lw_fields,
+    lw_fields_batch,
     lw_displacement,
     stokes_displacement,
     stokes_gradient,

@@ -8,11 +8,14 @@ its analytic derivative. The retarded-time condition
 
 is strictly monotone in t' whenever the source stays slower than the wave
 speed 1/kappa, so a bracketed Newton iteration with bisection fallback
-always converges to the unique root. ``retarded_time`` accepts one
-slowness or an array of them and solves all rows in one vectorized
-iteration. On a bounded trajectory domain, rows whose root precedes the
+always converges to the unique root. ``retarded_time`` solves many rows
+in one vectorized iteration: a row is a slowness kappa with its own
+observer x and time t, or one event's x and t shared by an array of
+slownesses. On a bounded trajectory domain, rows whose root precedes the
 first knot come back masked (``valid`` False): the force vanishes there,
-so they contribute nothing. A scalar call raises NoRetardationError
+so they contribute nothing. Rows whose observer sits on the worldline
+come back flagged (``singular``), so one such event does not abort a
+batch. A scalar call raises NoRetardationError or SingularPointError
 instead. The same solver serves 3D points and 2D lines (``dim=2``
 restricts the geometry to the x1-x2 plane).
 """
@@ -133,6 +136,8 @@ class RetardedState:
         valid: False on rows whose root precedes a bounded trajectory
                domain; their geometry is taken at the domain start and
                carries no force
+        singular: True on rows whose observer lies within r_min of the
+               worldline; their r, n and pc are NaN
     """
 
     t_ret: float
@@ -144,6 +149,7 @@ class RetardedState:
     v: np.ndarray
     a: np.ndarray
     valid: np.ndarray | bool = True
+    singular: np.ndarray | bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +353,11 @@ def polynomial_force(coefficients, t_on: float) -> ForceProfile:
 # ---------------------------------------------------------------------------
 # retarded-time solving
 
+def _norm_rows(d):
+    """|d| along the last axis; row by row equal to sqrt(d @ d) of one row."""
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
 def _bracket(traj, x, t, k, dim):
     """Per-row bracket [lo, hi] with f(lo) >= 0 >= f(hi), f = t - t' - kappa R(t').
 
@@ -356,18 +367,14 @@ def _bracket(traj, x, t, k, dim):
     bracket pays for that check: f(domain[0]) < 0 puts the root before
     the first knot.
     """
-    s_now, _, _ = traj.eval(t)
-    d_now = x - s_now[:dim]
-    r_now = math.sqrt(float(d_now @ d_now))
+    r_now = _norm_rows(x - traj.eval(t)[0][..., :dim])
     kv = k * traj.vmax
     lo = t - k * r_now / (1.0 - kv)
     hi = t - k * r_now / (1.0 + kv)
     valid = np.ones(k.shape, dtype=bool)
     t_min = traj.domain[0]
     if t_min > -math.inf and lo.min() < t_min:
-        s_min, _, _ = traj.eval(t_min)
-        d_min = x - s_min[:dim]
-        f_min = t - t_min - k * math.sqrt(float(d_min @ d_min))
+        f_min = t - t_min - k * _norm_rows(x - traj.eval(t_min)[0][:dim])
         valid = (hi >= t_min) & (f_min >= 0.0)
         lo = np.where(valid, np.maximum(lo, t_min), t_min)
         hi = np.where(valid, hi, t_min)
@@ -381,24 +388,34 @@ def _no_retardation(t):
 
 
 def _finalize_state(traj, x, tp, slowness, r_min, dim, valid=True):
-    """Geometry at the solved retarded time(s); masked rows are not checked."""
+    """Geometry at the solved retarded time(s); masked rows are not checked.
+
+    A scalar solve raises SingularPointError for an observer within r_min
+    of the worldline; an array solve flags such rows in ``singular`` and
+    gives them NaN geometry.
+    """
     s, v, a = traj.eval(tp)
     rvec = x - s[..., :dim]
     v = v[..., :dim]
     r = np.sqrt(np.add.reduce(rvec * rvec, axis=-1))
+    singular = (r < r_min) & valid
+    if np.ndim(tp) == 0:
+        if singular:
+            raise SingularPointError(
+                f"observer within r_min={r_min:g} of the source worldline at t'={tp:g}"
+            )
+        singular = False
+    else:
+        r = np.where(singular, np.nan, r)
     pc = r - slowness * np.add.reduce(v * rvec, axis=-1)
-    if ((r < r_min) & valid).any():
-        raise SingularPointError(
-            f"observer within r_min={r_min:g} of the source worldline at t'={np.min(tp):g}"
-        )
     if ((pc <= 0.0) & valid).any():
         raise SupersonicError(
-            f"non-positive Doppler denominator P_c={np.min(pc):g}; motion is not "
+            f"non-positive Doppler denominator P_c={np.nanmin(pc):g}; motion is not "
             f"subsonic for slowness {np.max(slowness):g}"
         )
     return RetardedState(
         t_ret=tp, rvec=rvec, r=r, n=rvec / r[..., None], pc=pc, slowness=slowness,
-        v=v, a=a[..., :dim], valid=valid,
+        v=v, a=a[..., :dim], valid=valid, singular=singular,
     )
 
 
@@ -416,7 +433,7 @@ def _check_slowness(traj, slowness):
 def retarded_time(
     traj: Trajectory,
     x,
-    t: float,
+    t,
     slowness,
     tol: float = DEFAULT_RETARDED_TOL,
     r_min: float = DEFAULT_R_MIN,
@@ -424,28 +441,31 @@ def retarded_time(
 ) -> RetardedState:
     """Solve t - t' - kappa |x - s(t')| = 0 for the unique subsonic root.
 
-    ``slowness`` is one kappa or an array of them; every row runs in one
-    vectorized bracketed Newton iteration with bisection fallback. A row
-    stops once |f| <= tol * max(1, t - t') plus the rounding floor of f
-    near t', then takes one final Newton increment. On a bounded
-    trajectory domain an array row whose root precedes the first knot is
-    masked (``valid`` False); a scalar call raises NoRetardationError
-    instead. Raises RetardedConvergenceError when a row has not met the
-    stop rule after the iteration budget, SingularPointError when the
-    observer sits on the worldline, SupersonicError when kappa*vmax >= 1.
+    ``slowness`` is one kappa or an array of them (n,); ``x`` is one
+    observer (dim,) or one per row (n, dim), and ``t`` one time or one per
+    row (n,). Every row runs in one vectorized bracketed Newton iteration
+    with bisection fallback. A row stops once |f| <= tol * max(1, t - t')
+    plus the rounding floor of f near t', then takes one final Newton
+    increment. An array row whose root precedes the first knot of a
+    bounded trajectory domain is masked (``valid`` False), and one whose
+    observer sits within r_min of the worldline is flagged (``singular``);
+    a scalar call raises NoRetardationError or SingularPointError instead.
+    Raises RetardedConvergenceError when a row has not met the stop rule
+    after the iteration budget, SupersonicError when kappa*vmax >= 1.
     """
-    x = np.asarray(x, dtype=float)[:dim]
+    x = np.asarray(x, dtype=float)[..., :dim]
+    t = np.asarray(t, dtype=float)
     k = np.asarray(slowness, dtype=float)
-    scalar = k.ndim == 0
-    k = k.reshape(-1)
+    scalar = k.ndim == 0 and t.ndim == 0 and x.ndim == 1
+    k = np.broadcast_to(k, np.broadcast_shapes(k.shape, t.shape, x.shape[:-1])).reshape(-1)
     _check_slowness(traj, k)
     lo, hi, valid = _bracket(traj, x, t, k, dim)
     if scalar and not valid[0]:
-        raise _no_retardation(t)
+        raise _no_retardation(float(t))
     # Stop rule, fixed per row from the bracket: tol * max(1, t - t') with
     # t - t' >= t - hi, plus the rounding floor of f = t - t' - kappa R,
     # which max(|t|, |lo|) bounds (every term is at most |t| + |t'|).
-    stop = tol * np.maximum(1.0, t - hi) + 8.0 * _EPS * np.maximum(abs(t), np.abs(lo))
+    stop = tol * np.maximum(1.0, t - hi) + 8.0 * _EPS * np.maximum(np.abs(t), np.abs(lo))
     tp = 0.5 * (lo + hi)
     done = ~valid
     # r = 0 (observer on the worldline) divides by zero; _finalize_state
@@ -472,8 +492,9 @@ def retarded_time(
             if done.all():
                 break
         else:
+            t_bad = np.broadcast_to(t, k.shape)[~done][0]
             raise RetardedConvergenceError(
-                f"retarded time for event (t={t:g}) not converged after "
+                f"retarded time for event (t={t_bad:g}) not converged after "
                 f"{_NEWTON_ITERATIONS} steps at slowness {k[~done]}"
             )
     if scalar:
@@ -486,11 +507,13 @@ def retarded_time_bisection(
     x,
     t: float,
     slowness: float,
-    tol: float = DEFAULT_RETARDED_TOL,
     r_min: float = DEFAULT_R_MIN,
     dim: int = 3,
 ) -> RetardedState:
-    """Plain-bisection reference solver for the same root as retarded_time."""
+    """Plain-bisection reference solver for the same root as retarded_time.
+
+    Bisects the bracket down to 4 ulp of t'.
+    """
     x = np.asarray(x, dtype=float)[:dim]
     _check_slowness(traj, slowness)
     lo, hi, valid = _bracket(traj, x, t, np.array([slowness], dtype=float), dim)

@@ -150,6 +150,8 @@ def _singular_ends(traj, prof, x, t, speeds, tol, r_min):
     has no history.
     """
     st = retarded_time(traj, x, t, 1.0 / np.asarray(speeds), tol=tol, r_min=r_min, dim=2)
+    if st.singular.any():
+        raise SingularPointError(f"observer within r_min={r_min:g} of the source worldline")
     return [
         _SingularEnd(
             b=st.t_ret[i], b_gap=t - st.t_ret[i], kappa=st.slowness[i],
@@ -294,7 +296,8 @@ def antiplane_fields(
         tbar = end.b_gap + w * w
         s2 = _stable_s2(end, x, s2d, r, w)
         s_val = math.sqrt(s2)
-        q3, qd3 = prof.eval(tp)[0][2], prof.eval(tp)[1][2]
+        q, qd = prof.eval(tp)
+        q3, qd3 = q[2], qd[2]
         # d(S^2) at fixed w for each direction t, x1, x2; each entry pairs a
         # tbar shift against an R shift that cancel at w = 0.
         dtbar = np.array([1.0 - dtup[0], -dtup[1], -dtup[2]])

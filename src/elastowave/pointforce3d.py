@@ -16,6 +16,11 @@ radiation part, decaying as 1/R), and a velocity-only remainder (the
 near field, 1/R^2). ``lw_fields`` returns that decomposition as
 ``beta_parts`` and ``v_parts``.
 
+``lw_fields_batch`` evaluates many events in one pass: the far channels
+of all events are one retarded solve, and their slowness integrals are
+refined together, so the per-call cost of the solver and the kernel is
+shared by every event. ``lw_fields`` is its one-event call.
+
 Static-source limits reduce to the classical time-dependent concentrated
 force solution (``stokes_*``) and, for constant strength, to the static
 concentrated-force solution (``kelvin_*``); both closed forms live here
@@ -30,7 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SupersonicError, TransonicAccuracyWarning
+from .errors import (
+    QuadratureError,
+    SingularPointError,
+    SupersonicError,
+    TransonicAccuracyWarning,
+)
 from .kinematics import (
     DEFAULT_R_MIN,
     DEFAULT_RETARDED_TOL,
@@ -40,12 +50,13 @@ from .kinematics import (
     retarded_time,
 )
 from .material import Material
-from .quadrature import adaptive_gauss_legendre
+from .quadrature import adaptive_gauss_legendre, integrate_intervals
 
 __all__ = [
     "QuadSpec",
     "FieldSample",
     "lw_fields",
+    "lw_fields_batch",
     "lw_displacement",
     "stokes_displacement",
     "stokes_gradient",
@@ -68,7 +79,8 @@ class QuadSpec:
 
 @dataclass
 class FieldSample:
-    """Fields at one observation event.
+    """Fields at one observation event (from ``lw_fields_batch``: at many,
+    every array with a leading event axis).
 
     ``beta_parts``/``v_parts`` hold the {vel, acc, qdot} decomposition;
     the parts sum to the totals within quadrature tolerance.
@@ -187,30 +199,82 @@ def _field_terms(st, prof, p, ga, gb, m):
     )
 
 
-def _retarded_sum(terms, mat, traj, prof, x, t, quad, tol_ret, r_min):
-    """Sum ``terms`` over the two far channels and the slowness integral.
+def _retarded_sums(terms, mat, traj, prof, xs, ts, quad, tol_ret, r_min):
+    """Sum ``terms`` over the two far channels and the slowness integral, per event.
 
-    Every row is solved by ``retarded_time``; the transversal and
-    longitudinal channels share one 2-row call, and the slowness
-    integrand evaluates each quadrature panel in one call.
+    ``xs`` (n, 3) and ``ts`` (n,) are the observation events. Every row is
+    solved by ``retarded_time``: the transversal and longitudinal channels
+    of all events share one 2n-row call, and the n slowness integrals are
+    refined together by ``integrate_intervals``, whose integrand solves and
+    evaluates each batch of nodes in one call. Returns the sums (n, width)
+    and the mask of events whose observer lies on the worldline; those
+    leave the refinement at once and their sums are NaN.
     """
     _require_subsonic(mat, traj)
     _require_history(traj, prof)
-    x = np.asarray(x, dtype=float)
+    xs = np.asarray(xs, dtype=float).reshape(-1, 3)
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    n = ts.size
     kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
     quad = quad or QuadSpec()
 
-    far = np.array([kT, kL])
-    st = retarded_time(traj, x, t, far, tol_ret, r_min)
-    total = terms(st, prof, far * far, _FAR_GA, _FAR_GB, _FAR_M).sum(axis=0)
+    far = np.tile([kT, kL], n)
+    st = retarded_time(traj, np.repeat(xs, 2, axis=0), np.repeat(ts, 2), far, tol_ret, r_min)
+    rows = terms(st, prof, far * far, np.tile(_FAR_GA, (n, 1)), np.tile(_FAR_GB, n),
+                 np.tile(_FAR_M, n))
+    total = rows.reshape(n, 2, -1).sum(axis=1)
+    singular = st.singular.reshape(n, 2).any(axis=1)
+    live = np.flatnonzero(~singular)
+    on_worldline = np.zeros(n, dtype=bool)  # events with a singular slowness node
 
-    def integrand(kappas):
-        st = retarded_time(traj, x, t, kappas, tol_ret, r_min)
+    def integrand(kappas, owner):
+        # A singular row has NaN geometry and therefore NaN terms, which
+        # takes its event out of the refinement.
+        ev = live[owner]
+        st = retarded_time(traj, xs[ev], ts[ev], kappas, tol_ret, r_min)
+        on_worldline[ev[st.singular]] = True
         return terms(st, prof, kappas, _MID_GA, _MID_GB, _MID_M)
 
-    return total + adaptive_gauss_legendre(
-        integrand, kL, kT, rel_tol=quad.rel_tol, nodes=quad.nodes,
-        max_depth=quad.max_depth, vectorized=True,
+    if live.size:
+        mid, failed = integrate_intervals(
+            integrand, np.full(live.size, kL), np.full(live.size, kT),
+            rel_tol=quad.rel_tol, nodes=quad.nodes, max_depth=quad.max_depth,
+        )
+        if (failed & ~on_worldline[live]).any():
+            raise QuadratureError("slowness integrand is not finite off the worldline")
+        total[live] += mid
+        singular[live[failed]] = True
+    total[singular] = np.nan
+    return total, singular
+
+
+def _field_sample(acc, rho):
+    """FieldSample from sums in the 39-wide layout; leading axes are kept."""
+    # Vector layout: u(3) | b_qdot(9) | b_vel(9) | b_acc(9) | v_qdot(3) | v_vel(3) | v_acc(3)
+    pref = 1.0 / (4.0 * math.pi * rho)
+    mat3 = acc.shape[:-1] + (3, 3)
+    beta_parts = {
+        "qdot": -pref * acc[..., 3:12].reshape(mat3),
+        "vel": -pref * acc[..., 12:21].reshape(mat3),
+        "acc": -pref * acc[..., 21:30].reshape(mat3),
+    }
+    v_parts = {
+        "qdot": pref * acc[..., 30:33],
+        "vel": pref * acc[..., 33:36],
+        "acc": pref * acc[..., 36:39],
+    }
+    return FieldSample(
+        u=pref * acc[..., 0:3],
+        beta=beta_parts["qdot"] + beta_parts["vel"] + beta_parts["acc"],
+        v=v_parts["qdot"] + v_parts["vel"] + v_parts["acc"],
+        beta_parts=beta_parts,
+        v_parts=v_parts,
+    )
+
+
+def _singular_event(r_min, t):
+    return SingularPointError(
+        f"observer within r_min={r_min:g} of the source worldline at t={t:g}"
     )
 
 
@@ -228,27 +292,38 @@ def lw_fields(
 
     One retarded solve per slowness node is shared by every returned
     quantity. Events the force has not yet influenced give exactly zero.
+    The one-event call of ``lw_fields_batch``; raises SingularPointError
+    for an observer on the worldline.
     """
-    # Vector layout: u(3) | b_qdot(9) | b_vel(9) | b_acc(9) | v_qdot(3) | v_vel(3) | v_acc(3)
-    acc = _retarded_sum(_field_terms, mat, traj, prof, x, t, quad, tol_ret, r_min)
-    pref = 1.0 / (4.0 * math.pi * mat.rho)
-    beta_parts = {
-        "qdot": -pref * acc[3:12].reshape(3, 3),
-        "vel": -pref * acc[12:21].reshape(3, 3),
-        "acc": -pref * acc[21:30].reshape(3, 3),
-    }
-    v_parts = {
-        "qdot": pref * acc[30:33],
-        "vel": pref * acc[33:36],
-        "acc": pref * acc[36:39],
-    }
-    return FieldSample(
-        u=pref * acc[0:3],
-        beta=beta_parts["qdot"] + beta_parts["vel"] + beta_parts["acc"],
-        v=v_parts["qdot"] + v_parts["vel"] + v_parts["acc"],
-        beta_parts=beta_parts,
-        v_parts=v_parts,
+    acc, singular = _retarded_sums(
+        _field_terms, mat, traj, prof, [x], [t], quad, tol_ret, r_min
     )
+    if singular[0]:
+        raise _singular_event(r_min, t)
+    return _field_sample(acc[0], mat.rho)
+
+
+def lw_fields_batch(
+    mat: Material,
+    traj: Trajectory,
+    prof: ForceProfile,
+    xs,
+    ts,
+    quad: QuadSpec | None = None,
+    tol_ret: float = DEFAULT_RETARDED_TOL,
+    r_min: float = DEFAULT_R_MIN,
+) -> tuple[FieldSample, np.ndarray]:
+    """``lw_fields`` at every event (xs[i], ts[i]) in one batched evaluation.
+
+    ``xs`` is (n, 3) and ``ts`` (n,). Returns a FieldSample whose arrays
+    carry a leading event axis, and the boolean mask of events whose
+    observer lies within r_min of the worldline: their fields are NaN
+    instead of raising.
+    """
+    acc, singular = _retarded_sums(
+        _field_terms, mat, traj, prof, xs, ts, quad, tol_ret, r_min
+    )
+    return _field_sample(acc, mat.rho), singular
 
 
 def lw_displacement(
@@ -262,8 +337,12 @@ def lw_displacement(
     r_min: float = DEFAULT_R_MIN,
 ) -> np.ndarray:
     """Displacement only; cheaper than lw_fields when derivatives are not needed."""
-    u = _retarded_sum(_displacement_terms, mat, traj, prof, x, t, quad, tol_ret, r_min)
-    return u / (4.0 * math.pi * mat.rho)
+    u, singular = _retarded_sums(
+        _displacement_terms, mat, traj, prof, [x], [t], quad, tol_ret, r_min
+    )
+    if singular[0]:
+        raise _singular_event(r_min, t)
+    return u[0] / (4.0 * math.pi * mat.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +429,6 @@ def kelvin_gradient(mat: Material, q, rvec, r_min: float = DEFAULT_R_MIN) -> np.
 
 
 def _static_geometry(rvec, r_min):
-    from .errors import SingularPointError
-
     rv = np.asarray(rvec, dtype=float)
     r = float(np.linalg.norm(rv))
     if r < r_min:

@@ -314,3 +314,27 @@ def test_nonconvergence_raises():
     liar = Trajectory("uniform", 0.0, moving.eval)
     with pytest.raises(RetardedConvergenceError, match="t=3"):
         retarded_time(liar, [2.0, 1.0, 0], 3.0, 0.8)
+
+
+def test_per_row_observers_and_times():
+    # Rows with their own observer and time return the roots of the
+    # one-event calls exactly; an observer on the worldline is flagged
+    # (NaN geometry) instead of raising, as a scalar call does.
+    traj = oscillatory_trajectory([0, 0, 0], [0.2, 0.1, 0], 1.1, 0.3)
+    on = traj.eval(2.5)[0]
+    xs = np.array([[1.5, -0.7, 0.4], [0.3, 2.0, -1.0], on, [1.5, -0.7, 0.4]])
+    ts = np.array([2.0, 4.0, 2.5, 0.1])
+    kappas = np.array([0.6, 0.9, 0.7, 1.0])
+    st = retarded_time(traj, xs, ts, kappas)
+    assert st.singular.tolist() == [False, False, True, False]
+    assert np.isnan(st.r[2]) and np.isnan(st.pc[2])
+    for i in (0, 1, 3):
+        one = retarded_time(traj, xs[i], ts[i], kappas[i])
+        assert one.t_ret == st.t_ret[i]
+        assert one.pc == st.pc[i]
+    with pytest.raises(SingularPointError):
+        retarded_time(traj, xs[2], ts[2], kappas[2])
+    # one observer and time per row, shared slowness
+    shared = retarded_time(traj, xs[[0, 1]], ts[[0, 1]], 0.8)
+    for i in (0, 1):
+        assert shared.t_ret[i] == retarded_time(traj, xs[i], ts[i], 0.8).t_ret
