@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from elastowave import constant_force, make_material, oscillatory_trajectory
-from elastowave.pointforce3d import QuadSpec, lw_fields
+from elastowave.pointforce3d import lw_fields
 
 
 def rms_parts(mat, traj, prof, nhat, radius, omega, n_phases=16):
@@ -27,8 +27,7 @@ def rms_parts(mat, traj, prof, nhat, radius, omega, n_phases=16):
     acc, vel = [], []
     for j in range(n_phases):
         s = lw_fields(
-            mat, traj, prof, radius * nhat, 10.0 + period * j / n_phases,
-            QuadSpec(rel_tol=1e-8),
+            mat, traj, prof, radius * nhat, 10.0 + period * j / n_phases, rel_tol=1e-8
         )
         acc.append(np.linalg.norm(s.beta_parts["acc"]))
         vel.append(np.linalg.norm(s.beta_parts["vel"]))

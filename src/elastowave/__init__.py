@@ -23,7 +23,6 @@ from .kinematics import (
 )
 from .pointforce3d import (
     FieldSample,
-    QuadSpec,
     lw_fields,
     lw_fields_batch,
     lw_displacement,

@@ -34,7 +34,6 @@ from .config import FORCE_PRESETS, TRAJECTORY_PRESETS, RunConfig, parse_config
 from .errors import ConfigError, ElastowaveError, SingularPointError
 from .lineforce2d import antiplane_sample, inplane_fields
 from .pointforce3d import (
-    QuadSpec,
     kelvin_displacement,
     kelvin_gradient,
     lw_fields,
@@ -71,7 +70,7 @@ def _rows_3d(cfg: RunConfig, events: np.ndarray) -> np.ndarray:
     """Rows of a block of (x1, x2, x3, t) events, evaluated as one batch."""
     fs, singular = lw_fields_batch(
         cfg.material, cfg.trajectory, cfg.force, events[:, :3], events[:, 3],
-        QuadSpec(rel_tol=cfg.quad_rel), tol_ret=cfg.retarded_rel, r_min=cfg.r_min,
+        rel_tol=cfg.quad_rel, tol_ret=cfg.retarded_rel, r_min=cfg.r_min,
     )
     rows = np.zeros((len(events), len(COLUMNS)))
     rows[:, 0:4] = events
@@ -203,7 +202,7 @@ def limits_report(cfg: RunConfig, events=None) -> dict:
             (np.array([x1, x2, x3]), t)
             for t in ts for x1 in xs1 for x2 in xs2 for x3 in xs3
         ]
-    quad = QuadSpec(rel_tol=min(cfg.quad_rel, 1e-12))
+    rel_tol = min(cfg.quad_rel, 1e-12)
     s0 = cfg.trajectory.eval(0.0)[0]
     dev_stokes = 0.0
     dev_kelvin = 0.0
@@ -212,7 +211,7 @@ def limits_report(cfg: RunConfig, events=None) -> dict:
     for x, t in events:
         rvec = x - s0
         try:
-            s = lw_fields(cfg.material, cfg.trajectory, cfg.force, x, t, quad, r_min=cfg.r_min)
+            s = lw_fields(cfg.material, cfg.trajectory, cfg.force, x, t, rel_tol, r_min=cfg.r_min)
             u_ref = stokes_displacement(cfg.material, cfg.force, rvec, t, r_min=cfg.r_min)
             b_ref = stokes_gradient(cfg.material, cfg.force, rvec, t, r_min=cfg.r_min)
         except SingularPointError:

@@ -1,7 +1,9 @@
 """Source trajectories, force-magnitude profiles, and retarded-time solving.
 
 A trajectory supplies the source worldline s(t) with exact analytic
-velocity and acceleration; a force profile supplies the strength Q(t) and
+velocity and acceleration, and the exact supremum vmax of its speed
+(tabulated and piecewise-polynomial worldlines take it from the roots of
+d|V|^2/dt on each interval); a force profile supplies the strength Q(t) and
 its analytic derivative. The retarded-time condition
 
     t - t' - kappa * |x - s(t')| = 0
@@ -9,7 +11,7 @@ its analytic derivative. The retarded-time condition
 is strictly monotone in t' whenever the source stays slower than the wave
 speed 1/kappa, so a bracketed Newton iteration with bisection fallback
 always converges to the unique root. ``retarded_time`` solves many rows
-in one vectorized iteration: a row is a slowness kappa with its own
+in one array iteration: a row is a slowness kappa with its own
 observer x and time t, or one event's x and t shared by an array of
 slownesses. On a bounded trajectory domain, rows whose root precedes the
 first knot come back masked (``valid`` False): the force vanishes there,
@@ -59,7 +61,6 @@ __all__ = [
 DEFAULT_RETARDED_TOL = 1e-12
 DEFAULT_R_MIN = 1e-9
 
-_VMAX_SAMPLES = 10_000
 _NEWTON_ITERATIONS = 120
 _EPS = float(np.finfo(float).eps)
 
@@ -68,10 +69,10 @@ _EPS = float(np.finfo(float).eps)
 class Trajectory:
     """Source worldline with analytic derivatives.
 
-    ``vmax`` is the declared supremum of |V|; exact for the analytic
-    presets, spot-checked by dense sampling for tabulated/piecewise data.
-    ``domain`` bounds where the worldline is defined (infinite for the
-    analytic presets).
+    ``vmax`` is the supremum of |V|, exact for every preset: closed form
+    for the analytic ones, the maximum of the piecewise polynomial |V|^2
+    for tabulated and piecewise-polynomial data. ``domain`` bounds where
+    the worldline is defined (infinite for the analytic presets).
     """
 
     kind: str
@@ -155,11 +156,6 @@ class RetardedState:
 # ---------------------------------------------------------------------------
 # trajectory presets
 
-def _sampled_vmax(fn, lo, hi):
-    ts = np.linspace(lo, hi, _VMAX_SAMPLES)
-    return max(float(np.linalg.norm(fn(t)[1])) for t in ts)
-
-
 def _vec3(v):
     a = np.asarray(v, dtype=float).reshape(-1)
     if a.size == 2:
@@ -218,23 +214,38 @@ def oscillatory_trajectory(center, amplitude, omega: float, phase: float = 0.0) 
     return Trajectory("oscillatory", float(np.linalg.norm(a)) * abs(w), fn)
 
 
+def _ppoly_trajectory(kind, pp: PPoly) -> Trajectory:
+    """Worldline of a PPoly with values (3,) on the window of its breakpoints.
+
+    On every interval |V|^2 is a polynomial, so its maximum lies at an end
+    of the interval or at a root of its derivative: vmax is exact.
+    """
+    dpp = pp.derivative()
+    ddpp = dpp.derivative()
+    # Coefficients of |V|^2 per interval: the squares of the components of
+    # dpp.c (order, n_intervals, 3), highest power first.
+    c = dpp.c
+    sq = sum(np.apply_along_axis(lambda p: np.convolve(p, p), 0, c[..., i]) for i in range(3))
+    sq_pp = PPoly(sq, pp.x)
+    crit = sq_pp.derivative().roots(discontinuity=False, extrapolate=False)
+    # Each interval's own value at both of its ends: V may jump at a break.
+    ends = np.concatenate([sq[-1], np.polyval(sq, np.diff(pp.x))])
+    v2 = max(ends.max(), sq_pp(crit[np.isfinite(crit)]).max(initial=0.0))
+
+    def fn(t):
+        return np.asarray(pp(t), float), np.asarray(dpp(t), float), np.asarray(ddpp(t), float)
+
+    return Trajectory(kind, math.sqrt(v2), fn, (float(pp.x[0]), float(pp.x[-1])))
+
+
 def piecewise_polynomial_trajectory(breakpoints, coefficients) -> Trajectory:
     """Piecewise-polynomial worldline on a finite window.
 
     ``coefficients`` has shape (order, n_intervals, 3) in the scipy PPoly
     convention (highest power first, local variable t - breakpoints[i]).
     """
-    breaks = np.asarray(breakpoints, dtype=float)
-    coefs = np.asarray(coefficients, dtype=float)
-    pp = PPoly(coefs, breaks)
-    dpp = pp.derivative()
-    ddpp = dpp.derivative()
-
-    def fn(t):
-        return np.asarray(pp(t), float), np.asarray(dpp(t), float), np.asarray(ddpp(t), float)
-
-    dom = (float(breaks[0]), float(breaks[-1]))
-    return Trajectory("piecewise-polynomial", _sampled_vmax(fn, *dom), fn, dom)
+    pp = PPoly(np.asarray(coefficients, dtype=float), np.asarray(breakpoints, dtype=float))
+    return _ppoly_trajectory("piecewise-polynomial", pp)
 
 
 def tabulated_trajectory(times, positions) -> Trajectory:
@@ -248,15 +259,7 @@ def tabulated_trajectory(times, positions) -> Trajectory:
     ps = np.asarray(positions, dtype=float)
     if ps.shape != (ts.size, 3):
         raise ValueError("positions must have shape (len(times), 3)")
-    sp = CubicSpline(ts, ps, axis=0, bc_type="natural")
-    dsp = sp.derivative()
-    ddsp = dsp.derivative()
-
-    def fn(t):
-        return np.asarray(sp(t), float), np.asarray(dsp(t), float), np.asarray(ddsp(t), float)
-
-    dom = (float(ts[0]), float(ts[-1]))
-    return Trajectory("tabulated", _sampled_vmax(fn, *dom), fn, dom)
+    return _ppoly_trajectory("tabulated", CubicSpline(ts, ps, axis=0, bc_type="natural"))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +446,7 @@ def retarded_time(
 
     ``slowness`` is one kappa or an array of them (n,); ``x`` is one
     observer (dim,) or one per row (n, dim), and ``t`` one time or one per
-    row (n,). Every row runs in one vectorized bracketed Newton iteration
+    row (n,). Every row runs in one array-wide bracketed Newton iteration
     with bisection fallback. A row stops once |f| <= tol * max(1, t - t')
     plus the rounding floor of f near t', then takes one final Newton
     increment. An array row whose root precedes the first knot of a

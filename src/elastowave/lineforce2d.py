@@ -11,7 +11,8 @@ which vanish at the retarded times. The integrands therefore carry an
 integrable 1/sqrt singularity at the upper limit. Production quadrature
 removes it exactly with the substitution t' = t_ret - w^2 on the last
 tenth of the history, leaving smooth integrands for Gauss-Legendre
-panels.
+panels. Every history kernel works on node rows: one integrand call
+evaluates all the nodes the quadrature engine hands it.
 
 Anti-plane motion (force along x3) involves only the transversal kernel;
 the in-plane components mix both wave speeds. The far history of the two
@@ -46,6 +47,7 @@ from .kinematics import (
     DEFAULT_RETARDED_TOL,
     ForceProfile,
     Trajectory,
+    _norm_rows,
     retarded_time,
 )
 from .material import Material
@@ -163,27 +165,38 @@ def _singular_ends(traj, prof, x, t, speeds, tol, r_min):
 
 
 def _stable_s2(end, x, s_tp, r_tp, w):
-    """S^2 at t' = b - w^2 without endpoint cancellation.
+    """S^2 at t' = b - w^2 without endpoint cancellation, row by row.
 
     S^2 = D * (tbar + kappa R) with D = tbar - kappa R; D is rebuilt from
     w^2 and the R-difference quotient so the two O(1) contributions that
     cancel at the endpoint never meet in floating point.
     """
-    num = float((end.s_b - s_tp) @ (2.0 * x - s_tp - end.s_b))
+    num = np.einsum("ni,ni->n", end.s_b - s_tp, 2.0 * x - s_tp - end.s_b)
     rdiff = num / (r_tp + end.r_b)
     d = w * w - end.kappa * rdiff
     tbar = end.b_gap + w * w
     return d * (tbar + end.kappa * r_tp)
 
 
+def _history_geometry(traj, x, tp, r_min):
+    """Source position s(t'), R = x - s and |R| at history nodes tp (n,)."""
+    s, v, _ = traj.eval(tp)
+    s2d = s[:, :2]
+    rvec = x - s2d
+    r = _norm_rows(rvec)
+    if (r < r_min).any():
+        raise SingularPointError("history passes through the observation point")
+    return s2d, rvec, r, v[:, :2]
+
+
 def _history_quad(kernel, traj, x, t, a, end, rel_tol, r_min, n_fixed=None, nodes=16):
     """Integrate kernel(t', rvec, r, s_sing) over [a, end.b].
 
-    ``s_sing`` is the vanishing-at-the-endpoint square root of the
-    kernel. The last tenth of the interval is mapped by t' = b - w^2,
-    which turns the inverse-square-root endpoint into a smooth integrand;
-    there S is evaluated in the stable product form. ``n_fixed`` switches
-    to a non-adaptive composite rule (convergence-order studies).
+    The kernel maps node rows (n,) or (n, 2) to values (n, m); ``s_sing``
+    is its vanishing-at-the-endpoint square root. The last tenth of the
+    interval is mapped by t' = b - w^2, which turns the inverse-square-root
+    endpoint into a smooth integrand; there S is evaluated in the stable
+    product form. ``n_fixed`` switches to a non-adaptive composite rule.
     """
     b = end.b
     if b <= a:
@@ -192,26 +205,17 @@ def _history_quad(kernel, traj, x, t, a, end, rel_tol, r_min, n_fixed=None, node
     split = b - delta
     w_max = math.sqrt(delta)
 
-    def geometry(tp):
-        s, _, _ = traj.eval(tp)
-        s2d = s[:2]
-        rvec = x - s2d
-        r = float(np.linalg.norm(rvec))
-        if r < r_min:
-            raise SingularPointError("history passes through the observation point")
-        return s2d, rvec, r
-
     def head(tp):
-        _, rvec, r = geometry(tp)
+        _, rvec, r, _ = _history_geometry(traj, x, tp, r_min)
         tbar = t - tp
-        s_sing = math.sqrt(tbar * tbar - (end.kappa * r) ** 2)
+        s_sing = np.sqrt(tbar * tbar - (end.kappa * r) ** 2)
         return kernel(tp, rvec, r, s_sing)
 
     def tail(w):
         tp = b - w * w
-        s2d, rvec, r = geometry(tp)
-        s_sing = math.sqrt(_stable_s2(end, x, s2d, r, w))
-        return 2.0 * w * kernel(tp, rvec, r, s_sing)
+        s2d, rvec, r, _ = _history_geometry(traj, x, tp, r_min)
+        s_sing = np.sqrt(_stable_s2(end, x, s2d, r, w))
+        return (2.0 * w)[:, None] * kernel(tp, rvec, r, s_sing)
 
     if n_fixed is not None:
         return fixed_gauss_legendre(head, a, split, n_fixed, nodes) + fixed_gauss_legendre(
@@ -243,8 +247,7 @@ def antiplane_displacement(
         return 0.0
 
     def kernel(tp, rvec, r, s_sing):
-        q3 = prof.eval(tp)[0][2]
-        return np.array([q3 / s_sing])
+        return (prof.eval(tp)[0][:, 2] / s_sing)[:, None]
 
     val = _history_quad(
         kernel, traj, x, t, prof.t_on, end, rel_tol, r_min, n_fixed
@@ -285,25 +288,19 @@ def antiplane_fields(
 
     def integrand(w):
         tp = t_up - w * w
-        s, v, _ = traj.eval(tp)
-        s2d = s[:2]
-        rvec = x - s2d
-        r = float(np.linalg.norm(rvec))
-        if r < r_min:
-            raise SingularPointError("history passes through the observation point")
-        n = rvec / r
-        nv = float(n @ v[:2])
-        tbar = end.b_gap + w * w
-        s2 = _stable_s2(end, x, s2d, r, w)
-        s_val = math.sqrt(s2)
+        s2d, rvec, r, v = _history_geometry(traj, x, tp, r_min)
+        n = rvec / r[:, None]
+        nv = np.einsum("ni,ni->n", n, v)[:, None]
+        s_val = np.sqrt(_stable_s2(end, x, s2d, r, w))[:, None]
+        tbar = (end.b_gap + w * w)[:, None]
         q, qd = prof.eval(tp)
-        q3, qd3 = q[2], qd[2]
         # d(S^2) at fixed w for each direction t, x1, x2; each entry pairs a
         # tbar shift against an R shift that cancel at w = 0.
         dtbar = np.array([1.0 - dtup[0], -dtup[1], -dtup[2]])
-        dr = np.array([-nv * dtup[0], n[0] - nv * dtup[1], n[1] - nv * dtup[2]])
-        ds2 = 2.0 * tbar * dtbar - 2.0 * kap * kap * r * dr
-        return 2.0 * qd3 * dtup * (w / s_val) - q3 * w * ds2 / s_val ** 3
+        dr = np.pad(n, ((0, 0), (1, 0))) - nv * dtup
+        ds2 = 2.0 * tbar * dtbar - 2.0 * kap * kap * r[:, None] * dr
+        w = w[:, None]
+        return 2.0 * qd[:, 2:] * dtup * (w / s_val) - q[:, 2:] * w * ds2 / s_val ** 3
 
     q_on = prof.eval(prof.t_on)[0][2]
     s_on = line_history_node(mat, traj, x, t, prof.t_on).s_t
@@ -342,21 +339,23 @@ def inplane_displacement(
         return np.zeros(2)
     kL2 = 1.0 / mat.cL ** 2
 
-    def lt_parts(tp, rvec, r, q):
-        r2 = r * r
-        nn_q = (float(rvec @ q) / r2) * rvec
-        return r2, nn_q, (t - tp) ** 2
+    def parts(tp, rvec, r):
+        # q, n (n.q) and the columns R^2, tbar^2, one row per node.
+        q = prof.eval(tp)[0][:, :2]
+        r2 = (r * r)[:, None]
+        nn_q = np.einsum("ni,ni->n", rvec, q)[:, None] / r2 * rvec
+        return q, nn_q, r2, ((t - tp) ** 2)[:, None]
 
     def kernel_l(tp, rvec, r, s_sing):
-        q = prof.eval(tp)[0][:2]
-        r2, nn_q, tb2 = lt_parts(tp, rvec, r, q)
+        q, nn_q, r2, tb2 = parts(tp, rvec, r)
+        s_sing = s_sing[:, None]
         return (nn_q * (tb2 / s_sing) + (nn_q - q) * s_sing) / r2
 
     def kernel_diff(tp, rvec, r, s_sing):
         # singular root is S_T; S_L stays bounded away from zero here
-        q = prof.eval(tp)[0][:2]
-        r2, nn_q, tb2 = lt_parts(tp, rvec, r, q)
-        sl = math.sqrt(tb2 - r2 * kL2)
+        q, nn_q, r2, tb2 = parts(tp, rvec, r)
+        s_sing = s_sing[:, None]
+        sl = np.sqrt(tb2 - r2 * kL2)
         lt = nn_q * (tb2 / sl) + (nn_q - q) * sl
         tt = nn_q * s_sing + (nn_q - q) * (tb2 / s_sing)
         return (lt - tt) / r2

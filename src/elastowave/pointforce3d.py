@@ -53,7 +53,6 @@ from .material import Material
 from .quadrature import adaptive_gauss_legendre, integrate_intervals
 
 __all__ = [
-    "QuadSpec",
     "FieldSample",
     "lw_fields",
     "lw_fields_batch",
@@ -66,15 +65,6 @@ __all__ = [
 ]
 
 _I3 = np.eye(3)
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Adaptive slowness-quadrature settings for the intermediate term."""
-
-    rel_tol: float = 1e-10
-    nodes: int = 16
-    max_depth: int = 44
 
 
 @dataclass
@@ -199,7 +189,7 @@ def _field_terms(st, prof, p, ga, gb, m):
     )
 
 
-def _retarded_sums(terms, mat, traj, prof, xs, ts, quad, tol_ret, r_min):
+def _retarded_sums(terms, mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
     """Sum ``terms`` over the two far channels and the slowness integral, per event.
 
     ``xs`` (n, 3) and ``ts`` (n,) are the observation events. Every row is
@@ -216,7 +206,6 @@ def _retarded_sums(terms, mat, traj, prof, xs, ts, quad, tol_ret, r_min):
     ts = np.asarray(ts, dtype=float).reshape(-1)
     n = ts.size
     kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
-    quad = quad or QuadSpec()
 
     far = np.tile([kT, kL], n)
     st = retarded_time(traj, np.repeat(xs, 2, axis=0), np.repeat(ts, 2), far, tol_ret, r_min)
@@ -237,8 +226,7 @@ def _retarded_sums(terms, mat, traj, prof, xs, ts, quad, tol_ret, r_min):
 
     if live.size:
         mid, failed = integrate_intervals(
-            integrand, np.full(live.size, kL), np.full(live.size, kT),
-            rel_tol=quad.rel_tol, nodes=quad.nodes, max_depth=quad.max_depth,
+            integrand, np.full(live.size, kL), np.full(live.size, kT), rel_tol=rel_tol
         )
         if (failed & ~on_worldline[live]).any():
             raise QuadratureError("slowness integrand is not finite off the worldline")
@@ -284,7 +272,7 @@ def lw_fields(
     prof: ForceProfile,
     x,
     t: float,
-    quad: QuadSpec | None = None,
+    rel_tol: float = 1e-10,
     tol_ret: float = DEFAULT_RETARDED_TOL,
     r_min: float = DEFAULT_R_MIN,
 ) -> FieldSample:
@@ -296,7 +284,7 @@ def lw_fields(
     for an observer on the worldline.
     """
     acc, singular = _retarded_sums(
-        _field_terms, mat, traj, prof, [x], [t], quad, tol_ret, r_min
+        _field_terms, mat, traj, prof, [x], [t], rel_tol, tol_ret, r_min
     )
     if singular[0]:
         raise _singular_event(r_min, t)
@@ -309,7 +297,7 @@ def lw_fields_batch(
     prof: ForceProfile,
     xs,
     ts,
-    quad: QuadSpec | None = None,
+    rel_tol: float = 1e-10,
     tol_ret: float = DEFAULT_RETARDED_TOL,
     r_min: float = DEFAULT_R_MIN,
 ) -> tuple[FieldSample, np.ndarray]:
@@ -321,7 +309,7 @@ def lw_fields_batch(
     instead of raising.
     """
     acc, singular = _retarded_sums(
-        _field_terms, mat, traj, prof, xs, ts, quad, tol_ret, r_min
+        _field_terms, mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min
     )
     return _field_sample(acc, mat.rho), singular
 
@@ -332,13 +320,13 @@ def lw_displacement(
     prof: ForceProfile,
     x,
     t: float,
-    quad: QuadSpec | None = None,
+    rel_tol: float = 1e-10,
     tol_ret: float = DEFAULT_RETARDED_TOL,
     r_min: float = DEFAULT_R_MIN,
 ) -> np.ndarray:
     """Displacement only; cheaper than lw_fields when derivatives are not needed."""
     u, singular = _retarded_sums(
-        _displacement_terms, mat, traj, prof, [x], [t], quad, tol_ret, r_min
+        _displacement_terms, mat, traj, prof, [x], [t], rel_tol, tol_ret, r_min
     )
     if singular[0]:
         raise _singular_event(r_min, t)
@@ -438,8 +426,7 @@ def _static_geometry(rvec, r_min):
 
 def _kappa_moment(prof, t, r, kL, kT, rel_tol):
     """integral of kappa * Q(t - kappa r) over the slowness interval."""
-    def f(kappa):
-        q, _ = prof.eval(t - kappa * r)
-        return kappa * q
+    def f(kappas):
+        return kappas[:, None] * prof.eval(t - kappas * r)[0]
 
     return adaptive_gauss_legendre(f, kL, kT, rel_tol=rel_tol)

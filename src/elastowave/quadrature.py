@@ -1,8 +1,9 @@
 """Adaptive Gauss-Legendre quadrature for vector-valued integrands.
 
-One breadth-first engine, ``integrate_intervals``, integrates many
-intervals at once: every unconverged (interval, panel) pair is a row, and
-each round evaluates both halves of every row in as few integrand calls as
+Every integrand maps a node array xs (n,) to values (n, m). One
+breadth-first engine, ``integrate_intervals``, integrates many intervals
+at once: every unconverged (interval, panel) pair is a row, and each
+round evaluates both halves of every row in as few integrand calls as
 possible, none holding more than NODE_BUDGET nodes. A row is accepted once
 its error fits within a width-proportional share of its interval's
 relative tolerance; otherwise it is bisected. ``adaptive_gauss_legendre``
@@ -43,15 +44,17 @@ def gauss_legendre_rule(n: int):
 
 
 def fixed_gauss_legendre(f, a, b, n_panels=1, nodes=16):
-    """Non-adaptive composite rule; mainly for convergence-order studies."""
+    """Non-adaptive composite rule; mainly for convergence-order studies.
+
+    ``f`` maps the nodes of all panels (n_panels * nodes,) to (n, m) in
+    one call.
+    """
     x, w = gauss_legendre_rule(nodes)
     edges = np.linspace(a, b, n_panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        vals = np.array([f(xi) for xi in 0.5 * (lo + hi) + half * x], dtype=float)
-        total = total + half * (w @ vals)
-    return total
+    half = 0.5 * (edges[1:] - edges[:-1])
+    xs = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * x
+    vals = np.asarray(f(xs.reshape(-1)), dtype=float).reshape(n_panels, nodes, -1)
+    return (half[:, None] * (w @ vals)).sum(axis=0)
 
 
 def _panels(f, lo, hi, owner, x, w):
@@ -227,16 +230,13 @@ def adaptive_gauss_legendre(
     nodes: int = 16,
     max_depth: int = 44,
     collect: list | None = None,
-    vectorized: bool = False,
 ):
     """Integrate ``f`` over [a, b] to the requested relative tolerance.
 
     The one-interval call of ``integrate_intervals``.
 
     Args:
-        f: callable returning a 1d float array (same length every call);
-            with ``vectorized`` it instead maps a node array (n,) to a
-            value array (n, m).
+        f: maps a node array xs (n,) to a value array (n, m).
         rel_tol: target relative error against a per-component scale.
         collect: if a list is given, accepted panel nodes and weights are
             appended as (nodes, weights) pairs, left to right.
@@ -246,14 +246,11 @@ def adaptive_gauss_legendre(
             or the integrand is not finite somewhere on [a, b].
     """
     if b <= a:
-        probe_x = 0.5 * (a + b) if b == a else a
-        probe = np.asarray(f(np.array([probe_x])) if vectorized else f(probe_x), dtype=float)
-        return np.zeros(probe.shape[-1] if probe.ndim else 1)
-
-    def g(xs, owner):
-        return f(xs) if vectorized else np.array([f(xi) for xi in xs], dtype=float)
-
-    values, failed = integrate_intervals(g, [a], [b], rel_tol, nodes, max_depth, collect)
+        probe = np.asarray(f(np.array([0.5 * (a + b) if b == a else a])), dtype=float)
+        return np.zeros(probe.shape[-1])
+    values, failed = integrate_intervals(
+        lambda xs, owner: f(xs), [a], [b], rel_tol, nodes, max_depth, collect
+    )
     if failed[0]:
         raise QuadratureError(f"integrand is not finite on [{a:g}, {b:g}]")
     return values[0]

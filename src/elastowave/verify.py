@@ -47,7 +47,6 @@ from .kinematics import (
 from .lineforce2d import antiplane_displacement, antiplane_fields, inplane_displacement
 from .material import Material, make_material, make_material_poisson
 from .pointforce3d import (
-    QuadSpec,
     kelvin_displacement,
     kelvin_gradient,
     lw_displacement,
@@ -303,7 +302,9 @@ def mollified_convolution_u(
     pts = sorted(edges)
     total = np.zeros(3)
     for a_, b_ in zip(pts[:-1], pts[1:]):
-        total += adaptive_gauss_legendre(psi, a_, b_, rel_tol=rel_tol)
+        total += adaptive_gauss_legendre(
+            lambda xs: np.array([psi(x_) for x_ in xs]), a_, b_, rel_tol=rel_tol
+        )
     return total / (4.0 * math.pi * mat.rho)
 
 
@@ -444,7 +445,7 @@ def check_stokes_limit(seed=0, n_cases=20, tolerance=1e-10):
     """Static-trajectory evaluator against the time-dependent closed form."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    quad = QuadSpec(rel_tol=1e-12)
+    rel_tol = 1e-12
     for _ in range(n_cases):
         mat = _random_material(rng)
         traj = static_trajectory(rng.normal(scale=0.3, size=3))
@@ -452,7 +453,7 @@ def check_stokes_limit(seed=0, n_cases=20, tolerance=1e-10):
         x = traj.eval(0.0)[0] + rng.uniform(0.5, 3.0) * _random_unit(rng)
         t = rng.uniform(-1.0, 2.0)
         rvec = x - traj.eval(0.0)[0]
-        s = lw_fields(mat, traj, prof, x, t, quad)
+        s = lw_fields(mat, traj, prof, x, t, rel_tol=rel_tol)
         worst = max(worst, _rel_err(s.u, stokes_displacement(mat, prof, rvec, t)))
         worst = max(worst, _rel_err(s.beta, stokes_gradient(mat, prof, rvec, t)))
     return _report("stokes_limit", worst, tolerance, n_cases)
@@ -462,7 +463,7 @@ def check_kelvin_limit(seed=0, n_cases=20, tolerance=1e-12):
     """Static trajectory and constant force against the static closed form."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    quad = QuadSpec(rel_tol=1e-13)
+    rel_tol = 1e-13
     for _ in range(n_cases):
         mat = _random_material(rng)
         q0 = rng.normal(size=3)
@@ -470,7 +471,7 @@ def check_kelvin_limit(seed=0, n_cases=20, tolerance=1e-12):
         prof = constant_force(q0)
         rvec = rng.uniform(0.5, 3.0) * _random_unit(rng)
         t = rng.uniform(-1.0, 5.0)
-        s = lw_fields(mat, traj, prof, rvec, t, quad)
+        s = lw_fields(mat, traj, prof, rvec, t, rel_tol=rel_tol)
         worst = max(worst, _rel_err(s.u, kelvin_displacement(mat, q0, rvec)))
         worst = max(worst, _rel_err(s.beta, kelvin_gradient(mat, q0, rvec)))
         worst = max(worst, _rel_err(s.v, np.zeros(3), floor=np.max(np.abs(s.u))))
@@ -498,14 +499,14 @@ def _smooth_case(rng, vfrac=0.8):
 def check_fd_consistency_3d(seed=0, n_cases=50, tolerance=1e-5):
     """Analytic distortion/velocity against differenced displacement."""
     rng = np.random.default_rng(seed)
-    quad = QuadSpec(rel_tol=1e-12)
+    rel_tol = 1e-12
     worst = 0.0
     for _ in range(n_cases):
         mat, traj, prof, x, t, k_eff = _smooth_case(rng)
-        s = lw_fields(mat, traj, prof, x, t, quad)
+        s = lw_fields(mat, traj, prof, x, t, rel_tol=rel_tol)
         h = 0.02 / k_eff
         fd = fd_consistency(
-            lambda xx, tt: lw_displacement(mat, traj, prof, xx, tt, quad), x, t, h
+            lambda xx, tt: lw_displacement(mat, traj, prof, xx, tt, rel_tol=rel_tol), x, t, h
         )
         scale = max(float(np.max(np.abs(fd.beta_fd))), float(np.max(np.abs(fd.v_fd))))
         worst = max(worst, float(np.max(np.abs(s.beta - fd.beta_fd))) / scale)
@@ -516,20 +517,20 @@ def check_fd_consistency_3d(seed=0, n_cases=50, tolerance=1e-5):
 def check_navier_residual_3d(seed=0, n_cases=50, tolerance=1e-3, corrupt=False):
     """Equation-of-motion residual at off-source, off-front events."""
     rng = np.random.default_rng(seed)
-    quad = QuadSpec(rel_tol=1e-12)
+    rel_tol = 1e-12
     worst = 0.0
     for _ in range(n_cases):
         mat, traj, prof, x, t, k_eff = _smooth_case(rng)
 
         def u_fn(xx, tt):
-            u = lw_displacement(mat, traj, prof, xx, tt, quad)
+            u = lw_displacement(mat, traj, prof, xx, tt, rel_tol=rel_tol)
             if corrupt:
                 u = u.copy()
                 u[0] *= 1.1
             return u
 
         def v_fn(xx, tt):
-            return lw_fields(mat, traj, prof, xx, tt, quad).v
+            return lw_fields(mat, traj, prof, xx, tt, rel_tol=rel_tol).v
 
         h = 0.04 / k_eff
         res = navier_residual(mat, u_fn, v_fn, x, t, h)
@@ -564,13 +565,13 @@ def check_mollified_oracle(seed=0, tolerance=1e-4, slope_band=0.2, eps0=0.04, n_
     Returns two reports: agreement (vs tolerance) and |slope - 2| (vs the
     band) fitted over the halvings.
     """
-    quad = QuadSpec(rel_tol=1e-12)
+    rel_tol = 1e-12
     agree = 0.0
     slope_err = 0.0
     details = []
     cases = _mollified_cases(seed)
     for mat, traj, prof, x, t in cases:
-        u_ref = lw_displacement(mat, traj, prof, x, t, quad)
+        u_ref = lw_displacement(mat, traj, prof, x, t, rel_tol=rel_tol)
         scale = float(np.max(np.abs(u_ref)))
         eps_list = [eps0 * 0.5 ** j for j in range(n_halvings + 1)]
         errs = []
@@ -618,13 +619,14 @@ def check_radiation_farfield(seed=0, tolerance=1e-2, radius=60.0, n_phases=16):
     traj = oscillatory_trajectory(np.zeros(3), [0.08, 0.0, 0.0], omega)
     prof = constant_force([0.0, 0.0, 1.0])
     nhat = _random_unit(rng)
-    quad = QuadSpec(rel_tol=1e-8)
+    rel_tol = 1e-8
     period = 2.0 * math.pi / omega
 
     def rms(radius_):
         vals = []
         for j in range(n_phases):
-            s = lw_fields(mat, traj, prof, radius_ * nhat, 10.0 + period * j / n_phases, quad)
+            t = 10.0 + period * j / n_phases
+            s = lw_fields(mat, traj, prof, radius_ * nhat, t, rel_tol=rel_tol)
             vals.append(float(np.linalg.norm(s.beta_parts["acc"])))
         return math.sqrt(float(np.mean(np.square(vals))))
 
@@ -727,7 +729,7 @@ def check_equivariance(seed=0, n_cases=8, tolerance=1e-10):
     """Rotation and translation equivariance of the 3D and 2D evaluators."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    quad = QuadSpec(rel_tol=1e-12)
+    rel_tol = 1e-12
     for _ in range(n_cases):
         mat = _random_material(rng)
         omega = rng.uniform(0.5, 1.5)
@@ -742,12 +744,12 @@ def check_equivariance(seed=0, n_cases=8, tolerance=1e-10):
 
         traj = oscillatory_trajectory(center, amp, omega, phase)
         prof = sinusoid_force(q0, omega_f)
-        s0 = lw_fields(mat, traj, prof, x, t, quad)
+        s0 = lw_fields(mat, traj, prof, x, t, rel_tol=rel_tol)
 
         rot = _rotation_matrix(rng)
         traj_r = oscillatory_trajectory(rot @ center, rot @ amp, omega, phase)
         prof_r = sinusoid_force(rot @ q0, omega_f)
-        s1 = lw_fields(mat, traj_r, prof_r, rot @ x, t, quad)
+        s1 = lw_fields(mat, traj_r, prof_r, rot @ x, t, rel_tol=rel_tol)
         scale = max(float(np.max(np.abs(s0.u))), float(np.max(np.abs(s0.beta))),
                     float(np.max(np.abs(s0.v))))
         worst = max(worst, float(np.max(np.abs(s1.u - rot @ s0.u))) / scale)
@@ -759,7 +761,7 @@ def check_equivariance(seed=0, n_cases=8, tolerance=1e-10):
         dt = rng.uniform(-1.0, 1.0)
         traj_s = oscillatory_trajectory(center + dx, amp, omega, phase - omega * dt)
         prof_s = sinusoid_force(q0, omega_f, phase=-omega_f * dt)
-        s2 = lw_fields(mat, traj_s, prof_s, x + dx, t + dt, quad)
+        s2 = lw_fields(mat, traj_s, prof_s, x + dx, t + dt, rel_tol=rel_tol)
         worst = max(worst, float(np.max(np.abs(s2.u - s0.u))) / scale)
         worst = max(worst, float(np.max(np.abs(s2.beta - s0.beta))) / scale)
         worst = max(worst, float(np.max(np.abs(s2.v - s0.v))) / scale)
@@ -792,7 +794,7 @@ def check_linearity(seed=0, n_cases=8, tolerance=1e-10):
     """Field linearity in the force strength, 3D and 2D paths."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    quad = QuadSpec(rel_tol=1e-12)
+    rel_tol = 1e-12
     for _ in range(n_cases):
         mat = _random_material(rng)
         traj = _random_oscillatory(rng, mat, vfrac=0.6)[0]
@@ -802,9 +804,9 @@ def check_linearity(seed=0, n_cases=8, tolerance=1e-10):
         om = rng.uniform(0.5, 1.5)
         x = rng.uniform(1.5, 3.0) * _random_unit(rng)
         t = rng.uniform(0.0, 2.0)
-        s1 = lw_fields(mat, traj, sinusoid_force(q1, om), x, t, quad)
-        s2 = lw_fields(mat, traj, sinusoid_force(q2, om), x, t, quad)
-        s12 = lw_fields(mat, traj, sinusoid_force(a * q1 + b * q2, om), x, t, quad)
+        s1 = lw_fields(mat, traj, sinusoid_force(q1, om), x, t, rel_tol=rel_tol)
+        s2 = lw_fields(mat, traj, sinusoid_force(q2, om), x, t, rel_tol=rel_tol)
+        s12 = lw_fields(mat, traj, sinusoid_force(a * q1 + b * q2, om), x, t, rel_tol=rel_tol)
         for attr in ("u", "beta", "v"):
             lin = a * getattr(s1, attr) + b * getattr(s2, attr)
             got = getattr(s12, attr)

@@ -61,10 +61,9 @@ def test_batched_rows_equal_one_event_calls(text):
     assert rows[:, cli.COLUMNS.index("mask")].tolist() == [0, 0, 0, 1, 0]
     assert np.all(rows[3, 4:19] == 0.0)
     assert np.all(rows[0, 4:19] == 0.0)  # nothing has arrived yet
-    quad = pointforce3d.QuadSpec(rel_tol=cfg.quad_rel)
     for i, (x1, x2, x3, t) in enumerate(events):
-        args = (cfg.material, cfg.trajectory, cfg.force, np.array([x1, x2, x3]), t, quad)
-        kw = dict(tol_ret=cfg.retarded_rel, r_min=cfg.r_min)
+        args = (cfg.material, cfg.trajectory, cfg.force, np.array([x1, x2, x3]), t)
+        kw = dict(rel_tol=cfg.quad_rel, tol_ret=cfg.retarded_rel, r_min=cfg.r_min)
         if i == 3:
             with pytest.raises(SingularPointError):
                 pointforce3d.lw_fields(*args, **kw)

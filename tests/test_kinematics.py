@@ -98,6 +98,33 @@ def test_vmax_spot_check():
     assert max(speeds) <= traj.vmax * (1 + 1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 10), tabulated=st.booleans())
+def test_exact_vmax_bounds_dense_sample(seed, n, tabulated):
+    rng = np.random.default_rng(seed)
+    knots = np.cumsum(rng.uniform(0.2, 1.0, n))
+    if tabulated:
+        traj = tabulated_trajectory(knots, rng.normal(size=(n, 3)))
+    else:
+        traj = piecewise_polynomial_trajectory(knots, rng.normal(size=(4, n - 1, 3)))
+    # V may jump at a knot, so the sample holds the left limits there too.
+    ts = np.concatenate([np.linspace(*traj.domain, 20_001), np.nextafter(knots[1:], 0.0)])
+    speeds = np.linalg.norm(traj.eval(ts)[1], axis=1)
+    assert speeds.max() <= traj.vmax * (1 + 1e-12)
+    assert traj.vmax <= speeds.max() * (1 + 1e-3)
+
+
+def test_exact_vmax_interior_maximum():
+    # V1 = 1 - 4 (t - 0.37)^2 peaks at 1 inside [0, 1]; the ends give 0.45
+    # and 0.59, and no sample of the dense grid hits t = 0.37.
+    coefs = np.zeros((4, 1, 3))
+    coefs[:, 0, 0] = [-4.0 / 3.0, 1.48, 0.4524, 0.0]
+    traj = piecewise_polynomial_trajectory([0.0, 1.0], coefs)
+    speeds = np.linalg.norm(traj.eval(np.linspace(0.0, 1.0, 10_000))[1], axis=1)
+    assert traj.vmax == pytest.approx(1.0, rel=1e-14)
+    assert speeds.max() < traj.vmax
+
+
 def test_tabulated_extrapolation_error():
     traj = tabulated_trajectory([0.0, 1.0, 2.0], np.zeros((3, 3)))
     with pytest.raises(ExtrapolationError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from elastowave import lineforce2d
 from elastowave.errors import UnboundedHistoryError, WavefrontProximityWarning
 from elastowave.kinematics import (
     bump_force,
@@ -19,6 +20,7 @@ from elastowave.lineforce2d import (
     line_history_node,
 )
 from elastowave.material import make_material
+from elastowave.quadrature import adaptive_gauss_legendre
 from elastowave.verify import inplane_convolution_u
 
 MAT = make_material(rho=1.3, lam=0.9, mu=1.3)  # cT = 1
@@ -160,6 +162,26 @@ def test_inplane_moving_matches_oracle():
     u = inplane_displacement(MAT, traj, prof, x, t, rel_tol=1e-10)
     oracle = inplane_convolution_u(MAT, traj, prof, x, t)
     np.testing.assert_allclose(u, oracle, rtol=1e-3)
+
+
+def test_inplane_displacement_integrand_calls(monkeypatch):
+    # Behind the S front both history integrals run, each split into head
+    # and tail: four engine calls, each handing its integrand node arrays.
+    calls = []
+
+    def counting(f, a, b, **kw):
+        def g(xs):
+            calls.append(xs.size)
+            return f(xs)
+
+        return adaptive_gauss_legendre(g, a, b, **kw)
+
+    monkeypatch.setattr(lineforce2d, "adaptive_gauss_legendre", counting)
+    traj = oscillatory_trajectory([0, 0, 0], [0.2, 0, 0], 1.0)
+    prof = step_force([1.0, 0.5, 0], t_on=0.0)
+    u = inplane_displacement(MAT, traj, prof, [1.5, 0.5], 6.0)
+    assert np.all(u != 0)
+    assert len(calls) <= 8 and sum(calls) >= 4 * 48
 
 
 def test_inplane_fields_richardson_consistency():

@@ -21,21 +21,22 @@ def test_rule_weights_sum_to_two():
 
 def test_polynomial_exactness():
     # GL16 integrates degree-31 polynomials exactly
-    val = fixed_gauss_legendre(lambda x: np.array([x ** 17]), -1.0, 2.0, nodes=16)
+    val = fixed_gauss_legendre(lambda xs: xs[:, None] ** 17, -1.0, 2.0, n_panels=3, nodes=16)
     exact = (2.0 ** 18 - 1.0) / 18.0
     assert val[0] == pytest.approx(exact, rel=1e-14)
 
 
 def test_adaptive_smooth():
     val = adaptive_gauss_legendre(
-        lambda x: np.array([math.exp(-x * x)]), -4.0, 4.0, rel_tol=1e-12
+        lambda xs: np.exp(-xs * xs)[:, None], -4.0, 4.0, rel_tol=1e-12
     )
     assert val[0] == pytest.approx(math.sqrt(math.pi) * math.erf(4.0), rel=1e-12)
 
 
 def test_adaptive_vector_components():
     val = adaptive_gauss_legendre(
-        lambda x: np.array([math.sin(10 * x), x, 1.0]), 0.0, math.pi, rel_tol=1e-11
+        lambda xs: np.column_stack([np.sin(10 * xs), xs, np.ones_like(xs)]), 0.0, math.pi,
+        rel_tol=1e-11,
     )
     assert val[0] == pytest.approx((1 - math.cos(10 * math.pi)) / 10.0, abs=1e-11)
     assert val[1] == pytest.approx(math.pi ** 2 / 2.0, rel=1e-12)
@@ -45,7 +46,7 @@ def test_adaptive_vector_components():
 def test_adaptive_peak_refines():
     # a peak wide enough to touch the initial node cascade gets resolved
     val = adaptive_gauss_legendre(
-        lambda x: np.array([math.exp(-((x - 0.37) / 0.05) ** 2)]), -10.0, 10.0,
+        lambda xs: np.exp(-(((xs - 0.37) / 0.05) ** 2))[:, None], -10.0, 10.0,
         rel_tol=1e-9,
     )
     assert val[0] == pytest.approx(0.05 * math.sqrt(math.pi), rel=1e-8)
@@ -54,7 +55,7 @@ def test_adaptive_peak_refines():
 def test_narrow_peak_needs_break_points():
     # features far narrower than the panel cascade must be exposed by the
     # caller via interval splitting (as the mollified oracle does)
-    f = lambda x: np.array([math.exp(-((x - 0.37) / 1e-3) ** 2)])
+    f = lambda xs: np.exp(-(((xs - 0.37) / 1e-3) ** 2))[:, None]
     edges = [-10.0, 0.37 - 5e-3, 0.37 + 5e-3, 10.0]
     split = sum(
         adaptive_gauss_legendre(f, a, b, rel_tol=1e-9)
@@ -63,39 +64,23 @@ def test_narrow_peak_needs_break_points():
     assert split[0] == pytest.approx(1e-3 * math.sqrt(math.pi), rel=1e-8)
 
 
-def test_vectorized_mode_matches_scalar():
-    def f_scalar(x):
-        return np.array([math.sin(3 * x), math.cos(x)])
-
-    def f_vec(xs):
-        return np.column_stack([np.sin(3 * xs), np.cos(xs)])
-
-    a = adaptive_gauss_legendre(f_scalar, 0.0, 2.0, rel_tol=1e-12)
-    b = adaptive_gauss_legendre(f_vec, 0.0, 2.0, rel_tol=1e-12, vectorized=True)
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
-
-
 def test_collect_nodes_and_weights():
-    # accepted nodes are strictly interior and the weights sum to the
-    # interval, in both the scalar and the vectorized (slowness-integral) mode
-    for f, vectorized in (
-        (lambda x: np.array([x * x]), False),
-        (lambda xs: np.column_stack([xs * xs, 1.0 / (1.0 + xs)]), True),
-    ):
-        panels = []
-        adaptive_gauss_legendre(
-            f, 0.0, 3.0, rel_tol=1e-10, collect=panels, vectorized=vectorized
-        )
-        nodes = np.concatenate([p[0] for p in panels])
-        weights = np.concatenate([p[1] for p in panels])
-        assert np.all((nodes > 0.0) & (nodes < 3.0))
-        assert weights.sum() == pytest.approx(3.0, rel=1e-14)
+    # accepted nodes are strictly interior and the weights sum to the interval
+    panels = []
+    adaptive_gauss_legendre(
+        lambda xs: np.column_stack([xs * xs, 1.0 / (1.0 + xs)]), 0.0, 3.0, rel_tol=1e-10,
+        collect=panels,
+    )
+    nodes = np.concatenate([p[0] for p in panels])
+    weights = np.concatenate([p[1] for p in panels])
+    assert np.all((nodes > 0.0) & (nodes < 3.0))
+    assert weights.sum() == pytest.approx(3.0, rel=1e-14)
 
 
 def test_non_convergence_raises_with_estimate():
     # A step function can never satisfy 1e-14 relative accuracy panelwise.
-    def step(x):
-        return np.array([1.0 if x > 1 / 3 else 0.0])
+    def step(xs):
+        return (xs > 1 / 3).astype(float)[:, None]
 
     with pytest.raises(QuadratureError) as err:
         adaptive_gauss_legendre(step, 0.0, 1.0, rel_tol=1e-14, max_depth=8)
@@ -103,7 +88,7 @@ def test_non_convergence_raises_with_estimate():
 
 
 def test_empty_interval():
-    val = adaptive_gauss_legendre(lambda x: np.array([x]), 1.0, 1.0)
+    val = adaptive_gauss_legendre(lambda xs: xs[:, None], 1.0, 1.0)
     assert val.shape == (1,)
     assert val[0] == 0.0
 
@@ -130,8 +115,7 @@ def test_many_intervals_match_one_interval_calls(monkeypatch):
     for i in range(4):
         if a[i] < b[i]:
             one = adaptive_gauss_legendre(
-                lambda xs, i=i: f(xs, np.full(xs.size, i)), a[i], b[i], rel_tol=1e-11,
-                vectorized=True,
+                lambda xs, i=i: f(xs, np.full(xs.size, i)), a[i], b[i], rel_tol=1e-11
             )
             assert np.array_equal(one, ref[i])
     monkeypatch.setattr(quadrature, "NODE_BUDGET", 7)
@@ -142,7 +126,7 @@ def test_many_intervals_match_one_interval_calls(monkeypatch):
 
 def test_non_finite_integrand_raises():
     with pytest.raises(QuadratureError, match="not finite"):
-        adaptive_gauss_legendre(lambda x: np.array([np.nan if x < 0.5 else 1.0]), 0.0, 1.0)
+        adaptive_gauss_legendre(lambda xs: np.where(xs < 0.5, np.nan, 1.0)[:, None], 0.0, 1.0)
 
 
 @pytest.mark.xfail(strict=True, reason="a jump between a panel edge and its first node is "
@@ -150,6 +134,6 @@ def test_non_finite_integrand_raises():
 def test_hidden_jump_near_panel_edge():
     # The first GL16 node of [0, 0.5] sits at 0.00266, right of the jump,
     # so the whole interval and both halves agree on the value 1.0.
-    val = adaptive_gauss_legendre(lambda x: np.array([1.0 if x > 0.002 else 0.0]), 0.0, 1.0,
+    val = adaptive_gauss_legendre(lambda xs: (xs > 0.002).astype(float)[:, None], 0.0, 1.0,
                                   rel_tol=1e-10)
     assert val[0] == pytest.approx(0.998, rel=1e-9)

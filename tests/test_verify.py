@@ -8,7 +8,7 @@ from elastowave.kinematics import (
     static_trajectory,
 )
 from elastowave.material import make_material, make_material_poisson
-from elastowave.pointforce3d import QuadSpec, kelvin_displacement, kelvin_gradient, lw_displacement
+from elastowave.pointforce3d import kelvin_displacement, kelvin_gradient, lw_displacement
 from elastowave.verify import (
     CHECKS,
     CheckReport,
@@ -83,7 +83,7 @@ def test_mollified_matches_sharp_static():
     prof = bump_force([0.5, 1.0, 0.2], center=1.0, half_width=1.0)
     x = np.array([1.2, 0, 0])
     t = 1.0 + 1.2 / MAT.cT  # peak T-arrival
-    u_sharp = lw_displacement(MAT, traj, prof, x, t, QuadSpec(rel_tol=1e-12))
+    u_sharp = lw_displacement(MAT, traj, prof, x, t, rel_tol=1e-12)
     u_eps = mollified_convolution_u(MAT, traj, prof, x, t, eps=1.2e-3 * 1.2 / MAT.cT)
     np.testing.assert_allclose(u_eps, u_sharp, rtol=1e-4)
 
@@ -93,7 +93,7 @@ def test_mollified_halving_shrinks_error_4x():
     prof = bump_force([0.4, 0.8, 0.3], center=1.0, half_width=1.0)
     x = np.array([0.9, 0.7, 0.4])
     t = 1.0 + np.linalg.norm(x - traj.eval(1.0)[0]) / MAT.cT
-    u_sharp = lw_displacement(MAT, traj, prof, x, t, QuadSpec(rel_tol=1e-12))
+    u_sharp = lw_displacement(MAT, traj, prof, x, t, rel_tol=1e-12)
     errs = []
     for eps in (4e-2, 2e-2, 1e-2):
         u_eps = mollified_convolution_u(MAT, traj, prof, x, t, eps)
