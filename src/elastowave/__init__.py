@@ -34,11 +34,8 @@ from .pointforce3d import (
 )
 from .lineforce2d import (
     FieldSample2D,
-    LineHistoryNode,
-    line_history_node,
     antiplane_displacement,
     antiplane_fields,
-    antiplane_sample,
     inplane_displacement,
     inplane_fields,
 )

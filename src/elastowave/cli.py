@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ import numpy as np
 from . import __version__
 from .config import FORCE_PRESETS, TRAJECTORY_PRESETS, RunConfig, parse_config
 from .errors import ConfigError, ElastowaveError, SingularPointError
-from .lineforce2d import antiplane_sample, inplane_fields
+from .lineforce2d import antiplane_fields, inplane_fields
 from .pointforce3d import (
     kelvin_displacement,
     kelvin_gradient,
@@ -87,7 +86,7 @@ def _row_2d(cfg: RunConfig, x1, x2, x3, t):
     row[0:4] = (x1, x2, x3, t)
     try:
         if cfg.dimension == "2d-antiplane":
-            fs = antiplane_sample(
+            fs = antiplane_fields(
                 cfg.material, cfg.trajectory, cfg.force, np.array([x1, x2]), t,
                 rel_tol=cfg.history_rel, tol_ret=cfg.retarded_rel, r_min=cfg.r_min,
             )
@@ -113,6 +112,14 @@ def _rows_2d(cfg: RunConfig, events: np.ndarray) -> np.ndarray:
     return np.array([_row_2d(cfg, *e) for e in events])
 
 
+def _grid_events(cfg: RunConfig) -> np.ndarray:
+    """(x1, x2, x3, t) rows of the configured grid, time-major."""
+    ts, xs1, xs2, xs3 = (cfg.grid.axis_values(name) for name in ("t", "x1", "x2", "x3"))
+    return np.array(
+        [(x1, x2, x3, t) for t in ts for x1 in xs1 for x2 in xs2 for x3 in xs3], dtype=float
+    )
+
+
 def sample_grid(cfg: RunConfig, threads: int = 1, seed: int | None = None) -> FieldGrid:
     """Evaluate the configured grid; deterministic row order regardless of threads.
 
@@ -120,17 +127,7 @@ def sample_grid(cfg: RunConfig, threads: int = 1, seed: int | None = None) -> Fi
     batch; 2D grids event by event. ``threads`` > 1 maps the chunks (2D:
     the events) over a thread pool.
     """
-    xs1 = cfg.grid.axis_values("x1")
-    xs2 = cfg.grid.axis_values("x2")
-    xs3 = cfg.grid.axis_values("x3")
-    ts = cfg.grid.axis_values("t")
-    events = np.array([
-        (x1, x2, x3, t)
-        for t in ts
-        for x1 in xs1
-        for x2 in xs2
-        for x3 in xs3
-    ], dtype=float)
+    events = _grid_events(cfg)
     if cfg.dimension == "3d-point":
         rows_of, size = _rows_3d, EVENT_CHUNK
     else:
@@ -194,14 +191,7 @@ def limits_report(cfg: RunConfig, events=None) -> dict:
     if cfg.trajectory.vmax > 0.0:
         raise ConfigError(["limits require a static trajectory (V = 0)"])
     if events is None:
-        xs1 = cfg.grid.axis_values("x1")
-        xs2 = cfg.grid.axis_values("x2")
-        xs3 = cfg.grid.axis_values("x3")
-        ts = cfg.grid.axis_values("t")
-        events = [
-            (np.array([x1, x2, x3]), t)
-            for t in ts for x1 in xs1 for x2 in xs2 for x3 in xs3
-        ]
+        events = [(e[:3], e[3]) for e in _grid_events(cfg)]
     rel_tol = min(cfg.quad_rel, 1e-12)
     s0 = cfg.trajectory.eval(0.0)[0]
     dev_stokes = 0.0
@@ -237,16 +227,9 @@ def _load_config(path: str) -> RunConfig:
         return parse_config(fh.read())
 
 
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("ELASTOWAVE_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def cmd_sample(args) -> int:
     cfg = _load_config(args.config)
-    grid = sample_grid(cfg, threads=_thread_count(args), seed=args.seed)
+    grid = sample_grid(cfg, threads=args.threads, seed=args.seed)
     if args.seed is not None:
         grid.provenance["seed"] = int(args.seed)
     out = args.out or cfg.out_path
@@ -312,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--config", required=True)
     p_sample.add_argument("--out", default=None)
     p_sample.add_argument("--format", choices=("csv", "json"), default=None)
-    p_sample.add_argument("--threads", type=int, default=None)
+    p_sample.add_argument("--threads", type=int, default=1)
     p_sample.add_argument("--seed", type=int, default=None)
     p_sample.set_defaults(fn=cmd_sample)
 

@@ -9,10 +9,10 @@ inverse square roots
 
 which vanish at the retarded times. The integrands therefore carry an
 integrable 1/sqrt singularity at the upper limit. Production quadrature
-removes it exactly with the substitution t' = t_ret - w^2 on the last
-tenth of the history, leaving smooth integrands for Gauss-Legendre
-panels. Every history kernel works on node rows: one integrand call
-evaluates all the nodes the quadrature engine hands it.
+removes it exactly with the substitution t' = t_ret - w^2 over each whole
+history segment, leaving smooth integrands for Gauss-Legendre panels.
+Every segment of one evaluation is refined in one call of the quadrature
+engine, and every history kernel works on node rows.
 
 Anti-plane motion (force along x3) involves only the transversal kernel;
 the in-plane components mix both wave speeds. The far history of the two
@@ -33,11 +33,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    QuadratureError,
     SingularPointError,
     UnboundedHistoryError,
     WavefrontProximityWarning,
@@ -52,57 +54,19 @@ from .kinematics import (
 )
 from .material import Material
 from .pointforce3d import _require_history, _require_subsonic
-from .quadrature import adaptive_gauss_legendre, fixed_gauss_legendre
+from .quadrature import integrate_intervals
+# Unused here, but the benchmark tracer (perfbench/tracer.py) patches it by name.
+from .quadrature import adaptive_gauss_legendre  # noqa: F401
 
 __all__ = [
-    "LineHistoryNode",
     "FieldSample2D",
-    "line_history_node",
     "antiplane_displacement",
     "antiplane_fields",
-    "antiplane_sample",
     "inplane_displacement",
     "inplane_fields",
 ]
 
-_SPLIT_FRACTION = 0.1
 DEFAULT_HISTORY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class LineHistoryNode:
-    """Geometry bundle at one history time t' of a 2D evaluation.
-
-    ``s_t``/``s_l`` are sqrt((t-t')^2 - R^2/c^2) for the transversal and
-    longitudinal speeds, NaN where the argument is negative (t' past the
-    corresponding retarded time). Where both are real, s_l >= s_t.
-    """
-
-    tprime: float
-    tbar: float
-    rvec: np.ndarray
-    r: float
-    s_t: float
-    s_l: float
-
-
-def line_history_node(mat: Material, traj: Trajectory, x, t: float, tprime: float) -> LineHistoryNode:
-    """Evaluate the history-node bundle at one (x, t, t')."""
-    x = np.asarray(x, dtype=float)[:2]
-    s, _, _ = traj.eval(tprime)
-    rvec = x - s[:2]
-    r = float(np.linalg.norm(rvec))
-    tbar = t - tprime
-    st2 = tbar * tbar - (r / mat.cT) ** 2
-    sl2 = tbar * tbar - (r / mat.cL) ** 2
-    return LineHistoryNode(
-        tprime=tprime,
-        tbar=tbar,
-        rvec=rvec,
-        r=r,
-        s_t=math.sqrt(st2) if st2 >= 0.0 else math.nan,
-        s_l=math.sqrt(sl2) if sl2 >= 0.0 else math.nan,
-    )
 
 
 @dataclass
@@ -164,65 +128,71 @@ def _singular_ends(traj, prof, x, t, speeds, tol, r_min):
     ]
 
 
-def _stable_s2(end, x, s_tp, r_tp, w):
-    """S^2 at t' = b - w^2 without endpoint cancellation, row by row.
+class _HistoryNodes(NamedTuple):
+    """History geometry at the nodes t' = b - w^2 of a substituted segment."""
 
-    S^2 = D * (tbar + kappa R) with D = tbar - kappa R; D is rebuilt from
-    w^2 and the R-difference quotient so the two O(1) contributions that
-    cancel at the endpoint never meet in floating point.
+    tp: np.ndarray  # t'
+    tbar: np.ndarray  # t - t'
+    rvec: np.ndarray  # R = x - s(t'), (n, 2)
+    r: np.ndarray  # |R|
+    v: np.ndarray  # source velocity at t', (n, 2)
+    s: np.ndarray  # root S of the kernel that is singular at b
+
+
+def _history_nodes(traj, x, end, w, r_min):
+    """Geometry at t' = end.b - w^2 for nodes w (n,), checked against r_min.
+
+    ``end`` may hold one entry per node. S^2 = D * (tbar + kappa R) with
+    D = tbar - kappa R; D is rebuilt from w^2 and the R-difference quotient
+    so the two O(1) contributions that cancel at the endpoint never meet
+    in floating point.
     """
-    num = np.einsum("ni,ni->n", end.s_b - s_tp, 2.0 * x - s_tp - end.s_b)
-    rdiff = num / (r_tp + end.r_b)
-    d = w * w - end.kappa * rdiff
-    tbar = end.b_gap + w * w
-    return d * (tbar + end.kappa * r_tp)
-
-
-def _history_geometry(traj, x, tp, r_min):
-    """Source position s(t'), R = x - s and |R| at history nodes tp (n,)."""
+    tp = end.b - w * w
     s, v, _ = traj.eval(tp)
-    s2d = s[:, :2]
-    rvec = x - s2d
+    s_tp = s[:, :2]
+    rvec = x - s_tp
     r = _norm_rows(rvec)
     if (r < r_min).any():
         raise SingularPointError("history passes through the observation point")
-    return s2d, rvec, r, v[:, :2]
+    num = np.einsum("ni,ni->n", end.s_b - s_tp, 2.0 * x - s_tp - end.s_b)
+    d = w * w - end.kappa * num / (r + end.r_b)
+    tbar = end.b_gap + w * w
+    return _HistoryNodes(tp, tbar, rvec, r, v[:, :2], np.sqrt(d * (tbar + end.kappa * r)))
 
 
-def _history_quad(kernel, traj, x, t, a, end, rel_tol, r_min, n_fixed=None, nodes=16):
-    """Integrate kernel(t', rvec, r, s_sing) over [a, end.b].
+def _history_sums(traj, x, segments, rel_tol, r_min):
+    """Integrals over the history segments of one evaluation, in one engine call.
 
-    The kernel maps node rows (n,) or (n, 2) to values (n, m); ``s_sing``
-    is its vanishing-at-the-endpoint square root. The last tenth of the
-    interval is mapped by t' = b - w^2, which turns the inverse-square-root
-    endpoint into a smooth integrand; there S is evaluated in the stable
-    product form. ``n_fixed`` switches to a non-adaptive composite rule.
+    ``segments`` holds (a, end, kernel) triples. Each whole segment
+    [a, end.b] is mapped by t' = end.b - w^2, w in [0, sqrt(end.b - a)],
+    which turns the inverse-square-root endpoint into a smooth integrand.
+    ``kernel`` maps the _HistoryNodes of its own segment's nodes to values
+    (n, m) per unit t'; the factor dt'/dw = 2w is applied here. Returns
+    one row of m values per segment.
     """
-    b = end.b
-    if b <= a:
-        return 0.0
-    delta = _SPLIT_FRACTION * (b - a)
-    split = b - delta
-    w_max = math.sqrt(delta)
+    table = {
+        f.name: np.array([getattr(end, f.name) for _, end, _ in segments])
+        for f in fields(_SingularEnd)
+    }
+    w_max = np.sqrt(table["b"] - np.array([a for a, _, _ in segments]))
 
-    def head(tp):
-        _, rvec, r, _ = _history_geometry(traj, x, tp, r_min)
-        tbar = t - tp
-        s_sing = np.sqrt(tbar * tbar - (end.kappa * r) ** 2)
-        return kernel(tp, rvec, r, s_sing)
+    def integrand(w, owner):
+        ends = _SingularEnd(**{name: col[owner] for name, col in table.items()})
+        nodes = _history_nodes(traj, x, ends, w, r_min)
+        out = None
+        for k, (_, _, kernel) in enumerate(segments):
+            rows = owner == k
+            if rows.any():
+                val = kernel(_HistoryNodes(*(col[rows] for col in nodes)))
+                if out is None:
+                    out = np.empty((w.size, val.shape[1]))
+                out[rows] = val
+        return 2.0 * w[:, None] * out
 
-    def tail(w):
-        tp = b - w * w
-        s2d, rvec, r, _ = _history_geometry(traj, x, tp, r_min)
-        s_sing = np.sqrt(_stable_s2(end, x, s2d, r, w))
-        return (2.0 * w)[:, None] * kernel(tp, rvec, r, s_sing)
-
-    if n_fixed is not None:
-        return fixed_gauss_legendre(head, a, split, n_fixed, nodes) + fixed_gauss_legendre(
-            tail, 0.0, w_max, n_fixed, nodes
-        )
-    out = adaptive_gauss_legendre(head, a, split, rel_tol=rel_tol, nodes=nodes)
-    return out + adaptive_gauss_legendre(tail, 0.0, w_max, rel_tol=rel_tol, nodes=nodes)
+    values, failed = integrate_intervals(integrand, np.zeros(w_max.size), w_max, rel_tol=rel_tol)
+    if failed.any():
+        raise QuadratureError("history integrand is not finite")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +207,19 @@ def antiplane_displacement(
     rel_tol: float = DEFAULT_HISTORY_TOL,
     tol_ret: float = DEFAULT_RETARDED_TOL,
     r_min: float = DEFAULT_R_MIN,
-    n_fixed: int | None = None,
 ) -> float:
-    """u3 of an anti-plane line force: transversal history integral."""
+    """u3 of an anti-plane line force only: the transversal history integral."""
     _check_2d_inputs(mat, traj, prof)
     x = np.asarray(x, dtype=float)[:2]
     (end,) = _singular_ends(traj, prof, x, t, [mat.cT], tol_ret, r_min)
     if end is None:
         return 0.0
 
-    def kernel(tp, rvec, r, s_sing):
-        return (prof.eval(tp)[0][:, 2] / s_sing)[:, None]
+    def kernel(g):
+        return prof.eval(g.tp)[0][:, 2:] / g.s[:, None]
 
-    val = _history_quad(
-        kernel, traj, x, t, prof.t_on, end, rel_tol, r_min, n_fixed
-    )
-    return float(np.asarray(val)[0]) / (2.0 * math.pi * mat.rho * mat.cT ** 2)
+    (u3,) = _history_sums(traj, x, [(prof.t_on, end, kernel)], rel_tol, r_min)
+    return float(u3[0]) / (2.0 * math.pi * mat.rho * mat.cT ** 2)
 
 
 def antiplane_fields(
@@ -264,58 +231,42 @@ def antiplane_fields(
     rel_tol: float = DEFAULT_HISTORY_TOL,
     tol_ret: float = DEFAULT_RETARDED_TOL,
     r_min: float = DEFAULT_R_MIN,
-):
-    """(beta_3alpha, v3) of the anti-plane line force.
+) -> FieldSample2D:
+    """u3, beta_3alpha and v3 of the anti-plane line force.
 
-    The gradient and time derivative act on both the integrand and the
-    moving singular limit. After the w-substitution the limit becomes a
-    fixed endpoint: what remains is a bounded switch-on boundary term
-    plus smooth integrals of the differentiated kernel.
+    One retarded solve and one engine call. The gradient and time
+    derivative act on both the integrand and the moving singular limit.
+    After the w-substitution the limit becomes a fixed endpoint: what
+    remains is a bounded switch-on boundary term plus smooth integrals of
+    the differentiated kernel.
     """
     _check_2d_inputs(mat, traj, prof)
     x = np.asarray(x, dtype=float)[:2]
     (end,) = _singular_ends(traj, prof, x, t, [mat.cT], tol_ret, r_min)
     if end is None:
-        return np.zeros(2), 0.0
-    t_up = end.b
-    kap = 1.0 / mat.cT
-
-    w_max = math.sqrt(t_up - prof.t_on)
+        return FieldSample2D(plane="anti-plane", u=0.0, beta=np.zeros(2), v=0.0)
+    kap = end.kappa
     # Sensitivities of the retarded limit: dtT/dt = R/P, dtT/dx = -kap R_vec/P.
-    dtup = np.array(
-        [end.r_b / end.pc_b, -kap * end.rvec_b[0] / end.pc_b, -kap * end.rvec_b[1] / end.pc_b]
-    )
+    dtup = np.concatenate([[end.r_b], -kap * end.rvec_b]) / end.pc_b
+    dtbar = np.array([1.0, 0.0, 0.0]) - dtup
 
-    def integrand(w):
-        tp = t_up - w * w
-        s2d, rvec, r, v = _history_geometry(traj, x, tp, r_min)
-        n = rvec / r[:, None]
-        nv = np.einsum("ni,ni->n", n, v)[:, None]
-        s_val = np.sqrt(_stable_s2(end, x, s2d, r, w))[:, None]
-        tbar = (end.b_gap + w * w)[:, None]
-        q, qd = prof.eval(tp)
-        # d(S^2) at fixed w for each direction t, x1, x2; each entry pairs a
-        # tbar shift against an R shift that cancel at w = 0.
-        dtbar = np.array([1.0 - dtup[0], -dtup[1], -dtup[2]])
-        dr = np.pad(n, ((0, 0), (1, 0))) - nv * dtup
-        ds2 = 2.0 * tbar * dtbar - 2.0 * kap * kap * r[:, None] * dr
-        w = w[:, None]
-        return 2.0 * qd[:, 2:] * dtup * (w / s_val) - q[:, 2:] * w * ds2 / s_val ** 3
+    def kernel(g):
+        # Columns u3, then d/dt, d/dx1, d/dx2 at fixed w. Each entry of
+        # d(S^2) pairs a tbar shift against an R shift that cancel at w = 0.
+        n = g.rvec / g.r[:, None]
+        dr = np.pad(n, ((0, 0), (1, 0))) - np.einsum("ni,ni->n", n, g.v)[:, None] * dtup
+        ds2 = 2.0 * g.tbar[:, None] * dtbar - 2.0 * kap * kap * g.r[:, None] * dr
+        q, qd = prof.eval(g.tp)
+        s = g.s[:, None]
+        return np.hstack([q[:, 2:], qd[:, 2:] * dtup - 0.5 * q[:, 2:] * ds2 / (s * s)]) / s
 
-    q_on = prof.eval(prof.t_on)[0][2]
-    s_on = line_history_node(mat, traj, x, t, prof.t_on).s_t
-    boundary = q_on * dtup / s_on
-
-    integral = adaptive_gauss_legendre(integrand, 0.0, w_max, rel_tol=rel_tol)
-    total = (boundary + integral) / (2.0 * math.pi * mat.rho * mat.cT ** 2)
-    return total[1:3].copy(), float(total[0])
-
-
-def antiplane_sample(mat, traj, prof, x, t, **kw) -> FieldSample2D:
-    """Anti-plane displacement, distortion and velocity as one sample."""
-    u3 = antiplane_displacement(mat, traj, prof, x, t, **kw)
-    beta, v3 = antiplane_fields(mat, traj, prof, x, t, **kw)
-    return FieldSample2D(plane="anti-plane", u=u3, beta=beta, v=v3)
+    (total,) = _history_sums(traj, x, [(prof.t_on, end, kernel)], rel_tol, r_min)
+    # Boundary term of the derivatives at the switch-on node w = sqrt(b - t_on).
+    w_on = np.array([math.sqrt(end.b - prof.t_on)])
+    s_on = _history_nodes(traj, x, end, w_on, r_min).s[0]
+    total[1:] += prof.eval(prof.t_on)[0][2] * dtup / s_on
+    total /= 2.0 * math.pi * mat.rho * mat.cT ** 2
+    return FieldSample2D(plane="anti-plane", u=float(total[0]), beta=total[2:], v=float(total[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -339,41 +290,32 @@ def inplane_displacement(
         return np.zeros(2)
     kL2 = 1.0 / mat.cL ** 2
 
-    def parts(tp, rvec, r):
+    def parts(g):
         # q, n (n.q) and the columns R^2, tbar^2, one row per node.
-        q = prof.eval(tp)[0][:, :2]
-        r2 = (r * r)[:, None]
-        nn_q = np.einsum("ni,ni->n", rvec, q)[:, None] / r2 * rvec
-        return q, nn_q, r2, ((t - tp) ** 2)[:, None]
+        q = prof.eval(g.tp)[0][:, :2]
+        r2 = (g.r * g.r)[:, None]
+        nn_q = np.einsum("ni,ni->n", g.rvec, q)[:, None] / r2 * g.rvec
+        return q, nn_q, r2, (g.tbar ** 2)[:, None], g.s[:, None]
 
-    def kernel_l(tp, rvec, r, s_sing):
-        q, nn_q, r2, tb2 = parts(tp, rvec, r)
-        s_sing = s_sing[:, None]
-        return (nn_q * (tb2 / s_sing) + (nn_q - q) * s_sing) / r2
+    def kernel_l(g):
+        q, nn_q, r2, tb2, s = parts(g)
+        return (nn_q * (tb2 / s) + (nn_q - q) * s) / r2
 
-    def kernel_diff(tp, rvec, r, s_sing):
+    def kernel_diff(g):
         # singular root is S_T; S_L stays bounded away from zero here
-        q, nn_q, r2, tb2 = parts(tp, rvec, r)
-        s_sing = s_sing[:, None]
+        q, nn_q, r2, tb2, s = parts(g)
         sl = np.sqrt(tb2 - r2 * kL2)
         lt = nn_q * (tb2 / sl) + (nn_q - q) * sl
-        tt = nn_q * s_sing + (nn_q - q) * (tb2 / s_sing)
+        tt = nn_q * s + (nn_q - q) * (tb2 / s)
         return (lt - tt) / r2
 
-    total = np.zeros(2)
-    if end_t is not None:
+    if end_t is None:
+        segments = [(prof.t_on, end_l, kernel_l)]
+    else:
         # Shared interval: the far history of the two kernels cancels
         # pointwise, so integrate their difference.
-        total += np.asarray(
-            _history_quad(kernel_diff, traj, x, t, prof.t_on, end_t, rel_tol, r_min)
-        )
-        total += np.asarray(
-            _history_quad(kernel_l, traj, x, t, end_t.b, end_l, rel_tol, r_min)
-        )
-    else:
-        total += np.asarray(
-            _history_quad(kernel_l, traj, x, t, prof.t_on, end_l, rel_tol, r_min)
-        )
+        segments = [(prof.t_on, end_t, kernel_diff), (end_t.b, end_l, kernel_l)]
+    total = _history_sums(traj, x, segments, rel_tol, r_min).sum(axis=0)
     return total / (2.0 * math.pi * mat.rho)
 
 

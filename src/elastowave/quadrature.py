@@ -6,7 +6,8 @@ at once: every unconverged (interval, panel) pair is a row, and each
 round evaluates both halves of every row in as few integrand calls as
 possible, none holding more than NODE_BUDGET nodes. A row is accepted once
 its error fits within a width-proportional share of its interval's
-relative tolerance; otherwise it is bisected. ``adaptive_gauss_legendre``
+relative tolerance; otherwise it is bisected, and an interval that would
+hold more than MAX_LIVE_ROWS rows raises. ``adaptive_gauss_legendre``
 is the one-interval call of the same engine. All evaluations happen at
 strictly interior nodes, so integrable endpoint behavior that has been
 substituted away (see lineforce2d) never divides by zero.
@@ -22,7 +23,6 @@ from .errors import QuadratureError
 
 __all__ = [
     "gauss_legendre_rule",
-    "fixed_gauss_legendre",
     "adaptive_gauss_legendre",
     "integrate_intervals",
 ]
@@ -35,26 +35,19 @@ _TINY = 1e-300
 # on a 1,000-event grid at the same speed).
 NODE_BUDGET = 1024
 
+# Most live rows one interval may hold in a refinement round. An integrand
+# that cannot meet the tolerance doubles its rows every round; this stops
+# it long before the rows exhaust memory (the tests, the validate suite and
+# the benchmark grids need at most 64). Counted per interval, so whether
+# an integral fails does not depend on the intervals it is batched with.
+MAX_LIVE_ROWS = 4096
+
 
 @lru_cache(maxsize=32)
 def gauss_legendre_rule(n: int):
     """Nodes and weights of the n-point rule on [-1, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
-
-
-def fixed_gauss_legendre(f, a, b, n_panels=1, nodes=16):
-    """Non-adaptive composite rule; mainly for convergence-order studies.
-
-    ``f`` maps the nodes of all panels (n_panels * nodes,) to (n, m) in
-    one call.
-    """
-    x, w = gauss_legendre_rule(nodes)
-    edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    xs = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * x
-    vals = np.asarray(f(xs.reshape(-1)), dtype=float).reshape(n_panels, nodes, -1)
-    return (half[:, None] * (w @ vals)).sum(axis=0)
 
 
 def _panels(f, lo, hi, owner, x, w):
@@ -131,8 +124,9 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, nodes=16, max_depth=44, collect=
         intervals (b <= a) integrate to zero.
 
     Raises:
-        QuadratureError: a panel still fails the error test at max_depth;
-            carries that panel's estimate.
+        QuadratureError: a panel still fails the error test at max_depth,
+            or an interval would hold more than MAX_LIVE_ROWS rows in one
+            round; carries that panel's estimate.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -190,11 +184,13 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, nodes=16, max_depth=44, collect=
         split = (~done & live).nonzero()[0]
         if not split.size:
             break
-        if depth == max_depth:
-            i = split[0]
+        # Rows are bisected in rounds, so every row here is at this depth.
+        unconverged = np.bincount(own[split])
+        if depth == max_depth or 2 * unconverged.max() > MAX_LIVE_ROWS:
+            i = split[own[split] == unconverged.argmax()][0]
             raise QuadratureError(
-                f"no convergence after {max_depth} subdivisions on "
-                f"[{lo[i]:g}, {hi[i]:g}]",
+                f"no convergence after {depth} subdivisions on [{lo[i]:g}, {hi[i]:g}]; "
+                f"{unconverged[own[i]]} panels of its interval unconverged",
                 estimate=better[i],
                 error=float(np.max(err[i])),
             )

@@ -239,15 +239,6 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["sample", "--config", str(cfg_path)]) == 2
 
 
-def test_threads_env_var(tmp_path, monkeypatch):
-    cfg_path = tmp_path / "cfg"
-    cfg_path.write_text(KELVIN_CFG)
-    out = tmp_path / "env.csv"
-    monkeypatch.setenv("ELASTOWAVE_THREADS", "2")
-    assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert out.exists()
-
-
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "elastowave.cli", "presets"],

@@ -9,6 +9,7 @@ from elastowave.kinematics import (
     bump_force,
     constant_force,
     oscillatory_trajectory,
+    retarded_time,
     static_trajectory,
     step_force,
 )
@@ -17,10 +18,9 @@ from elastowave.lineforce2d import (
     antiplane_fields,
     inplane_displacement,
     inplane_fields,
-    line_history_node,
 )
 from elastowave.material import make_material
-from elastowave.quadrature import adaptive_gauss_legendre
+from elastowave.quadrature import integrate_intervals
 from elastowave.verify import inplane_convolution_u
 
 MAT = make_material(rho=1.3, lam=0.9, mu=1.3)  # cT = 1
@@ -29,24 +29,6 @@ Q0 = 2.0 * math.pi * MAT.rho * MAT.cT ** 2
 
 def _static_antiplane():
     return static_trajectory([0, 0, 0]), step_force([0, 0, Q0], t_on=0.0)
-
-
-# ---------------------------------------------------------------------------
-# history nodes
-
-def test_history_node_roots_and_ordering():
-    traj = static_trajectory([0, 0, 0])
-    x = np.array([1.0, 0.0])
-    t = 3.0
-    # at the transversal retarded time S_T vanishes; S_L exceeds S_T before it
-    node_at_tT = line_history_node(MAT, traj, x, t, t - 1.0 / MAT.cT)
-    assert node_at_tT.s_t == pytest.approx(0.0, abs=1e-12)
-    assert node_at_tT.s_l > 0.0
-    for tp in (-1.0, 0.0, 1.0):
-        node = line_history_node(MAT, traj, x, t, tp)
-        assert node.s_l >= node.s_t
-    late = line_history_node(MAT, traj, x, t, t - 0.1)  # inside both cones
-    assert math.isnan(late.s_t) and math.isnan(late.s_l)
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +51,11 @@ def test_antiplane_before_arrival_and_zero_force():
 def test_antiplane_analytic_derivatives():
     traj, prof = _static_antiplane()
     t = math.sqrt(2.0)
-    beta, v3 = antiplane_fields(MAT, traj, prof, [1.0, 0.0], t, rel_tol=1e-11)
-    assert v3 == pytest.approx(1.0, abs=1e-9)
-    assert beta[0] == pytest.approx(-math.sqrt(2.0), abs=1e-9)
-    assert beta[1] == pytest.approx(0.0, abs=1e-12)
+    fs = antiplane_fields(MAT, traj, prof, [1.0, 0.0], t, rel_tol=1e-11)
+    assert fs.u == pytest.approx(math.acosh(t), abs=1e-11)
+    assert fs.v == pytest.approx(1.0, abs=1e-9)
+    assert fs.beta[0] == pytest.approx(-math.sqrt(2.0), abs=1e-9)
+    assert fs.beta[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_antiplane_infinite_history_rejected():
@@ -86,7 +69,7 @@ def test_antiplane_moving_fd_crosscheck():
     prof = bump_force([0, 0, 2.5], center=1.0, half_width=1.0)
     x = np.array([1.3, -0.9])
     t = 3.1
-    beta, v3 = antiplane_fields(MAT, traj, prof, x, t, rel_tol=1e-11)
+    fs = antiplane_fields(MAT, traj, prof, x, t, rel_tol=1e-11)
 
     def d1(g, h):
         c = lambda hh: (g(-2 * hh) - 8 * g(-hh) + 8 * g(hh) - g(2 * hh)) / (12 * hh)
@@ -95,25 +78,53 @@ def test_antiplane_moving_fd_crosscheck():
     u_of = lambda xx, tt: antiplane_displacement(MAT, traj, prof, xx, tt, rel_tol=1e-11)
     b_fd = np.array([d1(lambda s: u_of(x + s * np.eye(2)[k], t), 1e-3) for k in range(2)])
     v_fd = d1(lambda s: u_of(x, t + s), 1e-3)
-    np.testing.assert_allclose(beta, b_fd, atol=1e-7 * np.max(np.abs(b_fd)))
-    assert v3 == pytest.approx(v_fd, rel=1e-7)
+    np.testing.assert_allclose(fs.beta, b_fd, atol=1e-7 * np.max(np.abs(b_fd)))
+    assert fs.v == pytest.approx(v_fd, rel=1e-7)
+    assert fs.u == pytest.approx(u_of(x, t), rel=1e-10)
 
 
-def test_endpoint_quadrature_convergence_order():
-    # fixed-panel refinement of the substituted history integral gains at
-    # least 4 orders per halving on the arccosh benchmark
+def _count_engine(monkeypatch):
+    """Record, per call of lineforce2d's engine, the node count of each integrand call."""
+    calls = []
+
+    def counting(f, a, b, **kw):
+        calls.append([])
+
+        def g(xs, owner):
+            calls[-1].append(xs.size)
+            return f(xs, owner)
+
+        return integrate_intervals(g, a, b, **kw)
+
+    monkeypatch.setattr(lineforce2d, "integrate_intervals", counting)
+    return calls
+
+
+def test_antiplane_arccosh_node_count(monkeypatch):
+    # The substitution t' = t_ret - w^2 over the whole history leaves a
+    # smooth integrand: the first pass of the engine (the whole interval
+    # and both halves, 48 nodes) already meets 1e-11.
+    calls = _count_engine(monkeypatch)
     traj, prof = _static_antiplane()
     t, r = 2.9, 1.2
-    exact = math.acosh(MAT.cT * t / r)
-    errs = []
-    for n_panels in (1, 2, 4):
-        u3 = antiplane_displacement(
-            MAT, traj, prof, [r, 0.0], t, n_fixed=n_panels
-        )
-        errs.append(abs(u3 - exact))
-    order1 = math.log2(errs[0] / max(errs[1], 1e-17))
-    order2 = math.log2(errs[1] / max(errs[2], 1e-17))
-    assert min(order1, order2) >= 4.0
+    u3 = antiplane_displacement(MAT, traj, prof, [r, 0.0], t, rel_tol=1e-11)
+    assert u3 == pytest.approx(math.acosh(MAT.cT * t / r), rel=1e-13)
+    assert calls == [[48]]
+
+
+def test_antiplane_fields_one_solve_one_engine_call(monkeypatch):
+    calls = _count_engine(monkeypatch)
+    solves = []
+
+    def counting_solve(*args, **kw):
+        solves.append(1)
+        return retarded_time(*args, **kw)
+
+    monkeypatch.setattr(lineforce2d, "retarded_time", counting_solve)
+    traj = oscillatory_trajectory([0, 0, 0], [0.15, 0.1, 0], 1.1, 0.2)
+    fs = antiplane_fields(MAT, traj, step_force([0, 0, 1.0], t_on=0.0), [1.3, -0.9], 3.1)
+    assert fs.u != 0.0 and fs.v != 0.0
+    assert len(solves) == 1 and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +176,16 @@ def test_inplane_moving_matches_oracle():
 
 
 def test_inplane_displacement_integrand_calls(monkeypatch):
-    # Behind the S front both history integrals run, each split into head
-    # and tail: four engine calls, each handing its integrand node arrays.
-    calls = []
-
-    def counting(f, a, b, **kw):
-        def g(xs):
-            calls.append(xs.size)
-            return f(xs)
-
-        return adaptive_gauss_legendre(g, a, b, **kw)
-
-    monkeypatch.setattr(lineforce2d, "adaptive_gauss_legendre", counting)
+    # Behind the S front both history segments run, each substituted as a
+    # whole: one engine call for both, each integrand call handed node
+    # arrays of both segments.
+    calls = _count_engine(monkeypatch)
     traj = oscillatory_trajectory([0, 0, 0], [0.2, 0, 0], 1.0)
     prof = step_force([1.0, 0.5, 0], t_on=0.0)
     u = inplane_displacement(MAT, traj, prof, [1.5, 0.5], 6.0)
     assert np.all(u != 0)
-    assert len(calls) <= 8 and sum(calls) >= 4 * 48
+    assert len(calls) == 1
+    assert len(calls[0]) <= 2 and sum(calls[0]) >= 2 * 48
 
 
 def test_inplane_fields_richardson_consistency():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from elastowave import quadrature
 from elastowave.errors import QuadratureError
 from elastowave.quadrature import (
     adaptive_gauss_legendre,
-    fixed_gauss_legendre,
     gauss_legendre_rule,
     integrate_intervals,
 )
@@ -20,10 +20,12 @@ def test_rule_weights_sum_to_two():
 
 
 def test_polynomial_exactness():
-    # GL16 integrates degree-31 polynomials exactly
-    val = fixed_gauss_legendre(lambda xs: xs[:, None] ** 17, -1.0, 2.0, n_panels=3, nodes=16)
-    exact = (2.0 ** 18 - 1.0) / 18.0
-    assert val[0] == pytest.approx(exact, rel=1e-14)
+    # GL16 integrates degree-31 polynomials exactly, on each of 3 intervals
+    a, b = np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 2.0])
+    val, failed = integrate_intervals(lambda xs, owner: xs[:, None] ** 17, a, b)
+    assert not failed.any()
+    np.testing.assert_allclose(val[:, 0], (b ** 18 - a ** 18) / 18.0, rtol=1e-14)
+    assert val[:, 0].sum() == pytest.approx((2.0 ** 18 - 1.0) / 18.0, rel=1e-14)
 
 
 def test_adaptive_smooth():
@@ -122,6 +124,29 @@ def test_many_intervals_match_one_interval_calls(monkeypatch):
     again, failed_again = integrate_intervals(f, a, b, rel_tol=1e-11)
     assert np.array_equal(again, ref, equal_nan=True)
     assert np.array_equal(failed_again, failed)
+
+
+def test_never_converging_integrand_raises_quickly():
+    # Noise never meets the tolerance, so every round doubles the live
+    # panels of its interval. The engine stops once one interval would hold
+    # more than MAX_LIVE_ROWS of them, long before max_depth, and at the
+    # same depth however many such intervals share the call.
+    rng = np.random.default_rng(0)
+    nodes = []
+
+    def noise(xs, owner):
+        nodes.append(xs.size)
+        return rng.random((xs.size, 1))
+
+    depths = []
+    for n in (1, 8):
+        nodes.clear()
+        with pytest.raises(QuadratureError, match="unconverged") as err:
+            integrate_intervals(noise, np.zeros(n), np.ones(n), rel_tol=1e-10)
+        assert err.value.estimate is not None
+        depths.append(int(re.search(r"after (\d+) subdivisions", str(err.value)).group(1)))
+        assert sum(nodes) <= n * 16 * (4 * quadrature.MAX_LIVE_ROWS + 3)
+    assert depths[0] == depths[1] < 44
 
 
 def test_non_finite_integrand_raises():
