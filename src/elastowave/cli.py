@@ -230,8 +230,6 @@ def _load_config(path: str) -> RunConfig:
 def cmd_sample(args) -> int:
     cfg = _load_config(args.config)
     grid = sample_grid(cfg, threads=args.threads, seed=args.seed)
-    if args.seed is not None:
-        grid.provenance["seed"] = int(args.seed)
     out = args.out or cfg.out_path
     fmt = args.format or cfg.out_format
     if fmt == "csv":
@@ -274,12 +272,10 @@ def cmd_limits(args) -> int:
 
 
 def cmd_presets(args) -> int:
-    print("trajectory presets:")
-    for name, params in TRAJECTORY_PRESETS.items():
-        print(f"  {name}: trajectory.{', trajectory.'.join(params)}")
-    print("force presets:")
-    for name, params in FORCE_PRESETS.items():
-        print(f"  {name}: force.{', force.'.join(params)}")
+    for section, table in (("trajectory", TRAJECTORY_PRESETS), ("force", FORCE_PRESETS)):
+        print(f"{section} presets:")
+        for name, (_, params) in table.items():
+            print(f"  {name}: " + ", ".join(f"{section}.{param}" for param, _, _ in params))
     return 0
 
 

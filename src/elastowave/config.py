@@ -12,18 +12,12 @@ material.rho / material.lam / material.mu / material.nu
     Density and Lame constants; give either lam or nu with mu.
 source.dimension
     3d-point | 2d-inplane | 2d-antiplane
-trajectory.preset
-    static | uniform | oscillatory | piecewise-polynomial | tabulated,
-    with preset parameters trajectory.position, trajectory.origin,
-    trajectory.velocity, trajectory.center, trajectory.amplitude,
-    trajectory.omega, trajectory.phase, trajectory.times,
-    trajectory.positions (flattened triples), trajectory.breakpoints,
-    trajectory.coefficients (flattened, highest power first).
-force.preset
-    constant | step | ramp | sinusoid | bump | polynomial, with
-    force.q0, force.t_on (finite required for 2D), force.rate,
-    force.omega, force.phase, force.center, force.half_width,
-    force.coefficients (flattened rows of 3, lowest power first).
+trajectory.preset / force.preset
+    A preset name plus that preset's own parameters, as declared in
+    TRAJECTORY_PRESETS and FORCE_PRESETS (``elastowave presets`` lists
+    them). A parameter without a default is required; a key of another
+    preset of the same section is rejected. Vectors are flat; the
+    preset's constructor documents their layout.
 grid.x1, grid.x2, grid.x3, grid.t
     Ranges min:max:count (count >= 1).
 tolerances.quad_rel / tolerances.retarded_rel / tolerances.history_rel
@@ -41,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,37 +61,61 @@ __all__ = ["RunConfig", "GridSpec", "parse_config", "TRAJECTORY_PRESETS", "FORCE
 
 DIMENSIONS = ("3d-point", "2d-inplane", "2d-antiplane")
 
+# Every preset once: its constructor and that constructor's positional
+# parameters as (name, kind, default); a default of None makes the key
+# required. The first preset of a table is the section's default.
+_ORIGIN = (0.0, 0.0, 0.0)
+_UNIT_Z = (0.0, 0.0, 1.0)
+
 TRAJECTORY_PRESETS = {
-    "static": ("position",),
-    "uniform": ("origin", "velocity"),
-    "oscillatory": ("center", "amplitude", "omega", "phase"),
-    "piecewise-polynomial": ("breakpoints", "coefficients"),
-    "tabulated": ("times", "positions"),
+    "static": (static_trajectory, (("position", "vector", _ORIGIN),)),
+    "uniform": (uniform_trajectory, (
+        ("origin", "vector", _ORIGIN), ("velocity", "vector", _ORIGIN),
+    )),
+    "oscillatory": (oscillatory_trajectory, (
+        ("center", "vector", _ORIGIN), ("amplitude", "vector", _ORIGIN),
+        ("omega", "scalar", 1.0), ("phase", "scalar", 0.0),
+    )),
+    "piecewise-polynomial": (piecewise_polynomial_trajectory, (
+        ("breakpoints", "vector", None), ("coefficients", "vector", None),
+    )),
+    "tabulated": (tabulated_trajectory, (("times", "vector", None), ("positions", "vector", None))),
 }
 
 FORCE_PRESETS = {
-    "constant": ("q0",),
-    "step": ("q0", "t_on"),
-    "ramp": ("rate", "t_on"),
-    "sinusoid": ("q0", "omega", "phase"),
-    "bump": ("q0", "center", "half_width"),
-    "polynomial": ("coefficients", "t_on"),
+    "constant": (constant_force, (("q0", "vector", _UNIT_Z),)),
+    "step": (step_force, (("q0", "vector", _UNIT_Z), ("t_on", "scalar", -math.inf))),
+    "ramp": (ramp_force, (("rate", "vector", _UNIT_Z), ("t_on", "scalar", None))),
+    "sinusoid": (sinusoid_force, (
+        ("q0", "vector", _UNIT_Z), ("omega", "scalar", 1.0), ("phase", "scalar", 0.0),
+    )),
+    "bump": (bump_force, (
+        ("q0", "vector", _UNIT_Z), ("center", "scalar", 0.0), ("half_width", "scalar", 1.0),
+    )),
+    "polynomial": (polynomial_force, (("coefficients", "vector", None), ("t_on", "scalar", None))),
+}
+
+# Config keys of each preset, and of all presets of a section.
+_PRESET_KEYS = {
+    section: {
+        name: frozenset(f"{section}.{param}" for param, _, _ in params)
+        for name, (_, params) in table.items()
+    }
+    for section, table in (("trajectory", TRAJECTORY_PRESETS), ("force", FORCE_PRESETS))
+}
+_SECTION_KEYS = {
+    section: frozenset().union(*keys.values()) for section, keys in _PRESET_KEYS.items()
 }
 
 _KNOWN_KEYS = {
     "material.rho", "material.lam", "material.mu", "material.nu",
     "source.dimension",
-    "trajectory.preset", "trajectory.position", "trajectory.origin",
-    "trajectory.velocity", "trajectory.center", "trajectory.amplitude",
-    "trajectory.omega", "trajectory.phase", "trajectory.times",
-    "trajectory.positions", "trajectory.breakpoints", "trajectory.coefficients",
-    "force.preset", "force.q0", "force.t_on", "force.rate", "force.omega",
-    "force.phase", "force.center", "force.half_width", "force.coefficients",
+    "trajectory.preset", "force.preset",
     "grid.x1", "grid.x2", "grid.x3", "grid.t",
     "tolerances.quad_rel", "tolerances.retarded_rel", "tolerances.history_rel",
     "run.seed", "run.char_length", "run.checks",
     "output.path", "output.format",
-}
+}.union(*_SECTION_KEYS.values())
 
 
 @dataclass(frozen=True)
@@ -114,12 +132,8 @@ class GridSpec:
         return np.linspace(lo, hi, n)
 
     @property
-    def n_points(self):
-        return self.x1[2] * self.x2[2] * self.x3[2]
-
-    @property
     def n_events(self):
-        return self.n_points * self.t[2]
+        return self.x1[2] * self.x2[2] * self.x3[2] * self.t[2]
 
 
 @dataclass
@@ -140,7 +154,6 @@ class RunConfig:
     out_path: str = "fields.csv"
     out_format: str = "csv"
     text_sha256: str = ""
-    raw: dict = field(default_factory=dict)
 
     @property
     def r_min(self):
@@ -164,6 +177,9 @@ def _parse_vector(value, errors, key):
     except ValueError:
         errors.append(f"{key}: expected comma-separated numbers, got {value!r}")
         return np.zeros(3)
+
+
+_PARSERS = {"scalar": _parse_scalar, "vector": _parse_vector}
 
 
 def _parse_range(value, errors, key):
@@ -199,88 +215,36 @@ def _build_material(kv, errors):
         return make_material(1.0, 1.0, 1.0)
 
 
-def _build_trajectory(kv, errors):
-    preset = kv.get("trajectory.preset", "static").strip()
-    if preset not in TRAJECTORY_PRESETS:
-        errors.append(
-            f"trajectory.preset: unknown preset {preset!r}; known: {sorted(TRAJECTORY_PRESETS)}"
-        )
-        return static_trajectory([0, 0, 0])
-    try:
-        if preset == "static":
-            return static_trajectory(_parse_vector(kv.get("trajectory.position", "0,0,0"), errors, "trajectory.position"))
-        if preset == "uniform":
-            return uniform_trajectory(
-                _parse_vector(kv.get("trajectory.origin", "0,0,0"), errors, "trajectory.origin"),
-                _parse_vector(kv.get("trajectory.velocity", "0,0,0"), errors, "trajectory.velocity"),
-            )
-        if preset == "oscillatory":
-            return oscillatory_trajectory(
-                _parse_vector(kv.get("trajectory.center", "0,0,0"), errors, "trajectory.center"),
-                _parse_vector(kv.get("trajectory.amplitude", "0,0,0"), errors, "trajectory.amplitude"),
-                _parse_scalar(kv.get("trajectory.omega", "1.0"), errors, "trajectory.omega"),
-                _parse_scalar(kv.get("trajectory.phase", "0.0"), errors, "trajectory.phase"),
-            )
-        if preset == "tabulated":
-            times = _parse_vector(kv.get("trajectory.times", ""), errors, "trajectory.times")
-            flat = _parse_vector(kv.get("trajectory.positions", ""), errors, "trajectory.positions")
-            if times.size < 2 or flat.size != 3 * times.size:
-                errors.append("trajectory: tabulated preset needs times (n>=2) and 3n positions")
-                return static_trajectory([0, 0, 0])
-            return tabulated_trajectory(times, flat.reshape(-1, 3))
-        breaks = _parse_vector(kv.get("trajectory.breakpoints", ""), errors, "trajectory.breakpoints")
-        flat = _parse_vector(kv.get("trajectory.coefficients", ""), errors, "trajectory.coefficients")
-        n_int = breaks.size - 1
-        if n_int < 1 or flat.size % (3 * n_int) != 0:
-            errors.append(
-                "trajectory: piecewise-polynomial needs breakpoints (n>=2) and "
-                "order*3*(n-1) coefficients"
-            )
-            return static_trajectory([0, 0, 0])
-        order = flat.size // (3 * n_int)
-        return piecewise_polynomial_trajectory(breaks, flat.reshape(order, n_int, 3))
-    except (ValueError, TypeError) as exc:
-        errors.append(f"trajectory: {exc}")
-        return static_trajectory([0, 0, 0])
+def _build_preset(section, table, kv, errors):
+    """Construct the ``section`` preset that ``kv`` names, from its declared keys.
 
-
-def _build_force(kv, errors):
-    preset = kv.get("force.preset", "constant").strip()
-    if preset not in FORCE_PRESETS:
-        errors.append(f"force.preset: unknown preset {preset!r}; known: {sorted(FORCE_PRESETS)}")
-        return constant_force([0, 0, 1])
-    q0 = _parse_vector(kv.get("force.q0", "0,0,1"), errors, "force.q0")
-    t_on = _parse_scalar(kv.get("force.t_on", "-inf"), errors, "force.t_on")
-    try:
-        if preset == "constant":
-            return constant_force(q0)
-        if preset == "step":
-            return step_force(q0, t_on)
-        if preset == "ramp":
-            return ramp_force(_parse_vector(kv.get("force.rate", "0,0,1"), errors, "force.rate"), t_on)
-        if preset == "sinusoid":
-            return sinusoid_force(
-                q0,
-                _parse_scalar(kv.get("force.omega", "1.0"), errors, "force.omega"),
-                _parse_scalar(kv.get("force.phase", "0.0"), errors, "force.phase"),
-            )
-        if preset == "bump":
-            return bump_force(
-                q0,
-                _parse_scalar(kv.get("force.center", "0.0"), errors, "force.center"),
-                _parse_scalar(kv.get("force.half_width", "1.0"), errors, "force.half_width"),
-            )
-        flat = _parse_vector(kv.get("force.coefficients", ""), errors, "force.coefficients")
-        if flat.size == 0 or flat.size % 3 != 0:
-            errors.append("force: polynomial preset needs 3k coefficients (rows of 3)")
-            return constant_force(q0)
-        if not math.isfinite(t_on):
-            errors.append("force: polynomial preset requires a finite force.t_on")
-            t_on = 0.0
-        return polynomial_force(flat.reshape(-1, 3), t_on)
-    except (ValueError, TypeError) as exc:
-        errors.append(f"force: {exc}")
-        return constant_force([0, 0, 1])
+    A key of a sibling preset or a missing required key is a violation.
+    While any key is in error, the section's default preset (the first
+    of ``table``, at its defaults) stands in, so later checks still run.
+    """
+    name = kv.get(f"{section}.preset", next(iter(table))).strip()
+    n_errors = len(errors)
+    if name not in table:
+        errors.append(f"{section}.preset: unknown preset {name!r}; known: {sorted(table)}")
+    else:
+        for key in sorted(kv.keys() & _SECTION_KEYS[section] - _PRESET_KEYS[section][name]):
+            errors.append(f"{key}: not a parameter of {section} preset {name!r}")
+        build, params = table[name]
+        args = []
+        for param, kind, value in params:
+            key = f"{section}.{param}"
+            if key in kv:
+                value = _PARSERS[kind](kv[key], errors, key)
+            elif value is None:
+                errors.append(f"{key}: required by {section} preset {name!r}")
+            args.append(value)
+        if len(errors) == n_errors:
+            try:
+                return build(*args)
+            except (ValueError, TypeError) as exc:
+                errors.append(f"{section}: {exc}")
+    build, params = next(iter(table.values()))
+    return build(*(value for _, _, value in params))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -288,13 +252,14 @@ def parse_config(text: str) -> RunConfig:
     errors: list[str] = []
     kv: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line = raw_line.partition("#")[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             errors.append(f"line {lineno}: expected 'section.key = value', got {raw_line!r}")
             continue
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = key.strip(), value.strip()
         if key not in _KNOWN_KEYS:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
@@ -303,8 +268,8 @@ def parse_config(text: str) -> RunConfig:
         kv[key] = value
 
     mat = _build_material(kv, errors)
-    traj = _build_trajectory(kv, errors)
-    prof = _build_force(kv, errors)
+    traj = _build_preset("trajectory", TRAJECTORY_PRESETS, kv, errors)
+    prof = _build_preset("force", FORCE_PRESETS, kv, errors)
 
     dimension = kv.get("source.dimension", "3d-point").strip()
     if dimension not in DIMENSIONS:
@@ -373,5 +338,4 @@ def parse_config(text: str) -> RunConfig:
         out_path=kv.get("output.path", "fields.csv").strip(),
         out_format=out_format,
         text_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        raw=kv,
     )

@@ -242,10 +242,18 @@ def piecewise_polynomial_trajectory(breakpoints, coefficients) -> Trajectory:
     """Piecewise-polynomial worldline on a finite window.
 
     ``coefficients`` has shape (order, n_intervals, 3) in the scipy PPoly
-    convention (highest power first, local variable t - breakpoints[i]).
+    convention (highest power first, local variable t - breakpoints[i]),
+    or is that array flattened.
     """
-    pp = PPoly(np.asarray(coefficients, dtype=float), np.asarray(breakpoints, dtype=float))
-    return _ppoly_trajectory("piecewise-polynomial", pp)
+    x = np.asarray(breakpoints, dtype=float).reshape(-1)
+    c = np.asarray(coefficients, dtype=float)
+    n_int = max(x.size - 1, 1)
+    if c.ndim == 1 and c.size % (3 * n_int) == 0:
+        c = c.reshape(-1, n_int, 3)
+    if x.size < 2 or c.ndim != 3 or c.shape[0] == 0 or c.shape[1:] != (n_int, 3):
+        raise ValueError("piecewise-polynomial trajectory needs n >= 2 breakpoints and "
+                         "order*3*(n-1) coefficients")
+    return _ppoly_trajectory("piecewise-polynomial", PPoly(c, x))
 
 
 def tabulated_trajectory(times, positions) -> Trajectory:
@@ -253,12 +261,15 @@ def tabulated_trajectory(times, positions) -> Trajectory:
 
     Queries outside [times[0], times[-1]] raise ExtrapolationError; any
     force profile used with this trajectory must switch on at or after
-    the first knot.
+    the first knot. ``positions`` has shape (len(times), 3), or is that
+    array flattened.
     """
-    ts = np.asarray(times, dtype=float)
+    ts = np.asarray(times, dtype=float).reshape(-1)
     ps = np.asarray(positions, dtype=float)
-    if ps.shape != (ts.size, 3):
-        raise ValueError("positions must have shape (len(times), 3)")
+    if ps.ndim == 1 and ps.size % 3 == 0:
+        ps = ps.reshape(-1, 3)
+    if ts.size < 2 or ps.shape != (ts.size, 3):
+        raise ValueError("tabulated trajectory needs times (n >= 2) and n positions of 3")
     return _ppoly_trajectory("tabulated", CubicSpline(ts, ps, axis=0, bc_type="natural"))
 
 
@@ -337,11 +348,16 @@ def bump_force(q0, center: float, half_width: float) -> ForceProfile:
 def polynomial_force(coefficients, t_on: float) -> ForceProfile:
     """Q_i(t) = sum_k c[k, i] * (t - t_on)^k for t >= t_on.
 
-    ``coefficients`` has shape (order + 1, 3), lowest power first.
+    ``coefficients`` has shape (order + 1, 3), lowest power first, or is
+    that array flattened. ``t_on`` must be finite.
     """
     c = np.asarray(coefficients, dtype=float)
-    if c.ndim != 2 or c.shape[1] != 3:
-        raise ValueError("coefficients must have shape (order + 1, 3)")
+    if c.ndim == 1 and c.size % 3 == 0:
+        c = c.reshape(-1, 3)
+    if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] != 3:
+        raise ValueError("polynomial force needs coefficients of shape (order + 1, 3)")
+    if not math.isfinite(t_on):
+        raise ValueError(f"polynomial force needs a finite t_on, got {t_on!r}")
     dc = c[1:] * np.arange(1, c.shape[0])[:, None] if c.shape[0] > 1 else np.zeros((1, 3))
 
     def fn(t):

@@ -35,6 +35,9 @@ _TINY = 1e-300
 # on a 1,000-event grid at the same speed).
 NODE_BUDGET = 1024
 
+# Nodes of the Gauss-Legendre rule on every panel.
+NODES = 16
+
 # Most live rows one interval may hold in a refinement round. An integrand
 # that cannot meet the tolerance doubles its rows every round; this stops
 # it long before the rows exhaust memory (the tests, the validate suite and
@@ -77,33 +80,7 @@ def _panels(f, lo, hi, owner, x, w):
     return half * np.concatenate(sums), half * np.concatenate(l1s)
 
 
-def _tree_sum(levels, failed, m):
-    """Interval totals from accepted rows, summed as the recursive rule sums them.
-
-    ``levels[d]`` holds (interval, path, value) of the rows accepted at
-    depth d; path is the row's position among the 2^d rows of that depth.
-    Siblings are added left + right, bottom-up, so a total does not depend
-    on the order in which rows were accepted. Failed intervals are NaN.
-    """
-    total = np.zeros((failed.size, m))
-    total[failed] = np.nan
-    if failed.any():
-        keep = [~failed[o] for o, _, _ in levels]
-        levels = [(o[k], p[k], v[k]) for (o, p, v), k in zip(levels, keep)]
-    if not levels:
-        return total
-    own, path, val = levels[-1]
-    for o, p, v in reversed(levels[:-1]):
-        order = np.lexsort((path, own))
-        val = val[order]
-        own = np.concatenate([own[order][0::2], o])
-        path = np.concatenate([path[order][0::2] // 2, p])
-        val = np.concatenate([val[0::2] + val[1::2], v])
-    total[own] = val
-    return total
-
-
-def integrate_intervals(f, a, b, rel_tol=1e-10, nodes=16, max_depth=44, collect=None):
+def integrate_intervals(f, a, b, rel_tol=1e-10, max_depth=44, collect=None):
     """Integrate ``f`` over every interval [a[i], b[i]] in one refinement loop.
 
     Args:
@@ -118,10 +95,12 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, nodes=16, max_depth=44, collect=
             interval and left to right.
 
     Returns:
-        (values, failed): ``values`` has one row per interval. An interval
-        whose integrand is not finite somewhere leaves the refinement at
-        once; it is flagged in ``failed`` and its value is NaN. Empty
-        intervals (b <= a) integrate to zero.
+        (values, failed): ``values`` has one row per interval, the running
+        sum of its accepted panels, added round by round in the interval's
+        own row order; so it does not depend on the intervals it is
+        batched with. An interval whose integrand is not finite somewhere
+        leaves the refinement at once; it is flagged in ``failed`` and its
+        value is NaN. Empty intervals (b <= a) integrate to zero.
 
     Raises:
         QuadratureError: a panel still fails the error test at max_depth,
@@ -130,7 +109,7 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, nodes=16, max_depth=44, collect=
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
-    x, w = gauss_legendre_rule(nodes)
+    x, w = gauss_legendre_rule(NODES)
     width = b - a
     failed = np.zeros(a.size, dtype=bool)
     own = (width > 0.0).nonzero()[0]
@@ -159,8 +138,7 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, nodes=16, max_depth=44, collect=
     l1_floor = max(1e-13, 1e-2 * rel_tol)
     failed[own[~np.isfinite(coarse).all(axis=1)]] = True
 
-    path = np.zeros(r, dtype=np.int64)
-    levels = []
+    values = np.zeros((a.size, m))
     accepted = []  # (interval, lo, hi) of accepted rows, for ``collect``
     for depth in range(max_depth + 1):
         left, right = halves[:r], halves[r:]
@@ -178,7 +156,7 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, nodes=16, max_depth=44, collect=
         done = (err <= allowance).all(axis=1) | (span <= min_width[own])
         live = ~failed[own]
         acc = (done & live).nonzero()[0]
-        levels.append((own[acc], path[acc], better[acc]))
+        np.add.at(values, own[acc], better[acc])
         if collect is not None:
             accepted.append((own[acc], lo[acc], hi[acc]))
         split = (~done & live).nonzero()[0]
@@ -194,9 +172,8 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, nodes=16, max_depth=44, collect=
                 estimate=better[i],
                 error=float(np.max(err[i])),
             )
-        own, path, mid = own[split], 2 * path[split], mid[split]
-        own = np.concatenate([own, own])
-        path = np.concatenate([path, path + 1])
+        mid = mid[split]
+        own = np.concatenate([own[split], own[split]])
         lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
         coarse = np.concatenate([left[split], right[split]])
         r = own.size
@@ -206,7 +183,7 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, nodes=16, max_depth=44, collect=
             x, w,
         )
 
-    values = _tree_sum(levels, failed, m)
+    values[failed] = np.nan
     if collect is not None and accepted:
         o, lo, hi = (np.concatenate(c) for c in zip(*accepted))
         for i in np.lexsort((lo, o)):
@@ -218,15 +195,8 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, nodes=16, max_depth=44, collect=
     return values, failed
 
 
-def adaptive_gauss_legendre(
-    f,
-    a: float,
-    b: float,
-    rel_tol: float = 1e-10,
-    nodes: int = 16,
-    max_depth: int = 44,
-    collect: list | None = None,
-):
+def adaptive_gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-10, max_depth: int = 44,
+                            collect: list | None = None):
     """Integrate ``f`` over [a, b] to the requested relative tolerance.
 
     The one-interval call of ``integrate_intervals``.
@@ -245,7 +215,7 @@ def adaptive_gauss_legendre(
         probe = np.asarray(f(np.array([0.5 * (a + b) if b == a else a])), dtype=float)
         return np.zeros(probe.shape[-1])
     values, failed = integrate_intervals(
-        lambda xs, owner: f(xs), [a], [b], rel_tol, nodes, max_depth, collect
+        lambda xs, owner: f(xs), [a], [b], rel_tol, max_depth, collect
     )
     if failed[0]:
         raise QuadratureError(f"integrand is not finite on [{a:g}, {b:g}]")

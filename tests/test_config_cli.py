@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +91,54 @@ def test_parse_rejects_infinite_t_on_in_2d():
     text = text.replace("force.t_on = 0.0", "")
     with pytest.raises(ConfigError, match="finite switch-on required in 2D"):
         parse_config(text)
+
+
+def test_parse_rejects_key_the_preset_does_not_take():
+    text = ANTIPLANE.replace("force.preset = step", "force.preset = constant")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert "force.t_on: not a parameter of force preset 'constant'" in err.value.violations
+
+
+def test_parse_names_missing_required_key():
+    text = GRID_2222.replace("force.preset = step\nforce.q0 = 0,0,1", "force.preset = polynomial")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.violations == ["force.coefficients: required by force preset 'polynomial'"]
+
+
+def test_parse_flat_preset_vectors():
+    cfg = parse_config(GRID_2222.replace(
+        "force.preset = step\nforce.q0 = 0,0,1",
+        "force.preset = polynomial\nforce.coefficients = 0,0,1,0,0,0.5",
+    ))
+    np.testing.assert_allclose(cfg.force.eval(2.0)[0], [0.0, 0.0, 2.0], atol=1e-15)
+    bad = GRID_2222.replace("force.preset = step\nforce.q0 = 0,0,1",
+                            "force.preset = polynomial\nforce.coefficients = 0,0,1,0")
+    with pytest.raises(ConfigError, match="force: polynomial force needs coefficients"):
+        parse_config(bad)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_shipped_and_benchmark_configs_parse(monkeypatch):
+    # Guards the inputs of configs/ and of the benchmark workloads against
+    # a stricter grammar.
+    paths = sorted((ROOT / "configs").glob("*.cfg"))
+    assert paths
+    for path in paths:
+        parse_config(path.read_text(encoding="utf-8"))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for name in sorted(workloads.SPECS):
+        for seed in range(3):
+            cfg = parse_config(workloads.make(name, seed).config_text())
+            assert cfg.dimension == workloads.SPECS[name].dimension
 
 
 def test_parse_collects_all_violations():

@@ -167,6 +167,33 @@ def test_qdot_is_derivative(prof):
         np.testing.assert_allclose((q_p - q_m) / (2 * h), prof.eval(t)[1], atol=2e-5)
 
 
+def test_constructors_take_flat_values_and_check_sizes():
+    ts = [0.0, 1.0, 2.0]
+    pos = np.arange(9.0).reshape(3, 3) * 0.1
+    flat = tabulated_trajectory(ts, pos.ravel().tolist())
+    np.testing.assert_array_equal(flat.eval(1.5)[0], tabulated_trajectory(ts, pos).eval(1.5)[0])
+    coefs = np.arange(12.0).reshape(2, 2, 3) * 0.01
+    flat = piecewise_polynomial_trajectory(ts, coefs.ravel().tolist())
+    ref = piecewise_polynomial_trajectory(ts, coefs)
+    np.testing.assert_array_equal(flat.eval(1.5)[0], ref.eval(1.5)[0])
+    rows = [[1.0, 0, 0], [0.5, 1.0, 0]]
+    np.testing.assert_array_equal(
+        polynomial_force(np.ravel(rows).tolist(), 0.0).eval(1.0)[0],
+        polynomial_force(rows, 0.0).eval(1.0)[0],
+    )
+    for make in (
+        lambda: tabulated_trajectory(ts, [0.0] * 8),
+        lambda: tabulated_trajectory([0.0], [0.0] * 3),
+        lambda: piecewise_polynomial_trajectory(ts, [0.0] * 9),
+        lambda: piecewise_polynomial_trajectory([0.0], [0.0] * 3),
+        lambda: polynomial_force([1.0, 0.0], 0.0),
+        lambda: polynomial_force([], 0.0),
+        lambda: polynomial_force(rows, -math.inf),
+    ):
+        with pytest.raises(ValueError):
+            make()
+
+
 def test_profile_vanishes_before_switch_on():
     prof = step_force([1.0, 1.0, 1.0], t_on=2.0)
     q, qd = prof.eval(1.9999)
