@@ -19,6 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from elastowave import constant_force, make_material, oscillatory_trajectory
+from elastowave.kinematics import motion_violations
 from elastowave.pointforce3d import lw_fields
 
 
@@ -47,8 +48,8 @@ def main():
     mat = make_material(rho=1.0, lam=1.0, mu=1.0)
     traj = oscillatory_trajectory([0, 0, 0], [args.amplitude, 0, 0], args.omega)
     prof = constant_force([0, 0, 1.0])
-    if traj.vmax >= mat.cT:
-        sys.exit(f"supersonic: amplitude*omega = {traj.vmax:g} >= cT = {mat.cT:g}")
+    for _, message in motion_violations(traj, prof, mat.cT, line=False):
+        sys.exit(message)
     nhat = np.array([0.30, 0.51, 0.81])
     nhat /= np.linalg.norm(nhat)
 

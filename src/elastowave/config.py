@@ -1,10 +1,12 @@
 """Run-configuration grammar and validation.
 
 Configs are flat ``section.key = value`` lines; ``#`` starts a comment.
-Values are typed: floats (``-inf`` allowed where documented), integers,
-comma-separated vectors (``0,0,1``), colon ranges (``min:max:count``) and
-enumerated strings. The parser collects every violation before failing so
-a bad file reports all its problems at once.
+Values are typed: floats, integers, comma-separated vectors (``0,0,1``),
+colon ranges (``min:max:count``) and enumerated strings. Every number
+must be finite; the one exception is ``force.t_on = -inf`` for the
+``step`` preset (switched on for all time, 3D only). The parser collects
+every violation before failing so a bad file reports all its problems at
+once.
 
 Documented keys
 ---------------
@@ -19,7 +21,7 @@ trajectory.preset / force.preset
     preset of the same section is rejected. Vectors are flat; the
     preset's constructor documents their layout.
 grid.x1, grid.x2, grid.x3, grid.t
-    Ranges min:max:count (count >= 1).
+    Ranges min:max:count (finite min and max, count >= 1).
 tolerances.quad_rel / tolerances.retarded_rel / tolerances.history_rel
     Positive tolerances for the slowness quadrature, the retarded-time
     solver, and the 2D history quadrature.
@@ -45,6 +47,7 @@ from .kinematics import (
     Trajectory,
     bump_force,
     constant_force,
+    motion_violations,
     oscillatory_trajectory,
     piecewise_polynomial_trajectory,
     polynomial_force,
@@ -161,10 +164,7 @@ class RunConfig:
 
 
 def _parse_scalar(value, errors, key):
-    v = value.strip().lower()
     try:
-        if v in ("-inf", "inf"):
-            return float(v)
         return float(value)
     except ValueError:
         errors.append(f"{key}: expected a number, got {value!r}")
@@ -191,6 +191,9 @@ def _parse_range(value, errors, key):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         errors.append(f"{key}: expected min:max:count with numeric fields, got {value!r}")
+        return (0.0, 0.0, 1)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        errors.append(f"{key}: min and max must be finite, got {value!r}")
         return (0.0, 0.0, 1)
     if n < 1:
         errors.append(f"{key}: count must be >= 1, got {n}")
@@ -275,14 +278,8 @@ def parse_config(text: str) -> RunConfig:
     if dimension not in DIMENSIONS:
         errors.append(f"source.dimension: must be one of {DIMENSIONS}, got {dimension!r}")
 
-    if traj.vmax >= mat.cT:
-        errors.append(
-            f"supersonic trajectory: vmax={traj.vmax:g} >= cT={mat.cT:g}; only subsonic motion is supported"
-        )
-    if dimension.startswith("2d") and not math.isfinite(prof.t_on):
-        errors.append("finite switch-on required in 2D: force.t_on must be finite")
-    if math.isfinite(traj.domain[0]) and prof.t_on < traj.domain[0]:
-        errors.append("force.t_on precedes the first trajectory knot")
+    errors.extend(message for _, message in
+                  motion_violations(traj, prof, mat.cT, dimension.startswith("2d")))
 
     grid = GridSpec(
         x1=_parse_range(kv.get("grid.x1", "0:0:1"), errors, "grid.x1"),
@@ -296,14 +293,14 @@ def parse_config(text: str) -> RunConfig:
         ("quad_rel", 1e-10), ("retarded_rel", 1e-12), ("history_rel", 1e-8)
     ):
         val = _parse_scalar(kv.get(f"tolerances.{name}", str(default)), errors, f"tolerances.{name}")
-        if not val > 0.0:
-            errors.append(f"tolerances.{name}: must be positive, got {val:g}")
+        if not 0.0 < val < math.inf:
+            errors.append(f"tolerances.{name}: must be positive and finite, got {val:g}")
             val = default
         tols[name] = val
 
     char_length = _parse_scalar(kv.get("run.char_length", "1.0"), errors, "run.char_length")
-    if not char_length > 0.0:
-        errors.append(f"run.char_length: must be positive, got {char_length:g}")
+    if not 0.0 < char_length < math.inf:
+        errors.append(f"run.char_length: must be positive and finite, got {char_length:g}")
         char_length = 1.0
     try:
         seed = int(kv.get("run.seed", "0"))

@@ -54,9 +54,5 @@ class ConfigError(ElastowaveError, ValueError):
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {v}" for v in self.violations))
 
 
-class TransonicAccuracyWarning(UserWarning):
-    """Source speed is above 0.95 cT; field accuracy degrades near cT."""
-
-
 class WavefrontProximityWarning(UserWarning):
     """Finite-difference step had to be floored close to a wavefront."""

@@ -19,7 +19,9 @@ so they contribute nothing. Rows whose observer sits on the worldline
 come back flagged (``singular``), so one such event does not abort a
 batch. A scalar call raises NoRetardationError or SingularPointError
 instead. The same solver serves 3D points and 2D lines (``dim=2``
-restricts the geometry to the x1-x2 plane).
+restricts the geometry to the x1-x2 plane). ``motion_violations``
+decides once whether a source lies in the scope of the solutions; the
+preset constructors reject non-finite parameters.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .errors import (
     RetardedConvergenceError,
     SingularPointError,
     SupersonicError,
+    UnboundedHistoryError,
 )
 
 __all__ = [
@@ -54,6 +57,7 @@ __all__ = [
     "sinusoid_force",
     "bump_force",
     "polynomial_force",
+    "motion_violations",
     "retarded_time",
     "retarded_time_bisection",
 ]
@@ -160,9 +164,17 @@ def _vec3(v):
     a = np.asarray(v, dtype=float).reshape(-1)
     if a.size == 2:
         a = np.array([a[0], a[1], 0.0])
-    if a.size != 3:
-        raise ValueError(f"expected a 2- or 3-vector, got {v!r}")
+    if a.size != 3 or not all(map(math.isfinite, a.tolist())):
+        raise ValueError(f"expected a finite 2- or 3-vector, got {a.tolist()}")
     return a
+
+
+def _finite(name, value):
+    """``value`` as a float; raises ValueError unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _broadcast_const(vec, t):
@@ -200,7 +212,8 @@ def oscillatory_trajectory(center, amplitude, omega: float, phase: float = 0.0) 
     """s(t) = center + amplitude * sin(omega*t + phase); vmax = |amplitude|*omega."""
     c = _vec3(center)
     a = _vec3(amplitude)
-    w = float(omega)
+    w = _finite("omega", omega)
+    phase = _finite("phase", phase)
 
     def fn(t):
         ph = w * np.asarray(t, float) + phase
@@ -250,9 +263,10 @@ def piecewise_polynomial_trajectory(breakpoints, coefficients) -> Trajectory:
     n_int = max(x.size - 1, 1)
     if c.ndim == 1 and c.size % (3 * n_int) == 0:
         c = c.reshape(-1, n_int, 3)
-    if x.size < 2 or c.ndim != 3 or c.shape[0] == 0 or c.shape[1:] != (n_int, 3):
-        raise ValueError("piecewise-polynomial trajectory needs n >= 2 breakpoints and "
-                         "order*3*(n-1) coefficients")
+    if (x.size < 2 or c.ndim != 3 or c.shape[0] == 0 or c.shape[1:] != (n_int, 3)
+            or not (np.isfinite(x).all() and np.isfinite(c).all())):
+        raise ValueError("piecewise-polynomial trajectory needs n >= 2 finite breakpoints "
+                         "and order*3*(n-1) finite coefficients")
     return _ppoly_trajectory("piecewise-polynomial", PPoly(c, x))
 
 
@@ -288,9 +302,11 @@ def constant_force(q0) -> ForceProfile:
 
 
 def step_force(q0, t_on: float) -> ForceProfile:
-    """Q(t) = q0 * H(t - t_on)."""
+    """Q(t) = q0 * H(t - t_on); t_on is finite or -inf (always on)."""
     q = _vec3(q0)
     zero = np.zeros(3)
+    if t_on != -math.inf:
+        t_on = _finite("t_on", t_on)
 
     def fn(t):
         return _broadcast_const(q, t), _broadcast_const(zero, t)
@@ -299,8 +315,9 @@ def step_force(q0, t_on: float) -> ForceProfile:
 
 
 def ramp_force(rate, t_on: float) -> ForceProfile:
-    """Q(t) = rate * (t - t_on) for t >= t_on."""
+    """Q(t) = rate * (t - t_on) for t >= t_on; t_on must be finite."""
     r = _vec3(rate)
+    t_on = _finite("t_on", t_on)
 
     def fn(t):
         return np.multiply.outer(np.asarray(t, float) - t_on, r), _broadcast_const(r, t)
@@ -311,7 +328,8 @@ def ramp_force(rate, t_on: float) -> ForceProfile:
 def sinusoid_force(q0, omega: float, phase: float = 0.0) -> ForceProfile:
     """Q(t) = q0 * sin(omega*t + phase), active for all time."""
     q = _vec3(q0)
-    w = float(omega)
+    w = _finite("omega", omega)
+    phase = _finite("phase", phase)
 
     def fn(t):
         ph = w * np.asarray(t, float) + phase
@@ -327,7 +345,8 @@ def bump_force(q0, center: float, half_width: float) -> ForceProfile:
     differentiable, exactly zero outside the support.
     """
     q = _vec3(q0)
-    w = float(half_width)
+    center = _finite("center", center)
+    w = _finite("half_width", half_width)
     if w <= 0.0:
         raise ValueError("half_width must be positive")
 
@@ -354,10 +373,9 @@ def polynomial_force(coefficients, t_on: float) -> ForceProfile:
     c = np.asarray(coefficients, dtype=float)
     if c.ndim == 1 and c.size % 3 == 0:
         c = c.reshape(-1, 3)
-    if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] != 3:
-        raise ValueError("polynomial force needs coefficients of shape (order + 1, 3)")
-    if not math.isfinite(t_on):
-        raise ValueError(f"polynomial force needs a finite t_on, got {t_on!r}")
+    if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] != 3 or not np.isfinite(c).all():
+        raise ValueError("polynomial force needs coefficients of shape (order + 1, 3), all finite")
+    t_on = _finite("t_on", t_on)
     dc = c[1:] * np.arange(1, c.shape[0])[:, None] if c.shape[0] > 1 else np.zeros((1, 3))
 
     def fn(t):
@@ -366,7 +384,28 @@ def polynomial_force(coefficients, t_on: float) -> ForceProfile:
         qd = np.multiply.outer(tau, np.ones(dc.shape[0])) ** np.arange(dc.shape[0]) @ dc
         return q, qd
 
-    return ForceProfile("polynomial", float(t_on), fn)
+    return ForceProfile("polynomial", t_on, fn)
+
+
+# ---------------------------------------------------------------------------
+# admissible motion
+
+def motion_violations(traj: Trajectory, prof: ForceProfile, cT: float, line: bool) -> list:
+    """(error class, message) pairs for each way the source leaves the solutions' scope.
+
+    The solutions need vmax < cT (a proof: vmax is exact) and zero initial
+    conditions: Q = 0 where the worldline is undefined, and a finite
+    switch-on for a line force (``line``). Every comparison fails on NaN.
+    """
+    out = []
+    if not traj.vmax < cT:
+        out.append((SupersonicError, f"supersonic trajectory: vmax={traj.vmax:g} is not below "
+                                     f"cT={cT:g}; only subsonic motion is supported"))
+    if line and not math.isfinite(prof.t_on):
+        out.append((UnboundedHistoryError, "finite switch-on required in 2D: force.t_on must be finite"))
+    if not prof.t_on >= traj.domain[0]:
+        out.append((ValueError, "force.t_on precedes the first trajectory knot"))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +479,10 @@ def _finalize_state(traj, x, tp, slowness, r_min, dim, valid=True):
 
 def _check_slowness(traj, slowness):
     k = np.asarray(slowness)
-    if k.min() <= 0.0:
+    if not k.min() > 0.0:
         raise ValueError("slowness must be positive")
-    if k.max() * traj.vmax >= 1.0:
-        raise SupersonicError(
-            f"trajectory vmax={traj.vmax:g} is not subsonic for wave speed "
-            f"{1.0 / k.max():g}"
-        )
+    if not k.max() * traj.vmax < 1.0:
+        raise SupersonicError(f"vmax={traj.vmax:g} is not below the wave speed {1 / k.max():g}")
 
 
 def retarded_time(
@@ -511,10 +547,10 @@ def retarded_time(
             if done.all():
                 break
         else:
-            t_bad = np.broadcast_to(t, k.shape)[~done][0]
+            bad = np.flatnonzero(~done)
             raise RetardedConvergenceError(
-                f"retarded time for event (t={t_bad:g}) not converged after "
-                f"{_NEWTON_ITERATIONS} steps at slowness {k[~done]}"
+                f"retarded time not converged after {_NEWTON_ITERATIONS} steps on {bad.size} "
+                f"row(s); first: t={np.broadcast_to(t, k.shape)[bad[0]]:g}, slowness {k[bad[0]]:g}"
             )
     if scalar:
         return _finalize_state(traj, x, float(tp[0]), float(k[0]), r_min, dim)

@@ -27,6 +27,9 @@ a smooth integrand. The in-plane gradient and time derivative have no
 published closed form; they are evaluated by Richardson-paired central
 differences of the displacement with the step tied to the distance to
 the nearest wavefront.
+
+Every evaluator first raises the first ``motion_violations`` of its
+source, among them an infinite switch-on.
 """
 
 from __future__ import annotations
@@ -38,22 +41,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    QuadratureError,
-    SingularPointError,
-    UnboundedHistoryError,
-    WavefrontProximityWarning,
-)
+from .errors import QuadratureError, SingularPointError, WavefrontProximityWarning
 from .kinematics import (
     DEFAULT_R_MIN,
     DEFAULT_RETARDED_TOL,
     ForceProfile,
     Trajectory,
     _norm_rows,
+    motion_violations,
     retarded_time,
 )
 from .material import Material
-from .pointforce3d import _require_history, _require_subsonic
 from .quadrature import integrate_intervals
 # Unused here, but the benchmark tracer (perfbench/tracer.py) patches it by name.
 from .quadrature import adaptive_gauss_legendre  # noqa: F401
@@ -73,26 +71,16 @@ DEFAULT_HISTORY_TOL = 1e-8
 class FieldSample2D:
     """Fields of one line-force evaluation.
 
-    ``plane`` is "in-plane" (u, v are 2-vectors, beta is 2x2) or
-    "anti-plane" (u, v are the scalar u3, v3 and beta is the 2-vector
-    beta_3alpha). ``fd_error`` reports Richardson error estimates where
-    derivatives were taken numerically.
+    In-plane: u, v are 2-vectors and beta is 2x2. Anti-plane: u, v are
+    the scalars u3, v3 and beta is the 2-vector beta_3alpha. ``fd_error``
+    reports Richardson error estimates where derivatives were taken
+    numerically.
     """
 
-    plane: str
     u: np.ndarray | float
     beta: np.ndarray
     v: np.ndarray | float
     fd_error: dict | None = None
-
-
-def _check_2d_inputs(mat, traj, prof):
-    _require_subsonic(mat, traj)
-    _require_history(traj, prof)
-    if not math.isfinite(prof.t_on):
-        raise UnboundedHistoryError(
-            "2D history integrals require a finite switch-on time t_on"
-        )
 
 
 @dataclass(frozen=True)
@@ -209,7 +197,8 @@ def antiplane_displacement(
     r_min: float = DEFAULT_R_MIN,
 ) -> float:
     """u3 of an anti-plane line force only: the transversal history integral."""
-    _check_2d_inputs(mat, traj, prof)
+    for error, message in motion_violations(traj, prof, mat.cT, line=True):
+        raise error(message)
     x = np.asarray(x, dtype=float)[:2]
     (end,) = _singular_ends(traj, prof, x, t, [mat.cT], tol_ret, r_min)
     if end is None:
@@ -240,11 +229,12 @@ def antiplane_fields(
     remains is a bounded switch-on boundary term plus smooth integrals of
     the differentiated kernel.
     """
-    _check_2d_inputs(mat, traj, prof)
+    for error, message in motion_violations(traj, prof, mat.cT, line=True):
+        raise error(message)
     x = np.asarray(x, dtype=float)[:2]
     (end,) = _singular_ends(traj, prof, x, t, [mat.cT], tol_ret, r_min)
     if end is None:
-        return FieldSample2D(plane="anti-plane", u=0.0, beta=np.zeros(2), v=0.0)
+        return FieldSample2D(u=0.0, beta=np.zeros(2), v=0.0)
     kap = end.kappa
     # Sensitivities of the retarded limit: dtT/dt = R/P, dtT/dx = -kap R_vec/P.
     dtup = np.concatenate([[end.r_b], -kap * end.rvec_b]) / end.pc_b
@@ -266,7 +256,7 @@ def antiplane_fields(
     s_on = _history_nodes(traj, x, end, w_on, r_min).s[0]
     total[1:] += prof.eval(prof.t_on)[0][2] * dtup / s_on
     total /= 2.0 * math.pi * mat.rho * mat.cT ** 2
-    return FieldSample2D(plane="anti-plane", u=float(total[0]), beta=total[2:], v=float(total[1]))
+    return FieldSample2D(u=float(total[0]), beta=total[2:], v=float(total[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +273,8 @@ def inplane_displacement(
     r_min: float = DEFAULT_R_MIN,
 ) -> np.ndarray:
     """u_alpha of an in-plane line force: both history integrals of plane strain."""
-    _check_2d_inputs(mat, traj, prof)
+    for error, message in motion_violations(traj, prof, mat.cT, line=True):
+        raise error(message)
     x = np.asarray(x, dtype=float)[:2]
     end_l, end_t = _singular_ends(traj, prof, x, t, [mat.cL, mat.cT], tol_ret, r_min)
     if end_l is None:
@@ -374,7 +365,6 @@ def inplane_fields(
     r_min: float = DEFAULT_R_MIN,
 ) -> FieldSample2D:
     """Displacement plus FD-differentiated distortion and velocity."""
-    _check_2d_inputs(mat, traj, prof)
     x = np.asarray(x, dtype=float)[:2]
 
     def u_of(xx, tt):
@@ -382,6 +372,7 @@ def inplane_fields(
             mat, traj, prof, xx, tt, rel_tol=rel_tol, tol_ret=tol_ret, r_min=r_min
         )
 
+    u = u_of(x, t)  # raises the first motion_violations
     h_t = _fd_step(mat, traj, prof, x, t)
     h_x = mat.cT * h_t
     beta = np.zeros((2, 2))
@@ -394,6 +385,4 @@ def inplane_fields(
         errs[f"beta_d{gamma + 1}"] = err
     v, err_v = _richardson_d1(lambda s_: u_of(x, t + s_), h_t)
     errs["v"] = err_v
-    return FieldSample2D(
-        plane="in-plane", u=u_of(x, t), beta=beta, v=v, fd_error=errs
-    )
+    return FieldSample2D(u=u, beta=beta, v=v, fd_error=errs)

@@ -46,16 +46,16 @@ class Material:
 def make_material(rho: float, lam: float, mu: float) -> Material:
     """Build a Material from density and Lame constants.
 
-    Requires rho > 0, mu > 0 and a non-negative bulk modulus
-    lam + 2*mu/3 >= 0, which also guarantees 2*mu + lam > 0 and cT < cL.
+    Requires finite rho > 0, mu > 0 and a finite bulk modulus lam + 2*mu/3
+    >= 0, which also guarantees 2*mu + lam > 0 and cT < cL.
     """
-    if not rho > 0.0:
-        raise InvalidMaterialError(f"density must be positive, got rho={rho}")
-    if not mu > 0.0:
-        raise InvalidMaterialError(f"shear modulus must be positive, got mu={mu}")
-    if lam + 2.0 * mu / 3.0 < 0.0:
+    if not 0.0 < rho < math.inf:
+        raise InvalidMaterialError(f"density must be positive and finite, got rho={rho}")
+    if not 0.0 < mu < math.inf:
+        raise InvalidMaterialError(f"shear modulus must be positive and finite, got mu={mu}")
+    if not 0.0 <= lam + 2.0 * mu / 3.0 < math.inf:
         raise InvalidMaterialError(
-            f"unstable moduli: lam + 2*mu/3 = {lam + 2.0 * mu / 3.0:g} < 0"
+            f"bulk modulus lam + 2*mu/3 = {lam + 2.0 * mu / 3.0:g} must be finite and >= 0"
         )
     cL = math.sqrt((2.0 * mu + lam) / rho)
     cT = math.sqrt(mu / rho)

@@ -21,6 +21,10 @@ of all events are one retarded solve, and their slowness integrals are
 refined together, so the per-call cost of the solver and the kernel is
 shared by every event. ``lw_fields`` is its one-event call.
 
+Every evaluation first raises the first ``motion_violations`` of its
+source. Accuracy stays within the requested tolerance up to 0.999 cT,
+where the fields still meet their closed-form and finite-difference oracles.
+
 Static-source limits reduce to the classical time-dependent concentrated
 force solution (``stokes_*``) and, for constant strength, to the static
 concentrated-force solution (``kelvin_*``); both closed forms live here
@@ -30,23 +34,18 @@ and double as oracles for the moving-source evaluator.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    QuadratureError,
-    SingularPointError,
-    SupersonicError,
-    TransonicAccuracyWarning,
-)
+from .errors import QuadratureError, SingularPointError
 from .kinematics import (
     DEFAULT_R_MIN,
     DEFAULT_RETARDED_TOL,
     ForceProfile,
     RetardedState,
     Trajectory,
+    motion_violations,
     retarded_time,
 )
 from .material import Material
@@ -79,31 +78,8 @@ class FieldSample:
     u: np.ndarray
     beta: np.ndarray
     v: np.ndarray
-    beta_parts: dict | None = None
-    v_parts: dict | None = None
-
-
-def _require_subsonic(mat: Material, traj: Trajectory):
-    if traj.vmax >= mat.cT:
-        raise SupersonicError(
-            f"trajectory vmax={traj.vmax:g} >= cT={mat.cT:g}; only subsonic motion is supported"
-        )
-    if traj.vmax > 0.95 * mat.cT:
-        warnings.warn(
-            f"vmax={traj.vmax:g} exceeds 0.95*cT={0.95 * mat.cT:g}; "
-            "field accuracy is not guaranteed this close to the transonic limit",
-            TransonicAccuracyWarning,
-            stacklevel=4,
-        )
-
-
-def _require_history(traj: Trajectory, prof: ForceProfile):
-    # Zero initial conditions demand Q = 0 wherever the worldline is undefined.
-    if math.isfinite(traj.domain[0]) and prof.t_on < traj.domain[0]:
-        raise ValueError(
-            "force switches on before the first trajectory knot; "
-            "the force must vanish where the worldline is undefined"
-        )
+    beta_parts: dict
+    v_parts: dict
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +174,11 @@ def _retarded_sums(terms, mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
     refined together by ``integrate_intervals``, whose integrand solves and
     evaluates each batch of nodes in one call. Returns the sums (n, width)
     and the mask of events whose observer lies on the worldline; those
-    leave the refinement at once and their sums are NaN.
+    leave the refinement at once and their sums are NaN. Raises the first
+    violation of ``motion_violations``.
     """
-    _require_subsonic(mat, traj)
-    _require_history(traj, prof)
+    for error, message in motion_violations(traj, prof, mat.cT, line=False):
+        raise error(message)
     xs = np.asarray(xs, dtype=float).reshape(-1, 3)
     ts = np.asarray(ts, dtype=float).reshape(-1)
     n = ts.size

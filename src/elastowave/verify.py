@@ -30,12 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad as _quadpack
 
-from .errors import ConfigError, ResolutionError, SupersonicError
+from .errors import ConfigError, ResolutionError
 from .kinematics import (
     ForceProfile,
     Trajectory,
     bump_force,
     constant_force,
+    motion_violations,
     oscillatory_trajectory,
     retarded_time,
     retarded_time_bisection,
@@ -842,8 +843,8 @@ CHECKS = {
     "linearity": check_linearity,
 }
 
-# reduced sample counts for the CLI validation gate; acceptance tests call
-# the check functions directly with their full criterion sizes
+# sample counts of the check suite (the CLI validation gate); acceptance
+# tests call the check functions directly with their full criterion sizes
 _QUICK_SIZES = {
     "retarded_solver": {"n_cases": 200},
     "stokes_limit": {"n_cases": 8},
@@ -858,17 +859,19 @@ _QUICK_SIZES = {
 }
 
 
-def run_check_suite(config=None, names=None, seed=None, quick=True, corrupt=False):
+def run_check_suite(config=None, names=None, seed=None, corrupt=False):
     """Run the named verification checks; deterministic for a given seed.
 
-    ``config`` may be a RunConfig (validated; supplies the seed default).
+    ``config`` may be a RunConfig (supplies the seed default); the first
+    of its ``motion_violations`` is raised before any check runs.
     ``names=None`` runs everything, an explicit empty list runs nothing.
     ``corrupt`` injects a deliberately scaled displacement into the
     equation-of-motion check, which must then fail (sensitivity control).
     """
     if config is not None:
-        if config.trajectory.vmax >= config.material.cT:
-            raise SupersonicError("supersonic configuration rejected before any check")
+        cfg, line = config, config.dimension.startswith("2d")
+        for error, message in motion_violations(cfg.trajectory, cfg.force, cfg.material.cT, line):
+            raise error(message)
         if seed is None:
             seed = config.seed
     seed = 0 if seed is None else int(seed)
@@ -879,7 +882,7 @@ def run_check_suite(config=None, names=None, seed=None, quick=True, corrupt=Fals
         raise ConfigError([f"unknown check: {n}" for n in unknown])
     reports = []
     for name in names:
-        kwargs = dict(_QUICK_SIZES.get(name, {})) if quick else {}
+        kwargs = dict(_QUICK_SIZES.get(name, {}))
         if name == "navier_residual_3d" and corrupt:
             kwargs["corrupt"] = True
         result = CHECKS[name](seed=seed, **kwargs)

@@ -289,6 +289,26 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["sample", "--config", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("trajectory.omega = 1.0", "trajectory.omega = nan", "trajectory: omega must be finite"),
+    ("force.q0 = 0,0,1", "force.q0 = nan,0,1", "force: expected a finite 2- or 3-vector"),
+    ("grid.t = 4.0:6.0:3", "grid.t = 4.0:inf:3", "grid.t: min and max must be finite"),
+    ("material.lam = 1.0", "material.lam = nan", "material: bulk modulus lam + 2*mu/3 = nan"),
+])
+def test_non_finite_config_values_rejected(tmp_path, capsys, old, new, named):
+    # A non-finite value is a config error naming its key or section, not
+    # a solver failure after the grid has started.
+    text = (ROOT / "configs" / "default3d.cfg").read_text()
+    assert old in text
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.replace(old, new))
+    assert any(v.startswith(named) for v in err.value.violations), err.value.violations
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text.replace(old, new))
+    assert main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "elastowave.cli", "presets"],

@@ -248,6 +248,29 @@ def test_static_retarded_time_slow_wave():
     assert st.t_ret == pytest.approx(4.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ramp_force([0, 0, 1.0], t_on=-math.inf),
+    lambda: ramp_force([0, 0, 1.0], t_on=math.nan),
+    lambda: step_force([0, 0, 1.0], t_on=math.nan),
+    lambda: step_force([0, 0, math.nan], t_on=0.0),
+    lambda: static_trajectory([0, math.inf, 0]),
+    lambda: oscillatory_trajectory([0, 0, 0], [0.1, 0, 0], math.nan),
+    lambda: oscillatory_trajectory([0, 0, 0], [0.1, 0, 0], 1.0, math.inf),
+    lambda: sinusoid_force([0, 0, 1.0], omega=math.nan),
+    lambda: bump_force([0, 0, 1.0], center=math.nan, half_width=1.0),
+    lambda: bump_force([0, 0, 1.0], center=0.0, half_width=math.inf),
+    lambda: polynomial_force([0, 0, math.nan], t_on=0.0),
+    lambda: piecewise_polynomial_trajectory([0.0, math.inf], [[[0.0, 0.0, 0.0]]]),
+])
+def test_constructors_reject_non_finite(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+def test_step_force_allows_minus_infinite_switch_on():
+    assert step_force([0, 0, 1.0], t_on=-math.inf).t_on == -math.inf
+
+
 def test_supersonic_rejected():
     traj = uniform_trajectory([0, 0, 0], [2.0, 0, 0])
     with pytest.raises(SupersonicError):
@@ -368,6 +391,18 @@ def test_nonconvergence_raises():
     liar = Trajectory("uniform", 0.0, moving.eval)
     with pytest.raises(RetardedConvergenceError, match="t=3"):
         retarded_time(liar, [2.0, 1.0, 0], 3.0, 0.8)
+
+
+def test_nonconvergence_message_is_bounded():
+    # Many unconverged rows are counted, and only the first is named.
+    moving = uniform_trajectory([0, 0, 0], [0.5, 0, 0])
+    liar = Trajectory("uniform", 0.0, moving.eval)
+    kappas = np.linspace(0.6, 0.9, 512)
+    with pytest.raises(RetardedConvergenceError) as err:
+        retarded_time(liar, [2.0, 1.0, 0], 3.0, kappas)
+    msg = str(err.value)
+    assert "512 row(s)" in msg and "t=3, slowness 0.6" in msg
+    assert len(msg) < 200
 
 
 def test_per_row_observers_and_times():
