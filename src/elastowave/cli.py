@@ -152,8 +152,8 @@ def write_csv(grid: FieldGrid, path: str):
         for key in ("version", "config_sha256", "seed", "dimension"):
             fh.write(f"# {key}={grid.provenance[key]}\n")
         fh.write(",".join(grid.columns) + "\n")
-        for row in grid.rows:
-            fh.write(",".join(f"{v:.16e}" for v in row) + "\n")
+        line = ",".join(["%.16e"] * len(grid.columns)) + "\n"
+        fh.writelines(line % tuple(row) for row in grid.rows.tolist())
 
 
 def read_csv(path: str) -> FieldGrid:

@@ -22,6 +22,13 @@ instead. The same solver serves 3D points and 2D lines (``dim=2``
 restricts the geometry to the x1-x2 plane). ``motion_violations``
 decides once whether a source lies in the scope of the solutions; the
 preset constructors reject non-finite parameters.
+
+Every preset function (``Trajectory._fn``, ``ForceProfile._fn``) returns
+component-major arrays: shape (3, n) for an array of times (n,), and (3,)
+for a scalar time. ``eval`` hands the public (n, 3) layout back as the
+zero-copy transpose, so the solver and the 3D channel kernel recover the
+contiguous component rows (3, n) with ``.T`` and compute on them: a dot
+product is a[0]*b[0] + a[1]*b[1] + a[2]*b[2] over whole rows.
 """
 
 from __future__ import annotations
@@ -69,6 +76,15 @@ _NEWTON_ITERATIONS = 120
 _EPS = float(np.finfo(float).eps)
 
 
+def _check_component_major(preset, value, ta):
+    """Raise unless a preset function returned (3,) + t.shape arrays."""
+    if value.shape != (3,) + ta.shape:
+        raise ValueError(
+            f"{preset.kind!r} preset function returned shape {value.shape} for times of "
+            f"shape {ta.shape}; expected the component-major shape {(3,) + ta.shape}"
+        )
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Source worldline with analytic derivatives.
@@ -76,7 +92,9 @@ class Trajectory:
     ``vmax`` is the supremum of |V|, exact for every preset: closed form
     for the analytic ones, the maximum of the piecewise polynomial |V|^2
     for tabulated and piecewise-polynomial data. ``domain`` bounds where
-    the worldline is defined (infinite for the analytic presets).
+    the worldline is defined (infinite for the analytic presets). ``_fn``
+    maps a scalar time to (s, V, A) of shape (3,) each and an array of
+    times (n,) to component-major arrays (3, n).
     """
 
     kind: str
@@ -85,7 +103,11 @@ class Trajectory:
     domain: tuple[float, float] = (-math.inf, math.inf)
 
     def eval(self, t):
-        """Return (s, V, A) at time t; batched evaluation accepts an array."""
+        """Return (s, V, A) at time t: (3,) each, or (n, 3) for an array t (n,).
+
+        The (n, 3) arrays are transposed views of ``_fn``'s component-major
+        rows; ``.T`` of them gives those contiguous rows back.
+        """
         ta = np.asarray(t, dtype=float)
         lo = ta.min() if ta.ndim else ta
         hi = ta.max() if ta.ndim else ta
@@ -93,7 +115,11 @@ class Trajectory:
             raise ExtrapolationError(
                 f"time {t!r} outside trajectory domain [{self.domain[0]:g}, {self.domain[1]:g}]"
             )
-        return self._fn(t)
+        s, v, a = self._fn(t)
+        _check_component_major(self, s, ta)
+        if ta.ndim:
+            return s.T, v.T, a.T
+        return s, v, a
 
 
 @dataclass(frozen=True)
@@ -101,7 +127,9 @@ class ForceProfile:
     """Force strength Q(t) and its analytic time derivative.
 
     Q and Qdot vanish identically outside [t_on, t_off]. 2D history
-    integrals require a finite t_on; 3D admits t_on = -inf.
+    integrals require a finite t_on; 3D admits t_on = -inf. ``_fn`` maps
+    a scalar time to (Q, Qdot) of shape (3,) each and an array of times
+    (n,) to component-major arrays (3, n).
     """
 
     kind: str
@@ -110,16 +138,23 @@ class ForceProfile:
     t_off: float = math.inf
 
     def eval(self, t):
-        """Return (Q, Qdot) at time t; batched evaluation accepts an array."""
+        """Return (Q, Qdot) at time t: (3,) each, or (n, 3) for an array t (n,).
+
+        The (n, 3) arrays are transposed views of component-major rows,
+        as in ``Trajectory.eval``.
+        """
         ta = np.asarray(t, dtype=float)
         if ta.ndim == 0:
             if ta < self.t_on or ta > self.t_off:
                 z = np.zeros(3)
                 return z, z
-            return self._fn(float(ta))
+            q, qd = self._fn(float(ta))
+            _check_component_major(self, q, ta)
+            return q, qd
         q, qd = self._fn(ta)
-        active = ((ta >= self.t_on) & (ta <= self.t_off))[:, None]
-        return np.where(active, q, 0.0), np.where(active, qd, 0.0)
+        _check_component_major(self, q, ta)
+        active = (ta >= self.t_on) & (ta <= self.t_off)
+        return np.where(active, q, 0.0).T, np.where(active, qd, 0.0).T
 
 
 @dataclass(frozen=True)
@@ -177,11 +212,16 @@ def _finite(name, value):
     return value
 
 
+def _col(vec, t):
+    """``vec`` (3,) shaped to scale component rows: a column for an array t."""
+    return vec[:, None] if t.ndim else vec
+
+
 def _broadcast_const(vec, t):
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
+    """``vec`` at every time of t: (3,) for a scalar t, (3, n) for an array t (n,)."""
+    if np.ndim(t) == 0:
         return vec
-    return np.broadcast_to(vec, t.shape + (3,))
+    return np.broadcast_to(vec[:, None], (3, np.size(t)))
 
 
 def static_trajectory(position) -> Trajectory:
@@ -203,7 +243,8 @@ def uniform_trajectory(origin, velocity) -> Trajectory:
     speed = float(np.linalg.norm(v))
 
     def fn(t):
-        return x0 + np.multiply.outer(np.asarray(t, float), v), _broadcast_const(v, t), _broadcast_const(zero, t)
+        t = np.asarray(t, float)
+        return _col(x0, t) + _col(v, t) * t, _broadcast_const(v, t), _broadcast_const(zero, t)
 
     return Trajectory("uniform", speed, fn)
 
@@ -215,30 +256,40 @@ def oscillatory_trajectory(center, amplitude, omega: float, phase: float = 0.0) 
     w = _finite("omega", omega)
     phase = _finite("phase", phase)
 
+    wa, wwa = w * a, -w * w * a
+
     def fn(t):
         ph = w * np.asarray(t, float) + phase
-        sin, cos = np.sin(ph), np.cos(ph)
-        return (
-            c + np.multiply.outer(sin, a),
-            np.multiply.outer(cos, w * a),
-            np.multiply.outer(sin, -w * w * a),
-        )
+        sin = np.sin(ph)
+        return _col(c, ph) + _col(a, ph) * sin, _col(wa, ph) * np.cos(ph), _col(wwa, ph) * sin
 
     return Trajectory("oscillatory", float(np.linalg.norm(a)) * abs(w), fn)
+
+
+def _derivative_coefficients(c):
+    """PPoly coefficients of the derivative, formed as ``PPoly.derivative`` forms them."""
+    if c.shape[0] == 1:
+        return np.zeros_like(c)
+    return c[:-1] * np.arange(c.shape[0] - 1, 0, -1)[:, None, None]
 
 
 def _ppoly_trajectory(kind, pp: PPoly) -> Trajectory:
     """Worldline of a PPoly with values (3,) on the window of its breakpoints.
 
     On every interval |V|^2 is a polynomial, so its maximum lies at an end
-    of the interval or at a root of its derivative: vmax is exact.
+    of the interval or at a root of its derivative: vmax is exact. s, V
+    and A are the 9 columns of one PPoly, so one scipy call evaluates all
+    three; the V and A coefficients are padded with leading zeros to the
+    order of s, which leaves every Horner step exact.
     """
-    dpp = pp.derivative()
-    ddpp = dpp.derivative()
+    dc = _derivative_coefficients(pp.c)
+    stacked = np.zeros(pp.c.shape[:2] + (9,))  # columns s | V | A
+    for j, c in enumerate((pp.c, dc, _derivative_coefficients(dc))):
+        stacked[stacked.shape[0] - c.shape[0]:, :, 3 * j:3 * j + 3] = c
+    sva = PPoly.construct_fast(stacked, pp.x)
     # Coefficients of |V|^2 per interval: the squares of the components of
-    # dpp.c (order, n_intervals, 3), highest power first.
-    c = dpp.c
-    sq = sum(np.apply_along_axis(lambda p: np.convolve(p, p), 0, c[..., i]) for i in range(3))
+    # dc (order, n_intervals, 3), highest power first.
+    sq = sum(np.apply_along_axis(lambda p: np.convolve(p, p), 0, dc[..., i]) for i in range(3))
     sq_pp = PPoly(sq, pp.x)
     crit = sq_pp.derivative().roots(discontinuity=False, extrapolate=False)
     # Each interval's own value at both of its ends: V may jump at a break.
@@ -246,7 +297,8 @@ def _ppoly_trajectory(kind, pp: PPoly) -> Trajectory:
     v2 = max(ends.max(), sq_pp(crit[np.isfinite(crit)]).max(initial=0.0))
 
     def fn(t):
-        return np.asarray(pp(t), float), np.asarray(dpp(t), float), np.asarray(ddpp(t), float)
+        rows = np.ascontiguousarray(sva(t).T)
+        return rows[0:3], rows[3:6], rows[6:9]
 
     return Trajectory(kind, math.sqrt(v2), fn, (float(pp.x[0]), float(pp.x[-1])))
 
@@ -320,7 +372,8 @@ def ramp_force(rate, t_on: float) -> ForceProfile:
     t_on = _finite("t_on", t_on)
 
     def fn(t):
-        return np.multiply.outer(np.asarray(t, float) - t_on, r), _broadcast_const(r, t)
+        t = np.asarray(t, float)
+        return _col(r, t) * (t - t_on), _broadcast_const(r, t)
 
     return ForceProfile("ramp", float(t_on), fn)
 
@@ -331,9 +384,11 @@ def sinusoid_force(q0, omega: float, phase: float = 0.0) -> ForceProfile:
     w = _finite("omega", omega)
     phase = _finite("phase", phase)
 
+    wq = w * q
+
     def fn(t):
         ph = w * np.asarray(t, float) + phase
-        return np.multiply.outer(np.sin(ph), q), np.multiply.outer(np.cos(ph), w * q)
+        return _col(q, ph) * np.sin(ph), _col(wq, ph) * np.cos(ph)
 
     return ForceProfile("sinusoid", -math.inf, fn)
 
@@ -356,10 +411,7 @@ def bump_force(q0, center: float, half_width: float) -> ForceProfile:
         inside = g > 0.0
         g_safe = np.where(inside, g, 1.0)
         e = np.where(inside, np.exp(1.0 - 1.0 / g_safe), 0.0)
-        return (
-            np.multiply.outer(e, q),
-            np.multiply.outer(e * (-2.0 * xi / (g_safe * g_safe)) / w, q),
-        )
+        return _col(q, e) * e, _col(q, e) * (e * (-2.0 * xi / (g_safe * g_safe)) / w)
 
     return ForceProfile("bump", center - w, fn, t_off=center + w)
 
@@ -378,11 +430,12 @@ def polynomial_force(coefficients, t_on: float) -> ForceProfile:
     t_on = _finite("t_on", t_on)
     dc = c[1:] * np.arange(1, c.shape[0])[:, None] if c.shape[0] > 1 else np.zeros((1, 3))
 
+    powers = np.arange(c.shape[0], dtype=float)
+
     def fn(t):
         tau = np.asarray(t, float) - t_on
-        q = np.multiply.outer(tau, np.ones(c.shape[0])) ** np.arange(c.shape[0]) @ c
-        qd = np.multiply.outer(tau, np.ones(dc.shape[0])) ** np.arange(dc.shape[0]) @ dc
-        return q, qd
+        tk = tau ** _col(powers, tau)  # (order + 1,) or (order + 1, n)
+        return c.T @ tk, dc.T @ tk[:dc.shape[0]]
 
     return ForceProfile("polynomial", t_on, fn)
 
@@ -411,28 +464,34 @@ def motion_violations(traj: Trajectory, prof: ForceProfile, cT: float, line: boo
 # ---------------------------------------------------------------------------
 # retarded-time solving
 
-def _norm_rows(d):
-    """|d| along the last axis; row by row equal to sqrt(d @ d) of one row."""
-    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+def _dot(a, b):
+    """a . b row by row, for component-major a (dim, ...) and b (>= dim, ...)."""
+    out = a[0] * b[0]
+    for i in range(1, len(a)):
+        out = out + a[i] * b[i]
+    return out
 
 
-def _bracket(traj, x, t, k, dim):
+def _bracket(traj, xc, t, k):
     """Per-row bracket [lo, hi] with f(lo) >= 0 >= f(hi), f = t - t' - kappa R(t').
 
-    |V| <= vmax with kappa*vmax < 1 guarantees it. On a bounded domain the
-    bracket is clamped to the first knot, and rows whose root precedes it
-    are masked (``valid`` False) with lo = hi = domain[0]. Only a clamped
-    bracket pays for that check: f(domain[0]) < 0 puts the root before
-    the first knot.
+    ``xc`` holds the observer components (dim, 1) or (dim, n). |V| <= vmax
+    with kappa*vmax < 1 guarantees the bracket. On a bounded domain it is
+    clamped to the first knot, and rows whose root precedes it are masked
+    (``valid`` False) with lo = hi = domain[0]. Only a clamped bracket pays
+    for that check: f(domain[0]) < 0 puts the root before the first knot.
     """
-    r_now = _norm_rows(x - traj.eval(t)[0][..., :dim])
+    dim = len(xc)
+    rv = xc - traj.eval(t)[0].T.reshape(3, -1)[:dim]
+    r_now = np.sqrt(_dot(rv, rv))
     kv = k * traj.vmax
     lo = t - k * r_now / (1.0 - kv)
     hi = t - k * r_now / (1.0 + kv)
     valid = np.ones(k.shape, dtype=bool)
     t_min = traj.domain[0]
     if t_min > -math.inf and lo.min() < t_min:
-        f_min = t - t_min - k * _norm_rows(x - traj.eval(t_min)[0][:dim])
+        rv = xc - traj.eval(t_min)[0][:dim, None]
+        f_min = t - t_min - k * np.sqrt(_dot(rv, rv))
         valid = (hi >= t_min) & (f_min >= 0.0)
         lo = np.where(valid, np.maximum(lo, t_min), t_min)
         hi = np.where(valid, hi, t_min)
@@ -445,17 +504,19 @@ def _no_retardation(t):
     )
 
 
-def _finalize_state(traj, x, tp, slowness, r_min, dim, valid=True):
+def _finalize_state(traj, xc, tp, slowness, r_min, valid=True):
     """Geometry at the solved retarded time(s); masked rows are not checked.
 
-    A scalar solve raises SingularPointError for an observer within r_min
-    of the worldline; an array solve flags such rows in ``singular`` and
-    gives them NaN geometry.
+    ``xc`` is the observer (dim,) of a scalar solve, or its component rows
+    (dim, 1) or (dim, n). A scalar solve raises SingularPointError for an
+    observer within r_min of the worldline; an array solve flags such rows
+    in ``singular`` and gives them NaN geometry. The row vectors of the
+    state are transposed views of component-major arrays.
     """
-    s, v, a = traj.eval(tp)
-    rvec = x - s[..., :dim]
-    v = v[..., :dim]
-    r = np.sqrt(np.add.reduce(rvec * rvec, axis=-1))
+    dim = len(xc)
+    s, v, a = (c.T[:dim] for c in traj.eval(tp))
+    rvec = xc - s
+    r = np.sqrt(_dot(rvec, rvec))
     singular = (r < r_min) & valid
     if np.ndim(tp) == 0:
         if singular:
@@ -465,15 +526,15 @@ def _finalize_state(traj, x, tp, slowness, r_min, dim, valid=True):
         singular = False
     else:
         r = np.where(singular, np.nan, r)
-    pc = r - slowness * np.add.reduce(v * rvec, axis=-1)
+    pc = r - slowness * _dot(v, rvec)
     if ((pc <= 0.0) & valid).any():
         raise SupersonicError(
             f"non-positive Doppler denominator P_c={np.nanmin(pc):g}; motion is not "
             f"subsonic for slowness {np.max(slowness):g}"
         )
     return RetardedState(
-        t_ret=tp, rvec=rvec, r=r, n=rvec / r[..., None], pc=pc, slowness=slowness,
-        v=v, a=a[..., :dim], valid=valid, singular=singular,
+        t_ret=tp, rvec=rvec.T, r=r, n=(rvec / r).T, pc=pc, slowness=slowness,
+        v=v.T, a=a.T, valid=valid, singular=singular,
     )
 
 
@@ -514,7 +575,8 @@ def retarded_time(
     scalar = k.ndim == 0 and t.ndim == 0 and x.ndim == 1
     k = np.broadcast_to(k, np.broadcast_shapes(k.shape, t.shape, x.shape[:-1])).reshape(-1)
     _check_slowness(traj, k)
-    lo, hi, valid = _bracket(traj, x, t, k, dim)
+    xc = np.ascontiguousarray(x.T).reshape(dim, -1)  # component rows (dim, 1 or n)
+    lo, hi, valid = _bracket(traj, xc, t, k)
     if scalar and not valid[0]:
         raise _no_retardation(float(t))
     # Stop rule, fixed per row from the bracket: tol * max(1, t - t') with
@@ -528,13 +590,13 @@ def retarded_time(
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_ITERATIONS):
             s, v, _ = traj.eval(tp)
-            rv = x - s[:, :dim]
-            r = np.sqrt(np.einsum("ni,ni->n", rv, rv))
+            rv = xc - s.T[:dim]
+            r = np.sqrt(_dot(rv, rv))
             fval = t - tp - k * r
             pos = fval > 0.0
             lo = np.where(pos, tp, lo)
             hi = np.where(pos, hi, tp)
-            t_new = tp + fval / (1.0 - k * np.einsum("ni,ni->n", v[:, :dim], rv) / r)
+            t_new = tp + fval / (1.0 - k * _dot(rv, v.T) / r)
             conv = np.abs(fval) <= stop
             # A converged row takes one final Newton increment, which keeps
             # solver jitter at machine level; downstream adaptive quadrature
@@ -553,8 +615,8 @@ def retarded_time(
                 f"row(s); first: t={np.broadcast_to(t, k.shape)[bad[0]]:g}, slowness {k[bad[0]]:g}"
             )
     if scalar:
-        return _finalize_state(traj, x, float(tp[0]), float(k[0]), r_min, dim)
-    return _finalize_state(traj, x, tp, k, r_min, dim, valid)
+        return _finalize_state(traj, x, float(tp[0]), float(k[0]), r_min)
+    return _finalize_state(traj, xc, tp, k, r_min, valid)
 
 
 def retarded_time_bisection(
@@ -571,7 +633,7 @@ def retarded_time_bisection(
     """
     x = np.asarray(x, dtype=float)[:dim]
     _check_slowness(traj, slowness)
-    lo, hi, valid = _bracket(traj, x, t, np.array([slowness], dtype=float), dim)
+    lo, hi, valid = _bracket(traj, x[:, None], t, np.array([slowness], dtype=float))
     if not valid[0]:
         raise _no_retardation(t)
     lo, hi = float(lo[0]), float(hi[0])
@@ -584,4 +646,4 @@ def retarded_time_bisection(
             lo = mid
         else:
             hi = mid
-    return _finalize_state(traj, x, 0.5 * (lo + hi), slowness, r_min, dim)
+    return _finalize_state(traj, x, 0.5 * (lo + hi), slowness, r_min)

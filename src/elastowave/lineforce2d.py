@@ -47,7 +47,6 @@ from .kinematics import (
     DEFAULT_RETARDED_TOL,
     ForceProfile,
     Trajectory,
-    _norm_rows,
     motion_violations,
     retarded_time,
 )
@@ -139,7 +138,7 @@ def _history_nodes(traj, x, end, w, r_min):
     s, v, _ = traj.eval(tp)
     s_tp = s[:, :2]
     rvec = x - s_tp
-    r = _norm_rows(rvec)
+    r = np.sqrt(np.einsum("ni,ni->n", rvec, rvec))
     if (r < r_min).any():
         raise SingularPointError("history passes through the observation point")
     num = np.einsum("ni,ni->n", end.s_b - s_tp, 2.0 * x - s_tp - end.s_b)

@@ -43,8 +43,8 @@ from .kinematics import (
     DEFAULT_R_MIN,
     DEFAULT_RETARDED_TOL,
     ForceProfile,
-    RetardedState,
     Trajectory,
+    _dot,
     motion_violations,
     retarded_time,
 )
@@ -92,77 +92,71 @@ class FieldSample:
 #   transversal:   p = kT^2,  Gq = q - n (n.q),      m = +1
 #   longitudinal:  p = kL^2,  Gq = n (n.q),          m = -1
 #   intermediate:  p = kappa, Gq = 3 n (n.q) - q,    m = -3
-# ga multiplies (row, 3) arrays, so the far-channel values are a column.
+# p, ga, gb and m are scalars or one value per row.
+#
+# The kernels compute on component rows (3, n): the transposes of the
+# state's row vectors and of the force. Every 3x3 block is a sum of rank-1
+# products a (x) b, entry [i, j] = a[i] * b[j], plus a multiple of I,
+# written into one (39, n) block whose transpose is the (n, 39) result:
+#   b_qdot = Gqd (x) (p k / P^2) R
+#   b_acc  = Gq (x) (p k^2 (A.R) / P^3) R
+#   b_vel  = Gq (x) w1 + V (x) w2 + R (x) w3 + s I, with c = p m / (R^2 P),
+#            s = c (R.q), w1 = (p / P^3) ((1 - k^2 V.V) R - k P V),
+#            w2 = (s k / P) R, w3 = c q + (c / P) (k V.q - 2 (R.q) / R) R
+# The velocity parts are rows of the same block:
+#   v_qdot = (p R / P^2) Gqd,  v_acc = (p k R (A.R) / P^3) Gq,
+#   v_vel  = (p (V.R - k R V.V) / P^3) Gq + cv (R.q) V
+#            + cv (V.q - 2 (V.R)(R.q) / R^2) R, with cv = p m / (R P^2)
 
-_FAR_GA = np.array([[1.0], [0.0]])
+_FAR_GA = np.array([1.0, 0.0])
 _FAR_GB = np.array([-1.0, 1.0])
 _FAR_M = np.array([1.0, -1.0])
 _MID_GA, _MID_GB, _MID_M = -1.0, 3.0, -3.0
 
 
-def _project(st: RetardedState, ga, gb, vec):
-    """Channel projection G vec = ga vec + gb n (n.vec), row by row."""
-    return ga * vec + (gb * np.einsum("ni,ni->n", st.n, vec))[:, None] * st.n
+def _project(n, ga, gb, vec):
+    """Channel projection G vec = ga vec + gb n (n.vec) of component rows (3, n)."""
+    return ga * vec + (gb * _dot(n, vec)) * n
 
 
 def _displacement_terms(st, prof, p, ga, gb, m):
     # Rows whose root precedes the worldline carry no force.
-    q = prof.eval(st.t_ret)[0] * st.valid[:, None]
-    return (p / st.pc)[:, None] * _project(st, ga, gb, q)
+    q = prof.eval(st.t_ret)[0].T * st.valid
+    return ((p / st.pc) * _project(st.n.T, ga, gb, q)).T
 
 
 def _field_terms(st, prof, p, ga, gb, m):
     """All field components of each row, in the 39-wide layout of lw_fields."""
-    q, qd = prof.eval(st.t_ret)
-    mask = st.valid[:, None]
-    q, qd = q * mask, qd * mask
-    gq, gqd = _project(st, ga, gb, q), _project(st, ga, gb, qd)
-    k, rv, r, pc, v, a = st.slowness, st.rvec, st.r, st.pc, st.v, st.a
-    n_rows = rv.shape[0]
-    rq = np.einsum("ni,ni->n", rv, q)
-    vq = np.einsum("ni,ni->n", v, q)
-    vr = np.einsum("ni,ni->n", v, rv)
-    ar = np.einsum("ni,ni->n", a, rv)
-    vv = np.einsum("ni,ni->n", v, v)
+    q, qd = (c.T * st.valid for c in prof.eval(st.t_ret))
+    k, r, pc = st.slowness, st.r, st.pc
+    rv, n, v, a = st.rvec.T, st.n.T, st.v.T, st.a.T
+    gq, gqd = _project(n, ga, gb, q), _project(n, ga, gb, qd)
+    rq, vq, vr, ar, vv = _dot(rv, q), _dot(v, q), _dot(v, rv), _dot(a, rv), _dot(v, v)
     pc2 = pc * pc
     pc3 = pc2 * pc
     r2 = r * r
+    pm = p * m
 
-    def outer(u1, u2):
-        return np.einsum("ni,nk->nik", u1, u2)
+    out = np.empty((39, r.size))
+    b_qdot, b_vel, b_acc = out[3:30].reshape(3, 3, 3, -1)
+    np.multiply(gqd[:, None], ((p * k / pc2) * rv)[None], out=b_qdot)
+    np.multiply(gq[:, None], ((p * k * k * ar / pc3) * rv)[None], out=b_acc)
+    c = pm / (r2 * pc)
+    s = c * rq
+    w1 = (p / pc3) * ((1.0 - k * k * vv) * rv - (k * pc) * v)
+    w3 = c * q + ((c / pc) * (k * vq - 2.0 * rq / r)) * rv
+    np.multiply(gq[:, None], w1[None], out=b_vel)
+    b_vel += v[:, None] * ((s * k / pc) * rv)[None]
+    b_vel += rv[:, None] * w3[None]
+    out[12:21:4] += s  # the diagonal of b_vel
 
-    u = (p / pc)[:, None] * gq
-    b_qdot = (p * k / pc2)[:, None, None] * outer(gqd, rv)
-    b_acc = (p * k * k * ar / pc3)[:, None, None] * outer(gq, rv)
-    eye = np.broadcast_to(_I3, (n_rows, 3, 3))
-    geom = (
-        (rq / (r2 * pc))[:, None, None] * (eye + (k / pc)[:, None, None] * outer(v, rv))
-        + outer(rv, q + ((k * vq / pc)[:, None] * rv)) / (r2 * pc)[:, None, None]
-        - (2.0 * rq / (r2 * r * pc2))[:, None, None] * outer(rv, rv)
-    )
-    b_vel = (p / pc3)[:, None, None] * outer(
-        gq, (1.0 - k * k * vv)[:, None] * rv - (k * pc)[:, None] * v
-    ) + (p * m)[:, None, None] * geom
-
-    v_qdot = (p * r / pc2)[:, None] * gqd
-    v_acc = (p * k * r * ar / pc3)[:, None] * gq
-    geom_v = (rq[:, None] * v + vq[:, None] * rv) / (r * pc2)[:, None] - (
-        2.0 * vr * rq / (r2 * r * pc2)
-    )[:, None] * rv
-    v_vel = (p * (vr - k * r * vv) / pc3)[:, None] * gq + (p * m)[:, None] * geom_v
-
-    return np.concatenate(
-        [
-            u,
-            b_qdot.reshape(n_rows, 9),
-            b_vel.reshape(n_rows, 9),
-            b_acc.reshape(n_rows, 9),
-            v_qdot,
-            v_vel,
-            v_acc,
-        ],
-        axis=1,
-    )
+    out[0:3] = (p / pc) * gq
+    out[30:33] = (p * r / pc2) * gqd
+    cv = pm / (r * pc2)
+    out[33:36] = ((p * (vr - k * r * vv) / pc3) * gq + (cv * rq) * v
+                  + (cv * (vq - 2.0 * vr * rq / r2)) * rv)
+    out[36:39] = (p * k * r * ar / pc3) * gq
+    return out.T
 
 
 def _retarded_sums(terms, mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
@@ -186,7 +180,7 @@ def _retarded_sums(terms, mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
 
     far = np.tile([kT, kL], n)
     st = retarded_time(traj, np.repeat(xs, 2, axis=0), np.repeat(ts, 2), far, tol_ret, r_min)
-    rows = terms(st, prof, far * far, np.tile(_FAR_GA, (n, 1)), np.tile(_FAR_GB, n),
+    rows = terms(st, prof, far * far, np.tile(_FAR_GA, n), np.tile(_FAR_GB, n),
                  np.tile(_FAR_M, n))
     total = rows.reshape(n, 2, -1).sum(axis=1)
     singular = st.singular.reshape(n, 2).any(axis=1)

@@ -1,6 +1,6 @@
 """Independent oracles and consistency checks for the field evaluators.
 
-Three kinds of evidence are produced here, none of which share code with
+Four kinds of evidence are produced here, none of which share code with
 the production evaluation paths they judge:
 
 * finite-difference consistency: distortion and velocity against
@@ -14,7 +14,11 @@ the production evaluation paths they judge:
   with a Gaussian of width eps and integrated over the source history
   (error is O(eps^2)); in 2D the singular history kernels are integrated
   by QUADPACK's algebraic-weight rule, a genuinely different quadrature
-  from the production substitution.
+  from the production substitution;
+* a closed form: the displacement of a constant force in uniform motion,
+  whose retarded lags solve a quadratic and whose slowness integral is a
+  fixed Gauss-Legendre rule, so neither the retarded-time solver nor the
+  adaptive engine enters it.
 
 ``run_check_suite`` packages the module invariants into named,
 deterministic, seedable checks and returns CheckReport records that
@@ -607,6 +611,72 @@ def check_radiation_uniform_zero(seed=0, n_cases=10, tolerance=1e-14):
     return _report("radiation_uniform_zero", worst, tolerance, n_cases)
 
 
+def _uniform_oracle(mat, vel, q, X, n_gauss):
+    """Displacement of a constant force on s(t) = s0 + V t, t_on = -inf.
+
+    X = x - s(t). Each channel's retarded lag tau = t - t' is the positive
+    root of tau^2 (1 - k^2 V^2) - 2 k^2 (X.V) tau - k^2 |X|^2 = 0, so no
+    Newton solve; the slowness integral is one fixed Gauss-Legendre rule.
+    """
+    kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
+    xv, xx, vv = X @ vel, X @ X, vel @ vel
+
+    def channel(k):
+        a = 1.0 - k * k * vv
+        tau = (k * k * xv + math.sqrt(k ** 4 * xv * xv + a * k * k * xx)) / a
+        rvec = X + vel * tau
+        r = tau / k
+        return rvec / r, r - k * (vel @ rvec)
+
+    n, p = channel(kT)
+    u = kT ** 2 / p * (q - n * (n @ q))
+    n, p = channel(kL)
+    u += kL ** 2 / p * n * (n @ q)
+    z, w = np.polynomial.legendre.leggauss(n_gauss)
+    for k, wk in zip(0.5 * (kT - kL) * z + 0.5 * (kT + kL), 0.5 * (kT - kL) * w):
+        n, p = channel(k)
+        u += wk * k / p * (3.0 * n * (n @ q) - q)
+    return u / (4.0 * math.pi * mat.rho)
+
+
+def check_uniform_motion_oracle(seed=0, n_cases=5, tolerance=1e-11):
+    """Displacement of a uniformly moving constant force against a closed form.
+
+    The oracle uses neither the retarded-time solver nor the adaptive
+    engine (see _uniform_oracle), so it judges both directly, at 0.3,
+    0.95, 0.99 and 0.999 cT. Its integrand is analytic on [1/cL, 1/cT]
+    with a branch point at k^2 = 1 / (V^2 sin^2 theta), theta the angle
+    between X and V. Near 0.999 cT an observer abeam of the source
+    (theta = 90 deg) brings it within 1e-3 of 1/cT, where GL64 is off by
+    5e-9; observers at most 70 degrees off the line of motion keep it
+    clear, so GL64 is converged, and GL128 checks that. Each speed draws
+    the same n_cases observers from ``seed``.
+    """
+    mat = make_material_poisson(rho=1.0, mu=1.0, nu=0.25)
+    worst = 0.0
+    details = []
+    for frac in (0.3, 0.95, 0.99, 0.999):
+        rng = np.random.default_rng(seed)
+        dev = oracle_dev = 0.0
+        for _ in range(n_cases):
+            d, e = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
+            vel = frac * mat.cT * d
+            theta = rng.uniform(0.0, 7 * math.pi / 18)
+            theta = rng.choice([theta, math.pi - theta])
+            X = rng.uniform(0.5, 2.5) * (math.cos(theta) * d + math.sin(theta) * e)
+            s0, q, t = rng.normal(size=3), rng.normal(size=3), rng.uniform(-1.0, 1.0)
+            oracle = _uniform_oracle(mat, vel, q, X, 64)
+            scale = float(np.max(np.abs(oracle)))
+            oracle_dev = max(oracle_dev, float(np.max(np.abs(
+                _uniform_oracle(mat, vel, q, X, 128) - oracle))) / scale)
+            u = lw_displacement(mat, uniform_trajectory(s0, vel), constant_force(q),
+                                s0 + vel * t + X, t, rel_tol=1e-12)
+            dev = max(dev, float(np.max(np.abs(u - oracle))) / scale)
+        details.append({"speed": frac, "max_rel_err": dev, "gl64_vs_gl128": oracle_dev})
+        worst = max(worst, dev, oracle_dev)
+    return _report("uniform_motion_oracle", worst, tolerance, 4 * n_cases, details)
+
+
 def check_radiation_farfield(seed=0, tolerance=1e-2, radius=60.0, n_phases=16):
     """1/R decay of the acceleration part: RMS ratio R -> 2R equals 1/2.
 
@@ -836,6 +906,7 @@ CHECKS = {
     "mollified_oracle": check_mollified_oracle,
     "radiation_uniform_zero": check_radiation_uniform_zero,
     "radiation_farfield": check_radiation_farfield,
+    "uniform_motion_oracle": check_uniform_motion_oracle,
     "antiplane_closed_form": check_antiplane_closed_form,
     "inplane_convolution_oracle": check_inplane_oracle,
     "afterglow_huygens": check_afterglow,

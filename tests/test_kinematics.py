@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +13,8 @@ from elastowave.errors import (
     SupersonicError,
 )
 from elastowave.kinematics import (
-    Trajectory,
     bump_force,
+    constant_force,
     oscillatory_trajectory,
     piecewise_polynomial_trajectory,
     polynomial_force,
@@ -220,6 +221,62 @@ def test_batched_force_masks_inactive():
 
 
 # ---------------------------------------------------------------------------
+# preset function contract
+
+def test_preset_functions_are_component_major():
+    # Every preset's _fn returns (3, n) for an array time and (3,) for a
+    # scalar one; eval returns the same values as (n, 3) and (3,).
+    from elastowave.config import FORCE_PRESETS, TRAJECTORY_PRESETS
+
+    knots = np.linspace(0.0, 2.0, 5)
+    trajectories = [
+        static_trajectory([1.0, 2.0, 3.0]),
+        uniform_trajectory([0.1, 0, 0], [0.2, 0.1, -0.3]),
+        oscillatory_trajectory([0, 0.1, 0], [0.2, 0, 0.1], 1.3, 0.4),
+        piecewise_polynomial_trajectory(
+            [0.0, 1.0, 2.0], np.arange(18.0).reshape(3, 2, 3) * 0.01),
+        tabulated_trajectory(knots, np.column_stack([np.sin(knots), knots ** 2, -knots]) * 0.1),
+    ]
+    forces = [
+        constant_force([1.0, -2.0, 3.0]),
+        step_force([1.0, -2.0, 3.0], t_on=0.1),
+        ramp_force([0.3, 0.1, -0.2], t_on=0.1),
+        sinusoid_force([1.0, 0.5, 0.2], omega=2.1, phase=0.7),
+        bump_force([2.0, 0, 1.0], center=1.0, half_width=1.5),
+        polynomial_force([[1.0, 0, 0], [0.5, 1.0, 0], [0, 0.2, -0.1]], t_on=0.1),
+    ]
+    assert [p.kind for p in trajectories] == list(TRAJECTORY_PRESETS)
+    assert [p.kind for p in forces] == list(FORCE_PRESETS)
+    ts = np.linspace(0.2, 1.9, 7)  # inside every domain and active window
+    for preset in trajectories + forces:
+        rows = preset._fn(ts)
+        values = preset.eval(ts)
+        assert len(rows) == len(values)
+        for row, value in zip(rows, values):
+            assert row.shape == (3, ts.size) and value.shape == (ts.size, 3)
+            np.testing.assert_array_equal(value, row.T)
+        for i, t in enumerate(ts):
+            for row, one, value in zip(rows, preset._fn(float(t)), preset.eval(float(t))):
+                assert one.shape == (3,) and value.shape == (3,)
+                np.testing.assert_array_equal(value, one)
+                np.testing.assert_allclose(one, row[:, i], rtol=1e-15, atol=1e-300)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_row_major_preset_function_rejected(n):
+    # A user function in the (n, 3) layout fails loudly, also on the
+    # 1-row arrays of a scalar retarded solve, where (1, 3) would otherwise
+    # broadcast against (3, 1) into wrong geometry.
+    ts = np.linspace(0.2, 1.9, n)
+    for preset in (oscillatory_trajectory([0, 0.1, 0], [0.2, 0, 0.1], 1.3),
+                   sinusoid_force([1.0, 0.5, 0.2], omega=2.1)):
+        row_major = dataclasses.replace(
+            preset, _fn=lambda t, fn=preset._fn: tuple(c.T for c in fn(t)))
+        with pytest.raises(ValueError, match="component-major"):
+            row_major.eval(ts)
+
+
+# ---------------------------------------------------------------------------
 # retarded time
 
 def test_static_retarded_time():
@@ -362,9 +419,9 @@ def _counting(traj):
 
     def fn(t):
         calls.append(np.size(t))
-        return traj.eval(t)
+        return traj._fn(t)
 
-    return Trajectory(traj.kind, traj.vmax, fn, traj.domain), calls
+    return dataclasses.replace(traj, _fn=fn), calls
 
 
 def test_late_event_converges():
@@ -387,16 +444,14 @@ def test_late_event_converges():
 def test_nonconvergence_raises():
     # A declared vmax below the true speed voids the bracket; the solver
     # must say so instead of returning an unconverged root.
-    moving = uniform_trajectory([0, 0, 0], [0.5, 0, 0])
-    liar = Trajectory("uniform", 0.0, moving.eval)
+    liar = dataclasses.replace(uniform_trajectory([0, 0, 0], [0.5, 0, 0]), vmax=0.0)
     with pytest.raises(RetardedConvergenceError, match="t=3"):
         retarded_time(liar, [2.0, 1.0, 0], 3.0, 0.8)
 
 
 def test_nonconvergence_message_is_bounded():
     # Many unconverged rows are counted, and only the first is named.
-    moving = uniform_trajectory([0, 0, 0], [0.5, 0, 0])
-    liar = Trajectory("uniform", 0.0, moving.eval)
+    liar = dataclasses.replace(uniform_trajectory([0, 0, 0], [0.5, 0, 0]), vmax=0.0)
     kappas = np.linspace(0.6, 0.9, 512)
     with pytest.raises(RetardedConvergenceError) as err:
         retarded_time(liar, [2.0, 1.0, 0], 3.0, kappas)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from elastowave.errors import (
     WavefrontProximityWarning,
 )
 from elastowave.kinematics import (
-    Trajectory,
     bump_force,
     constant_force,
     oscillatory_trajectory,
@@ -72,7 +72,7 @@ def test_antiplane_infinite_history_rejected():
 
 def test_antiplane_nan_vmax_rejected():
     moving = oscillatory_trajectory([0, 0, 0], [0.15, 0.1, 0], 1.1)
-    traj = Trajectory("oscillatory", math.nan, moving.eval)
+    traj = dataclasses.replace(moving, vmax=math.nan)
     with pytest.raises(SupersonicError, match="supersonic trajectory"):
         antiplane_fields(MAT, traj, step_force([0, 0, 1.0], t_on=0.0), [1.3, -0.9], 3.1)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 
 from elastowave.errors import SingularPointError, SupersonicError
 from elastowave.kinematics import (
-    Trajectory,
     bump_force,
     constant_force,
     oscillatory_trajectory,
     ramp_force,
+    retarded_time,
     sinusoid_force,
     static_trajectory,
     step_force,
@@ -17,6 +18,13 @@ from elastowave.kinematics import (
 )
 from elastowave.material import make_material_poisson
 from elastowave.pointforce3d import (
+    _FAR_GA,
+    _FAR_GB,
+    _FAR_M,
+    _MID_GA,
+    _MID_GB,
+    _MID_M,
+    _field_terms,
     kelvin_displacement,
     kelvin_gradient,
     lw_displacement,
@@ -26,7 +34,7 @@ from elastowave.pointforce3d import (
     stokes_gradient_split,
 )
 from elastowave.quadrature import adaptive_gauss_legendre
-from elastowave.verify import fd_consistency
+from elastowave.verify import check_uniform_motion_oracle, fd_consistency
 
 MAT = make_material_poisson(rho=1.0, mu=1.0, nu=0.25)  # cT = 1, cL = sqrt(3)
 TOL = 1e-12
@@ -125,6 +133,101 @@ def test_lw_third_term_static_analytic():
 
     val = adaptive_gauss_legendre(f, kL, kT, rel_tol=1e-13)
     np.testing.assert_allclose(val, expected, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# channel kernel against the row-major formulas
+
+def _field_terms_rowmajor(st, prof, p, ga, gb, m):
+    """The channel kernel written on (n, 3) rows with einsum outer products."""
+    ga, gb, m = (np.reshape(c, (-1, 1)) if np.ndim(c) else c for c in (ga, gb, m))
+    q, qd = prof.eval(st.t_ret)
+    mask = st.valid[:, None]
+    q, qd = q * mask, qd * mask
+    k, rv, r, pc, v, a = st.slowness, st.rvec, st.r, st.pc, st.v, st.a
+    n_rows = rv.shape[0]
+
+    def project(vec):
+        return ga * vec + gb * np.einsum("ni,ni->n", st.n, vec)[:, None] * st.n
+
+    def outer(u1, u2):
+        return np.einsum("ni,nk->nik", u1, u2)
+
+    def dot(u1, u2):
+        return np.einsum("ni,ni->n", u1, u2)
+
+    gq, gqd = project(q), project(qd)
+    rq, vq, vr, ar, vv = dot(rv, q), dot(v, q), dot(v, rv), dot(a, rv), dot(v, v)
+    m, p = np.reshape(m, -1), np.reshape(p, -1)
+    pc2, pc3, r2 = pc * pc, pc * pc * pc, r * r
+    u = (p / pc)[:, None] * gq
+    b_qdot = (p * k / pc2)[:, None, None] * outer(gqd, rv)
+    b_acc = (p * k * k * ar / pc3)[:, None, None] * outer(gq, rv)
+    eye = np.broadcast_to(np.eye(3), (n_rows, 3, 3))
+    geom = (
+        (rq / (r2 * pc))[:, None, None] * (eye + (k / pc)[:, None, None] * outer(v, rv))
+        + outer(rv, q + ((k * vq / pc)[:, None] * rv)) / (r2 * pc)[:, None, None]
+        - (2.0 * rq / (r2 * r * pc2))[:, None, None] * outer(rv, rv)
+    )
+    b_vel = (p / pc3)[:, None, None] * outer(
+        gq, (1.0 - k * k * vv)[:, None] * rv - (k * pc)[:, None] * v
+    ) + (p * m)[:, None, None] * geom
+    v_qdot = (p * r / pc2)[:, None] * gqd
+    v_acc = (p * k * r * ar / pc3)[:, None] * gq
+    geom_v = (rq[:, None] * v + vq[:, None] * rv) / (r * pc2)[:, None] - (
+        2.0 * vr * rq / (r2 * r * pc2)
+    )[:, None] * rv
+    v_vel = (p * (vr - k * r * vv) / pc3)[:, None] * gq + (p * m)[:, None] * geom_v
+    return np.concatenate([u, b_qdot.reshape(n_rows, 9), b_vel.reshape(n_rows, 9),
+                           b_acc.reshape(n_rows, 9), v_qdot, v_vel, v_acc], axis=1)
+
+
+def _assert_kernel_matches(st, prof, p, ga, gb, m):
+    got = _field_terms(st, prof, p, ga, gb, m)
+    ref = _field_terms_rowmajor(st, prof, p, ga, gb, m)
+    assert got.shape == ref.shape
+    # Relative to each row's largest entry of each block.
+    for lo, hi in ((0, 3), (3, 12), (12, 21), (21, 30), (30, 33), (33, 36), (36, 39)):
+        scale = np.max(np.abs(ref[:, lo:hi]), axis=1, keepdims=True)
+        assert np.all(np.abs(got[:, lo:hi] - ref[:, lo:hi]) <= 1e-14 * scale)
+    return ref
+
+
+def test_channel_kernel_matches_rowmajor_formulas():
+    rng = np.random.default_rng(5)
+    kL, kT = 1 / MAT.cL, 1 / MAT.cT
+    traj = oscillatory_trajectory([0, 0, 0], [0.25, 0.1, -0.15], 1.7, 0.3)
+    prof = sinusoid_force([0.4, -1.0, 0.7], omega=1.3, phase=0.2)  # Qdot != 0
+    n = 64
+    xs = rng.uniform(-3.0, 3.0, size=(n, 3))
+    ts = rng.uniform(-1.0, 4.0, size=n)
+    # intermediate rows
+    kappas = rng.uniform(kL, kT, size=n)
+    st = retarded_time(traj, xs, ts, kappas)
+    ref = _assert_kernel_matches(st, prof, kappas, _MID_GA, _MID_GB, _MID_M)
+    assert np.all(ref[:, 3:12] != 0) and np.all(ref[:, 21:30] != 0)
+    # far rows: transversal and longitudinal alternate, with per-row ga, gb and m
+    far = np.tile([kT, kL], n)
+    st = retarded_time(traj, np.repeat(xs, 2, axis=0), np.repeat(ts, 2), far)
+    _assert_kernel_matches(st, prof, far * far, np.tile(_FAR_GA, n), np.tile(_FAR_GB, n),
+                           np.tile(_FAR_M, n))
+
+
+def test_channel_kernel_masks_rows_before_the_worldline():
+    # The slowness window of an event inside the P-S shell of the first
+    # knot crosses domain[0]: those rows carry no force, although the
+    # sinusoid does not vanish at domain[0].
+    from elastowave.kinematics import tabulated_trajectory
+
+    ts = np.linspace(0.0, 8.0, 41)
+    tab = tabulated_trajectory(ts, np.column_stack([0.2 * np.sin(ts), 0.1 * np.cos(ts), 0 * ts]))
+    prof = sinusoid_force([0.4, -1.0, 0.7], omega=1.3, phase=0.2)
+    kappas = np.linspace(1 / MAT.cL, 1 / MAT.cT, 33)
+    st = retarded_time(tab, [1.4, 0.6, -0.3], 1.2, kappas)
+    assert 0 < st.valid.sum() < kappas.size
+    ref = _assert_kernel_matches(st, prof, kappas, _MID_GA, _MID_GB, _MID_M)
+    assert np.all(ref[~st.valid] == 0) and np.all(_field_terms(
+        st, prof, kappas, _MID_GA, _MID_GB, _MID_M)[~st.valid] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,62 +344,23 @@ def test_supersonic_trajectory_rejected():
 def test_nan_vmax_rejected():
     # NaN fails every comparison, so a check written as vmax >= cT lets
     # it through; the subsonic proof must fail on it instead.
-    moving = uniform_trajectory([0, 0, 0], [0.5, 0, 0])
-    traj = Trajectory("uniform", math.nan, moving.eval)
+    traj = dataclasses.replace(uniform_trajectory([0, 0, 0], [0.5, 0, 0]), vmax=math.nan)
     with pytest.raises(SupersonicError, match="supersonic trajectory"):
         lw_fields(MAT, traj, constant_force([0, 0, 1]), [1, 1, 1], 0.0)
 
 
-def _uniform_oracle(mat, vel, q, X, n_gauss):
-    """Displacement of a constant force on s(t) = s0 + V t, t_on = -inf.
-
-    X = x - s(t). Each channel's retarded lag tau = t - t' is the positive
-    root of tau^2 (1 - k^2 V^2) - 2 k^2 (X.V) tau - k^2 |X|^2 = 0, so no
-    Newton solve; the slowness integral is one fixed Gauss-Legendre rule.
-    """
-    kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
-    xv, xx, vv = X @ vel, X @ X, vel @ vel
-
-    def channel(k):
-        a = 1.0 - k * k * vv
-        tau = (k * k * xv + math.sqrt(k ** 4 * xv * xv + a * k * k * xx)) / a
-        rvec = X + vel * tau
-        r = tau / k
-        return rvec / r, r - k * (vel @ rvec)
-
-    n, p = channel(kT)
-    u = kT ** 2 / p * (q - n * (n @ q))
-    n, p = channel(kL)
-    u += kL ** 2 / p * n * (n @ q)
-    z, w = np.polynomial.legendre.leggauss(n_gauss)
-    for k, wk in zip(0.5 * (kT - kL) * z + 0.5 * (kT + kL), 0.5 * (kT - kL) * w):
-        n, p = channel(k)
-        u += wk * k / p * (3.0 * n * (n @ q) - q)
-    return u / (4.0 * math.pi * mat.rho)
+@pytest.fixture(scope="module")
+def uniform_oracle_report():
+    return check_uniform_motion_oracle(seed=11)
 
 
 @pytest.mark.parametrize("frac", [0.3, 0.95, 0.99, 0.999])
-def test_uniform_motion_closed_form_oracle(frac):
-    # The oracle's integrand is analytic on [1/cL, 1/cT] with a branch
-    # point at k^2 = 1 / (V^2 sin^2 theta), theta the angle between X and
-    # V. Near 0.999 cT an observer abeam of the source (theta = 90 deg)
-    # brings it within 1e-3 of 1/cT, and GL64 is then off by 5e-9.
-    # Observers at most 70 degrees off the line of motion keep it clear,
-    # so GL64 is converged (GL128 checks).
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        d, e = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
-        vel = frac * MAT.cT * d
-        theta = rng.uniform(0.0, 7 * math.pi / 18)
-        theta = rng.choice([theta, math.pi - theta])
-        X = rng.uniform(0.5, 2.5) * (math.cos(theta) * d + math.sin(theta) * e)
-        s0, q, t = rng.normal(size=3), rng.normal(size=3), rng.uniform(-1.0, 1.0)
-        oracle = _uniform_oracle(MAT, vel, q, X, 64)
-        scale = np.max(np.abs(oracle))
-        assert np.max(np.abs(_uniform_oracle(MAT, vel, q, X, 128) - oracle)) <= 1e-14 * scale
-        u = lw_displacement(MAT, uniform_trajectory(s0, vel), constant_force(q),
-                            s0 + vel * t + X, t, rel_tol=1e-12)
-        assert np.max(np.abs(u - oracle)) <= 1e-11 * scale
+def test_uniform_motion_closed_form_oracle(uniform_oracle_report, frac):
+    # Five observers at most 70 degrees off the line of motion, u within
+    # 1e-11 of the closed form; the oracle's GL64 rule within 1e-14 of GL128.
+    assert uniform_oracle_report.passed, uniform_oracle_report.details
+    (d,) = [d for d in uniform_oracle_report.details if d["speed"] == frac]
+    assert d["max_rel_err"] <= 1e-11 and d["gl64_vs_gl128"] <= 1e-14
 
 
 def test_fd_consistency_near_sonic():
