@@ -25,7 +25,6 @@ from .pointforce3d import (
     FieldSample,
     lw_fields,
     lw_fields_batch,
-    lw_displacement,
     stokes_displacement,
     stokes_gradient,
     stokes_gradient_split,

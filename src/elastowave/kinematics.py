@@ -109,8 +109,8 @@ class Trajectory:
         rows; ``.T`` of them gives those contiguous rows back.
         """
         ta = np.asarray(t, dtype=float)
-        lo = ta.min() if ta.ndim else ta
-        hi = ta.max() if ta.ndim else ta
+        lo = ta.min(initial=math.inf) if ta.ndim else ta
+        hi = ta.max(initial=-math.inf) if ta.ndim else ta
         if lo < self.domain[0] or hi > self.domain[1]:
             raise ExtrapolationError(
                 f"time {t!r} outside trajectory domain [{self.domain[0]:g}, {self.domain[1]:g}]"
@@ -287,9 +287,12 @@ def _ppoly_trajectory(kind, pp: PPoly) -> Trajectory:
     for j, c in enumerate((pp.c, dc, _derivative_coefficients(dc))):
         stacked[stacked.shape[0] - c.shape[0]:, :, 3 * j:3 * j + 3] = c
     sva = PPoly.construct_fast(stacked, pp.x)
-    # Coefficients of |V|^2 per interval: the squares of the components of
-    # dc (order, n_intervals, 3), highest power first.
-    sq = sum(np.apply_along_axis(lambda p: np.convolve(p, p), 0, dc[..., i]) for i in range(3))
+    # Coefficients of |V|^2 per interval, highest power first: the power
+    # i + j of the product of dc (order, n_intervals, 3) collects dc[i] . dc[j].
+    order = dc.shape[0]
+    sq = np.zeros((2 * order - 1, dc.shape[1]))
+    for i in range(order):
+        sq[i:i + order] += (dc[i] * dc).sum(axis=-1)
     sq_pp = PPoly(sq, pp.x)
     crit = sq_pp.derivative().roots(discontinuity=False, extrapolate=False)
     # Each interval's own value at both of its ends: V may jump at a break.
@@ -489,7 +492,7 @@ def _bracket(traj, xc, t, k):
     hi = t - k * r_now / (1.0 + kv)
     valid = np.ones(k.shape, dtype=bool)
     t_min = traj.domain[0]
-    if t_min > -math.inf and lo.min() < t_min:
+    if t_min > -math.inf and lo.min(initial=math.inf) < t_min:
         rv = xc - traj.eval(t_min)[0][:dim, None]
         f_min = t - t_min - k * np.sqrt(_dot(rv, rv))
         valid = (hi >= t_min) & (f_min >= 0.0)
@@ -540,9 +543,9 @@ def _finalize_state(traj, xc, tp, slowness, r_min, valid=True):
 
 def _check_slowness(traj, slowness):
     k = np.asarray(slowness)
-    if not k.min() > 0.0:
+    if not k.min(initial=math.inf) > 0.0:
         raise ValueError("slowness must be positive")
-    if not k.max() * traj.vmax < 1.0:
+    if not k.max(initial=0.0) * traj.vmax < 1.0:
         raise SupersonicError(f"vmax={traj.vmax:g} is not below the wave speed {1 / k.max():g}")
 
 

@@ -11,8 +11,10 @@ which vanish at the retarded times. The integrands therefore carry an
 integrable 1/sqrt singularity at the upper limit. Production quadrature
 removes it exactly with the substitution t' = t_ret - w^2 over each whole
 history segment, leaving smooth integrands for Gauss-Legendre panels.
-Every segment of one evaluation is refined in one call of the quadrature
-engine, and every history kernel works on node rows.
+One retarded solve gives the upper limits of every kernel, one row per
+wave speed, and each segment ends at one of its rows. Every segment of
+one evaluation is refined in one call of the quadrature engine, and
+every history kernel works on node rows.
 
 Anti-plane motion (force along x3) involves only the transversal kernel;
 the in-plane components mix both wave speeds. The far history of the two
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -82,37 +84,17 @@ class FieldSample2D:
     fd_error: dict | None = None
 
 
-@dataclass(frozen=True)
-class _SingularEnd:
-    """Upper history limit where the kernel's S vanishes."""
-
-    b: float
-    b_gap: float  # t - b
-    kappa: float  # slowness of the singular kernel
-    s_b: np.ndarray  # source position at b
-    rvec_b: np.ndarray  # R(b) = x - s_b
-    r_b: float  # |R(b)|
-    pc_b: float  # Doppler denominator at b
-
-
 def _singular_ends(traj, prof, x, t, speeds, tol, r_min):
     """Upper history limits (retarded times in the plane) for ``speeds``.
 
-    One retarded solve serves every speed. An entry is None when its
-    retarded time precedes the switch-on or the worldline: that kernel
-    has no history.
+    One retarded solve serves every speed, one row each. Returns it with
+    the mask of live rows: a row is dead when its retarded time precedes
+    the switch-on or the worldline, and then its kernel has no history.
     """
     st = retarded_time(traj, x, t, 1.0 / np.asarray(speeds), tol=tol, r_min=r_min, dim=2)
     if st.singular.any():
         raise SingularPointError(f"observer within r_min={r_min:g} of the source worldline")
-    return [
-        _SingularEnd(
-            b=st.t_ret[i], b_gap=t - st.t_ret[i], kappa=st.slowness[i],
-            s_b=x - st.rvec[i], rvec_b=st.rvec[i], r_b=st.r[i], pc_b=st.pc[i],
-        )
-        if st.valid[i] and st.t_ret[i] > prof.t_on else None
-        for i in range(len(speeds))
-    ]
+    return st, st.valid & (st.t_ret > prof.t_on)
 
 
 class _HistoryNodes(NamedTuple):
@@ -126,54 +108,54 @@ class _HistoryNodes(NamedTuple):
     s: np.ndarray  # root S of the kernel that is singular at b
 
 
-def _history_nodes(traj, x, end, w, r_min):
-    """Geometry at t' = end.b - w^2 for nodes w (n,), checked against r_min.
+def _history_nodes(traj, x, t, st, rows, w, r_min):
+    """Geometry at t' = b - w^2 for nodes w (n,), checked against r_min.
 
-    ``end`` may hold one entry per node. S^2 = D * (tbar + kappa R) with
-    D = tbar - kappa R; D is rebuilt from w^2 and the R-difference quotient
-    so the two O(1) contributions that cancel at the endpoint never meet
-    in floating point.
+    Node i ends at the retarded row ``rows[i]`` of ``st``: b = t_ret,
+    kappa = slowness and s_b = x - R(b) there. S^2 = D * (tbar + kappa R)
+    with D = tbar - kappa R; D is rebuilt from w^2 and the R-difference
+    quotient so the two O(1) contributions that cancel at the endpoint
+    never meet in floating point.
     """
-    tp = end.b - w * w
+    b, kappa = st.t_ret[rows], st.slowness[rows]
+    s_b = x - st.rvec[rows]
+    tp = b - w * w
     s, v, _ = traj.eval(tp)
     s_tp = s[:, :2]
     rvec = x - s_tp
     r = np.sqrt(np.einsum("ni,ni->n", rvec, rvec))
     if (r < r_min).any():
         raise SingularPointError("history passes through the observation point")
-    num = np.einsum("ni,ni->n", end.s_b - s_tp, 2.0 * x - s_tp - end.s_b)
-    d = w * w - end.kappa * num / (r + end.r_b)
-    tbar = end.b_gap + w * w
-    return _HistoryNodes(tp, tbar, rvec, r, v[:, :2], np.sqrt(d * (tbar + end.kappa * r)))
+    num = np.einsum("ni,ni->n", s_b - s_tp, 2.0 * x - s_tp - s_b)
+    d = w * w - kappa * num / (r + st.r[rows])
+    tbar = (t - b) + w * w
+    return _HistoryNodes(tp, tbar, rvec, r, v[:, :2], np.sqrt(d * (tbar + kappa * r)))
 
 
-def _history_sums(traj, x, segments, rel_tol, r_min):
+def _history_sums(traj, x, t, st, segments, rel_tol, r_min):
     """Integrals over the history segments of one evaluation, in one engine call.
 
-    ``segments`` holds (a, end, kernel) triples. Each whole segment
-    [a, end.b] is mapped by t' = end.b - w^2, w in [0, sqrt(end.b - a)],
-    which turns the inverse-square-root endpoint into a smooth integrand.
-    ``kernel`` maps the _HistoryNodes of its own segment's nodes to values
-    (n, m) per unit t'; the factor dt'/dw = 2w is applied here. Returns
-    one row of m values per segment.
+    ``segments`` holds (a, row, kernel) triples: the segment [a, b] ends at
+    b = st.t_ret[row], the retarded time of the row of ``st`` whose kernel
+    is singular there. Each whole segment is mapped by t' = b - w^2,
+    w in [0, sqrt(b - a)], which turns the inverse-square-root endpoint
+    into a smooth integrand. ``kernel`` maps the _HistoryNodes of its own
+    segment's nodes to values (n, m) per unit t'; the factor dt'/dw = 2w
+    is applied here. Returns one row of m values per segment.
     """
-    table = {
-        f.name: np.array([getattr(end, f.name) for _, end, _ in segments])
-        for f in fields(_SingularEnd)
-    }
-    w_max = np.sqrt(table["b"] - np.array([a for a, _, _ in segments]))
+    rows = np.array([row for _, row, _ in segments])
+    w_max = np.sqrt(st.t_ret[rows] - np.array([a for a, _, _ in segments]))
 
     def integrand(w, owner):
-        ends = _SingularEnd(**{name: col[owner] for name, col in table.items()})
-        nodes = _history_nodes(traj, x, ends, w, r_min)
+        nodes = _history_nodes(traj, x, t, st, rows[owner], w, r_min)
         out = None
         for k, (_, _, kernel) in enumerate(segments):
-            rows = owner == k
-            if rows.any():
-                val = kernel(_HistoryNodes(*(col[rows] for col in nodes)))
+            mine = owner == k
+            if mine.any():
+                val = kernel(_HistoryNodes(*(col[mine] for col in nodes)))
                 if out is None:
                     out = np.empty((w.size, val.shape[1]))
-                out[rows] = val
+                out[mine] = val
         return 2.0 * w[:, None] * out
 
     values, failed = integrate_intervals(integrand, np.zeros(w_max.size), w_max, rel_tol=rel_tol)
@@ -199,14 +181,14 @@ def antiplane_displacement(
     for error, message in motion_violations(traj, prof, mat.cT, line=True):
         raise error(message)
     x = np.asarray(x, dtype=float)[:2]
-    (end,) = _singular_ends(traj, prof, x, t, [mat.cT], tol_ret, r_min)
-    if end is None:
+    st, live = _singular_ends(traj, prof, x, t, [mat.cT], tol_ret, r_min)
+    if not live[0]:
         return 0.0
 
     def kernel(g):
         return prof.eval(g.tp)[0][:, 2:] / g.s[:, None]
 
-    (u3,) = _history_sums(traj, x, [(prof.t_on, end, kernel)], rel_tol, r_min)
+    (u3,) = _history_sums(traj, x, t, st, [(prof.t_on, 0, kernel)], rel_tol, r_min)
     return float(u3[0]) / (2.0 * math.pi * mat.rho * mat.cT ** 2)
 
 
@@ -231,12 +213,12 @@ def antiplane_fields(
     for error, message in motion_violations(traj, prof, mat.cT, line=True):
         raise error(message)
     x = np.asarray(x, dtype=float)[:2]
-    (end,) = _singular_ends(traj, prof, x, t, [mat.cT], tol_ret, r_min)
-    if end is None:
+    st, live = _singular_ends(traj, prof, x, t, [mat.cT], tol_ret, r_min)
+    if not live[0]:
         return FieldSample2D(u=0.0, beta=np.zeros(2), v=0.0)
-    kap = end.kappa
+    kap = st.slowness[0]
     # Sensitivities of the retarded limit: dtT/dt = R/P, dtT/dx = -kap R_vec/P.
-    dtup = np.concatenate([[end.r_b], -kap * end.rvec_b]) / end.pc_b
+    dtup = np.concatenate([[st.r[0]], -kap * st.rvec[0]]) / st.pc[0]
     dtbar = np.array([1.0, 0.0, 0.0]) - dtup
 
     def kernel(g):
@@ -249,10 +231,10 @@ def antiplane_fields(
         s = g.s[:, None]
         return np.hstack([q[:, 2:], qd[:, 2:] * dtup - 0.5 * q[:, 2:] * ds2 / (s * s)]) / s
 
-    (total,) = _history_sums(traj, x, [(prof.t_on, end, kernel)], rel_tol, r_min)
+    (total,) = _history_sums(traj, x, t, st, [(prof.t_on, 0, kernel)], rel_tol, r_min)
     # Boundary term of the derivatives at the switch-on node w = sqrt(b - t_on).
-    w_on = np.array([math.sqrt(end.b - prof.t_on)])
-    s_on = _history_nodes(traj, x, end, w_on, r_min).s[0]
+    w_on = np.array([math.sqrt(st.t_ret[0] - prof.t_on)])
+    s_on = _history_nodes(traj, x, t, st, [0], w_on, r_min).s[0]
     total[1:] += prof.eval(prof.t_on)[0][2] * dtup / s_on
     total /= 2.0 * math.pi * mat.rho * mat.cT ** 2
     return FieldSample2D(u=float(total[0]), beta=total[2:], v=float(total[1]))
@@ -275,8 +257,9 @@ def inplane_displacement(
     for error, message in motion_violations(traj, prof, mat.cT, line=True):
         raise error(message)
     x = np.asarray(x, dtype=float)[:2]
-    end_l, end_t = _singular_ends(traj, prof, x, t, [mat.cL, mat.cT], tol_ret, r_min)
-    if end_l is None:
+    # Row 0 ends the longitudinal history, row 1 the transversal one.
+    st, live = _singular_ends(traj, prof, x, t, [mat.cL, mat.cT], tol_ret, r_min)
+    if not live[0]:
         return np.zeros(2)
     kL2 = 1.0 / mat.cL ** 2
 
@@ -299,21 +282,21 @@ def inplane_displacement(
         tt = nn_q * s + (nn_q - q) * (tb2 / s)
         return (lt - tt) / r2
 
-    if end_t is None:
-        segments = [(prof.t_on, end_l, kernel_l)]
+    if not live[1]:
+        segments = [(prof.t_on, 0, kernel_l)]
     else:
         # Shared interval: the far history of the two kernels cancels
         # pointwise, so integrate their difference.
-        segments = [(prof.t_on, end_t, kernel_diff), (end_t.b, end_l, kernel_l)]
-    total = _history_sums(traj, x, segments, rel_tol, r_min).sum(axis=0)
+        segments = [(prof.t_on, 1, kernel_diff), (st.t_ret[1], 0, kernel_l)]
+    total = _history_sums(traj, x, t, st, segments, rel_tol, r_min).sum(axis=0)
     return total / (2.0 * math.pi * mat.rho)
 
 
 def _arrival_times(traj, prof, x, c_list):
-    """Wavefront passage times at x from switch-on and (if any) switch-off."""
+    """Wavefront passage times at x from switch-on and switch-off within traj.domain."""
     arrivals = []
     for t_edge in (prof.t_on, prof.t_off):
-        if not math.isfinite(t_edge):
+        if not (math.isfinite(t_edge) and traj.domain[0] <= t_edge <= traj.domain[1]):
             continue
         s, _, _ = traj.eval(t_edge)
         r = float(np.linalg.norm(np.asarray(x, float)[:2] - s[:2]))

@@ -19,7 +19,9 @@ near field, 1/R^2). ``lw_fields`` returns that decomposition as
 ``lw_fields_batch`` evaluates many events in one pass: the far channels
 of all events are one retarded solve, and their slowness integrals are
 refined together, so the per-call cost of the solver and the kernel is
-shared by every event. ``lw_fields`` is its one-event call.
+shared by every event. ``lw_fields`` is its one-event call. One channel
+kernel gives every quantity at each retarded row; the displacement alone
+is ``lw_fields(...).u``.
 
 Every evaluation first raises the first ``motion_violations`` of its
 source. Accuracy stays within the requested tolerance up to 0.999 cT,
@@ -55,7 +57,6 @@ __all__ = [
     "FieldSample",
     "lw_fields",
     "lw_fields_batch",
-    "lw_displacement",
     "stokes_displacement",
     "stokes_gradient",
     "stokes_gradient_split",
@@ -119,14 +120,9 @@ def _project(n, ga, gb, vec):
     return ga * vec + (gb * _dot(n, vec)) * n
 
 
-def _displacement_terms(st, prof, p, ga, gb, m):
-    # Rows whose root precedes the worldline carry no force.
-    q = prof.eval(st.t_ret)[0].T * st.valid
-    return ((p / st.pc) * _project(st.n.T, ga, gb, q)).T
-
-
 def _field_terms(st, prof, p, ga, gb, m):
     """All field components of each row, in the 39-wide layout of lw_fields."""
+    # Rows whose root precedes the worldline carry no force.
     q, qd = (c.T * st.valid for c in prof.eval(st.t_ret))
     k, r, pc = st.slowness, st.r, st.pc
     rv, n, v, a = st.rvec.T, st.n.T, st.v.T, st.a.T
@@ -159,8 +155,8 @@ def _field_terms(st, prof, p, ga, gb, m):
     return out.T
 
 
-def _retarded_sums(terms, mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
-    """Sum ``terms`` over the two far channels and the slowness integral, per event.
+def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
+    """Sum ``_field_terms`` over the two far channels and the slowness integral, per event.
 
     ``xs`` (n, 3) and ``ts`` (n,) are the observation events. Every row is
     solved by ``retarded_time``: the transversal and longitudinal channels
@@ -180,9 +176,9 @@ def _retarded_sums(terms, mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
 
     far = np.tile([kT, kL], n)
     st = retarded_time(traj, np.repeat(xs, 2, axis=0), np.repeat(ts, 2), far, tol_ret, r_min)
-    rows = terms(st, prof, far * far, np.tile(_FAR_GA, n), np.tile(_FAR_GB, n),
-                 np.tile(_FAR_M, n))
-    total = rows.reshape(n, 2, -1).sum(axis=1)
+    rows = _field_terms(st, prof, far * far, np.tile(_FAR_GA, n), np.tile(_FAR_GB, n),
+                        np.tile(_FAR_M, n))
+    total = rows.reshape(n, 2, rows.shape[1]).sum(axis=1)
     singular = st.singular.reshape(n, 2).any(axis=1)
     live = np.flatnonzero(~singular)
     on_worldline = np.zeros(n, dtype=bool)  # events with a singular slowness node
@@ -193,7 +189,7 @@ def _retarded_sums(terms, mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
         ev = live[owner]
         st = retarded_time(traj, xs[ev], ts[ev], kappas, tol_ret, r_min)
         on_worldline[ev[st.singular]] = True
-        return terms(st, prof, kappas, _MID_GA, _MID_GB, _MID_M)
+        return _field_terms(st, prof, kappas, _MID_GA, _MID_GB, _MID_M)
 
     if live.size:
         mid, failed = integrate_intervals(
@@ -254,9 +250,7 @@ def lw_fields(
     The one-event call of ``lw_fields_batch``; raises SingularPointError
     for an observer on the worldline.
     """
-    acc, singular = _retarded_sums(
-        _field_terms, mat, traj, prof, [x], [t], rel_tol, tol_ret, r_min
-    )
+    acc, singular = _retarded_sums(mat, traj, prof, [x], [t], rel_tol, tol_ret, r_min)
     if singular[0]:
         raise _singular_event(r_min, t)
     return _field_sample(acc[0], mat.rho)
@@ -279,29 +273,8 @@ def lw_fields_batch(
     observer lies within r_min of the worldline: their fields are NaN
     instead of raising.
     """
-    acc, singular = _retarded_sums(
-        _field_terms, mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min
-    )
+    acc, singular = _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min)
     return _field_sample(acc, mat.rho), singular
-
-
-def lw_displacement(
-    mat: Material,
-    traj: Trajectory,
-    prof: ForceProfile,
-    x,
-    t: float,
-    rel_tol: float = 1e-10,
-    tol_ret: float = DEFAULT_RETARDED_TOL,
-    r_min: float = DEFAULT_R_MIN,
-) -> np.ndarray:
-    """Displacement only; cheaper than lw_fields when derivatives are not needed."""
-    u, singular = _retarded_sums(
-        _displacement_terms, mat, traj, prof, [x], [t], rel_tol, tol_ret, r_min
-    )
-    if singular[0]:
-        raise _singular_event(r_min, t)
-    return u[0] / (4.0 * math.pi * mat.rho)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ from .material import Material, make_material, make_material_poisson
 from .pointforce3d import (
     kelvin_displacement,
     kelvin_gradient,
-    lw_displacement,
     lw_fields,
     stokes_displacement,
     stokes_gradient,
@@ -511,7 +510,7 @@ def check_fd_consistency_3d(seed=0, n_cases=50, tolerance=1e-5):
         s = lw_fields(mat, traj, prof, x, t, rel_tol=rel_tol)
         h = 0.02 / k_eff
         fd = fd_consistency(
-            lambda xx, tt: lw_displacement(mat, traj, prof, xx, tt, rel_tol=rel_tol), x, t, h
+            lambda xx, tt: lw_fields(mat, traj, prof, xx, tt, rel_tol=rel_tol).u, x, t, h
         )
         scale = max(float(np.max(np.abs(fd.beta_fd))), float(np.max(np.abs(fd.v_fd))))
         worst = max(worst, float(np.max(np.abs(s.beta - fd.beta_fd))) / scale)
@@ -528,9 +527,8 @@ def check_navier_residual_3d(seed=0, n_cases=50, tolerance=1e-3, corrupt=False):
         mat, traj, prof, x, t, k_eff = _smooth_case(rng)
 
         def u_fn(xx, tt):
-            u = lw_displacement(mat, traj, prof, xx, tt, rel_tol=rel_tol)
+            u = lw_fields(mat, traj, prof, xx, tt, rel_tol=rel_tol).u
             if corrupt:
-                u = u.copy()
                 u[0] *= 1.1
             return u
 
@@ -576,7 +574,7 @@ def check_mollified_oracle(seed=0, tolerance=1e-4, slope_band=0.2, eps0=0.04, n_
     details = []
     cases = _mollified_cases(seed)
     for mat, traj, prof, x, t in cases:
-        u_ref = lw_displacement(mat, traj, prof, x, t, rel_tol=rel_tol)
+        u_ref = lw_fields(mat, traj, prof, x, t, rel_tol=rel_tol).u
         scale = float(np.max(np.abs(u_ref)))
         eps_list = [eps0 * 0.5 ** j for j in range(n_halvings + 1)]
         errs = []
@@ -669,8 +667,8 @@ def check_uniform_motion_oracle(seed=0, n_cases=5, tolerance=1e-11):
             scale = float(np.max(np.abs(oracle)))
             oracle_dev = max(oracle_dev, float(np.max(np.abs(
                 _uniform_oracle(mat, vel, q, X, 128) - oracle))) / scale)
-            u = lw_displacement(mat, uniform_trajectory(s0, vel), constant_force(q),
-                                s0 + vel * t + X, t, rel_tol=1e-12)
+            u = lw_fields(mat, uniform_trajectory(s0, vel), constant_force(q),
+                          s0 + vel * t + X, t, rel_tol=1e-12).u
             dev = max(dev, float(np.max(np.abs(u - oracle))) / scale)
         details.append({"speed": frac, "max_rel_err": dev, "gl64_vs_gl128": oracle_dev})
         worst = max(worst, dev, oracle_dev)
@@ -779,7 +777,7 @@ def check_afterglow(seed=0, tolerance=1e-12):
     for t in window:
         u3 = antiplane_displacement(mat, traj, prof, x2, t)
         u_in = inplane_displacement(mat, traj, prof, x2, t)
-        u3d = lw_displacement(mat, traj, prof, x3, t)
+        u3d = lw_fields(mat, traj, prof, x3, t).u
         tail_2d = min(abs(u3), float(np.min(np.abs(u_in)))) / q_scale
         gone_3d = float(np.max(np.abs(u3d))) / q_scale
         if tail_2d <= tolerance:  # 2D afterglow must persist

@@ -75,6 +75,17 @@ def test_batched_rows_equal_one_event_calls(text):
     assert np.any(rows[1:3, 4:19] != 0.0)
 
 
+@pytest.mark.parametrize("text", [OSCILLATORY, TABULATED], ids=["oscillatory", "tabulated"])
+def test_empty_batch(text):
+    cfg = parse_config(text)
+    assert all(c.shape == (0, 3) for c in cfg.trajectory.eval(np.array([])))
+    fs, singular = pointforce3d.lw_fields_batch(
+        cfg.material, cfg.trajectory, cfg.force, np.empty((0, 3)), np.empty(0)
+    )
+    assert fs.u.shape == (0, 3) and fs.beta.shape == (0, 3, 3) and fs.v.shape == (0, 3)
+    assert singular.shape == (0,)
+
+
 def test_node_budget_does_not_change_rows(monkeypatch):
     # With 7 nodes per integrand call, panels straddle calls; every row
     # must come out bitwise the same.

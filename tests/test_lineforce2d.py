@@ -18,6 +18,7 @@ from elastowave.kinematics import (
     retarded_time,
     static_trajectory,
     step_force,
+    tabulated_trajectory,
 )
 from elastowave.lineforce2d import (
     antiplane_displacement,
@@ -223,6 +224,18 @@ def test_inplane_fields_richardson_consistency():
     fs = inplane_fields(MAT, traj, prof, [1.2, 0.6], 4.5, rel_tol=1e-9)
     scale = max(np.max(np.abs(fs.beta)), np.max(np.abs(fs.v)))
     assert all(err <= 1e-4 * scale for err in fs.fd_error.values())
+
+
+def test_inplane_fields_switch_off_after_the_last_knot():
+    # The bump switches off at t = 10, after the worldline ends at t = 8;
+    # the difference step must not evaluate the worldline there.
+    ts = np.linspace(0.0, 8.0, 9)
+    traj = tabulated_trajectory(ts, np.column_stack([0.1 * np.sin(ts), 0.05 * ts, 0 * ts]))
+    prof = bump_force([0.8, 0.5, 0], center=6.0, half_width=4.0)
+    x, t = np.array([1.5, 0.3]), 5.0
+    fs = inplane_fields(MAT, traj, prof, x, t)
+    assert np.isfinite(fs.beta).all() and np.isfinite(fs.v).all()
+    np.testing.assert_array_equal(fs.u, inplane_displacement(MAT, traj, prof, x, t))
 
 
 def test_inplane_wavefront_proximity_warning():

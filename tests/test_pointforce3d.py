@@ -27,7 +27,6 @@ from elastowave.pointforce3d import (
     _field_terms,
     kelvin_displacement,
     kelvin_gradient,
-    lw_displacement,
     lw_fields,
     stokes_displacement,
     stokes_gradient,
@@ -260,7 +259,7 @@ def test_before_arrival_is_exact_zero():
     # L-front from switch-on arrives at |x - s(0)|/cL = 3/sqrt(3) ~ 1.73
     s = lw_fields(MAT, traj, prof, x, 1.0, rel_tol=TOL)
     assert np.all(s.u == 0) and np.all(s.beta == 0) and np.all(s.v == 0)
-    assert np.any(lw_displacement(MAT, traj, prof, x, 2.0, rel_tol=TOL) != 0)
+    assert np.any(lw_fields(MAT, traj, prof, x, 2.0, rel_tol=TOL).u != 0)
 
 
 def test_fd_consistency_single_case():
@@ -278,10 +277,10 @@ def test_fd_consistency_single_case():
         return (16 * central(h / 2) - central(h)) / 15
 
     beta_fd = np.column_stack([
-        d1(lambda e: lw_displacement(MAT, traj, prof, x + e * np.eye(3)[k], t, rel_tol=TOL))
+        d1(lambda e: lw_fields(MAT, traj, prof, x + e * np.eye(3)[k], t, rel_tol=TOL).u)
         for k in range(3)
     ])
-    v_fd = d1(lambda e: lw_displacement(MAT, traj, prof, x, t + e, rel_tol=TOL))
+    v_fd = d1(lambda e: lw_fields(MAT, traj, prof, x, t + e, rel_tol=TOL).u)
     np.testing.assert_allclose(s.beta, beta_fd, atol=1e-9 * np.max(np.abs(beta_fd)))
     np.testing.assert_allclose(s.v, v_fd, atol=1e-9 * np.max(np.abs(v_fd)))
 
@@ -372,7 +371,7 @@ def test_fd_consistency_near_sonic():
     x, t = np.array([0.7, 1.2, 1.9]), 1.0
     h = 0.02 / ((1.5 + 2.0 * omega) / MAT.cT + 2.0 / np.linalg.norm(x))
     s = lw_fields(MAT, traj, prof, x, t, rel_tol=TOL)
-    fd = fd_consistency(lambda xx, tt: lw_displacement(MAT, traj, prof, xx, tt, rel_tol=TOL),
+    fd = fd_consistency(lambda xx, tt: lw_fields(MAT, traj, prof, xx, tt, rel_tol=TOL).u,
                         x, t, h)
     scale = max(np.max(np.abs(fd.beta_fd)), np.max(np.abs(fd.v_fd)))
     assert traj.vmax == pytest.approx(0.999 * MAT.cT, rel=1e-15)
@@ -380,22 +379,13 @@ def test_fd_consistency_near_sonic():
     assert np.max(np.abs(s.v - fd.v_fd)) <= 1e-8 * scale
 
 
-def test_wrapper_accessors_agree():
-    traj = oscillatory_trajectory([0, 0, 0], [0.1, 0.1, 0], 1.0)
-    prof = sinusoid_force([1, 0, 0], omega=1.0)
-    x = [1.4, 0.2, 0.7]
-    s = lw_fields(MAT, traj, prof, x, 1.5, rel_tol=TOL)
-    u = lw_displacement(MAT, traj, prof, x, 1.5, rel_tol=TOL)
-    np.testing.assert_allclose(u, s.u, rtol=1e-12)
-
-
 def test_huygens_pulse_passes_completely():
     traj = static_trajectory([0, 0, 0])
     prof = bump_force([0.5, 1.0, 0.2], center=1.0, half_width=1.0)
     x = np.array([1.0, 0, 0])
     # T tail passes at t_off + R/cT = 3
-    assert np.any(lw_displacement(MAT, traj, prof, x, 2.5, rel_tol=TOL) != 0)
-    assert np.all(lw_displacement(MAT, traj, prof, x, 3.01, rel_tol=TOL) == 0)
+    assert np.any(lw_fields(MAT, traj, prof, x, 2.5, rel_tol=TOL).u != 0)
+    assert np.all(lw_fields(MAT, traj, prof, x, 3.01, rel_tol=TOL).u == 0)
 
 
 def test_tabulated_trajectory_matches_analytic():

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,14 +8,38 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _run(name, *args):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / f"{name}.py"), *args],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.parametrize(
     "name", ["sample_wavefield", "radiation_scan", "afterglow_trace"]
 )
 def test_script_help_runs(name):
     # --help imports the script's whole dependency chain without computing
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / f"{name}.py"), "--help"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "usage:" in proc.stdout
+    assert "usage:" in _run(name, "--help")
+
+
+def test_afterglow_trace_marks_the_2d_tail():
+    # Samples at t = 0.5, 6.25 and 12: the last two follow the trailing front.
+    out = _run("afterglow_trace", "--samples", "3")
+    assert out.count("<- afterglow only") == 2
+
+
+def test_radiation_scan_fits_the_decay_exponents():
+    out = _run("radiation_scan", "--radii", "20", "40")
+    acc, vel = map(float, re.search(r"acc part (\S+) .*vel part (\S+) ", out).groups())
+    assert acc == pytest.approx(-1.0, abs=0.05)
+    assert vel == pytest.approx(-2.0, abs=0.05)
+
+
+def test_sample_wavefield_runs_a_shipped_config(tmp_path):
+    out = _run("sample_wavefield", "--config", "configs/kelvin.cfg",
+               "--out", str(tmp_path / "fields.csv"))
+    assert out.rstrip().endswith("masked rows = 0")
+    assert (tmp_path / "fields.csv").is_file()
