@@ -10,7 +10,11 @@ its analytic derivative. The retarded-time condition
 
 is strictly monotone in t' whenever the source stays slower than the wave
 speed 1/kappa, so a bracketed Newton iteration with bisection fallback
-always converges to the unique root. ``retarded_time`` solves many rows
+always converges to the unique root. The root also falls monotonically as
+kappa rises, with dt'/dkappa = -R^2/P_c: a solve at two slownesses
+brackets every root between them, which the 3D slowness integral uses to
+start each node's Newton loop (``_newton``) inside its event's two
+far-channel roots, near the root. ``retarded_time`` solves many rows
 in one array iteration: a row is a slowness kappa with its own
 observer x and time t, or one event's x and t shared by an array of
 slownesses. On a bounded trajectory domain, rows whose root precedes the
@@ -549,44 +553,20 @@ def _check_slowness(traj, slowness):
         raise SupersonicError(f"vmax={traj.vmax:g} is not below the wave speed {1 / k.max():g}")
 
 
-def retarded_time(
-    traj: Trajectory,
-    x,
-    t,
-    slowness,
-    tol: float = DEFAULT_RETARDED_TOL,
-    r_min: float = DEFAULT_R_MIN,
-    dim: int = 3,
-) -> RetardedState:
-    """Solve t - t' - kappa |x - s(t')| = 0 for the unique subsonic root.
+def _newton(traj, xc, t, k, lo, hi, tp, valid, tol):
+    """Bracketed Newton iteration from ``tp`` for the roots in [lo, hi]; returns t'.
 
-    ``slowness`` is one kappa or an array of them (n,); ``x`` is one
-    observer (dim,) or one per row (n, dim), and ``t`` one time or one per
-    row (n,). Every row runs in one array-wide bracketed Newton iteration
-    with bisection fallback. A row stops once |f| <= tol * max(1, t - t')
-    plus the rounding floor of f near t', then takes one final Newton
-    increment. An array row whose root precedes the first knot of a
-    bounded trajectory domain is masked (``valid`` False), and one whose
-    observer sits within r_min of the worldline is flagged (``singular``);
-    a scalar call raises NoRetardationError or SingularPointError instead.
-    Raises RetardedConvergenceError when a row has not met the stop rule
-    after the iteration budget, SupersonicError when kappa*vmax >= 1.
+    ``xc`` holds the observer components (dim, 1) or (dim, n), ``t`` one
+    time or one per row, and ``k``, ``lo``, ``hi``, ``tp`` and ``valid``
+    one value per row, with f(lo) >= 0 >= f(hi). Rows not ``valid`` keep
+    their start. Each row depends only on its own inputs, so it does not
+    matter which rows share a call.
     """
-    x = np.asarray(x, dtype=float)[..., :dim]
-    t = np.asarray(t, dtype=float)
-    k = np.asarray(slowness, dtype=float)
-    scalar = k.ndim == 0 and t.ndim == 0 and x.ndim == 1
-    k = np.broadcast_to(k, np.broadcast_shapes(k.shape, t.shape, x.shape[:-1])).reshape(-1)
-    _check_slowness(traj, k)
-    xc = np.ascontiguousarray(x.T).reshape(dim, -1)  # component rows (dim, 1 or n)
-    lo, hi, valid = _bracket(traj, xc, t, k)
-    if scalar and not valid[0]:
-        raise _no_retardation(float(t))
+    dim = len(xc)
     # Stop rule, fixed per row from the bracket: tol * max(1, t - t') with
     # t - t' >= t - hi, plus the rounding floor of f = t - t' - kappa R,
     # which max(|t|, |lo|) bounds (every term is at most |t| + |t'|).
     stop = tol * np.maximum(1.0, t - hi) + 8.0 * _EPS * np.maximum(np.abs(t), np.abs(lo))
-    tp = 0.5 * (lo + hi)
     done = ~valid
     # r = 0 (observer on the worldline) divides by zero; _finalize_state
     # reports it.
@@ -610,13 +590,54 @@ def retarded_time(
             tp = np.where(done, tp, t_new)
             done = done | conv
             if done.all():
-                break
-        else:
-            bad = np.flatnonzero(~done)
-            raise RetardedConvergenceError(
-                f"retarded time not converged after {_NEWTON_ITERATIONS} steps on {bad.size} "
-                f"row(s); first: t={np.broadcast_to(t, k.shape)[bad[0]]:g}, slowness {k[bad[0]]:g}"
-            )
+                return tp
+    bad = np.flatnonzero(~done)
+    raise RetardedConvergenceError(
+        f"retarded time not converged after {_NEWTON_ITERATIONS} steps on {bad.size} "
+        f"row(s); first: t={np.broadcast_to(t, k.shape)[bad[0]]:g}, slowness {k[bad[0]]:g}"
+    )
+
+
+def retarded_time(
+    traj: Trajectory,
+    x,
+    t,
+    slowness,
+    tol: float = DEFAULT_RETARDED_TOL,
+    r_min: float = DEFAULT_R_MIN,
+    dim: int = 3,
+) -> RetardedState:
+    """Solve t - t' - kappa |x - s(t')| = 0 for the unique subsonic root.
+
+    ``slowness`` is one kappa or an array of them (n,); ``x`` is one
+    observer (dim,) or one per row (n, dim), and ``t`` one time or one per
+    row (n,). Every row runs in one array-wide bracketed Newton iteration
+    with bisection fallback. A row stops once |f| <= tol * max(1, t - t')
+    plus the rounding floor of f near t', then takes one final Newton
+    increment. The bracket comes from the speed bound (``_bracket``) and
+    Newton starts at its midpoint. Callers that already know a tighter
+    bracket run the same loop (``_newton``) from their own start: t' falls
+    as kappa rises, so the slowness nodes of a 3D event solve inside the
+    roots of its two far channels, t_T <= t' <= t_L, from a cubic Hermite
+    start in kappa (see ``pointforce3d._node_states``). An array row whose
+    root precedes the first knot of a bounded trajectory domain is masked
+    (``valid`` False), and one whose observer sits within r_min of the
+    worldline is flagged (``singular``); a scalar call raises
+    NoRetardationError or SingularPointError instead. Raises
+    RetardedConvergenceError when a row has not met the stop rule after
+    the iteration budget, SupersonicError when kappa*vmax >= 1.
+    """
+    x = np.asarray(x, dtype=float)[..., :dim]
+    t = np.asarray(t, dtype=float)
+    k = np.asarray(slowness, dtype=float)
+    scalar = k.ndim == 0 and t.ndim == 0 and x.ndim == 1
+    k = np.broadcast_to(k, np.broadcast_shapes(k.shape, t.shape, x.shape[:-1])).reshape(-1)
+    _check_slowness(traj, k)
+    xc = np.ascontiguousarray(x.T).reshape(dim, -1)  # component rows (dim, 1 or n)
+    lo, hi, valid = _bracket(traj, xc, t, k)
+    if scalar and not valid[0]:
+        raise _no_retardation(float(t))
+    tp = _newton(traj, xc, t, k, lo, hi, 0.5 * (lo + hi), valid, tol)
     if scalar:
         return _finalize_state(traj, x, float(tp[0]), float(k[0]), r_min)
     return _finalize_state(traj, xc, tp, k, r_min, valid)

@@ -19,9 +19,11 @@ near field, 1/R^2). ``lw_fields`` returns that decomposition as
 ``lw_fields_batch`` evaluates many events in one pass: the far channels
 of all events are one retarded solve, and their slowness integrals are
 refined together, so the per-call cost of the solver and the kernel is
-shared by every event. ``lw_fields`` is its one-event call. One channel
-kernel gives every quantity at each retarded row; the displacement alone
-is ``lw_fields(...).u``.
+shared by every event. The retarded time falls as the slowness rises, so
+each slowness node solves inside its event's two far-channel roots, from
+a start interpolated between them. ``lw_fields`` is its one-event call.
+One channel kernel gives every quantity at each retarded row; the
+displacement alone is ``lw_fields(...).u``.
 
 Every evaluation first raises the first ``motion_violations`` of its
 source. Accuracy stays within the requested tolerance up to 0.999 cT,
@@ -46,7 +48,10 @@ from .kinematics import (
     DEFAULT_RETARDED_TOL,
     ForceProfile,
     Trajectory,
+    _bracket,
     _dot,
+    _finalize_state,
+    _newton,
     motion_violations,
     retarded_time,
 )
@@ -155,17 +160,64 @@ def _field_terms(st, prof, p, ga, gb, m):
     return out.T
 
 
+def _far_roots(st, n):
+    """Each event's t_T, t_L and slopes dt_ret/dkappa = -R^2/P_c at them, (n, 4).
+
+    ``st`` holds the far rows of n events, transversal then longitudinal
+    per event. An event lacks far roots (NaN) unless both rows are valid
+    and not singular.
+    """
+    roots = np.full((n, 4), np.nan)
+    both = (st.valid & ~st.singular).reshape(n, 2).all(axis=1)
+    pair = np.repeat(both, 2)
+    roots[both, :2] = st.t_ret[pair].reshape(-1, 2)
+    roots[both, 2:] = (-st.r[pair] ** 2 / st.pc[pair]).reshape(-1, 2)
+    return roots
+
+
+def _node_states(traj, xs, ts, kappas, far, kL, kT, tol_ret, r_min):
+    """Retarded states of slowness nodes: row i is kappas[i] of event (xs[i], ts[i]).
+
+    ``far`` (m, 4) holds each row's event's far-channel roots t_T, t_L
+    and their slopes dt_ret/dkappa = -R^2/P_c, or NaN where the event
+    lacks two valid far rows. t_ret falls as kappa rises, so a row with
+    far roots solves inside [t_T, t_L], starting from the cubic Hermite
+    interpolant through (kL, t_L) and (kT, t_T), clipped into the
+    bracket. The other rows, such as those whose root may precede the
+    first knot of a bounded worldline, take ``_bracket`` and its midpoint.
+    Each row is chosen and solved on its own, so its result does not
+    depend on the rows that share the call.
+    """
+    xc = np.ascontiguousarray(xs.T)
+    t_T, t_L, m_T, m_L = far.T
+    h = kT - kL
+    s = (kappas - kL) / h  # 0 at kL, 1 at kT
+    c2 = 3.0 * (t_T - t_L) - h * (2.0 * m_L + m_T)
+    c3 = 2.0 * (t_L - t_T) + h * (m_L + m_T)
+    lo, hi = t_T.copy(), t_L.copy()
+    start = np.minimum(np.maximum(t_L + s * (h * m_L + s * (c2 + s * c3)), lo), hi)
+    valid = np.ones(kappas.size, dtype=bool)
+    own = np.isnan(t_T)
+    if own.any():
+        lo[own], hi[own], valid[own] = _bracket(traj, xc[:, own], ts[own], kappas[own])
+        start[own] = 0.5 * (lo[own] + hi[own])
+    tp = _newton(traj, xc, ts, kappas, lo, hi, start, valid, tol_ret)
+    return _finalize_state(traj, xc, tp, kappas, r_min, valid)
+
+
 def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
     """Sum ``_field_terms`` over the two far channels and the slowness integral, per event.
 
-    ``xs`` (n, 3) and ``ts`` (n,) are the observation events. Every row is
-    solved by ``retarded_time``: the transversal and longitudinal channels
-    of all events share one 2n-row call, and the n slowness integrals are
-    refined together by ``integrate_intervals``, whose integrand solves and
-    evaluates each batch of nodes in one call. Returns the sums (n, width)
-    and the mask of events whose observer lies on the worldline; those
-    leave the refinement at once and their sums are NaN. Raises the first
-    violation of ``motion_violations``.
+    ``xs`` (n, 3) and ``ts`` (n,) are the observation events. The
+    transversal and longitudinal channels of all events share one 2n-row
+    ``retarded_time`` call. Their roots bracket the root of every
+    slowness node of the event, and the n slowness integrals are refined
+    together by ``integrate_intervals``, whose integrand solves each batch
+    of nodes inside those brackets (``_node_states``) and evaluates it in
+    one call. Returns the sums (n, width) and the mask of events whose
+    observer lies on the worldline; those leave the refinement at once
+    and their sums are NaN. Raises the first violation of
+    ``motion_violations``.
     """
     for error, message in motion_violations(traj, prof, mat.cT, line=False):
         raise error(message)
@@ -182,12 +234,13 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
     singular = st.singular.reshape(n, 2).any(axis=1)
     live = np.flatnonzero(~singular)
     on_worldline = np.zeros(n, dtype=bool)  # events with a singular slowness node
+    roots = _far_roots(st, n)
 
     def integrand(kappas, owner):
         # A singular row has NaN geometry and therefore NaN terms, which
         # takes its event out of the refinement.
         ev = live[owner]
-        st = retarded_time(traj, xs[ev], ts[ev], kappas, tol_ret, r_min)
+        st = _node_states(traj, xs[ev], ts[ev], kappas, roots[ev], kL, kT, tol_ret, r_min)
         on_worldline[ev[st.singular]] = True
         return _field_terms(st, prof, kappas, _MID_GA, _MID_GB, _MID_M)
 

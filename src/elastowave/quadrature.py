@@ -30,10 +30,12 @@ __all__ = [
 _TINY = 1e-300
 
 # Largest number of nodes handed to the integrand in one call. Past about
-# a thousand nodes the per-call cost of the 3D solver and kernel is paid
-# off; larger calls only add temporaries (2,048 cost 1.7 MB more peak RSS
-# on a 1,000-event grid at the same speed).
-NODE_BUDGET = 1024
+# a thousand nodes a call's fixed cost is paid off, and a refinement round
+# of a few dozen 3D events holds 1,000-2,000 nodes (1,088 on the seed-0
+# `spline3d` grid). Against 1,024, a budget of 2,048 cut the integrand
+# calls of one seed-0 pass from 40 to 23 (`spline3d`), 47 to 24
+# (`smooth3d`) and 123 to 82 (`shell3d`), for 1-2 % more peak RSS.
+NODE_BUDGET = 2048
 
 # Nodes of the Gauss-Legendre rule on every panel.
 NODES = 16
@@ -56,27 +58,23 @@ def gauss_legendre_rule(n: int):
 def _panels(f, lo, hi, owner, x, w):
     """Gauss-Legendre sums and L1 sums of panels [lo, hi] of intervals ``owner``.
 
-    The nodes of all panels go to ``f`` in calls of at most NODE_BUDGET
-    nodes; a panel may straddle two calls. Each panel is reduced on its
-    own, so the sums do not depend on how the nodes were split.
+    The panels go to ``f`` in ceil(nodes / NODE_BUDGET) near-equal runs of
+    whole panels (one panel per call if a panel alone exceeds the budget).
+    Each panel is reduced on its own, so the sums do not depend on how the
+    panels were split.
     """
     k = x.size
     half = (0.5 * (hi - lo))[:, None]
-    xs = ((0.5 * (lo + hi))[:, None] + half * x).reshape(-1)
-    own = owner.repeat(k)
+    xs = (0.5 * (lo + hi))[:, None] + half * x
+    n = len(xs)
+    calls = min(n, -(-xs.size // NODE_BUDGET))
     sums, l1s = [], []
-    pending = None
-    for start in range(0, xs.size, NODE_BUDGET):
-        stop = start + NODE_BUDGET
-        vals = np.asarray(f(xs[start:stop], own[start:stop]), dtype=float)
-        vals = vals.reshape(vals.shape[0], -1)
-        if pending is not None:
-            vals = np.concatenate([pending, vals])
-        full = vals.shape[0] // k * k
-        block = vals[:full].reshape(full // k, k, vals.shape[1])
+    for i in range(calls):
+        start, stop = i * n // calls, (i + 1) * n // calls
+        vals = np.asarray(f(xs[start:stop].reshape(-1), owner[start:stop].repeat(k)), dtype=float)
+        block = vals.reshape(stop - start, k, -1)
         sums.append(w @ block)
         l1s.append(w @ np.abs(block))
-        pending = vals[full:]
     return half * np.concatenate(sums), half * np.concatenate(l1s)
 
 

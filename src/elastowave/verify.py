@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad as _quadpack
 
-from .errors import ConfigError, ResolutionError
+from .errors import ConfigError, ResolutionError, SingularPointError
 from .kinematics import (
     ForceProfile,
     Trajectory,
@@ -55,6 +55,7 @@ from .pointforce3d import (
     kelvin_displacement,
     kelvin_gradient,
     lw_fields,
+    lw_fields_batch,
     stokes_displacement,
     stokes_gradient,
 )
@@ -500,6 +501,33 @@ def _smooth_case(rng, vfrac=0.8):
     return mat, traj, prof, x, t, k_eff
 
 
+def _one_batch(mat, traj, prof, rel_tol, run):
+    """``run(at)``, with every event it evaluates taken from one ``lw_fields_batch`` call.
+
+    ``at(x, t)`` gives the (u, beta, v) of one event. A stencil does not
+    depend on the values it reads, so ``run`` goes twice: on zero fields,
+    to record its events, then on their fields. Batching leaves every
+    value as the one-event call gives it.
+    """
+    events = {}
+
+    def record(x, t):
+        events.setdefault((*x, t), len(events))
+        return np.zeros(3), np.zeros((3, 3)), np.zeros(3)
+
+    run(record)
+    ev = np.array(list(events))
+    fs, singular = lw_fields_batch(mat, traj, prof, ev[:, :3], ev[:, 3], rel_tol=rel_tol)
+    if singular.any():
+        raise SingularPointError("a stencil event lies on the source worldline")
+
+    def at(x, t):
+        i = events[(*x, t)]
+        return fs.u[i].copy(), fs.beta[i], fs.v[i]
+
+    return run(at)
+
+
 def check_fd_consistency_3d(seed=0, n_cases=50, tolerance=1e-5):
     """Analytic distortion/velocity against differenced displacement."""
     rng = np.random.default_rng(seed)
@@ -507,14 +535,15 @@ def check_fd_consistency_3d(seed=0, n_cases=50, tolerance=1e-5):
     worst = 0.0
     for _ in range(n_cases):
         mat, traj, prof, x, t, k_eff = _smooth_case(rng)
-        s = lw_fields(mat, traj, prof, x, t, rel_tol=rel_tol)
         h = 0.02 / k_eff
-        fd = fd_consistency(
-            lambda xx, tt: lw_fields(mat, traj, prof, xx, tt, rel_tol=rel_tol).u, x, t, h
-        )
+
+        def run(at):
+            return at(x, t), fd_consistency(lambda xx, tt: at(xx, tt)[0], x, t, h)
+
+        (_, beta, v), fd = _one_batch(mat, traj, prof, rel_tol, run)
         scale = max(float(np.max(np.abs(fd.beta_fd))), float(np.max(np.abs(fd.v_fd))))
-        worst = max(worst, float(np.max(np.abs(s.beta - fd.beta_fd))) / scale)
-        worst = max(worst, float(np.max(np.abs(s.v - fd.v_fd))) / scale)
+        worst = max(worst, float(np.max(np.abs(beta - fd.beta_fd))) / scale)
+        worst = max(worst, float(np.max(np.abs(v - fd.v_fd))) / scale)
     return _report("fd_consistency_3d", worst, tolerance, n_cases)
 
 
@@ -525,19 +554,18 @@ def check_navier_residual_3d(seed=0, n_cases=50, tolerance=1e-3, corrupt=False):
     worst = 0.0
     for _ in range(n_cases):
         mat, traj, prof, x, t, k_eff = _smooth_case(rng)
-
-        def u_fn(xx, tt):
-            u = lw_fields(mat, traj, prof, xx, tt, rel_tol=rel_tol).u
-            if corrupt:
-                u[0] *= 1.1
-            return u
-
-        def v_fn(xx, tt):
-            return lw_fields(mat, traj, prof, xx, tt, rel_tol=rel_tol).v
-
         h = 0.04 / k_eff
-        res = navier_residual(mat, u_fn, v_fn, x, t, h)
-        worst = max(worst, res.rel_residual)
+
+        def run(at):
+            def u_fn(xx, tt):
+                u = at(xx, tt)[0]
+                if corrupt:
+                    u[0] *= 1.1
+                return u
+
+            return navier_residual(mat, u_fn, lambda xx, tt: at(xx, tt)[2], x, t, h)
+
+        worst = max(worst, _one_batch(mat, traj, prof, rel_tol, run).rel_residual)
     name = "navier_residual_corrupted" if corrupt else "navier_residual_3d"
     return _report(name, worst, tolerance, n_cases)
 

@@ -1,11 +1,14 @@
 """Batched 3D grid evaluation: rows equal the one-event path, whatever the batching."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from elastowave import cli, pointforce3d, quadrature
 from elastowave.config import parse_config
 from elastowave.errors import SingularPointError
+from elastowave.kinematics import retarded_time, retarded_time_bisection
 
 HEAD = """
 material.rho = 1.0
@@ -87,13 +90,19 @@ def test_empty_batch(text):
 
 
 def test_node_budget_does_not_change_rows(monkeypatch):
-    # With 7 nodes per integrand call, panels straddle calls; every row
-    # must come out bitwise the same.
-    cfg = parse_config(OSCILLATORY)
-    events = _mixed_events(cfg, 2.5)
-    ref = cli._rows_3d(cfg, events)
+    # With 7 nodes per integrand call, every 16-node panel goes to its own
+    # call; every row must come out bitwise the same. On the tabulated
+    # worldline the early events lack a valid transversal root: at the
+    # full budget, nodes solved inside far-channel roots share calls with
+    # nodes solved inside their own bracket, and with 7 they do not.
+    cases = []
+    for text in (OSCILLATORY, TABULATED):
+        cfg = parse_config(text)
+        events = _mixed_events(cfg, 2.5)
+        cases.append((cfg, events, cli._rows_3d(cfg, events)))
     monkeypatch.setattr(quadrature, "NODE_BUDGET", 7)
-    assert np.array_equal(cli._rows_3d(cfg, events), ref)
+    for cfg, events, ref in cases:
+        assert np.array_equal(cli._rows_3d(cfg, events), ref)
 
 
 def test_grid_makes_few_solver_calls(monkeypatch):
@@ -111,6 +120,89 @@ def test_grid_makes_few_solver_calls(monkeypatch):
     assert grid.rows.shape[0] == 100
     assert not grid.rows[:, -1].any()
     assert len(calls) <= 8
+
+
+# Four events behind both fronts of the tabulated worldline: the kinks of
+# its knots refine the slowness integrals for about 20 rounds, the largest
+# holding between 1,024 and 2,048 nodes.
+KNOT_GRID = TABULATED.replace("grid.x1 = 1:2:10", "grid.x1 = 1:2:4").replace(
+    "grid.x2 = 0:1:10", "grid.x2 = 0:0:1").replace("grid.t = 5:5:1", "grid.t = 3.5:3.5:1")
+
+
+def _counting_rounds(monkeypatch):
+    """Record the nodes of each refinement round and of each integrand call."""
+    rounds, calls = [], []
+    panels = quadrature._panels
+
+    def counted(f, lo, hi, owner, x, w):
+        rounds.append(lo.size * x.size)
+
+        def g(xs, own):
+            calls.append(xs.size)
+            return f(xs, own)
+
+        return panels(g, lo, hi, owner, x, w)
+
+    monkeypatch.setattr(quadrature, "_panels", counted)
+    return rounds, calls
+
+
+@pytest.mark.parametrize("text", [OSCILLATORY, TABULATED], ids=["oscillatory", "tabulated"])
+def test_nodes_solve_inside_far_roots(text):
+    # t_ret falls as kappa rises, so the far roots t_T <= t_L bracket the
+    # root of every slowness node; nodes across (kL, kT), right up to both
+    # ends, must land there and agree with plain bisection.
+    cfg = parse_config(text)
+    kL, kT = 1.0 / cfg.material.cL, 1.0 / cfg.material.cT
+    behind = [[1.0, 0.5, 0.5, 3.0], [1.8, -0.4, 0.3, 3.9]]
+    events = np.concatenate([np.delete(_mixed_events(cfg, 2.5), 3, axis=0), behind])
+    xs, ts = events[:, :3], events[:, 3]
+    n = ts.size
+    far = retarded_time(cfg.trajectory, np.repeat(xs, 2, axis=0), np.repeat(ts, 2),
+                        np.tile([kT, kL], n))
+    roots = pointforce3d._far_roots(far, n)
+    fractions = np.array([1e-12, 0.01, 0.2, 0.5, 0.77, 0.99, 1.0 - 1e-12])
+    ev = np.repeat(np.arange(n), fractions.size)
+    kappas = kL + (kT - kL) * np.tile(fractions, n)
+    st = pointforce3d._node_states(cfg.trajectory, xs[ev], ts[ev], kappas, roots[ev], kL, kT,
+                                   1e-12, 1e-9)
+    bracketed = ~np.isnan(roots[ev, 0])
+    assert bracketed.sum() >= 3 * fractions.size
+    for i in np.flatnonzero(st.valid):
+        t_ret = st.t_ret[i]
+        if bracketed[i]:
+            assert roots[ev[i], 0] <= t_ret <= roots[ev[i], 1]
+        ref = retarded_time_bisection(cfg.trajectory, xs[ev[i]], ts[ev[i]], kappas[i]).t_ret
+        assert abs(t_ret - ref) <= 1e-12 * max(1.0, abs(t_ret))
+    assert st.valid[bracketed].all()
+
+
+def test_grid_trajectory_points_per_solved_row(monkeypatch):
+    # Every slowness node of a smooth event starts its Newton loop close to
+    # the root, inside the event's far roots: about 4 trajectory points
+    # per solved row (about 6 with a fresh bracket and a midpoint start).
+    cfg = parse_config(OSCILLATORY)
+    points = []
+    traj = cfg.trajectory
+
+    def fn(t):
+        points.append(np.size(t))
+        return traj._fn(t)
+
+    cfg = dataclasses.replace(cfg, trajectory=dataclasses.replace(traj, _fn=fn))
+    rounds, _ = _counting_rounds(monkeypatch)
+    grid = cli.sample_grid(cfg)
+    assert grid.rows.shape[0] == 100
+    assert sum(points) <= 4.5 * (2 * 100 + sum(rounds))
+
+
+def test_one_integrand_call_per_round(monkeypatch):
+    rounds, calls = _counting_rounds(monkeypatch)
+    grid = cli.sample_grid(parse_config(KNOT_GRID))
+    assert not grid.rows[:, -1].any()
+    # Rounds of more than 1,024 nodes, each handed over in one call.
+    assert 1024 < max(rounds) <= quadrature.NODE_BUDGET
+    assert calls == rounds
 
 
 def test_threads_spread_fixed_chunks(monkeypatch):

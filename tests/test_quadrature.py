@@ -120,6 +120,7 @@ def test_many_intervals_match_one_interval_calls(monkeypatch):
                 lambda xs, i=i: f(xs, np.full(xs.size, i)), a[i], b[i], rel_tol=1e-11
             )
             assert np.array_equal(one, ref[i])
+    # A budget below one panel's 16 nodes hands every panel over alone.
     monkeypatch.setattr(quadrature, "NODE_BUDGET", 7)
     again, failed_again = integrate_intervals(f, a, b, rel_tol=1e-11)
     assert np.array_equal(again, ref, equal_nan=True)
