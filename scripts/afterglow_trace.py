@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from elastowave import bump_force, lw_fields, make_material, static_trajectory
-from elastowave.lineforce2d import antiplane_displacement
+from elastowave.lineforce2d import antiplane_fields
 
 
 def main():
@@ -40,7 +40,7 @@ def main():
     print(f"{'t':>7} {'|u| 3D point':>14} {'u3 2D line':>14}")
     for t in np.linspace(0.5, args.t_max, args.samples):
         u3d = np.max(np.abs(lw_fields(mat, traj, prof, x3, float(t)).u))
-        u2d = antiplane_displacement(mat, traj, prof, x2, float(t))
+        u2d = antiplane_fields(mat, traj, prof, x2, float(t)).u
         marker = "  <- afterglow only" if t > t_tail and abs(u2d) > 0 else ""
         print(f"{t:7.2f} {u3d:14.6e} {u2d:14.6e}{marker}")
 

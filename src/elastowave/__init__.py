@@ -33,7 +33,6 @@ from .pointforce3d import (
 )
 from .lineforce2d import (
     FieldSample2D,
-    antiplane_displacement,
     antiplane_fields,
     inplane_displacement,
     inplane_fields,

@@ -33,6 +33,12 @@ for a scalar time. ``eval`` hands the public (n, 3) layout back as the
 zero-copy transpose, so the solver and the 3D channel kernel recover the
 contiguous component rows (3, n) with ``.T`` and compute on them: a dot
 product is a[0]*b[0] + a[1]*b[1] + a[2]*b[2] over whole rows.
+
+Every trajectory preset also supplies its history differences
+(``Trajectory._diff``) without cancellation: 0 (static), V h (uniform),
+sum-to-product about the midpoint b - h/2 (oscillatory), and factored
+powers tau^j - (tau - h)^j = h D_j inside b's piece (piecewise
+polynomial). The 2D history integrals build every node from them.
 """
 
 from __future__ import annotations
@@ -98,12 +104,17 @@ class Trajectory:
     for tabulated and piecewise-polynomial data. ``domain`` bounds where
     the worldline is defined (infinite for the analytic presets). ``_fn``
     maps a scalar time to (s, V, A) of shape (3,) each and an array of
-    times (n,) to component-major arrays (3, n).
+    times (n,) to component-major arrays (3, n). ``_diff`` maps arrays b
+    and h >= 0 of shape (n,) to the component-major history differences
+    (s(b) - s(b - h), V(b) - V(b - h)), (3, n) each, formed without
+    subtracting absolute positions, so they keep their relative accuracy
+    as h -> 0. On a bounded domain, b - h is clamped to its start.
     """
 
     kind: str
     vmax: float
     _fn: Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
+    _diff: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
     domain: tuple[float, float] = (-math.inf, math.inf)
 
     def eval(self, t):
@@ -236,7 +247,10 @@ def static_trajectory(position) -> Trajectory:
     def fn(t):
         return _broadcast_const(p, t), _broadcast_const(zero, t), _broadcast_const(zero, t)
 
-    return Trajectory("static", 0.0, fn)
+    def diff(b, h):
+        return _broadcast_const(zero, h), _broadcast_const(zero, h)
+
+    return Trajectory("static", 0.0, fn, diff)
 
 
 def uniform_trajectory(origin, velocity) -> Trajectory:
@@ -250,7 +264,10 @@ def uniform_trajectory(origin, velocity) -> Trajectory:
         t = np.asarray(t, float)
         return _col(x0, t) + _col(v, t) * t, _broadcast_const(v, t), _broadcast_const(zero, t)
 
-    return Trajectory("uniform", speed, fn)
+    def diff(b, h):
+        return v[:, None] * h, _broadcast_const(zero, h)
+
+    return Trajectory("uniform", speed, fn, diff)
 
 
 def oscillatory_trajectory(center, amplitude, omega: float, phase: float = 0.0) -> Trajectory:
@@ -267,7 +284,13 @@ def oscillatory_trajectory(center, amplitude, omega: float, phase: float = 0.0) 
         sin = np.sin(ph)
         return _col(c, ph) + _col(a, ph) * sin, _col(wa, ph) * np.cos(ph), _col(wwa, ph) * sin
 
-    return Trajectory("oscillatory", float(np.linalg.norm(a)) * abs(w), fn)
+    def diff(b, h):
+        # Sum-to-product about the midpoint m of [b - h, b].
+        m = w * (b - 0.5 * h) + phase
+        two_sin = 2.0 * np.sin(0.5 * w * h)
+        return a[:, None] * (two_sin * np.cos(m)), wa[:, None] * (-two_sin * np.sin(m))
+
+    return Trajectory("oscillatory", float(np.linalg.norm(a)) * abs(w), fn, diff)
 
 
 def _derivative_coefficients(c):
@@ -307,7 +330,30 @@ def _ppoly_trajectory(kind, pp: PPoly) -> Trajectory:
         rows = np.ascontiguousarray(sva(t).T)
         return rows[0:3], rows[3:6], rows[6:9]
 
-    return Trajectory(kind, math.sqrt(v2), fn, (float(pp.x[0]), float(pp.x[-1])))
+    x = pp.x
+    sv = stacked[:, :, :6].transpose(0, 2, 1)  # s | V coefficients (order, 6, n_intervals)
+
+    def diff(b, h):
+        # Inside b's piece, with tau = b - x_i and sigma = tau - h,
+        # tau^j - sigma^j = h D_j where D_j = tau D_(j-1) + sigma^(j-1).
+        i = np.clip(np.searchsorted(x, b, side="right") - 1, 0, x.size - 2)
+        tau = b - x[i]
+        sigma = tau - h
+        c = sv[:, :, i]  # c[k - 1 - j] multiplies tau^j
+        k = len(c)
+        d_j, sigma_j, rows = 0.0, 1.0, np.zeros(c.shape[1:])
+        for j in range(1, k):
+            d_j = tau * d_j + sigma_j
+            sigma_j = sigma_j * sigma
+            rows += c[k - 1 - j] * d_j
+        rows *= h
+        cross = sigma < 0.0  # b - h lies in an earlier piece: h is not small
+        if cross.any():
+            lo = np.maximum(b[cross] - h[cross], x[0])
+            rows[:, cross] = (sva(b[cross]) - sva(lo))[:, :6].T
+        return rows[0:3], rows[3:6]
+
+    return Trajectory(kind, math.sqrt(v2), fn, diff, (float(x[0]), float(x[-1])))
 
 
 def piecewise_polynomial_trajectory(breakpoints, coefficients) -> Trajectory:
@@ -483,17 +529,23 @@ def _bracket(traj, xc, t, k):
     """Per-row bracket [lo, hi] with f(lo) >= 0 >= f(hi), f = t - t' - kappa R(t').
 
     ``xc`` holds the observer components (dim, 1) or (dim, n). |V| <= vmax
-    with kappa*vmax < 1 guarantees the bracket. On a bounded domain it is
-    clamped to the first knot, and rows whose root precedes it are masked
-    (``valid`` False) with lo = hi = domain[0]. Only a clamped bracket pays
-    for that check: f(domain[0]) < 0 puts the root before the first knot.
+    with kappa*vmax < 1 guarantees the bracket. It is anchored at
+    t_c = min(t, domain[1]), where the worldline is defined: with
+    delta = t - t_c, |R(t') - R(t_c)| <= vmax (t - t' - delta) for every
+    t' <= t_c, and inside the domain delta = 0. On a bounded domain the
+    bracket is clamped to the first knot, and rows whose root precedes it
+    are masked (``valid`` False) with lo = hi = domain[0]. Only a clamped
+    bracket pays for that check: f(domain[0]) < 0 puts the root before
+    the first knot.
     """
     dim = len(xc)
-    rv = xc - traj.eval(t)[0].T.reshape(3, -1)[:dim]
-    r_now = np.sqrt(_dot(rv, rv))
+    t_c = np.minimum(t, traj.domain[1])
+    rv = xc - traj.eval(t_c)[0].T.reshape(3, -1)[:dim]
+    r_c = np.sqrt(_dot(rv, rv))
+    slack = traj.vmax * (t - t_c)
     kv = k * traj.vmax
-    lo = t - k * r_now / (1.0 - kv)
-    hi = t - k * r_now / (1.0 + kv)
+    lo = t - k * (r_c - slack) / (1.0 - kv)
+    hi = t - k * (r_c + slack) / (1.0 + kv)
     valid = np.ones(k.shape, dtype=bool)
     t_min = traj.domain[0]
     if t_min > -math.inf and lo.min(initial=math.inf) < t_min:

@@ -14,7 +14,11 @@ history segment, leaving smooth integrands for Gauss-Legendre panels.
 One retarded solve gives the upper limits of every kernel, one row per
 wave speed, and each segment ends at one of its rows. Every segment of
 one evaluation is refined in one call of the quadrature engine, and
-every history kernel works on node rows.
+every history kernel works on node rows. Every node is built from the
+trajectory's history differences (``Trajectory._diff``), so
+R(t') = R(b) + (s(b) - s(t')) and V(t') = V(b) - (V(b) - V(t')), where b
+is the retarded time ending the segment: no absolute position at t' is
+ever subtracted, and the roots S keep their relative accuracy as w -> 0.
 
 Anti-plane motion (force along x3) involves only the transversal kernel;
 the in-plane components mix both wave speeds. The far history of the two
@@ -25,10 +29,12 @@ two large integrals.
 Anti-plane distortion and velocity are assembled analytically by
 differentiating the substituted history integral, which converts the
 moving singular endpoint into a bounded boundary term at switch-on plus
-a smooth integrand. The in-plane gradient and time derivative have no
-published closed form; they are evaluated by Richardson-paired central
-differences of the displacement with the step tied to the distance to
-the nearest wavefront.
+a smooth integrand. Its d(S^2)/S^2 is formed from the same differences,
+so ``antiplane_fields`` converges at history tolerances down to 1e-13 on
+moving sources and is the one anti-plane evaluator. The in-plane
+gradient and time derivative have no published closed form; they are
+evaluated by Richardson-paired central differences of the displacement
+with the step tied to the distance to the nearest wavefront.
 
 Every evaluator first raises the first ``motion_violations`` of its
 source, among them an infinite switch-on.
@@ -59,7 +65,6 @@ from .quadrature import adaptive_gauss_legendre  # noqa: F401
 
 __all__ = [
     "FieldSample2D",
-    "antiplane_displacement",
     "antiplane_fields",
     "inplane_displacement",
     "inplane_fields",
@@ -105,34 +110,40 @@ class _HistoryNodes(NamedTuple):
     rvec: np.ndarray  # R = x - s(t'), (n, 2)
     r: np.ndarray  # |R|
     v: np.ndarray  # source velocity at t', (n, 2)
+    ds: np.ndarray  # s(b) - s(t'), (n, 2)
+    dv: np.ndarray  # V(b) - V(t'), (n, 2)
+    dr: np.ndarray  # |R| - |R(b)|
+    d: np.ndarray  # D = tbar - kappa |R|
     s: np.ndarray  # root S of the kernel that is singular at b
 
 
-def _history_nodes(traj, x, t, st, rows, w, r_min):
+def _history_nodes(traj, t, st, rows, w, r_min):
     """Geometry at t' = b - w^2 for nodes w (n,), checked against r_min.
 
     Node i ends at the retarded row ``rows[i]`` of ``st``: b = t_ret,
-    kappa = slowness and s_b = x - R(b) there. S^2 = D * (tbar + kappa R)
-    with D = tbar - kappa R; D is rebuilt from w^2 and the R-difference
-    quotient so the two O(1) contributions that cancel at the endpoint
-    never meet in floating point.
+    kappa = slowness and R_b = R(b) there. Every node is built from the
+    trajectory's history differences (``Trajectory._diff``), never from
+    absolute positions at t': R = R_b + ds and V(t') = V(b) - dv.
+    S^2 = D * (tbar + kappa R) with D = tbar - kappa R; at the root
+    t - b = kappa |R_b|, so D = w^2 - kappa (|R| - |R_b|), and
+    |R| - |R_b| = ds . (2 R_b + ds) / (|R| + |R_b|): the O(1) parts that
+    cancel at the endpoint never meet in floating point.
     """
-    b, kappa = st.t_ret[rows], st.slowness[rows]
-    s_b = x - st.rvec[rows]
-    tp = b - w * w
-    s, v, _ = traj.eval(tp)
-    s_tp = s[:, :2]
-    rvec = x - s_tp
+    b, kappa, rvec_b, r_b = st.t_ret[rows], st.slowness[rows], st.rvec[rows], st.r[rows]
+    h = w * w
+    ds, dv = (c[:2].T for c in traj._diff(b, h))
+    rvec = rvec_b + ds
     r = np.sqrt(np.einsum("ni,ni->n", rvec, rvec))
     if (r < r_min).any():
         raise SingularPointError("history passes through the observation point")
-    num = np.einsum("ni,ni->n", s_b - s_tp, 2.0 * x - s_tp - s_b)
-    d = w * w - kappa * num / (r + st.r[rows])
-    tbar = (t - b) + w * w
-    return _HistoryNodes(tp, tbar, rvec, r, v[:, :2], np.sqrt(d * (tbar + kappa * r)))
+    dr = np.einsum("ni,ni->n", ds, 2.0 * rvec_b + ds) / (r + r_b)
+    d = h - kappa * dr
+    tbar = (t - b) + h
+    s = np.sqrt(d * (tbar + kappa * r))
+    return _HistoryNodes(b - h, tbar, rvec, r, st.v[rows] - dv, ds, dv, dr, d, s)
 
 
-def _history_sums(traj, x, t, st, segments, rel_tol, r_min):
+def _history_sums(traj, t, st, segments, rel_tol, r_min):
     """Integrals over the history segments of one evaluation, in one engine call.
 
     ``segments`` holds (a, row, kernel) triples: the segment [a, b] ends at
@@ -147,7 +158,7 @@ def _history_sums(traj, x, t, st, segments, rel_tol, r_min):
     w_max = np.sqrt(st.t_ret[rows] - np.array([a for a, _, _ in segments]))
 
     def integrand(w, owner):
-        nodes = _history_nodes(traj, x, t, st, rows[owner], w, r_min)
+        nodes = _history_nodes(traj, t, st, rows[owner], w, r_min)
         out = None
         for k, (_, _, kernel) in enumerate(segments):
             mine = owner == k
@@ -166,31 +177,6 @@ def _history_sums(traj, x, t, st, segments, rel_tol, r_min):
 
 # ---------------------------------------------------------------------------
 # anti-plane (force along x3)
-
-def antiplane_displacement(
-    mat: Material,
-    traj: Trajectory,
-    prof: ForceProfile,
-    x,
-    t: float,
-    rel_tol: float = DEFAULT_HISTORY_TOL,
-    tol_ret: float = DEFAULT_RETARDED_TOL,
-    r_min: float = DEFAULT_R_MIN,
-) -> float:
-    """u3 of an anti-plane line force only: the transversal history integral."""
-    for error, message in motion_violations(traj, prof, mat.cT, line=True):
-        raise error(message)
-    x = np.asarray(x, dtype=float)[:2]
-    st, live = _singular_ends(traj, prof, x, t, [mat.cT], tol_ret, r_min)
-    if not live[0]:
-        return 0.0
-
-    def kernel(g):
-        return prof.eval(g.tp)[0][:, 2:] / g.s[:, None]
-
-    (u3,) = _history_sums(traj, x, t, st, [(prof.t_on, 0, kernel)], rel_tol, r_min)
-    return float(u3[0]) / (2.0 * math.pi * mat.rho * mat.cT ** 2)
-
 
 def antiplane_fields(
     mat: Material,
@@ -216,25 +202,29 @@ def antiplane_fields(
     st, live = _singular_ends(traj, prof, x, t, [mat.cT], tol_ret, r_min)
     if not live[0]:
         return FieldSample2D(u=0.0, beta=np.zeros(2), v=0.0)
-    kap = st.slowness[0]
+    kap, rvec_b, r_b, v_b = st.slowness[0], st.rvec[0], st.r[0], st.v[0]
     # Sensitivities of the retarded limit: dtT/dt = R/P, dtT/dx = -kap R_vec/P.
-    dtup = np.concatenate([[st.r[0]], -kap * st.rvec[0]]) / st.pc[0]
+    dtup = np.concatenate([[r_b], -kap * rvec_b]) / st.pc[0]
     dtbar = np.array([1.0, 0.0, 0.0]) - dtup
 
     def kernel(g):
-        # Columns u3, then d/dt, d/dx1, d/dx2 at fixed w. Each entry of
-        # d(S^2) pairs a tbar shift against an R shift that cancel at w = 0.
+        # Columns u3, then d/dt, d/dx1, d/dx2 at fixed w, with
+        # d(S^2)/S^2 = dD/D + dE/E and E = tbar + kap r. dD vanishes at
+        # w = 0; the root identity (1, -kap n_b) = dtup (1 - kap n_b . V_b)
+        # writes it through differences only, with dn = n_b - n.
         n = g.rvec / g.r[:, None]
-        dr = np.pad(n, ((0, 0), (1, 0))) - np.einsum("ni,ni->n", n, g.v)[:, None] * dtup
-        ds2 = 2.0 * g.tbar[:, None] * dtbar - 2.0 * kap * kap * g.r[:, None] * dr
+        dn = (rvec_b * g.dr[:, None] - r_b * g.ds) / (g.r * r_b)[:, None]
+        dn_v = dn @ v_b + np.einsum("ni,ni->n", n, g.dv)
+        d_d = np.pad(dn, ((0, 0), (1, 0))) - dn_v[:, None] * dtup
+        d_r = np.pad(n, ((0, 0), (1, 0))) - np.einsum("ni,ni->n", n, g.v)[:, None] * dtup
+        dlog_s2 = kap * d_d / g.d[:, None] + (dtbar + kap * d_r) / (g.tbar + kap * g.r)[:, None]
         q, qd = prof.eval(g.tp)
-        s = g.s[:, None]
-        return np.hstack([q[:, 2:], qd[:, 2:] * dtup - 0.5 * q[:, 2:] * ds2 / (s * s)]) / s
+        return np.hstack([q[:, 2:], qd[:, 2:] * dtup - 0.5 * q[:, 2:] * dlog_s2]) / g.s[:, None]
 
-    (total,) = _history_sums(traj, x, t, st, [(prof.t_on, 0, kernel)], rel_tol, r_min)
+    (total,) = _history_sums(traj, t, st, [(prof.t_on, 0, kernel)], rel_tol, r_min)
     # Boundary term of the derivatives at the switch-on node w = sqrt(b - t_on).
     w_on = np.array([math.sqrt(st.t_ret[0] - prof.t_on)])
-    s_on = _history_nodes(traj, x, t, st, [0], w_on, r_min).s[0]
+    s_on = _history_nodes(traj, t, st, [0], w_on, r_min).s[0]
     total[1:] += prof.eval(prof.t_on)[0][2] * dtup / s_on
     total /= 2.0 * math.pi * mat.rho * mat.cT ** 2
     return FieldSample2D(u=float(total[0]), beta=total[2:], v=float(total[1]))
@@ -288,7 +278,7 @@ def inplane_displacement(
         # Shared interval: the far history of the two kernels cancels
         # pointwise, so integrate their difference.
         segments = [(prof.t_on, 1, kernel_diff), (st.t_ret[1], 0, kernel_l)]
-    total = _history_sums(traj, x, t, st, segments, rel_tol, r_min).sum(axis=0)
+    total = _history_sums(traj, t, st, segments, rel_tol, r_min).sum(axis=0)
     return total / (2.0 * math.pi * mat.rho)
 
 

@@ -4,11 +4,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from elastowave import cli, pointforce3d, quadrature
 from elastowave.config import parse_config
 from elastowave.errors import SingularPointError
-from elastowave.kinematics import retarded_time, retarded_time_bisection
+from elastowave.kinematics import (
+    piecewise_polynomial_trajectory,
+    retarded_time,
+    retarded_time_bisection,
+)
 
 HEAD = """
 material.rho = 1.0
@@ -32,13 +37,10 @@ trajectory.omega = 1.0
 """
 
 _TIMES = np.linspace(0.0, 4.0, 41)
+_POSITIONS = np.column_stack([0.2 * np.sin(_TIMES), np.zeros_like(_TIMES), np.zeros_like(_TIMES)])
 TABULATED = HEAD + "trajectory.preset = tabulated\n" + (
     "trajectory.times = " + ",".join(repr(float(v)) for v in _TIMES) + "\n"
-    "trajectory.positions = " + ",".join(
-        repr(float(v)) for v in np.column_stack(
-            [0.2 * np.sin(_TIMES), np.zeros_like(_TIMES), np.zeros_like(_TIMES)]
-        ).ravel()
-    ) + "\n"
+    "trajectory.positions = " + ",".join(repr(float(v)) for v in _POSITIONS.ravel()) + "\n"
 )
 
 
@@ -76,6 +78,23 @@ def test_batched_rows_equal_one_event_calls(text):
         scale = max(float(np.max(np.abs(one))), 1e-300)
         assert np.max(np.abs(rows[i, 4:19] - one)) <= 1e-14 * scale
     assert np.any(rows[1:3, 4:19] != 0.0)
+
+
+def test_event_after_the_last_knot():
+    # The worldline ends at t = 4, but the retarded times of this event lie
+    # inside its knots: its fields are those of the same spline extended by
+    # one (linear) piece past t = 4.
+    cfg = parse_config(TABULATED)
+    spline = CubicSpline(_TIMES, _POSITIONS, axis=0, bc_type="natural")
+    piece = np.zeros((spline.c.shape[0], 1, 3))
+    piece[-1, 0], piece[-2, 0] = spline(4.0), spline(4.0, 1)
+    extended = piecewise_polynomial_trajectory(
+        np.append(spline.x, 5.0), np.concatenate([spline.c, piece], axis=1))
+    x, t = np.array([3.0, 0.0, 0.5]), 4.5
+    fs, ref = (pointforce3d.lw_fields(cfg.material, traj, cfg.force, x, t)
+               for traj in (cfg.trajectory, extended))
+    for got, want in zip((fs.u, fs.beta, fs.v), (ref.u, ref.beta, ref.v)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("text", [OSCILLATORY, TABULATED], ids=["oscillatory", "tabulated"])

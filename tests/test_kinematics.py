@@ -1,9 +1,11 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from elastowave.errors import (
     ExtrapolationError,
@@ -274,6 +276,113 @@ def test_row_major_preset_function_rejected(n):
             preset, _fn=lambda t, fn=preset._fn: tuple(c.T for c in fn(t)))
         with pytest.raises(ValueError, match="component-major"):
             row_major.eval(ts)
+
+
+# ---------------------------------------------------------------------------
+# history-difference contract
+
+def _mp_ppoly(c, x):
+    """s and V of the PPoly (c, x) at an exact (mpf) time, as 50-digit lists."""
+
+    def at(t):
+        i = min(max(int(np.searchsorted(x, float(t), side="right")) - 1, 0), len(x) - 2)
+        tau, k = t - mpmath.mpf(x[i]), c.shape[0]
+        s = [sum(mpmath.mpf(c[m, i, j]) * tau ** (k - 1 - m) for m in range(k)) for j in range(3)]
+        v = [sum(mpmath.mpf(c[m, i, j]) * (k - 1 - m) * tau ** (k - 2 - m) for m in range(k - 1))
+             for j in range(3)]
+        return s, v
+
+    return at
+
+
+def _difference_presets():
+    """One trajectory of every preset kind with its worldline (s, V) in mpmath."""
+    mp = lambda v: [mpmath.mpf(float(c)) for c in v]
+    p, x0, vel = [1.0, 2.0, 3.0], [0.1, 0, 0], [0.2, 0.1, -0.3]
+    c, a, omega, phase = [0, 0.1, 0], [0.2, 0, 0.1], 1.3, 0.4
+    pp_c = np.arange(18.0).reshape(3, 2, 3) * 0.01
+    knots = np.linspace(0.0, 2.0, 5)
+    positions = np.column_stack([np.sin(knots), knots ** 2, -knots]) * 0.1
+    spline = CubicSpline(knots, positions, axis=0, bc_type="natural")
+    return {
+        "static": (static_trajectory(p), lambda t: (mp(p), mp([0, 0, 0]))),
+        "uniform": (uniform_trajectory(x0, vel), lambda t: (
+            [o + v * t for o, v in zip(mp(x0), mp(vel))], mp(vel))),
+        "oscillatory": (oscillatory_trajectory(c, a, omega, phase), lambda t: (
+            [m + n * mpmath.sin(omega * t + phase) for m, n in zip(mp(c), mp(a))],
+            [omega * n * mpmath.cos(omega * t + phase) for n in mp(a)])),
+        "piecewise-polynomial": (piecewise_polynomial_trajectory([0.0, 1.0, 2.0], pp_c),
+                                 _mp_ppoly(pp_c, np.array([0.0, 1.0, 2.0]))),
+        "tabulated": (tabulated_trajectory(knots, positions), _mp_ppoly(spline.c, spline.x)),
+    }
+
+
+DIFFERENCE_TOL = 1e-13
+
+
+def _difference_error(traj, worldline, b, h):
+    """Largest error of traj._diff against the 50-digit difference, per unit h and rate.
+
+    The rates bound |s(b) - s(b - h)| / h and |V(b) - V(b - h)| / h: vmax
+    and the largest sampled |A| on the worldline.
+    """
+    ds, dv = traj._diff(b, h)
+    assert ds.shape == dv.shape == (3, b.size)
+    lo, hi = max(traj.domain[0], -5.0), min(traj.domain[1], 5.0)
+    a_max = np.linalg.norm(traj.eval(np.linspace(lo, hi, 2001))[2], axis=1).max()
+    worst = 0.0
+    with mpmath.workdps(50):
+        for i in range(b.size):
+            (s1, v1), (s0, v0) = worldline(mpmath.mpf(b[i])), worldline(
+                mpmath.mpf(b[i]) - mpmath.mpf(h[i]))
+            for got, new, old, rate in ((ds, s1, s0, traj.vmax), (dv, v1, v0, a_max)):
+                exact = np.array([float(n - o) for n, o in zip(new, old)])
+                err = np.max(np.abs(got[:, i] - exact))
+                worst = max(worst, err / (h[i] * rate) if err else 0.0)
+    return worst
+
+
+def test_history_differences_match_50_digit_reference():
+    # Every preset supplies (s(b) - s(b - h), V(b) - V(b - h)) to rounding
+    # relative to h times its rate, from h = 1e-14 up to h = 1, which
+    # crosses knots of both piecewise worldlines (b = 1.73, knots up to 1.5).
+    from elastowave.config import TRAJECTORY_PRESETS
+
+    presets = _difference_presets()
+    assert list(presets) == list(TRAJECTORY_PRESETS)
+    h = np.logspace(-14.0, 0.0, 29)
+    b = np.full(h.size, 1.73)
+    assert (b - h < 1.5).any() and (b - h > 1.5).any()
+    for kind, (traj, worldline) in presets.items():
+        assert traj.kind == kind
+        assert _difference_error(traj, worldline, b, h) <= DIFFERENCE_TOL, kind
+
+
+def test_plain_history_difference_fails_the_contract():
+    # Differencing absolute positions loses eps*|s|/h relative accuracy as
+    # h -> 0; the contract test must see it.
+    traj, worldline = _difference_presets()["oscillatory"]
+
+    def plain(b, h):
+        (s1, v1, _), (s0, v0, _) = traj._fn(b), traj._fn(b - h)
+        return s1 - s0, v1 - v0
+
+    h = np.logspace(-14.0, 0.0, 29)
+    b = np.full(h.size, 1.73)
+    plain_traj = dataclasses.replace(traj, _diff=plain)
+    assert _difference_error(plain_traj, worldline, b, h) > DIFFERENCE_TOL
+
+
+def test_history_difference_clamped_to_the_first_knot():
+    # b - h may round below the first knot at the switch-on node.
+    knots = np.linspace(0.0, 2.0, 5)
+    traj = tabulated_trajectory(knots, np.column_stack([np.sin(knots), knots, -knots]) * 0.1)
+    b = np.array([0.3, 1.2])
+    ds, dv = traj._diff(b, b + 1e-16)
+    s_b, v_b, _ = traj._fn(b)
+    s_0, v_0, _ = traj._fn(0.0)
+    np.testing.assert_allclose(ds, s_b - s_0[:, None], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(dv, v_b - v_0[:, None], rtol=1e-15, atol=0)
 
 
 # ---------------------------------------------------------------------------
