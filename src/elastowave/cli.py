@@ -12,8 +12,9 @@ Subcommands:
 
 Rows are ordered time-major, then lexicographically over (x1, x2, x3).
 Values are printed with 17 significant digits so the CSV round-trips
-float64 exactly. Singular grid points are masked (mask=1, fields zeroed)
-rather than aborting the run or emitting NaN. 3D grids are evaluated in
+float64 exactly. Singular grid points, and 3D events whose retarded times
+reach past the end of a bounded worldline, are masked (mask=1, fields
+zeroed) rather than aborting the run or emitting NaN. 3D grids are evaluated in
 fixed chunks of events, each chunk one batched evaluation; ``--threads``
 spreads the chunks (2D: the events) over a thread pool.
 """

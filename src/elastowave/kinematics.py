@@ -127,8 +127,10 @@ class Trajectory:
         lo = ta.min(initial=math.inf) if ta.ndim else ta
         hi = ta.max(initial=-math.inf) if ta.ndim else ta
         if lo < self.domain[0] or hi > self.domain[1]:
+            outside = ((ta < self.domain[0]) | (ta > self.domain[1])).reshape(-1)
             raise ExtrapolationError(
-                f"time {t!r} outside trajectory domain [{self.domain[0]:g}, {self.domain[1]:g}]"
+                f"{outside.sum()} time(s) outside trajectory domain [{self.domain[0]:g}, "
+                f"{self.domain[1]:g}]; first: {ta.reshape(-1)[outside.argmax()]:g}"
             )
         s, v, a = self._fn(t)
         _check_component_major(self, s, ta)

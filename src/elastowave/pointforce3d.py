@@ -21,7 +21,14 @@ of all events are one retarded solve, and their slowness integrals are
 refined together, so the per-call cost of the solver and the kernel is
 shared by every event. The retarded time falls as the slowness rises, so
 each slowness node solves inside its event's two far-channel roots, from
-a start interpolated between them. ``lw_fields`` is its one-event call.
+a start interpolated between them. The force's support cuts that
+window: Q vanishes before t_on (and after t_off), and t_ret(kappa) = t_on
+exactly at kappa_on = (t - t_on)/|x - s(t_on)|, so inside the P-S shell
+the nodes above kappa_on (below kappa_off) are exact zeros and are not
+solved. The others solve inside [t_on, t_L], from a start interpolated
+between (kL, t_L) and the anchor (kappa_on, t_on). ``lw_fields`` is its
+one-event call. Events whose retarded times reach past the end of a
+bounded worldline are masked in a batch and raise in ``lw_fields``.
 One channel kernel gives every quantity at each retarded row; the
 displacement alone is ``lw_fields(...).u``.
 
@@ -42,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError, SingularPointError
+from .errors import ExtrapolationError, QuadratureError, SingularPointError
 from .kinematics import (
     DEFAULT_R_MIN,
     DEFAULT_RETARDED_TOL,
@@ -118,6 +125,7 @@ _FAR_GA = np.array([1.0, 0.0])
 _FAR_GB = np.array([-1.0, 1.0])
 _FAR_M = np.array([1.0, -1.0])
 _MID_GA, _MID_GB, _MID_M = -1.0, 3.0, -3.0
+_WIDTH = 39
 
 
 def _project(n, ga, gb, vec):
@@ -138,7 +146,7 @@ def _field_terms(st, prof, p, ga, gb, m):
     r2 = r * r
     pm = p * m
 
-    out = np.empty((39, r.size))
+    out = np.empty((_WIDTH, r.size))
     b_qdot, b_vel, b_acc = out[3:30].reshape(3, 3, 3, -1)
     np.multiply(gqd[:, None], ((p * k / pc2) * rv)[None], out=b_qdot)
     np.multiply(gq[:, None], ((p * k * k * ar / pc3) * rv)[None], out=b_acc)
@@ -164,45 +172,133 @@ def _far_roots(st, n):
     """Each event's t_T, t_L and slopes dt_ret/dkappa = -R^2/P_c at them, (n, 4).
 
     ``st`` holds the far rows of n events, transversal then longitudinal
-    per event. An event lacks far roots (NaN) unless both rows are valid
-    and not singular.
+    per event. A root and its slope are NaN unless its row is valid and
+    not singular.
     """
-    roots = np.full((n, 4), np.nan)
-    both = (st.valid & ~st.singular).reshape(n, 2).all(axis=1)
-    pair = np.repeat(both, 2)
-    roots[both, :2] = st.t_ret[pair].reshape(-1, 2)
-    roots[both, 2:] = (-st.r[pair] ** 2 / st.pc[pair]).reshape(-1, 2)
+    ok = st.valid & ~st.singular
+    roots = np.empty((n, 4))
+    roots[:, :2] = np.where(ok, st.t_ret, np.nan).reshape(n, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked rows may have R = 0
+        roots[:, 2:] = np.where(ok, -st.r ** 2 / st.pc, np.nan).reshape(n, 2)
     return roots
 
 
-def _node_states(traj, xs, ts, kappas, far, kL, kT, tol_ret, r_min):
-    """Retarded states of slowness nodes: row i is kappas[i] of event (xs[i], ts[i]).
+def _break(traj, xc, ts, t_b):
+    """Each event's break slowness kappa_b = (t - t_b)/|x - s(t_b)|, with t_b and the slope.
 
-    ``far`` (m, 4) holds each row's event's far-channel roots t_T, t_L
-    and their slopes dt_ret/dkappa = -R^2/P_c, or NaN where the event
-    lacks two valid far rows. t_ret falls as kappa rises, so a row with
-    far roots solves inside [t_T, t_L], starting from the cubic Hermite
-    interpolant through (kL, t_L) and (kT, t_T), clipped into the
-    bracket. The other rows, such as those whose root may precede the
-    first knot of a bounded worldline, take ``_bracket`` and its midpoint.
-    Each row is chosen and solved on its own, so its result does not
-    depend on the rows that share the call.
+    t_ret(kappa_b) = t_b, and t_ret falls as kappa rises, so a node above
+    kappa_b retards to before t_b and a node below it to after t_b.
+    Returns (kappa_b, t_b, -R^2/P_c at t_b), kappa_b and the slope (n,)
+    each, from one trajectory evaluation at t_b; None when t_b is infinite
+    or outside ``traj.domain``. ``xc`` (3, n) holds the observers'
+    components. An event whose observer sits at s(t_b) has no break (NaN).
     """
-    xc = np.ascontiguousarray(xs.T)
-    t_T, t_L, m_T, m_L = far.T
-    h = kT - kL
-    s = (kappas - kL) / h  # 0 at kL, 1 at kT
-    c2 = 3.0 * (t_T - t_L) - h * (2.0 * m_L + m_T)
-    c3 = 2.0 * (t_L - t_T) + h * (m_L + m_T)
-    lo, hi = t_T.copy(), t_L.copy()
-    start = np.minimum(np.maximum(t_L + s * (h * m_L + s * (c2 + s * c3)), lo), hi)
+    if not (math.isfinite(t_b) and traj.domain[0] <= t_b <= traj.domain[1]):
+        return None
+    s, v, _ = traj.eval(t_b)
+    rv = xc - s[:, None]
+    r = np.sqrt(_dot(rv, rv))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.where(r > 0.0, (ts - t_b) / r, np.nan)
+        return k, t_b, -r * r / (r - k * _dot(v, rv))
+
+
+def _windows(roots, kL, kT, on, off):
+    """Each event's slowness window and the anchors of its Newton starts, (6, n).
+
+    Rows k_a, k_b, t_a, t_b, m_a, m_b: Q can be nonzero only at nodes
+    k_a <= kappa <= k_b, whose roots lie in [t_b, t_a], with slopes
+    dt_ret/dkappa m_a at k_a and m_b at k_b. Uncut, the window is [kL, kT]
+    anchored at the far roots t_L and t_T (``roots`` from ``_far_roots``,
+    NaN where a far row is masked). Q vanishes before t_on, so the
+    switch-on break ``on`` (from ``_break``) lowers k_b to kappa_on when
+    kappa_on < kT; inside (kL, kT) it also moves anchor b to (kappa_on,
+    t_on), which lies in the worldline's domain even where t_T precedes
+    it. The switch-off break ``off`` raises k_a to kappa_off and moves
+    anchor a to (kappa_off, t_off) likewise.
+    """
+    win = np.empty((6, len(roots)))
+    win[0], win[1] = kL, kT
+    win[2:] = roots.T[[1, 0, 3, 2]]
+    for brk, end, inner in ((off, 0, np.fmax), (on, 1, np.fmin)):
+        if brk is not None:
+            k, t_b, m = brk
+            win[end] = inner(k, win[end])  # a NaN break leaves the end as it is
+            anchor = (kL < k) & (k < kT)
+            win[2 + end, anchor] = t_b
+            win[4 + end, anchor] = m[anchor]
+    return win
+
+
+def _node_states(traj, xc, ts, kappas, win, tol_ret, r_min):
+    """Retarded states of slowness nodes: row i is kappas[i] of event (xc[:, i], ts[i]).
+
+    ``xc`` (3, m) holds each row's observer components, and ``win``
+    (6, m) its event's window from ``_windows``: the ends k_a < k_b,
+    their roots t_a >= t_b and slopes m_a, m_b, or NaN where a far row is
+    masked. t_ret falls as kappa rises, so a row with both roots solves
+    inside [t_b, t_a], starting from the cubic Hermite interpolant through
+    (k_a, t_a) and (k_b, t_b), clipped into the bracket. The other rows,
+    such as those whose root may precede the first knot of a bounded
+    worldline, take ``_bracket`` and its midpoint. Each row is chosen and
+    solved on its own, so its result does not depend on the rows that
+    share the call.
+    """
+    k_a, k_b, t_a, t_b, m_a, m_b = win
+    h = k_b - k_a
+    s = (kappas - k_a) / h  # 0 at k_a, 1 at k_b
+    c2 = 3.0 * (t_b - t_a) - h * (2.0 * m_a + m_b)
+    c3 = 2.0 * (t_a - t_b) + h * (m_a + m_b)
+    lo, hi = t_b.copy(), t_a.copy()
+    start = np.minimum(np.maximum(t_a + s * (h * m_a + s * (c2 + s * c3)), lo), hi)
     valid = np.ones(kappas.size, dtype=bool)
-    own = np.isnan(t_T)
+    own = np.isnan(t_a) | np.isnan(t_b)
     if own.any():
         lo[own], hi[own], valid[own] = _bracket(traj, xc[:, own], ts[own], kappas[own])
         start[own] = 0.5 * (lo[own] + hi[own])
     tp = _newton(traj, xc, ts, kappas, lo, hi, start, valid, tol_ret)
     return _finalize_state(traj, xc, tp, kappas, r_min, valid)
+
+
+def _slowness_terms(traj, prof, xc, ts, win, ev, kappas, tol_ret, r_min):
+    """Intermediate-channel terms of slowness nodes: node i is kappas[i] of event ev[i].
+
+    The observer components ``xc`` (3, n), ``ts`` and ``win`` (from
+    ``_windows``) are per event; one ``np.take`` gathers each. A node
+    outside its event's window retards to where Q vanishes: its row is
+    exactly zero and it is not solved. A call that cuts no node solves
+    them all in place. Either way the terms are the transpose of one
+    (39, n) block, so a row's bits do not depend on the nodes that share
+    its call. Returns the terms (n, 39) and the events of singular nodes.
+    """
+    n = kappas.size
+    w = np.take(win, ev, axis=1)
+    keep = (w[0] <= kappas) & (kappas <= w[1])
+    cut = not keep.all()
+    if cut:
+        keep = np.flatnonzero(keep)
+        ev, kappas, w = ev[keep], kappas[keep], np.take(w, keep, axis=1)
+    st = _node_states(traj, np.take(xc, ev, axis=1), ts[ev], kappas, w, tol_ret, r_min)
+    terms = _field_terms(st, prof, kappas, _MID_GA, _MID_GB, _MID_M)
+    if cut:
+        out = np.zeros((_WIDTH, n))
+        out[:, keep] = terms.T
+        terms = out.T
+    return terms, ev[st.singular]
+
+
+def _past_the_end(traj, xc, ts, kL):
+    """Mask of events whose retarded times reach past the end of a bounded worldline.
+
+    The root is latest at kL, so it lies past domain[1] exactly when
+    f = t - domain[1] - kL |x - s(domain[1])| > 0; only events after the
+    end can be such, and only they pay for the check.
+    """
+    t_end = traj.domain[1]
+    if not ts.max(initial=-math.inf) > t_end:
+        return np.zeros(ts.size, dtype=bool)
+    rv = xc - traj.eval(t_end)[0][:, None]
+    return ts - t_end - kL * np.sqrt(_dot(rv, rv)) > 0.0
 
 
 def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
@@ -213,11 +309,14 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
     ``retarded_time`` call. Their roots bracket the root of every
     slowness node of the event, and the n slowness integrals are refined
     together by ``integrate_intervals``, whose integrand solves each batch
-    of nodes inside those brackets (``_node_states``) and evaluates it in
-    one call. Returns the sums (n, width) and the mask of events whose
-    observer lies on the worldline; those leave the refinement at once
-    and their sums are NaN. Raises the first violation of
-    ``motion_violations``.
+    of nodes inside those brackets and evaluates it in one call
+    (``_slowness_terms``). Nodes past a break of the force's support
+    (``_windows``) are exact zeros and are not solved. Returns the sums
+    (n, width), the mask of events whose observer lies on the worldline
+    (those leave the refinement at once) and the mask of events whose
+    retarded times reach past the end of a bounded worldline (those are
+    not evaluated); the sums of both are NaN. Raises the first violation
+    of ``motion_violations``.
     """
     for error, message in motion_violations(traj, prof, mat.cT, line=False):
         raise error(message)
@@ -225,6 +324,15 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
     ts = np.asarray(ts, dtype=float).reshape(-1)
     n = ts.size
     kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
+    xc = np.ascontiguousarray(xs.T)
+    late = _past_the_end(traj, xc, ts, kL)
+    if late.any():
+        total = np.full((n, _WIDTH), np.nan)
+        singular = np.zeros(n, dtype=bool)
+        keep = ~late
+        total[keep], singular[keep], _ = _retarded_sums(
+            mat, traj, prof, xs[keep], ts[keep], rel_tol, tol_ret, r_min)
+        return total, singular, late
 
     far = np.tile([kT, kL], n)
     st = retarded_time(traj, np.repeat(xs, 2, axis=0), np.repeat(ts, 2), far, tol_ret, r_min)
@@ -234,15 +342,16 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
     singular = st.singular.reshape(n, 2).any(axis=1)
     live = np.flatnonzero(~singular)
     on_worldline = np.zeros(n, dtype=bool)  # events with a singular slowness node
-    roots = _far_roots(st, n)
+    win = _windows(_far_roots(st, n), kL, kT, _break(traj, xc, ts, prof.t_on),
+                   _break(traj, xc, ts, prof.t_off))
 
     def integrand(kappas, owner):
         # A singular row has NaN geometry and therefore NaN terms, which
         # takes its event out of the refinement.
-        ev = live[owner]
-        st = _node_states(traj, xs[ev], ts[ev], kappas, roots[ev], kL, kT, tol_ret, r_min)
-        on_worldline[ev[st.singular]] = True
-        return _field_terms(st, prof, kappas, _MID_GA, _MID_GB, _MID_M)
+        terms, hit = _slowness_terms(traj, prof, xc, ts, win, live[owner], kappas,
+                                     tol_ret, r_min)
+        on_worldline[hit] = True
+        return terms
 
     if live.size:
         mid, failed = integrate_intervals(
@@ -253,7 +362,7 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
         total[live] += mid
         singular[live[failed]] = True
     total[singular] = np.nan
-    return total, singular
+    return total, singular, late
 
 
 def _field_sample(acc, rho):
@@ -301,9 +410,15 @@ def lw_fields(
     One retarded solve per slowness node is shared by every returned
     quantity. Events the force has not yet influenced give exactly zero.
     The one-event call of ``lw_fields_batch``; raises SingularPointError
-    for an observer on the worldline.
+    for an observer on the worldline, and ExtrapolationError for an event
+    whose retarded times reach past the end of a bounded worldline.
     """
-    acc, singular = _retarded_sums(mat, traj, prof, [x], [t], rel_tol, tol_ret, r_min)
+    acc, singular, late = _retarded_sums(mat, traj, prof, [x], [t], rel_tol, tol_ret, r_min)
+    if late[0]:
+        raise ExtrapolationError(
+            f"retarded times of the event at t={t:g} reach past the end of the trajectory "
+            f"domain [{traj.domain[0]:g}, {traj.domain[1]:g}]"
+        )
     if singular[0]:
         raise _singular_event(r_min, t)
     return _field_sample(acc[0], mat.rho)
@@ -323,11 +438,12 @@ def lw_fields_batch(
 
     ``xs`` is (n, 3) and ``ts`` (n,). Returns a FieldSample whose arrays
     carry a leading event axis, and the boolean mask of events whose
-    observer lies within r_min of the worldline: their fields are NaN
+    observer lies within r_min of the worldline, or whose retarded times
+    reach past the end of a bounded worldline: their fields are NaN
     instead of raising.
     """
-    acc, singular = _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min)
-    return _field_sample(acc, mat.rho), singular
+    acc, singular, late = _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min)
+    return _field_sample(acc, mat.rho), singular | late
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ from scipy.interpolate import CubicSpline
 
 from elastowave import cli, pointforce3d, quadrature
 from elastowave.config import parse_config
-from elastowave.errors import SingularPointError
+from elastowave.errors import ExtrapolationError, SingularPointError
 from elastowave.kinematics import (
+    bump_force,
     piecewise_polynomial_trajectory,
     retarded_time,
     retarded_time_bisection,
+    step_force,
 )
 
 HEAD = """
@@ -95,6 +97,27 @@ def test_event_after_the_last_knot():
                for traj in (cfg.trajectory, extended))
     for got, want in zip((fs.u, fs.beta, fs.v), (ref.u, ref.beta, ref.v)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_grid_masks_events_past_the_last_knot():
+    # The retarded times of every t = 6.5 event reach past the last knot
+    # (t = 4): those rows are masked instead of aborting the grid, and the
+    # other rows are those of one-event calls.
+    text = TABULATED.replace("grid.x1 = 1:2:10", "grid.x1 = 1:3:3").replace(
+        "grid.t = 5:5:1", "grid.t = 3:6.5:2")
+    cfg = parse_config(text)
+    rows = cli.sample_grid(cfg).rows
+    late = rows[:, 3] == 6.5
+    assert late.sum() == 30
+    assert np.all(rows[late, 19] == 1.0) and np.all(rows[late, 4:19] == 0.0)
+    assert not rows[~late, 19].any()
+    kw = dict(rel_tol=cfg.quad_rel, tol_ret=cfg.retarded_rel, r_min=cfg.r_min)
+    for row in rows[~late]:
+        fs = pointforce3d.lw_fields(cfg.material, cfg.trajectory, cfg.force, row[:3], row[3], **kw)
+        one = np.concatenate([fs.u, fs.beta.ravel(), fs.v])
+        assert np.max(np.abs(row[4:19] - one)) <= 1e-14 * max(float(np.max(np.abs(one))), 1e-300)
+    with pytest.raises(ExtrapolationError, match="past the end"):
+        pointforce3d.lw_fields(cfg.material, cfg.trajectory, cfg.force, rows[late][0, :3], 6.5)
 
 
 @pytest.mark.parametrize("text", [OSCILLATORY, TABULATED], ids=["oscillatory", "tabulated"])
@@ -183,8 +206,9 @@ def test_nodes_solve_inside_far_roots(text):
     fractions = np.array([1e-12, 0.01, 0.2, 0.5, 0.77, 0.99, 1.0 - 1e-12])
     ev = np.repeat(np.arange(n), fractions.size)
     kappas = kL + (kT - kL) * np.tile(fractions, n)
-    st = pointforce3d._node_states(cfg.trajectory, xs[ev], ts[ev], kappas, roots[ev], kL, kT,
-                                   1e-12, 1e-9)
+    win = pointforce3d._windows(roots, kL, kT, None, None)
+    st = pointforce3d._node_states(cfg.trajectory, np.ascontiguousarray(xs[ev].T), ts[ev], kappas,
+                                   win[:, ev], 1e-12, 1e-9)
     bracketed = ~np.isnan(roots[ev, 0])
     assert bracketed.sum() >= 3 * fractions.size
     for i in np.flatnonzero(st.valid):
@@ -229,3 +253,84 @@ def test_threads_spread_fixed_chunks(monkeypatch):
     cfg = parse_config(OSCILLATORY)
     one = cli.sample_grid(cfg, threads=1).rows
     assert np.array_equal(cli.sample_grid(cfg, threads=3).rows, one)
+
+
+def _window_of(cfg, prof, events):
+    """Far-channel solve and slowness windows of events (n, 4) under ``prof``."""
+    xs, ts = events[:, :3], events[:, 3]
+    kL, kT = 1.0 / cfg.material.cL, 1.0 / cfg.material.cT
+    n = ts.size
+    far = retarded_time(cfg.trajectory, np.repeat(xs, 2, axis=0), np.repeat(ts, 2),
+                        np.tile([kT, kL], n))
+    xc = np.ascontiguousarray(xs.T)
+    return xc, pointforce3d._windows(
+        pointforce3d._far_roots(far, n), kL, kT,
+        pointforce3d._break(cfg.trajectory, xc, ts, prof.t_on),
+        pointforce3d._break(cfg.trajectory, xc, ts, prof.t_off))
+
+
+@pytest.mark.parametrize("text", [OSCILLATORY, TABULATED], ids=["oscillatory", "tabulated"])
+def test_nodes_outside_the_support_are_exact_zeros(text):
+    # A step force seen inside the P-S shell (switch-on break inside the
+    # slowness window) and a bump force whose switch-on and switch-off
+    # breaks both lie inside it. Nodes past a break are exact zeros; the
+    # others equal a plain solve of their own.
+    cfg = parse_config(text)
+    kL, kT = 1.0 / cfg.material.cL, 1.0 / cfg.material.cT
+    cases = [(step_force([0.3, 0.0, 1.0], 0.0), _mixed_events(cfg, 2.5)[[1, 4]]),
+             (bump_force([0.3, 0.0, 1.0], 2.0, 0.3), np.array([[2.5, 0.3, 0.5, 4.0]]))]
+    fractions = np.linspace(0.0, 1.0, 203)[1:-1]
+    for prof, events in cases:
+        xc, win = _window_of(cfg, prof, events)
+        assert np.all(win[1] < kT)
+        assert np.all(kL < win[0]) == np.isfinite(prof.t_off)
+        n = events.shape[0]
+        ev = np.repeat(np.arange(n), fractions.size)
+        kappas = kL + (kT - kL) * np.tile(fractions, n)
+        terms, hit = pointforce3d._slowness_terms(cfg.trajectory, prof, xc, events[:, 3], win, ev,
+                                                  kappas, 1e-12, 1e-9)
+        assert hit.size == 0 and terms.T.flags.c_contiguous
+        inside = (win[0, ev] <= kappas) & (kappas <= win[1, ev])
+        assert 0 < inside.sum() < inside.size
+        assert np.all(terms[~inside] == 0.0)
+        st = retarded_time(cfg.trajectory, events[ev, :3], events[ev, 3], kappas)
+        ref = pointforce3d._field_terms(st, prof, kappas, pointforce3d._MID_GA,
+                                        pointforce3d._MID_GB, pointforce3d._MID_M)
+        assert np.all(ref[~inside] == 0.0)
+        assert np.max(np.abs(terms[inside] - ref[inside])) <= 1e-13 * np.max(np.abs(ref))
+        # Every kept node retards into the support.
+        assert np.all((st.t_ret[inside] >= prof.t_on - 1e-12)
+                      & (st.t_ret[inside] <= prof.t_off + 1e-12))
+
+
+def test_shell_events_solve_only_their_support(monkeypatch):
+    # Deterministic work gate: inside the P-S shell about half the slowness
+    # nodes retard to before the switch-on, and the rest start Newton from
+    # the anchor (kappa_on, t_on), so few trajectory points are spent per
+    # engine node. A smooth event is not cut and keeps its 48 nodes.
+    rows, points = [], []
+    newton = pointforce3d._newton
+
+    def counted(traj, xc, t, k, *args):
+        rows.append(k.size)
+        return newton(traj, xc, t, k, *args)
+
+    monkeypatch.setattr(pointforce3d, "_newton", counted)
+    cfg = parse_config(OSCILLATORY)
+    traj = cfg.trajectory
+
+    def fn(t):
+        points.append(np.size(t))
+        return traj._fn(t)
+
+    cfg = dataclasses.replace(cfg, trajectory=dataclasses.replace(traj, _fn=fn))
+    rounds, _ = _counting_rounds(monkeypatch)
+    events = _mixed_events(cfg, 2.5)
+    cli._rows_3d(cfg, events[[1, 4]])
+    nodes = sum(rounds)
+    assert sum(rows) <= 0.55 * nodes
+    assert sum(points) <= 1.6 * nodes
+    rounds.clear()
+    rows.clear()
+    cli._rows_3d(cfg, events[[2]])
+    assert sum(rounds) == 48 and sum(rows) == 48

@@ -134,6 +134,19 @@ def test_tabulated_extrapolation_error():
         traj.eval(2.5)
 
 
+def test_extrapolation_message_is_bounded():
+    # The message counts the times outside the domain and names the first,
+    # instead of formatting the whole array.
+    traj = tabulated_trajectory([0.0, 1.0, 2.0], np.zeros((3, 3)))
+    times = np.linspace(1.0, 3.0, 1000)
+    with pytest.raises(ExtrapolationError) as info:
+        traj.eval(times)
+    message = str(info.value)
+    assert len(message) < 200
+    assert f"{np.sum(times > 2.0)} time(s)" in message
+    assert f"first: {times[times > 2.0][0]:g}" in message
+
+
 def test_batched_eval_matches_scalar():
     traj = oscillatory_trajectory([0.1, 0, 0], [0.2, 0.1, 0], 1.3, 0.2)
     ts = np.linspace(-1, 2, 5)
