@@ -12,7 +12,7 @@ Subcommands:
 
 Rows are ordered time-major, then lexicographically over (x1, x2, x3).
 Values are printed with 17 significant digits so the CSV round-trips
-float64 exactly. Singular grid points, and 3D events whose retarded times
+float64 exactly. Singular grid points, and events whose retarded times
 reach past the end of a bounded worldline, are masked (mask=1, fields
 zeroed) rather than aborting the run or emitting NaN. 3D grids are evaluated in
 fixed chunks of events, each chunk one batched evaluation; ``--threads``
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .config import FORCE_PRESETS, TRAJECTORY_PRESETS, RunConfig, parse_config
-from .errors import ConfigError, ElastowaveError, SingularPointError
+from .errors import ConfigError, ElastowaveError, ExtrapolationError, SingularPointError
 from .lineforce2d import antiplane_fields, inplane_fields
 from .pointforce3d import (
     kelvin_displacement,
@@ -104,7 +104,9 @@ def _row_2d(cfg: RunConfig, x1, x2, x3, t):
             row[7:9] = fs.beta[0]  # b11, b12
             row[10:12] = fs.beta[1]  # b21, b22
             row[16:18] = fs.v
-    except SingularPointError:
+    except (SingularPointError, ExtrapolationError):
+        # An observer on the worldline, or a history that reaches past the
+        # end of a bounded worldline (the 3D ``_past_the_end`` rows).
         row[4:19] = 0.0
         row[19] = 1.0
     return row

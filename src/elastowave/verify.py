@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad as _quadpack
 
 from .errors import ConfigError, ResolutionError, SingularPointError
 from .kinematics import (
@@ -337,8 +336,11 @@ def inplane_convolution_u(mat: Material, traj: Trajectory, prof: ForceProfile, x
     Integrates the raw plane-strain Green tensor against the source
     history, handing the inverse-square-root arrival singularities to
     QUADPACK's QAWS rule. Independent of the production substitution
-    quadrature; intended as a cross-check oracle.
+    quadrature; intended as a cross-check oracle. QUADPACK is imported
+    here, so that sampling never loads ``scipy.integrate``.
     """
+    from scipy.integrate import quad as _quadpack
+
     x = np.asarray(x, dtype=float)[:2]
     t_t = retarded_time(traj, x, t, 1.0 / mat.cT, dim=2).t_ret
     t_l = retarded_time(traj, x, t, 1.0 / mat.cL, dim=2).t_ret

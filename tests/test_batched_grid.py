@@ -1,4 +1,4 @@
-"""Batched 3D grid evaluation: rows equal the one-event path, whatever the batching."""
+"""Grid evaluation: rows equal the one-event path, whatever the batching."""
 
 import dataclasses
 
@@ -16,6 +16,7 @@ from elastowave.kinematics import (
     retarded_time_bisection,
     step_force,
 )
+from elastowave.lineforce2d import antiplane_fields, inplane_fields
 
 HEAD = """
 material.rho = 1.0
@@ -118,6 +119,41 @@ def test_grid_masks_events_past_the_last_knot():
         assert np.max(np.abs(row[4:19] - one)) <= 1e-14 * max(float(np.max(np.abs(one))), 1e-300)
     with pytest.raises(ExtrapolationError, match="past the end"):
         pointforce3d.lw_fields(cfg.material, cfg.trajectory, cfg.force, rows[late][0, :3], 6.5)
+
+
+# Columns of the 2D rows, and the one-event evaluator whose values they hold.
+_COLUMNS_2D = {
+    "2d-inplane": (inplane_fields, [4, 5, 7, 8, 10, 11, 16, 17]),
+    "2d-antiplane": (antiplane_fields, [6, 13, 14, 18]),
+}
+
+
+@pytest.mark.parametrize("dimension", sorted(_COLUMNS_2D))
+def test_2d_grid_masks_events_past_the_last_knot(dimension):
+    # The history of an event at t = 6.5 reaches past the last knot (t = 4)
+    # when its latest retarded root does: the longitudinal one in plane
+    # strain, the transversal one (its only one) in anti-plane shear, where
+    # the root at x1 = 3 still lies inside the knots. Those rows are masked
+    # instead of aborting the grid, and the one-event calls keep raising.
+    text = TABULATED.replace("3d-point", dimension).replace(
+        "grid.x1 = 1:2:10", "grid.x1 = 1:3:3").replace(
+        "grid.x2 = 0:1:10", "grid.x2 = 0.5:0.5:1").replace("grid.t = 5:5:1", "grid.t = 3:6.5:2")
+    cfg = parse_config(text)
+    rows = cli.sample_grid(cfg).rows
+    late = [0, 0, 0, 1, 1, 1] if dimension == "2d-inplane" else [0, 0, 0, 1, 1, 0]
+    assert rows[:, 19].tolist() == late
+    fields, columns = _COLUMNS_2D[dimension]
+    kw = dict(rel_tol=cfg.history_rel, tol_ret=cfg.retarded_rel, r_min=cfg.r_min)
+    for row in rows:
+        args = (cfg.material, cfg.trajectory, cfg.force, row[:2], row[3])
+        if row[19]:
+            assert np.all(row[4:19] == 0.0)
+            with pytest.raises(ExtrapolationError):
+                fields(*args, **kw)
+            continue
+        fs = fields(*args, **kw)
+        assert np.array_equal(row[columns], np.hstack([fs.u, np.ravel(fs.beta), fs.v]))
+    assert np.any(rows[:3, 4:19] != 0.0)
 
 
 @pytest.mark.parametrize("text", [OSCILLATORY, TABULATED], ids=["oscillatory", "tabulated"])

@@ -318,6 +318,17 @@ def test_console_entry_point_runs():
     assert "oscillatory" in proc.stdout
 
 
+def test_sampling_does_not_load_quadpack():
+    # Only the QUADPACK oracle of ``validate`` needs scipy.integrate.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, elastowave.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 INPLANE = """
 material.rho = 1.0
 material.lam = 1.0

@@ -6,6 +6,7 @@ import pytest
 
 from elastowave import lineforce2d
 from elastowave.errors import (
+    SingularPointError,
     SupersonicError,
     UnboundedHistoryError,
     WavefrontProximityWarning,
@@ -258,6 +259,98 @@ def test_inplane_displacement_integrand_calls(monkeypatch):
     assert np.all(u != 0)
     assert len(calls) == 1
     assert len(calls[0]) <= 2 and sum(calls[0]) >= 2 * 48
+
+
+_KNOTS = np.linspace(0.0, 8.0, 9)
+WORLDLINES = [
+    oscillatory_trajectory([0, 0, 0], [0.15, 0.1, 0], 1.1, 0.2),
+    tabulated_trajectory(_KNOTS, np.column_stack([0.1 * np.sin(_KNOTS), 0.05 * _KNOTS, 0 * _KNOTS])),
+]
+# Points of three kinds for a step switched on at t = 0 (cL = 1.64 cT):
+# before both fronts, inside the P-S shell, and behind both fronts (two).
+POINTS = [((2.0, 0.5), 0.5), ((2.0, 0.5), 1.6), ((1.2, -0.7), 3.5), ((0.4, 0.9), 5.0)]
+LIVE_ROWS = [[False, False], [True, False], [True, True], [True, True]]
+
+
+@pytest.mark.parametrize("traj", WORLDLINES, ids=["oscillatory", "tabulated"])
+def test_inplane_displacement_batch_equals_one_point_calls(traj):
+    prof = step_force([1.0, 0.5, 0], t_on=0.0)
+    xs = np.array([x for x, _ in POINTS])
+    ts = np.array([t for _, t in POINTS])
+    _, live = lineforce2d._singular_ends(traj, prof, np.repeat(xs, 2, axis=0), np.repeat(ts, 2),
+                                         np.tile([1.0 / MAT.cL, 1.0 / MAT.cT], ts.size), 1e-12, 1e-9)
+    assert live.reshape(-1, 2).tolist() == LIVE_ROWS
+    u = inplane_displacement(MAT, traj, prof, xs, ts)
+    assert u.shape == (ts.size, 2)
+    for i, (x, t) in enumerate(POINTS):
+        one = inplane_displacement(MAT, traj, prof, x, t)
+        assert one.shape == (2,) and np.array_equal(u[i], one)
+    assert np.all(u[0] == 0.0) and np.all(u[1:] != 0.0)
+    # The batch order does not matter either.
+    assert np.array_equal(inplane_displacement(MAT, traj, prof, xs[::-1], ts[::-1]), u[::-1])
+
+
+@pytest.mark.parametrize("traj", WORLDLINES, ids=["oscillatory", "tabulated"])
+def test_inplane_displacement_batch_on_the_worldline(traj):
+    prof = step_force([1.0, 0.5, 0], t_on=0.0)
+    on = traj.eval(2.5)[0][:2]
+    xs = np.array([x for x, _ in POINTS] + [on])
+    ts = np.array([t for _, t in POINTS] + [2.5])
+    with pytest.raises(SingularPointError):
+        inplane_displacement(MAT, traj, prof, xs, ts)
+
+
+def _fields_from_one_point_calls(traj, prof, x, t):
+    """inplane_fields rebuilt from 25 one-point displacement calls."""
+    x = np.asarray(x, dtype=float)
+
+    def u_of(xx, tt):
+        return inplane_displacement(MAT, traj, prof, xx, tt)
+
+    h_t = lineforce2d._fd_step(MAT, traj, prof, x, t)
+    h_x = MAT.cT * h_t
+    cols, errs = [], {}
+    for k in range(2):
+        e = np.eye(2)[k]
+        col, errs[f"beta_d{k + 1}"] = lineforce2d._richardson_d1(lambda s: u_of(x + s * e, t), h_x)
+        cols.append(col)
+    v, errs["v"] = lineforce2d._richardson_d1(lambda s: u_of(x, t + s), h_t)
+    return u_of(x, t), np.column_stack(cols), v, errs
+
+
+@pytest.mark.parametrize("traj", WORLDLINES, ids=["oscillatory", "tabulated"])
+def test_inplane_fields_equal_one_point_differences(traj):
+    # The 19-point stencil evaluated in one call gives the same Richardson
+    # pairs, bit for bit, as one displacement call per difference term.
+    prof = bump_force([0.8, 0.5, 0], center=1.0, half_width=1.0)
+    for x, t in POINTS[1:]:
+        fs = inplane_fields(MAT, traj, prof, x, t)
+        u, beta, v, errs = _fields_from_one_point_calls(traj, prof, x, t)
+        assert np.array_equal(fs.u, u) and np.array_equal(fs.beta, beta)
+        assert np.array_equal(fs.v, v) and fs.fd_error == errs
+
+
+def test_inplane_fields_one_solve(monkeypatch):
+    # Deterministic work gate: one behind-front evaluation is one
+    # displacement call and one retarded solve for its 19 stencil points,
+    # and one engine call per point.
+    engine = _count_engine(monkeypatch)
+    solves, displacements = [], []
+
+    def counting_solve(*args, **kw):
+        solves.append(1)
+        return retarded_time(*args, **kw)
+
+    def counting_displacement(*args, **kw):
+        displacements.append(1)
+        return inplane_displacement(*args, **kw)
+
+    monkeypatch.setattr(lineforce2d, "retarded_time", counting_solve)
+    monkeypatch.setattr(lineforce2d, "inplane_displacement", counting_displacement)
+    traj = WORLDLINES[0]
+    fs = inplane_fields(MAT, traj, step_force([1.0, 0.5, 0], t_on=0.0), [1.2, -0.7], 3.5)
+    assert np.all(fs.beta != 0.0)
+    assert len(displacements) == 1 and len(solves) == 1 and len(engine) == 19
 
 
 def test_inplane_fields_richardson_consistency():
