@@ -3,7 +3,7 @@
 Subcommands:
     sample    evaluate fields over the configured space-time grid and
               write CSV (or JSON); deterministic, byte-identical output
-              for identical config + seed
+              for an identical config
     validate  run the verification suite, write a JSON report, exit 0
               iff every check passes
     limits    compare the moving-force evaluator against its static
@@ -71,7 +71,7 @@ def _rows_3d(cfg: RunConfig, events: np.ndarray) -> np.ndarray:
     """Rows of a block of (x1, x2, x3, t) events, evaluated as one batch."""
     fs, singular = lw_fields_batch(
         cfg.material, cfg.trajectory, cfg.force, events[:, :3], events[:, 3],
-        rel_tol=cfg.quad_rel, tol_ret=cfg.retarded_rel, r_min=cfg.r_min,
+        rel_tol=cfg.quad_rel, tol_ret=cfg.retarded_rel,
     )
     rows = np.zeros((len(events), len(COLUMNS)))
     rows[:, 0:4] = events
@@ -90,7 +90,7 @@ def _row_2d(cfg: RunConfig, x1, x2, x3, t):
         if cfg.dimension == "2d-antiplane":
             fs = antiplane_fields(
                 cfg.material, cfg.trajectory, cfg.force, np.array([x1, x2]), t,
-                rel_tol=cfg.history_rel, tol_ret=cfg.retarded_rel, r_min=cfg.r_min,
+                rel_tol=cfg.history_rel, tol_ret=cfg.retarded_rel,
             )
             row[6] = fs.u
             row[13:15] = fs.beta  # b31, b32
@@ -98,7 +98,7 @@ def _row_2d(cfg: RunConfig, x1, x2, x3, t):
         else:  # 2d-inplane
             fs = inplane_fields(
                 cfg.material, cfg.trajectory, cfg.force, np.array([x1, x2]), t,
-                rel_tol=cfg.history_rel, tol_ret=cfg.retarded_rel, r_min=cfg.r_min,
+                rel_tol=cfg.history_rel, tol_ret=cfg.retarded_rel,
             )
             row[4:6] = fs.u
             row[7:9] = fs.beta[0]  # b11, b12
@@ -124,7 +124,7 @@ def _grid_events(cfg: RunConfig) -> np.ndarray:
     )
 
 
-def sample_grid(cfg: RunConfig, threads: int = 1, seed: int | None = None) -> FieldGrid:
+def sample_grid(cfg: RunConfig, threads: int = 1) -> FieldGrid:
     """Evaluate the configured grid; deterministic row order regardless of threads.
 
     3D grids are evaluated in fixed chunks of EVENT_CHUNK events, each one
@@ -145,7 +145,7 @@ def sample_grid(cfg: RunConfig, threads: int = 1, seed: int | None = None) -> Fi
     provenance = {
         "version": __version__,
         "config_sha256": cfg.text_sha256,
-        "seed": cfg.seed if seed is None else int(seed),
+        "seed": cfg.seed,
         "dimension": cfg.dimension,
     }
     return FieldGrid(columns=list(COLUMNS), rows=np.concatenate(blocks), provenance=provenance)
@@ -199,25 +199,23 @@ def limits_report(cfg: RunConfig, events=None) -> dict:
     xs = np.array([x for x, _ in events], dtype=float).reshape(-1, 3)
     ts = np.array([t for _, t in events], dtype=float)
     # One batch; rows whose observer sits on the source are masked and skipped.
-    fs, singular = lw_fields_batch(
-        cfg.material, cfg.trajectory, cfg.force, xs, ts, min(cfg.quad_rel, 1e-12),
-        r_min=cfg.r_min,
-    )
+    fs, singular = lw_fields_batch(cfg.material, cfg.trajectory, cfg.force, xs, ts,
+                                   min(cfg.quad_rel, 1e-12))
     s0 = cfg.trajectory.eval(0.0)[0]
     dev_stokes = 0.0
     dev_kelvin = 0.0
     kelvin_applicable = cfg.force.kind == "constant"
     for i in np.flatnonzero(~singular):
         rvec, t, u, beta = xs[i] - s0, ts[i], fs.u[i], fs.beta[i]
-        u_ref = stokes_displacement(cfg.material, cfg.force, rvec, t, r_min=cfg.r_min)
-        b_ref = stokes_gradient(cfg.material, cfg.force, rvec, t, r_min=cfg.r_min)
+        u_ref = stokes_displacement(cfg.material, cfg.force, rvec, t)
+        b_ref = stokes_gradient(cfg.material, cfg.force, rvec, t)
         scale = max(float(np.max(np.abs(u_ref))), float(np.max(np.abs(b_ref))), 1e-300)
         dev_stokes = max(dev_stokes, float(np.max(np.abs(u - u_ref))) / scale)
         dev_stokes = max(dev_stokes, float(np.max(np.abs(beta - b_ref))) / scale)
         if kelvin_applicable:
             q0 = cfg.force.eval(t)[0]
-            uk = kelvin_displacement(cfg.material, q0, rvec, r_min=cfg.r_min)
-            bk = kelvin_gradient(cfg.material, q0, rvec, r_min=cfg.r_min)
+            uk = kelvin_displacement(cfg.material, q0, rvec)
+            bk = kelvin_gradient(cfg.material, q0, rvec)
             dev_kelvin = max(dev_kelvin, float(np.max(np.abs(u - uk))) / scale)
             dev_kelvin = max(dev_kelvin, float(np.max(np.abs(beta - bk))) / scale)
     report = {"n_events": int((~singular).sum()), "stokes_max_rel_dev": dev_stokes}
@@ -233,7 +231,7 @@ def _load_config(path: str) -> RunConfig:
 
 def cmd_sample(args) -> int:
     cfg = _load_config(args.config)
-    grid = sample_grid(cfg, threads=args.threads, seed=args.seed)
+    grid = sample_grid(cfg, threads=args.threads)
     out = args.out or cfg.out_path
     fmt = args.format or cfg.out_format
     if fmt == "csv":
@@ -296,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--out", default=None)
     p_sample.add_argument("--format", choices=("csv", "json"), default=None)
     p_sample.add_argument("--threads", type=int, default=1)
-    p_sample.add_argument("--seed", type=int, default=None)
     p_sample.set_defaults(fn=cmd_sample)
 
     p_val = sub.add_parser("validate", help="run the verification suite")

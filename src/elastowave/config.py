@@ -25,10 +25,9 @@ grid.x1, grid.x2, grid.x3, grid.t
 tolerances.quad_rel / tolerances.retarded_rel / tolerances.history_rel
     Positive tolerances for the slowness quadrature, the retarded-time
     solver, and the 2D history quadrature.
-run.seed / run.char_length / run.checks
-    Seed for randomized validation, characteristic length setting the
-    singular-point cutoff (r_min = 1e-9 * char_length), and an optional
-    comma list restricting which validation checks run.
+run.seed / run.checks
+    Seed for randomized validation, and an optional comma list
+    restricting which validation checks run.
 output.path / output.format
     Output file and csv | json.
 """
@@ -43,6 +42,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kinematics import (
+    DEFAULT_RETARDED_TOL,
     ForceProfile,
     Trajectory,
     bump_force,
@@ -58,7 +58,9 @@ from .kinematics import (
     tabulated_trajectory,
     uniform_trajectory,
 )
+from .lineforce2d import DEFAULT_HISTORY_TOL
 from .material import Material, make_material, make_material_poisson
+from .pointforce3d import DEFAULT_SLOWNESS_TOL
 
 __all__ = ["RunConfig", "GridSpec", "parse_config", "TRAJECTORY_PRESETS", "FORCE_PRESETS"]
 
@@ -116,7 +118,7 @@ _KNOWN_KEYS = {
     "trajectory.preset", "force.preset",
     "grid.x1", "grid.x2", "grid.x3", "grid.t",
     "tolerances.quad_rel", "tolerances.retarded_rel", "tolerances.history_rel",
-    "run.seed", "run.char_length", "run.checks",
+    "run.seed", "run.checks",
     "output.path", "output.format",
 }.union(*_SECTION_KEYS.values())
 
@@ -148,19 +150,14 @@ class RunConfig:
     trajectory: Trajectory
     force: ForceProfile
     grid: GridSpec
-    quad_rel: float = 1e-10
-    retarded_rel: float = 1e-12
-    history_rel: float = 1e-8
-    seed: int = 0
-    char_length: float = 1.0
-    checks: list[str] | None = None
-    out_path: str = "fields.csv"
-    out_format: str = "csv"
-    text_sha256: str = ""
-
-    @property
-    def r_min(self):
-        return 1e-9 * self.char_length
+    quad_rel: float
+    retarded_rel: float
+    history_rel: float
+    seed: int
+    checks: list[str] | None
+    out_path: str
+    out_format: str
+    text_sha256: str
 
 
 def _parse_scalar(value, errors, key):
@@ -290,7 +287,8 @@ def parse_config(text: str) -> RunConfig:
 
     tols = {}
     for name, default in (
-        ("quad_rel", 1e-10), ("retarded_rel", 1e-12), ("history_rel", 1e-8)
+        ("quad_rel", DEFAULT_SLOWNESS_TOL), ("retarded_rel", DEFAULT_RETARDED_TOL),
+        ("history_rel", DEFAULT_HISTORY_TOL),
     ):
         val = _parse_scalar(kv.get(f"tolerances.{name}", str(default)), errors, f"tolerances.{name}")
         if not 0.0 < val < math.inf:
@@ -298,10 +296,6 @@ def parse_config(text: str) -> RunConfig:
             val = default
         tols[name] = val
 
-    char_length = _parse_scalar(kv.get("run.char_length", "1.0"), errors, "run.char_length")
-    if not 0.0 < char_length < math.inf:
-        errors.append(f"run.char_length: must be positive and finite, got {char_length:g}")
-        char_length = 1.0
     try:
         seed = int(kv.get("run.seed", "0"))
     except ValueError:
@@ -330,7 +324,6 @@ def parse_config(text: str) -> RunConfig:
         retarded_rel=tols["retarded_rel"],
         history_rel=tols["history_rel"],
         seed=seed,
-        char_length=char_length,
         checks=checks,
         out_path=kv.get("output.path", "fields.csv").strip(),
         out_format=out_format,

@@ -80,7 +80,9 @@ __all__ = [
 ]
 
 DEFAULT_RETARDED_TOL = 1e-12
-DEFAULT_R_MIN = 1e-9
+# Singular-point cutoff. Like the solver's stop rule, it takes lengths and
+# times of order one.
+R_MIN = 1e-9
 
 _NEWTON_ITERATIONS = 120
 _EPS = float(np.finfo(float).eps)
@@ -193,7 +195,7 @@ class RetardedState:
         valid: False on rows whose root precedes a bounded trajectory
                domain; their geometry is taken at the domain start and
                carries no force
-        singular: True on rows whose observer lies within r_min of the
+        singular: True on rows whose observer lies within R_MIN of the
                worldline; their r, n and pc are NaN
     """
 
@@ -485,12 +487,16 @@ def polynomial_force(coefficients, t_on: float) -> ForceProfile:
     t_on = _finite("t_on", t_on)
     dc = c[1:] * np.arange(1, c.shape[0])[:, None] if c.shape[0] > 1 else np.zeros((1, 3))
 
-    powers = np.arange(c.shape[0], dtype=float)
+    def horner(coef, tau):
+        # Elementwise, so a time's bits do not depend on the times sharing its call.
+        out = _broadcast_const(coef[-1], tau)
+        for ck in coef[-2::-1]:
+            out = out * tau + _col(ck, tau)
+        return out
 
     def fn(t):
         tau = np.asarray(t, float) - t_on
-        tk = tau ** _col(powers, tau)  # (order + 1,) or (order + 1, n)
-        return c.T @ tk, dc.T @ tk[:dc.shape[0]]
+        return horner(c, tau), horner(dc, tau)
 
     return ForceProfile("polynomial", t_on, fn)
 
@@ -565,12 +571,12 @@ def _no_retardation(t):
     )
 
 
-def _finalize_state(traj, xc, tp, slowness, r_min, valid=True):
+def _finalize_state(traj, xc, tp, slowness, valid=True):
     """Geometry at the solved retarded time(s); masked rows are not checked.
 
     ``xc`` is the observer (dim,) of a scalar solve, or its component rows
     (dim, 1) or (dim, n). A scalar solve raises SingularPointError for an
-    observer within r_min of the worldline; an array solve flags such rows
+    observer within R_MIN of the worldline; an array solve flags such rows
     in ``singular`` and gives them NaN geometry. The row vectors of the
     state are transposed views of component-major arrays.
     """
@@ -578,11 +584,11 @@ def _finalize_state(traj, xc, tp, slowness, r_min, valid=True):
     s, v, a = (c.T[:dim] for c in traj.eval(tp))
     rvec = xc - s
     r = np.sqrt(_dot(rvec, rvec))
-    singular = (r < r_min) & valid
+    singular = (r < R_MIN) & valid
     if np.ndim(tp) == 0:
         if singular:
             raise SingularPointError(
-                f"observer within r_min={r_min:g} of the source worldline at t'={tp:g}"
+                f"observer within R_MIN={R_MIN:g} of the source worldline at t'={tp:g}"
             )
         singular = False
     else:
@@ -658,7 +664,6 @@ def retarded_time(
     t,
     slowness,
     tol: float = DEFAULT_RETARDED_TOL,
-    r_min: float = DEFAULT_R_MIN,
     dim: int = 3,
 ) -> RetardedState:
     """Solve t - t' - kappa |x - s(t')| = 0 for the unique subsonic root.
@@ -675,7 +680,7 @@ def retarded_time(
     roots of its two far channels, t_T <= t' <= t_L, from a cubic Hermite
     start in kappa (see ``pointforce3d._node_states``). An array row whose
     root precedes the first knot of a bounded trajectory domain is masked
-    (``valid`` False), and one whose observer sits within r_min of the
+    (``valid`` False), and one whose observer sits within R_MIN of the
     worldline is flagged (``singular``); a scalar call raises
     NoRetardationError or SingularPointError instead. Raises
     RetardedConvergenceError when a row has not met the stop rule after
@@ -693,8 +698,8 @@ def retarded_time(
         raise _no_retardation(float(t))
     tp = _newton(traj, xc, t, k, lo, hi, 0.5 * (lo + hi), valid, tol)
     if scalar:
-        return _finalize_state(traj, x, float(tp[0]), float(k[0]), r_min)
-    return _finalize_state(traj, xc, tp, k, r_min, valid)
+        return _finalize_state(traj, x, float(tp[0]), float(k[0]))
+    return _finalize_state(traj, xc, tp, k, valid)
 
 
 def retarded_time_bisection(
@@ -702,7 +707,6 @@ def retarded_time_bisection(
     x,
     t: float,
     slowness: float,
-    r_min: float = DEFAULT_R_MIN,
     dim: int = 3,
 ) -> RetardedState:
     """Plain-bisection reference solver for the same root as retarded_time.
@@ -724,4 +728,4 @@ def retarded_time_bisection(
             lo = mid
         else:
             hi = mid
-    return _finalize_state(traj, x, 0.5 * (lo + hi), slowness, r_min)
+    return _finalize_state(traj, x, 0.5 * (lo + hi), slowness)

@@ -55,8 +55,8 @@ import numpy as np
 
 from .errors import QuadratureError, SingularPointError, WavefrontProximityWarning
 from .kinematics import (
-    DEFAULT_R_MIN,
     DEFAULT_RETARDED_TOL,
+    R_MIN,
     ForceProfile,
     Trajectory,
     motion_violations,
@@ -93,7 +93,7 @@ class FieldSample2D:
     fd_error: dict | None = None
 
 
-def _singular_ends(traj, prof, x, t, slowness, tol, r_min):
+def _singular_ends(traj, prof, x, t, slowness, tol):
     """Upper history limits (retarded times in the plane), one row per slowness.
 
     ``x``, ``t`` and ``slowness`` are one value or one per row, as in
@@ -102,9 +102,9 @@ def _singular_ends(traj, prof, x, t, slowness, tol, r_min):
     precedes the switch-on or the worldline, and then its kernel has no
     history.
     """
-    st = retarded_time(traj, x, t, slowness, tol=tol, r_min=r_min, dim=2)
+    st = retarded_time(traj, x, t, slowness, tol=tol, dim=2)
     if st.singular.any():
-        raise SingularPointError(f"observer within r_min={r_min:g} of the source worldline")
+        raise SingularPointError(f"observer within R_MIN={R_MIN:g} of the source worldline")
     return st, st.valid & (st.t_ret > prof.t_on)
 
 
@@ -123,8 +123,8 @@ class _HistoryNodes(NamedTuple):
     s: np.ndarray  # root S of the kernel that is singular at b
 
 
-def _history_nodes(traj, t, st, rows, w, r_min):
-    """Geometry at t' = b - w^2 for nodes w (n,), checked against r_min.
+def _history_nodes(traj, t, st, rows, w):
+    """Geometry at t' = b - w^2 for nodes w (n,), checked against R_MIN.
 
     Node i ends at the retarded row ``rows[i]`` of ``st``: b = t_ret,
     kappa = slowness and R_b = R(b) there. Every node is built from the
@@ -140,7 +140,7 @@ def _history_nodes(traj, t, st, rows, w, r_min):
     ds, dv = (c[:2].T for c in traj._diff(b, h))
     rvec = rvec_b + ds
     r = np.sqrt(np.einsum("ni,ni->n", rvec, rvec))
-    if (r < r_min).any():
+    if (r < R_MIN).any():
         raise SingularPointError("history passes through the observation point")
     dr = np.einsum("ni,ni->n", ds, 2.0 * rvec_b + ds) / (r + r_b)
     d = h - kappa * dr
@@ -149,7 +149,7 @@ def _history_nodes(traj, t, st, rows, w, r_min):
     return _HistoryNodes(b - h, tbar, rvec, r, st.v[rows] - dv, ds, dv, dr, d, s)
 
 
-def _history_sums(traj, t, st, segments, rel_tol, r_min):
+def _history_sums(traj, t, st, segments, rel_tol):
     """Integrals over the history segments of one evaluation, in one engine call.
 
     ``segments`` holds (a, row, kernel) triples: the segment [a, b] ends at
@@ -164,7 +164,7 @@ def _history_sums(traj, t, st, segments, rel_tol, r_min):
     w_max = np.sqrt(st.t_ret[rows] - np.array([a for a, _, _ in segments]))
 
     def integrand(w, owner):
-        nodes = _history_nodes(traj, t, st, rows[owner], w, r_min)
+        nodes = _history_nodes(traj, t, st, rows[owner], w)
         out = None
         for k, (_, _, kernel) in enumerate(segments):
             mine = owner == k
@@ -192,7 +192,6 @@ def antiplane_fields(
     t: float,
     rel_tol: float = DEFAULT_HISTORY_TOL,
     tol_ret: float = DEFAULT_RETARDED_TOL,
-    r_min: float = DEFAULT_R_MIN,
 ) -> FieldSample2D:
     """u3, beta_3alpha and v3 of the anti-plane line force.
 
@@ -205,7 +204,7 @@ def antiplane_fields(
     for error, message in motion_violations(traj, prof, mat.cT, line=True):
         raise error(message)
     x = np.asarray(x, dtype=float)[:2]
-    st, live = _singular_ends(traj, prof, x, t, [1.0 / mat.cT], tol_ret, r_min)
+    st, live = _singular_ends(traj, prof, x, t, [1.0 / mat.cT], tol_ret)
     if not live[0]:
         return FieldSample2D(u=0.0, beta=np.zeros(2), v=0.0)
     kap, rvec_b, r_b, v_b = st.slowness[0], st.rvec[0], st.r[0], st.v[0]
@@ -227,10 +226,10 @@ def antiplane_fields(
         q, qd = prof.eval(g.tp)
         return np.hstack([q[:, 2:], qd[:, 2:] * dtup - 0.5 * q[:, 2:] * dlog_s2]) / g.s[:, None]
 
-    (total,) = _history_sums(traj, t, st, [(prof.t_on, 0, kernel)], rel_tol, r_min)
+    (total,) = _history_sums(traj, t, st, [(prof.t_on, 0, kernel)], rel_tol)
     # Boundary term of the derivatives at the switch-on node w = sqrt(b - t_on).
     w_on = np.array([math.sqrt(st.t_ret[0] - prof.t_on)])
-    s_on = _history_nodes(traj, t, st, [0], w_on, r_min).s[0]
+    s_on = _history_nodes(traj, t, st, [0], w_on).s[0]
     total[1:] += prof.eval(prof.t_on)[0][2] * dtup / s_on
     total /= 2.0 * math.pi * mat.rho * mat.cT ** 2
     return FieldSample2D(u=float(total[0]), beta=total[2:], v=float(total[1]))
@@ -247,7 +246,6 @@ def inplane_displacement(
     t,
     rel_tol: float = DEFAULT_HISTORY_TOL,
     tol_ret: float = DEFAULT_RETARDED_TOL,
-    r_min: float = DEFAULT_R_MIN,
 ) -> np.ndarray:
     """u_alpha of an in-plane line force: both history integrals of plane strain.
 
@@ -267,7 +265,7 @@ def inplane_displacement(
     kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
     # Row 2i ends the longitudinal history of point i, row 2i + 1 the transversal one.
     st, live = _singular_ends(traj, prof, np.repeat(xs, 2, axis=0), np.repeat(ts, 2),
-                              np.tile([kL, kT], ts.size), tol_ret, r_min)
+                              np.tile([kL, kT], ts.size), tol_ret)
     kL2 = 1.0 / mat.cL ** 2
 
     def parts(g):
@@ -298,7 +296,7 @@ def inplane_displacement(
             # Shared interval: the far history of the two kernels cancels
             # pointwise, so integrate their difference.
             segments = [(prof.t_on, row_t, kernel_diff), (st.t_ret[row_t], row_l, kernel_l)]
-        u[i] = _history_sums(traj, ts[i], st, segments, rel_tol, r_min).sum(axis=0)
+        u[i] = _history_sums(traj, ts[i], st, segments, rel_tol).sum(axis=0)
     return (u / (2.0 * math.pi * mat.rho)).reshape(shape + (2,))
 
 
@@ -360,7 +358,6 @@ def inplane_fields(
     t: float,
     rel_tol: float = DEFAULT_HISTORY_TOL,
     tol_ret: float = DEFAULT_RETARDED_TOL,
-    r_min: float = DEFAULT_R_MIN,
 ) -> FieldSample2D:
     """Displacement plus FD-differentiated distortion and velocity.
 
@@ -379,7 +376,7 @@ def inplane_fields(
     ts = [t] * (1 + 2 * n) + [t + s for s in offsets[2]]
     # A call of the module-level name, which the benchmark tracer wraps.
     u = inplane_displacement(
-        mat, traj, prof, np.array(xs), np.array(ts), rel_tol=rel_tol, tol_ret=tol_ret, r_min=r_min
+        mat, traj, prof, np.array(xs), np.array(ts), rel_tol=rel_tol, tol_ret=tol_ret
     )
     derivs, errs = [], {}
     for name, h, offs, values in zip(("beta_d1", "beta_d2", "v"), steps, offsets,

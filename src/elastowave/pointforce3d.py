@@ -51,8 +51,8 @@ import numpy as np
 
 from .errors import ExtrapolationError, QuadratureError, SingularPointError
 from .kinematics import (
-    DEFAULT_R_MIN,
     DEFAULT_RETARDED_TOL,
+    R_MIN,
     ForceProfile,
     Trajectory,
     _bracket,
@@ -77,6 +77,10 @@ __all__ = [
 ]
 
 _I3 = np.eye(3)
+
+DEFAULT_SLOWNESS_TOL = 1e-10
+# The static closed forms are oracles, so their slowness moment is tighter.
+_STATIC_TOL = 1e-12
 
 
 @dataclass
@@ -230,7 +234,7 @@ def _windows(roots, kL, kT, on, off):
     return win
 
 
-def _node_states(traj, xc, ts, kappas, win, tol_ret, r_min):
+def _node_states(traj, xc, ts, kappas, win, tol_ret):
     """Retarded states of slowness nodes: row i is kappas[i] of event (xc[:, i], ts[i]).
 
     ``xc`` (3, m) holds each row's observer components, and ``win``
@@ -257,10 +261,10 @@ def _node_states(traj, xc, ts, kappas, win, tol_ret, r_min):
         lo[own], hi[own], valid[own] = _bracket(traj, xc[:, own], ts[own], kappas[own])
         start[own] = 0.5 * (lo[own] + hi[own])
     tp = _newton(traj, xc, ts, kappas, lo, hi, start, valid, tol_ret)
-    return _finalize_state(traj, xc, tp, kappas, r_min, valid)
+    return _finalize_state(traj, xc, tp, kappas, valid)
 
 
-def _slowness_terms(traj, prof, xc, ts, win, ev, kappas, tol_ret, r_min):
+def _slowness_terms(traj, prof, xc, ts, win, ev, kappas, tol_ret):
     """Intermediate-channel terms of slowness nodes: node i is kappas[i] of event ev[i].
 
     The observer components ``xc`` (3, n), ``ts`` and ``win`` (from
@@ -278,7 +282,7 @@ def _slowness_terms(traj, prof, xc, ts, win, ev, kappas, tol_ret, r_min):
     if cut:
         keep = np.flatnonzero(keep)
         ev, kappas, w = ev[keep], kappas[keep], np.take(w, keep, axis=1)
-    st = _node_states(traj, np.take(xc, ev, axis=1), ts[ev], kappas, w, tol_ret, r_min)
+    st = _node_states(traj, np.take(xc, ev, axis=1), ts[ev], kappas, w, tol_ret)
     terms = _field_terms(st, prof, kappas, _MID_GA, _MID_GB, _MID_M)
     if cut:
         out = np.zeros((_WIDTH, n))
@@ -301,7 +305,7 @@ def _past_the_end(traj, xc, ts, kL):
     return ts - t_end - kL * np.sqrt(_dot(rv, rv)) > 0.0
 
 
-def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
+def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret):
     """Sum ``_field_terms`` over the two far channels and the slowness integral, per event.
 
     ``xs`` (n, 3) and ``ts`` (n,) are the observation events. The
@@ -331,11 +335,11 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
         singular = np.zeros(n, dtype=bool)
         keep = ~late
         total[keep], singular[keep], _ = _retarded_sums(
-            mat, traj, prof, xs[keep], ts[keep], rel_tol, tol_ret, r_min)
+            mat, traj, prof, xs[keep], ts[keep], rel_tol, tol_ret)
         return total, singular, late
 
     far = np.tile([kT, kL], n)
-    st = retarded_time(traj, np.repeat(xs, 2, axis=0), np.repeat(ts, 2), far, tol_ret, r_min)
+    st = retarded_time(traj, np.repeat(xs, 2, axis=0), np.repeat(ts, 2), far, tol_ret)
     rows = _field_terms(st, prof, far * far, np.tile(_FAR_GA, n), np.tile(_FAR_GB, n),
                         np.tile(_FAR_M, n))
     total = rows.reshape(n, 2, rows.shape[1]).sum(axis=1)
@@ -348,8 +352,7 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min):
     def integrand(kappas, owner):
         # A singular row has NaN geometry and therefore NaN terms, which
         # takes its event out of the refinement.
-        terms, hit = _slowness_terms(traj, prof, xc, ts, win, live[owner], kappas,
-                                     tol_ret, r_min)
+        terms, hit = _slowness_terms(traj, prof, xc, ts, win, live[owner], kappas, tol_ret)
         on_worldline[hit] = True
         return terms
 
@@ -389,21 +392,14 @@ def _field_sample(acc, rho):
     )
 
 
-def _singular_event(r_min, t):
-    return SingularPointError(
-        f"observer within r_min={r_min:g} of the source worldline at t={t:g}"
-    )
-
-
 def lw_fields(
     mat: Material,
     traj: Trajectory,
     prof: ForceProfile,
     x,
     t: float,
-    rel_tol: float = 1e-10,
+    rel_tol: float = DEFAULT_SLOWNESS_TOL,
     tol_ret: float = DEFAULT_RETARDED_TOL,
-    r_min: float = DEFAULT_R_MIN,
 ) -> FieldSample:
     """Displacement, distortion and velocity of the moving point force.
 
@@ -413,14 +409,16 @@ def lw_fields(
     for an observer on the worldline, and ExtrapolationError for an event
     whose retarded times reach past the end of a bounded worldline.
     """
-    acc, singular, late = _retarded_sums(mat, traj, prof, [x], [t], rel_tol, tol_ret, r_min)
+    acc, singular, late = _retarded_sums(mat, traj, prof, [x], [t], rel_tol, tol_ret)
     if late[0]:
         raise ExtrapolationError(
             f"retarded times of the event at t={t:g} reach past the end of the trajectory "
             f"domain [{traj.domain[0]:g}, {traj.domain[1]:g}]"
         )
     if singular[0]:
-        raise _singular_event(r_min, t)
+        raise SingularPointError(
+            f"observer within R_MIN={R_MIN:g} of the source worldline at t={t:g}"
+        )
     return _field_sample(acc[0], mat.rho)
 
 
@@ -430,35 +428,31 @@ def lw_fields_batch(
     prof: ForceProfile,
     xs,
     ts,
-    rel_tol: float = 1e-10,
+    rel_tol: float = DEFAULT_SLOWNESS_TOL,
     tol_ret: float = DEFAULT_RETARDED_TOL,
-    r_min: float = DEFAULT_R_MIN,
 ) -> tuple[FieldSample, np.ndarray]:
     """``lw_fields`` at every event (xs[i], ts[i]) in one batched evaluation.
 
     ``xs`` is (n, 3) and ``ts`` (n,). Returns a FieldSample whose arrays
     carry a leading event axis, and the boolean mask of events whose
-    observer lies within r_min of the worldline, or whose retarded times
+    observer lies within R_MIN of the worldline, or whose retarded times
     reach past the end of a bounded worldline: their fields are NaN
     instead of raising.
     """
-    acc, singular, late = _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret, r_min)
+    acc, singular, late = _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret)
     return _field_sample(acc, mat.rho), singular | late
 
 
 # ---------------------------------------------------------------------------
 # static-source closed forms
 
-def stokes_displacement(
-    mat: Material, prof: ForceProfile, rvec, t: float, rel_tol: float = 1e-12,
-    r_min: float = DEFAULT_R_MIN,
-) -> np.ndarray:
+def stokes_displacement(mat: Material, prof: ForceProfile, rvec, t: float) -> np.ndarray:
     """Displacement of a fixed concentrated force with time-dependent strength."""
-    rv, r, n = _static_geometry(rvec, r_min)
+    rv, r, n = _static_geometry(rvec)
     kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
     qT, _ = prof.eval(t - r * kT)
     qL, _ = prof.eval(t - r * kL)
-    iq = _kappa_moment(prof, t, r, kL, kT, rel_tol)
+    iq = _kappa_moment(prof, t, r, kL, kT)
     u = (
         kT * kT * (qT - float(n @ qT) * n)
         + kL * kL * float(n @ qL) * n
@@ -468,21 +462,19 @@ def stokes_displacement(
     return u / (4.0 * math.pi * mat.rho * r)
 
 
-def stokes_gradient(mat, prof, rvec, t, rel_tol: float = 1e-12,
-                    r_min: float = DEFAULT_R_MIN) -> np.ndarray:
+def stokes_gradient(mat, prof, rvec, t) -> np.ndarray:
     """Displacement gradient of the fixed concentrated force."""
-    parts = stokes_gradient_split(mat, prof, rvec, t, rel_tol, r_min)
+    parts = stokes_gradient_split(mat, prof, rvec, t)
     return parts["q"] + parts["qdot"]
 
 
-def stokes_gradient_split(mat, prof, rvec, t, rel_tol: float = 1e-12,
-                          r_min: float = DEFAULT_R_MIN, parts=("q", "qdot")) -> dict:
+def stokes_gradient_split(mat, prof, rvec, t, parts=("q", "qdot")) -> dict:
     """Gradient split into strength-driven (1/R^2) and rate-driven (1/R) parts.
 
     Only the strength part needs the slowness moment integral, so far-field
     scans of the rate part stay cheap via ``parts=("qdot",)``.
     """
-    rv, r, n = _static_geometry(rvec, r_min)
+    rv, r, n = _static_geometry(rvec)
     kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
     qT, qdT = prof.eval(t - r * kT)
     qL, qdL = prof.eval(t - r * kL)
@@ -495,7 +487,7 @@ def stokes_gradient_split(mat, prof, rvec, t, rel_tol: float = 1e-12,
 
     out = {}
     if "q" in parts:
-        iq = _kappa_moment(prof, t, r, kL, kT, rel_tol)
+        iq = _kappa_moment(prof, t, r, kL, kT)
         qdiff = kL * kL * qL - kT * kT * qT
         term1 = (3.0 / r2) * (5.0 * float(n @ iq) * nn - sym3(iq))
         term2 = (1.0 / r2) * (6.0 * float(n @ qdiff) * nn - sym3(qdiff))
@@ -508,18 +500,18 @@ def stokes_gradient_split(mat, prof, rvec, t, rel_tol: float = 1e-12,
     return out
 
 
-def kelvin_displacement(mat: Material, q, rvec, r_min: float = DEFAULT_R_MIN) -> np.ndarray:
+def kelvin_displacement(mat: Material, q, rvec) -> np.ndarray:
     """Displacement of a static concentrated force of constant strength."""
     q = np.asarray(q, dtype=float)
-    rv, r, n = _static_geometry(rvec, r_min)
+    rv, r, n = _static_geometry(rvec)
     pref = 1.0 / (16.0 * math.pi * mat.mu * (1.0 - mat.nu) * r)
     return pref * ((3.0 - 4.0 * mat.nu) * q + float(n @ q) * n)
 
 
-def kelvin_gradient(mat: Material, q, rvec, r_min: float = DEFAULT_R_MIN) -> np.ndarray:
+def kelvin_gradient(mat: Material, q, rvec) -> np.ndarray:
     """Displacement gradient of the static concentrated force."""
     q = np.asarray(q, dtype=float)
-    rv, r, n = _static_geometry(rvec, r_min)
+    rv, r, n = _static_geometry(rvec)
     pref = -1.0 / (16.0 * math.pi * mat.mu * (1.0 - mat.nu) * r * r)
     return pref * (
         (3.0 - 4.0 * mat.nu) * np.outer(q, n)
@@ -529,17 +521,23 @@ def kelvin_gradient(mat: Material, q, rvec, r_min: float = DEFAULT_R_MIN) -> np.
     )
 
 
-def _static_geometry(rvec, r_min):
+def _static_geometry(rvec):
     rv = np.asarray(rvec, dtype=float)
     r = float(np.linalg.norm(rv))
-    if r < r_min:
-        raise SingularPointError(f"field point within r_min={r_min:g} of the force")
+    if r < R_MIN:
+        raise SingularPointError(f"field point within R_MIN={R_MIN:g} of the force")
     return rv, r, rv / r
 
 
-def _kappa_moment(prof, t, r, kL, kT, rel_tol):
-    """integral of kappa * Q(t - kappa r) over the slowness interval."""
+def _kappa_moment(prof, t, r, kL, kT):
+    """integral of kappa * Q(t - kappa r) over the slowness interval.
+
+    Q(t - kappa r) vanishes past kappa_on = (t - t_on)/r and kappa_off =
+    (t - t_off)/r, so a jump of Q at t_on or t_off is an endpoint.
+    """
     def f(kappas):
         return kappas[:, None] * prof.eval(t - kappas * r)[0]
 
-    return adaptive_gauss_legendre(f, kL, kT, rel_tol=rel_tol)
+    lo = max(kL, (t - prof.t_off) / r)
+    hi = min(kT, (t - prof.t_on) / r)
+    return adaptive_gauss_legendre(f, lo, hi, rel_tol=_STATIC_TOL)

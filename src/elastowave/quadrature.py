@@ -47,6 +47,9 @@ NODES = 16
 # an integral fails does not depend on the intervals it is batched with.
 MAX_LIVE_ROWS = 4096
 
+# Most bisections of one panel. Read at call time, so a test can lower it.
+MAX_DEPTH = 44
+
 
 @lru_cache(maxsize=32)
 def gauss_legendre_rule(n: int):
@@ -78,7 +81,7 @@ def _panels(f, lo, hi, owner, x, w):
     return half * np.concatenate(sums), half * np.concatenate(l1s)
 
 
-def integrate_intervals(f, a, b, rel_tol=1e-10, max_depth=44, collect=None):
+def integrate_intervals(f, a, b, rel_tol=1e-10, collect=None):
     """Integrate ``f`` over every interval [a[i], b[i]] in one refinement loop.
 
     Args:
@@ -98,10 +101,12 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, max_depth=44, collect=None):
         own row order; so it does not depend on the intervals it is
         batched with. An interval whose integrand is not finite somewhere
         leaves the refinement at once; it is flagged in ``failed`` and its
-        value is NaN. Empty intervals (b <= a) integrate to zero.
+        value is NaN. Empty intervals (b <= a) integrate to zero; when
+        every interval is empty, one node probe of ``f`` gives the
+        number of components.
 
     Raises:
-        QuadratureError: a panel still fails the error test at max_depth,
+        QuadratureError: a panel still fails the error test at MAX_DEPTH,
             or an interval would hold more than MAX_LIVE_ROWS rows in one
             round; carries that panel's estimate.
     """
@@ -112,7 +117,8 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, max_depth=44, collect=None):
     failed = np.zeros(a.size, dtype=bool)
     own = (width > 0.0).nonzero()[0]
     if own.size == 0:
-        return np.zeros((a.size, 0)), failed
+        probe = np.asarray(f(a[:1], np.zeros(min(a.size, 1), dtype=int)), dtype=float)
+        return np.zeros((a.size, probe.shape[-1])), failed
     # The first call evaluates the whole interval and both of its halves.
     # Every call after it holds both halves of each row to refine: rows
     # [0, r) of ``halves`` are the left ones, [r, 2r) the right ones.
@@ -138,7 +144,7 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, max_depth=44, collect=None):
 
     values = np.zeros((a.size, m))
     accepted = []  # (interval, lo, hi) of accepted rows, for ``collect``
-    for depth in range(max_depth + 1):
+    for depth in range(MAX_DEPTH + 1):
         left, right = halves[:r], halves[r:]
         better = left + right
         failed[own[~np.isfinite(better).all(axis=1)]] = True
@@ -162,7 +168,7 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, max_depth=44, collect=None):
             break
         # Rows are bisected in rounds, so every row here is at this depth.
         unconverged = np.bincount(own[split])
-        if depth == max_depth or 2 * unconverged.max() > MAX_LIVE_ROWS:
+        if depth == MAX_DEPTH or 2 * unconverged.max() > MAX_LIVE_ROWS:
             i = split[own[split] == unconverged.argmax()][0]
             raise QuadratureError(
                 f"no convergence after {depth} subdivisions on [{lo[i]:g}, {hi[i]:g}]; "
@@ -193,7 +199,7 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, max_depth=44, collect=None):
     return values, failed
 
 
-def adaptive_gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-10, max_depth: int = 44,
+def adaptive_gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-10,
                             collect: list | None = None):
     """Integrate ``f`` over [a, b] to the requested relative tolerance.
 
@@ -206,15 +212,10 @@ def adaptive_gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-10, max_d
             appended as (nodes, weights) pairs, left to right.
 
     Raises:
-        QuadratureError: max_depth exceeded (carries the achieved estimate),
+        QuadratureError: MAX_DEPTH exceeded (carries the achieved estimate),
             or the integrand is not finite somewhere on [a, b].
     """
-    if b <= a:
-        probe = np.asarray(f(np.array([0.5 * (a + b) if b == a else a])), dtype=float)
-        return np.zeros(probe.shape[-1])
-    values, failed = integrate_intervals(
-        lambda xs, owner: f(xs), [a], [b], rel_tol, max_depth, collect
-    )
+    values, failed = integrate_intervals(lambda xs, owner: f(xs), [a], [b], rel_tol, collect)
     if failed[0]:
         raise QuadratureError(f"integrand is not finite on [{a:g}, {b:g}]")
     return values[0]

@@ -71,7 +71,7 @@ def test_batched_rows_equal_one_event_calls(text):
     assert np.all(rows[0, 4:19] == 0.0)  # nothing has arrived yet
     for i, (x1, x2, x3, t) in enumerate(events):
         args = (cfg.material, cfg.trajectory, cfg.force, np.array([x1, x2, x3]), t)
-        kw = dict(rel_tol=cfg.quad_rel, tol_ret=cfg.retarded_rel, r_min=cfg.r_min)
+        kw = dict(rel_tol=cfg.quad_rel, tol_ret=cfg.retarded_rel)
         if i == 3:
             with pytest.raises(SingularPointError):
                 pointforce3d.lw_fields(*args, **kw)
@@ -112,7 +112,7 @@ def test_grid_masks_events_past_the_last_knot():
     assert late.sum() == 30
     assert np.all(rows[late, 19] == 1.0) and np.all(rows[late, 4:19] == 0.0)
     assert not rows[~late, 19].any()
-    kw = dict(rel_tol=cfg.quad_rel, tol_ret=cfg.retarded_rel, r_min=cfg.r_min)
+    kw = dict(rel_tol=cfg.quad_rel, tol_ret=cfg.retarded_rel)
     for row in rows[~late]:
         fs = pointforce3d.lw_fields(cfg.material, cfg.trajectory, cfg.force, row[:3], row[3], **kw)
         one = np.concatenate([fs.u, fs.beta.ravel(), fs.v])
@@ -143,7 +143,7 @@ def test_2d_grid_masks_events_past_the_last_knot(dimension):
     late = [0, 0, 0, 1, 1, 1] if dimension == "2d-inplane" else [0, 0, 0, 1, 1, 0]
     assert rows[:, 19].tolist() == late
     fields, columns = _COLUMNS_2D[dimension]
-    kw = dict(rel_tol=cfg.history_rel, tol_ret=cfg.retarded_rel, r_min=cfg.r_min)
+    kw = dict(rel_tol=cfg.history_rel, tol_ret=cfg.retarded_rel)
     for row in rows:
         args = (cfg.material, cfg.trajectory, cfg.force, row[:2], row[3])
         if row[19]:
@@ -244,7 +244,7 @@ def test_nodes_solve_inside_far_roots(text):
     kappas = kL + (kT - kL) * np.tile(fractions, n)
     win = pointforce3d._windows(roots, kL, kT, None, None)
     st = pointforce3d._node_states(cfg.trajectory, np.ascontiguousarray(xs[ev].T), ts[ev], kappas,
-                                   win[:, ev], 1e-12, 1e-9)
+                                   win[:, ev], 1e-12)
     bracketed = ~np.isnan(roots[ev, 0])
     assert bracketed.sum() >= 3 * fractions.size
     for i in np.flatnonzero(st.valid):
@@ -324,7 +324,7 @@ def test_nodes_outside_the_support_are_exact_zeros(text):
         ev = np.repeat(np.arange(n), fractions.size)
         kappas = kL + (kT - kL) * np.tile(fractions, n)
         terms, hit = pointforce3d._slowness_terms(cfg.trajectory, prof, xc, events[:, 3], win, ev,
-                                                  kappas, 1e-12, 1e-9)
+                                                  kappas, 1e-12)
         assert hit.size == 0 and terms.T.flags.c_contiguous
         inside = (win[0, ev] <= kappas) & (kappas <= win[1, ev])
         assert 0 < inside.sum() < inside.size

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +76,18 @@ def test_parse_minimal_config_fills_defaults():
     assert cfg.seed == 0
     assert cfg.grid.n_events == 1
     assert cfg.material.cT == 1.0
+
+
+def test_documented_keys_are_the_grammar():
+    # The "Documented keys" section of the config module names every key
+    # that is not a preset parameter, and no other.
+    from elastowave import config
+
+    section = config.__doc__.split("Documented keys\n---------------\n")[1]
+    heads = [line for line in section.splitlines() if line and not line[0].isspace()]
+    documented = set(re.findall(r"[a-z]+\.[a-z0-9_]+", " ".join(heads)))
+    preset_keys = set().union(*config._SECTION_KEYS.values())
+    assert documented == config._KNOWN_KEYS - preset_keys
 
 
 def test_parse_rejects_supersonic():

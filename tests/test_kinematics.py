@@ -183,6 +183,33 @@ def test_qdot_is_derivative(prof):
         np.testing.assert_allclose((q_p - q_m) / (2 * h), prof.eval(t)[1], atol=2e-5)
 
 
+@pytest.mark.parametrize(
+    "prof",
+    [
+        constant_force([0.3, -0.2, 1.0]),
+        step_force([1.0, -2.0, 3.0], t_on=0.5),
+        ramp_force([0.3, 0.1, -0.2], t_on=-1.0),
+        sinusoid_force([1.0, 0.5, 0.2], omega=2.1, phase=0.7),
+        bump_force([2.0, 0, 1.0], center=1.0, half_width=0.8),
+        polynomial_force([[1.0, 0, 0], [0.5, 1.0, 0], [0, 0.2, -0.1], [0.3, -0.7, 0.01],
+                          [-0.05, 0.02, 0.4]], t_on=-1.5),
+    ],
+    ids=["constant", "step", "ramp", "sinusoid", "bump", "polynomial"],
+)
+def test_force_rows_do_not_depend_on_the_batch(prof):
+    # A time's Q and Qdot are the same bits whether it is evaluated alone
+    # or with any other times.
+    ts = np.random.default_rng(3).uniform(-2.0, 4.0, 2000)
+    whole = prof.eval(ts)
+    for size in (5, 7, 64):
+        parts = [prof.eval(ts[i:i + size]) for i in range(0, ts.size, size)]
+        for k in range(2):
+            assert np.array_equal(np.concatenate([p[k] for p in parts]), whole[k])
+    for i in range(0, ts.size, 7):
+        q, qd = prof.eval(float(ts[i]))
+        assert np.array_equal(q, whole[0][i]) and np.array_equal(qd, whole[1][i])
+
+
 def test_constructors_take_flat_values_and_check_sizes():
     ts = [0.0, 1.0, 2.0]
     pos = np.arange(9.0).reshape(3, 3) * 0.1

@@ -278,7 +278,7 @@ def test_inplane_displacement_batch_equals_one_point_calls(traj):
     xs = np.array([x for x, _ in POINTS])
     ts = np.array([t for _, t in POINTS])
     _, live = lineforce2d._singular_ends(traj, prof, np.repeat(xs, 2, axis=0), np.repeat(ts, 2),
-                                         np.tile([1.0 / MAT.cL, 1.0 / MAT.cT], ts.size), 1e-12, 1e-9)
+                                         np.tile([1.0 / MAT.cL, 1.0 / MAT.cT], ts.size), 1e-12)
     assert live.reshape(-1, 2).tolist() == LIVE_ROWS
     u = inplane_displacement(MAT, traj, prof, xs, ts)
     assert u.shape == (ts.size, 2)

@@ -84,6 +84,22 @@ def test_stokes_causality():
     assert np.any(stokes_displacement(MAT, prof, rvec, t=1.2) != 0)
 
 
+@pytest.mark.parametrize("fraction", [0.002, 0.01, 0.5, 0.998])
+def test_stokes_step_switch_on_inside_the_shell(fraction):
+    # Between the fronts, a unit step along z switched on at t_on = 0 has
+    # reached the slowness moment only for kappa <= kappa_on = t/r, so
+    # int kappa Q dkappa = (kappa_on^2 - kL^2)/2 along z. With n along x
+    # the displacement is that moment alone: u = -I/(4 pi rho r).
+    kL, kT = 1.0 / MAT.cL, 1.0 / MAT.cT
+    r = 2.0
+    kappa_on = kL + fraction * (kT - kL)
+    prof = step_force([0, 0, 1.0], t_on=0.0)
+    u = stokes_displacement(MAT, prof, [r, 0, 0], kappa_on * r)
+    moment = 0.5 * (kappa_on ** 2 - kL ** 2)
+    np.testing.assert_allclose(u, [0, 0, -moment / (4 * math.pi * MAT.rho * r)], rtol=1e-12,
+                               atol=0)
+
+
 def test_stokes_gradient_qdot_far_field_scaling():
     # rate-driven part decays as 1/R: doubling R halves the RMS amplitude.
     # A transverse force keeps the longitudinal retardation out of the

@@ -79,13 +79,14 @@ def test_collect_nodes_and_weights():
     assert weights.sum() == pytest.approx(3.0, rel=1e-14)
 
 
-def test_non_convergence_raises_with_estimate():
+def test_non_convergence_raises_with_estimate(monkeypatch):
     # A step function can never satisfy 1e-14 relative accuracy panelwise.
     def step(xs):
         return (xs > 1 / 3).astype(float)[:, None]
 
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 8)
     with pytest.raises(QuadratureError) as err:
-        adaptive_gauss_legendre(step, 0.0, 1.0, rel_tol=1e-14, max_depth=8)
+        adaptive_gauss_legendre(step, 0.0, 1.0, rel_tol=1e-14)
     assert err.value.estimate is not None
 
 
@@ -93,6 +94,15 @@ def test_empty_interval():
     val = adaptive_gauss_legendre(lambda xs: xs[:, None], 1.0, 1.0)
     assert val.shape == (1,)
     assert val[0] == 0.0
+
+
+def test_all_empty_intervals_keep_their_columns():
+    # One node probe sizes the zero rows, as in a call with live intervals.
+    f = lambda xs, owner: np.column_stack([xs, np.ones_like(xs)])
+    val, failed = integrate_intervals(f, [1.0, 2.0], [1.0, 2.0])
+    assert val.shape == (2, 2) and np.all(val == 0.0) and not failed.any()
+    val, _ = integrate_intervals(f, [1.0, 2.0], [1.0, 3.0])
+    assert val.shape == (2, 2) and np.all(val[0] == 0.0)
 
 
 def test_many_intervals_match_one_interval_calls(monkeypatch):
