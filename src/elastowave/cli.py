@@ -118,10 +118,10 @@ def _rows_2d(cfg: RunConfig, events: np.ndarray) -> np.ndarray:
 
 def _grid_events(cfg: RunConfig) -> np.ndarray:
     """(x1, x2, x3, t) rows of the configured grid, time-major."""
-    ts, xs1, xs2, xs3 = (cfg.grid.axis_values(name) for name in ("t", "x1", "x2", "x3"))
-    return np.array(
-        [(x1, x2, x3, t) for t in ts for x1 in xs1 for x2 in xs2 for x3 in xs3], dtype=float
+    t, x1, x2, x3 = np.meshgrid(
+        *(cfg.grid.axis_values(name) for name in ("t", "x1", "x2", "x3")), indexing="ij"
     )
+    return np.column_stack([x1.ravel(), x2.ravel(), x3.ravel(), t.ravel()])
 
 
 def sample_grid(cfg: RunConfig, threads: int = 1) -> FieldGrid:

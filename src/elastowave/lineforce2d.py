@@ -11,20 +11,22 @@ which vanish at the retarded times. The integrands therefore carry an
 integrable 1/sqrt singularity at the upper limit. Production quadrature
 removes it exactly with the substitution t' = t_ret - w^2 over each whole
 history segment, leaving smooth integrands for Gauss-Legendre panels.
-One retarded solve gives the upper limits of every kernel, one row per
-wave speed, and each segment ends at one of its rows. Every segment of
-one evaluation is refined in one call of the quadrature engine, and
-every history kernel works on node rows. Every node is built from the
-trajectory's history differences (``Trajectory._diff``), so
+One retarded solve gives the upper limits, one row per wave speed, and
+each segment ends at one of its rows. Every segment of one evaluation is
+refined in one call of the quadrature engine, with one kernel: it takes
+the node rows of all segments at once and tells them apart by the
+slowness kappa of the row each segment ends at. Every node is built
+from the trajectory's history differences (``Trajectory._diff``), so
 R(t') = R(b) + (s(b) - s(t')) and V(t') = V(b) - (V(b) - V(t')), where b
 is the retarded time ending the segment: no absolute position at t' is
 ever subtracted, and the roots S keep their relative accuracy as w -> 0.
 
 Anti-plane motion (force along x3) involves only the transversal kernel;
-the in-plane components mix both wave speeds. The far history of the two
-in-plane kernels cancels pointwise, so the evaluator integrates the
-difference of the kernels on the shared interval instead of differencing
-two large integrals.
+the in-plane components mix both wave speeds. The far history of the
+longitudinal and transversal terms cancels pointwise, so the in-plane
+kernel integrates their difference on the shared interval [t_on, t_T]
+instead of differencing two large integrals, and the longitudinal term
+alone on [t_T, t_L]; it evaluates Q once for the nodes of both.
 
 Anti-plane distortion and velocity are assembled analytically by
 differentiating the substituted history integral, which converts the
@@ -109,10 +111,11 @@ def _singular_ends(traj, prof, x, t, slowness, tol):
 
 
 class _HistoryNodes(NamedTuple):
-    """History geometry at the nodes t' = b - w^2 of a substituted segment."""
+    """History geometry at the nodes t' = b - w^2 of the substituted segments."""
 
     tp: np.ndarray  # t'
     tbar: np.ndarray  # t - t'
+    kappa: np.ndarray  # slowness of the row the node's segment ends at
     rvec: np.ndarray  # R = x - s(t'), (n, 2)
     r: np.ndarray  # |R|
     v: np.ndarray  # source velocity at t', (n, 2)
@@ -146,34 +149,25 @@ def _history_nodes(traj, t, st, rows, w):
     d = h - kappa * dr
     tbar = (t - b) + h
     s = np.sqrt(d * (tbar + kappa * r))
-    return _HistoryNodes(b - h, tbar, rvec, r, st.v[rows] - dv, ds, dv, dr, d, s)
+    return _HistoryNodes(b - h, tbar, kappa, rvec, r, st.v[rows] - dv, ds, dv, dr, d, s)
 
 
-def _history_sums(traj, t, st, segments, rel_tol):
+def _history_sums(traj, t, st, a, rows, kernel, rel_tol):
     """Integrals over the history segments of one evaluation, in one engine call.
 
-    ``segments`` holds (a, row, kernel) triples: the segment [a, b] ends at
-    b = st.t_ret[row], the retarded time of the row of ``st`` whose kernel
-    is singular there. Each whole segment is mapped by t' = b - w^2,
-    w in [0, sqrt(b - a)], which turns the inverse-square-root endpoint
-    into a smooth integrand. ``kernel`` maps the _HistoryNodes of its own
-    segment's nodes to values (n, m) per unit t'; the factor dt'/dw = 2w
-    is applied here. Returns one row of m values per segment.
+    Segment k is [a[k], b] with b = st.t_ret[rows[k]], the retarded time
+    of the row of ``st`` whose root S is singular there. Each whole
+    segment is mapped by t' = b - w^2, w in [0, sqrt(b - a[k])], which
+    turns the inverse-square-root endpoint into a smooth integrand. The one
+    ``kernel`` maps the _HistoryNodes of every segment's nodes at once to
+    values (n, m) per unit t', telling the segments apart by their
+    ``kappa``; the factor dt'/dw = 2w is applied here. Returns one row of
+    m values per segment.
     """
-    rows = np.array([row for _, row, _ in segments])
-    w_max = np.sqrt(st.t_ret[rows] - np.array([a for a, _, _ in segments]))
+    w_max = np.sqrt(st.t_ret[rows] - a)
 
     def integrand(w, owner):
-        nodes = _history_nodes(traj, t, st, rows[owner], w)
-        out = None
-        for k, (_, _, kernel) in enumerate(segments):
-            mine = owner == k
-            if mine.any():
-                val = kernel(_HistoryNodes(*(col[mine] for col in nodes)))
-                if out is None:
-                    out = np.empty((w.size, val.shape[1]))
-                out[mine] = val
-        return 2.0 * w[:, None] * out
+        return 2.0 * w[:, None] * kernel(_history_nodes(traj, t, st, rows[owner], w))
 
     values, failed = integrate_intervals(integrand, np.zeros(w_max.size), w_max, rel_tol=rel_tol)
     if failed.any():
@@ -226,7 +220,7 @@ def antiplane_fields(
         q, qd = prof.eval(g.tp)
         return np.hstack([q[:, 2:], qd[:, 2:] * dtup - 0.5 * q[:, 2:] * dlog_s2]) / g.s[:, None]
 
-    (total,) = _history_sums(traj, t, st, [(prof.t_on, 0, kernel)], rel_tol)
+    (total,) = _history_sums(traj, t, st, np.array([prof.t_on]), np.array([0]), kernel, rel_tol)
     # Boundary term of the derivatives at the switch-on node w = sqrt(b - t_on).
     w_on = np.array([math.sqrt(st.t_ret[0] - prof.t_on)])
     s_on = _history_nodes(traj, t, st, [0], w_on).s[0]
@@ -268,35 +262,29 @@ def inplane_displacement(
                               np.tile([kL, kT], ts.size), tol_ret)
     kL2 = 1.0 / mat.cL ** 2
 
-    def parts(g):
-        # q, n (n.q) and the columns R^2, tbar^2, one row per node.
+    def kernel(g):
+        # A segment ending at the T root integrates the L kernel minus the
+        # T kernel: their far history cancels pointwise, and S_L stays
+        # bounded away from zero there. The L segment integrates the L
+        # kernel alone, with S_L its singular root s; S_L is formed only
+        # on T rows, since on the L segment it cancels to about 0.
         q = prof.eval(g.tp)[0][:, :2]
         r2 = (g.r * g.r)[:, None]
         nn_q = np.einsum("ni,ni->n", g.rvec, q)[:, None] / r2 * g.rvec
-        return q, nn_q, r2, (g.tbar ** 2)[:, None], g.s[:, None]
-
-    def kernel_l(g):
-        q, nn_q, r2, tb2, s = parts(g)
-        return (nn_q * (tb2 / s) + (nn_q - q) * s) / r2
-
-    def kernel_diff(g):
-        # singular root is S_T; S_L stays bounded away from zero here
-        q, nn_q, r2, tb2, s = parts(g)
-        sl = np.sqrt(tb2 - r2 * kL2)
-        lt = nn_q * (tb2 / sl) + (nn_q - q) * sl
-        tt = nn_q * s + (nn_q - q) * (tb2 / s)
-        return (lt - tt) / r2
+        tb2, s = (g.tbar ** 2)[:, None], g.s[:, None]
+        on_t = g.kappa == kT
+        sl = s.copy()
+        sl[on_t] = np.sqrt(tb2[on_t] - r2[on_t] * kL2)
+        tt = np.where(on_t[:, None], nn_q * s + (nn_q - q) * (tb2 / s), 0.0)
+        return (nn_q * (tb2 / sl) + (nn_q - q) * sl - tt) / r2
 
     u = np.zeros((ts.size, 2))
     for i in np.flatnonzero(live[0::2]):
-        row_l, row_t = 2 * i, 2 * i + 1
-        if not live[row_t]:
-            segments = [(prof.t_on, row_l, kernel_l)]
-        else:
-            # Shared interval: the far history of the two kernels cancels
-            # pointwise, so integrate their difference.
-            segments = [(prof.t_on, row_t, kernel_diff), (st.t_ret[row_t], row_l, kernel_l)]
-        u[i] = _history_sums(traj, ts[i], st, segments, rel_tol).sum(axis=0)
+        # Behind the S front the T segment [t_on, t_T] comes first and the
+        # L segment starts where it ends.
+        rows = np.array([2 * i + 1, 2 * i] if live[2 * i + 1] else [2 * i])
+        a = np.append(prof.t_on, st.t_ret[rows[:-1]])
+        u[i] = _history_sums(traj, ts[i], st, a, rows, kernel, rel_tol).sum(axis=0)
     return (u / (2.0 * math.pi * mat.rho)).reshape(shape + (2,))
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from elastowave.cli import (
     COLUMNS,
+    _grid_events,
     limits_report,
     main,
     read_csv,
@@ -189,6 +190,16 @@ def test_sample_grid_cardinality_and_order():
         (x1, x2, x3) for x1 in (1, 2) for x2 in (0, 1) for x3 in (0.5, 1.5)
     ]
     np.testing.assert_allclose(first_block, expected, atol=0)
+
+
+def test_grid_events_time_major_rows():
+    # Unequal axis counts, so a transposed axis order cannot pass.
+    cfg = parse_config(GRID_2222.replace("0:1:2", "0:1:3").replace("0.5:1.5:2", "0.5:0.5:1")
+                       .replace("3:4:2", "3:4.5:4"))
+    axes = [cfg.grid.axis_values(name) for name in ("x1", "x2", "x3", "t")]
+    expected = [(x1, x2, x3, t) for t in axes[3] for x1 in axes[0] for x2 in axes[1]
+                for x3 in axes[2]]
+    assert np.array_equal(_grid_events(cfg), np.array(expected))
 
 
 def test_pre_arrival_rows_zero():

@@ -300,6 +300,59 @@ def test_inplane_displacement_batch_on_the_worldline(traj):
         inplane_displacement(MAT, traj, prof, xs, ts)
 
 
+@pytest.mark.parametrize("traj", WORLDLINES, ids=["oscillatory", "tabulated"])
+def test_history_sums_rows_do_not_depend_on_the_other_segments(traj, monkeypatch):
+    # Behind both fronts a point integrates its shared-interval and L
+    # segments in one engine call; each row must equal that segment
+    # integrated alone, so segments of many points can share a call.
+    history_sums, seen = lineforce2d._history_sums, []
+
+    def recording(*args):
+        seen.append(args)
+        return history_sums(*args)
+
+    monkeypatch.setattr(lineforce2d, "_history_sums", recording)
+    prof = step_force([1.0, 0.5, 0], t_on=0.0)
+    for x, t in POINTS[2:]:
+        inplane_displacement(MAT, traj, prof, x, t)
+    assert len(seen) == 2
+    for traj_, t, st, a, rows, kernel, rel_tol in seen:
+        assert rows.size == 2
+        together = history_sums(traj_, t, st, a, rows, kernel, rel_tol)
+        for k in range(2):
+            alone = history_sums(traj_, t, st, a[k:k + 1], rows[k:k + 1], kernel, rel_tol)
+            assert np.all(together[k] != 0.0) and np.array_equal(alone[0], together[k])
+
+
+def test_inplane_displacement_one_force_eval_per_integrand_call(monkeypatch):
+    # Work gate: the one in-plane kernel evaluates Q once for the nodes of
+    # both segments of a behind-front point.
+    step, evals = step_force([1.0, 0.5, 0], t_on=0.0), []
+    x, t = POINTS[2]
+    expected = inplane_displacement(MAT, WORLDLINES[0], step, x, t)
+
+    def counting(tp):
+        evals.append(np.size(tp))
+        return step._fn(tp)
+
+    calls = _count_engine(monkeypatch)
+    u = inplane_displacement(MAT, WORLDLINES[0], dataclasses.replace(step, _fn=counting), x, t)
+    assert np.array_equal(u, expected)
+    assert len(calls) == 1 and evals == calls[0]
+
+
+def test_inplane_knotted_worldline_matches_oracle():
+    # A cubic spline through knots 0, 1, ..., 6: every history below
+    # crosses several knots, where the spline's third derivative jumps.
+    knots = np.arange(7.0)
+    traj = tabulated_trajectory(knots, np.column_stack([0.1 * np.sin(knots), 0.05 * knots,
+                                                        0 * knots]))
+    prof = step_force([1.0, 0.5, 0], t_on=0.0)
+    for x, t in [((1.2, -0.7), 3.5), ((0.4, 0.9), 5.0), ((2.0, 0.5), 5.5)]:
+        u = inplane_displacement(MAT, traj, prof, x, t)
+        np.testing.assert_allclose(u, inplane_convolution_u(MAT, traj, prof, x, t), rtol=1e-6)
+
+
 def _fields_from_one_point_calls(traj, prof, x, t):
     """inplane_fields rebuilt from 25 one-point displacement calls."""
     x = np.asarray(x, dtype=float)
