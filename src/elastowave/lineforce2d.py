@@ -10,7 +10,10 @@ inverse square roots
 which vanish at the retarded times. The integrands therefore carry an
 integrable 1/sqrt singularity at the upper limit. Production quadrature
 removes it exactly with the substitution t' = t_ret - w^2 over each whole
-history segment, leaving smooth integrands for Gauss-Legendre panels.
+history segment, leaving smooth integrands: the engine's first panel, one
+21-node Gauss-Kronrod rule over the whole segment, usually meets the
+history tolerance, and only a segment it rejects is bisected into
+Gauss-Legendre panels.
 One retarded solve gives the upper limits, one row per wave speed, and
 each segment ends at one of its rows. Every segment of one evaluation is
 refined in one call of the quadrature engine, with one kernel: it takes

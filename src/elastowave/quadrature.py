@@ -1,16 +1,30 @@
-"""Adaptive Gauss-Legendre quadrature for vector-valued integrands.
+"""Adaptive quadrature for vector-valued integrands.
 
 Every integrand maps a node array xs (n,) to values (n, m). One
 breadth-first engine, ``integrate_intervals``, integrates many intervals
-at once: every unconverged (interval, panel) pair is a row, and each
-round evaluates both halves of every row in as few integrand calls as
-possible, none holding more than NODE_BUDGET nodes. A row is accepted once
-its error fits within a width-proportional share of its interval's
-relative tolerance; otherwise it is bisected, and an interval that would
-hold more than MAX_LIVE_ROWS rows raises. ``adaptive_gauss_legendre``
-is the one-interval call of the same engine. All evaluations happen at
-strictly interior nodes, so integrable endpoint behavior that has been
-substituted away (see lineforce2d) never divides by zero.
+at once. It first integrates each interval with one Gauss-Kronrod (10, 21)
+panel, QUADPACK's ``qk21``: 21 nodes, whose K21 sum is the value and
+whose embedded 10-point Gauss sum gives the error |K21 - G10|. An interval
+whose error passes the test of the first bisection round is done; a
+smooth interval so takes 21 nodes.
+
+Every other interval is refined exactly as if the panel had not been
+tried: every unconverged (interval, panel) pair is a row, and each round
+evaluates both 16-point Gauss-Legendre halves of every row in as few
+integrand calls as possible, none holding more than NODE_BUDGET nodes. A
+row is accepted once its error fits within a width-proportional share of
+its interval's relative tolerance; otherwise it is bisected, and an
+interval that would hold more than MAX_LIVE_ROWS rows raises. This
+Gauss-Legendre bisection stays, rather than Gauss-Kronrod bisection,
+because it keeps the panel trees, and so the values, of the events that
+refine (the switch-on inside the P-S shell, the kinks of a spline
+worldline) while their stored benchmark rows still carry those values;
+ROADMAP items 2 and 3 regenerate the rows and then replace it.
+
+``adaptive_gauss_legendre`` is the one-interval call of the same engine.
+All evaluations happen at strictly interior nodes, so integrable endpoint
+behavior that has been substituted away (see lineforce2d) never divides
+by zero.
 """
 
 from __future__ import annotations
@@ -23,6 +37,7 @@ from .errors import QuadratureError
 
 __all__ = [
     "gauss_legendre_rule",
+    "gauss_kronrod_rule",
     "adaptive_gauss_legendre",
     "integrate_intervals",
 ]
@@ -37,7 +52,7 @@ _TINY = 1e-300
 # (`smooth3d`) and 123 to 82 (`shell3d`), for 1-2 % more peak RSS.
 NODE_BUDGET = 2048
 
-# Nodes of the Gauss-Legendre rule on every panel.
+# Nodes of the Gauss-Legendre rule on every bisected panel.
 NODES = 16
 
 # Most live rows one interval may hold in a refinement round. An integrand
@@ -51,6 +66,33 @@ MAX_LIVE_ROWS = 4096
 MAX_DEPTH = 44
 
 
+# QUADPACK's qk21 table (Piessens et al., 1983): the non-negative nodes of
+# the 21-point Kronrod rule on [-1, 1], descending, with the 10-point Gauss
+# nodes at odd positions; the Kronrod weights at them, and the Gauss
+# weights at the Gauss nodes.
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+
 @lru_cache(maxsize=32)
 def gauss_legendre_rule(n: int):
     """Nodes and weights of the n-point rule on [-1, 1]."""
@@ -58,13 +100,30 @@ def gauss_legendre_rule(n: int):
     return x, w
 
 
-def _panels(f, lo, hi, owner, x, w):
-    """Gauss-Legendre sums and L1 sums of panels [lo, hi] of intervals ``owner``.
+@lru_cache(maxsize=1)
+def gauss_kronrod_rule():
+    """The 21 Kronrod nodes on [-1, 1], ascending, and weights (2, 21).
 
-    The panels go to ``f`` in ceil(nodes / NODE_BUDGET) near-equal runs of
-    whole panels (one panel per call if a panel alone exceeds the budget).
-    Each panel is reduced on its own, so the sums do not depend on how the
-    panels were split.
+    Row 0 of the weights is the 21-point Kronrod rule (exact to degree
+    31), row 1 the embedded 10-point Gauss rule (exact to degree 19), zero
+    at the nodes it does not use.
+    """
+    half = np.array(_XGK)
+    x = np.concatenate([-half[:-1], half[::-1]])
+    wg = np.zeros(half.size)
+    wg[1::2] = _WG
+    w = np.array([_WGK, wg])
+    return x, np.concatenate([w[:, :-1], w[:, ::-1]], axis=1)
+
+
+def _panels(f, lo, hi, owner, x, w):
+    """Rule sums and L1 sums of panels [lo, hi] of intervals ``owner``.
+
+    ``w`` holds the weights of one rule at nodes ``x`` (sums (n, m)), or
+    one rule per row (sums (n, rules, m)). The panels go to ``f`` in
+    ceil(nodes / NODE_BUDGET) near-equal runs of whole panels (one panel
+    per call if a panel alone exceeds the budget). Each panel is reduced
+    on its own, so the sums do not depend on how the panels were split.
     """
     k = x.size
     half = (0.5 * (hi - lo))[:, None]
@@ -78,11 +137,30 @@ def _panels(f, lo, hi, owner, x, w):
         block = vals.reshape(stop - start, k, -1)
         sums.append(w @ block)
         l1s.append(w @ np.abs(block))
+    half = half.reshape((-1,) + (1,) * w.ndim)
     return half * np.concatenate(sums), half * np.concatenate(l1s)
+
+
+def _budget(estimate, rel_tol):
+    """Error budget of whole-interval estimates (n, m), per component.
+
+    rel_tol times each component's magnitude; tiny components are measured
+    against 1e-3 of the largest one so the loop never chases exact zeros.
+    """
+    peak = np.maximum(np.abs(estimate).max(axis=1), _TINY)
+    return rel_tol * np.maximum(np.abs(estimate), 1e-3 * peak[:, None])
 
 
 def integrate_intervals(f, a, b, rel_tol=1e-10, collect=None):
     """Integrate ``f`` over every interval [a[i], b[i]] in one refinement loop.
+
+    Each interval first takes one Gauss-Kronrod (10, 21) panel over its
+    whole width. It is done when |K21 - G10| passes the test of the first
+    bisection round at span = width: per component at most rel_tol times
+    max(|K21|, 1e-3 of its largest component), or max(1e-13, 1e-2 rel_tol)
+    times its L1 sum.
+    Every interval the panel rejects is refined by ``_bisect`` as if the
+    panel had not been tried.
 
     Args:
         f: ``f(xs, owner)`` maps nodes xs (n,) to values (n, ...); node j
@@ -92,18 +170,19 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, collect=None):
             tiny components are measured against 1e-3 of the largest one so
             the loop never chases exact zeros.
         collect: if a list is given, the nodes and weights of every accepted
-            panel are appended as (nodes, weights) pairs, interval by
-            interval and left to right.
+            panel (a whole-interval Kronrod panel, or the two Gauss-Legendre
+            halves of an accepted row) are appended as (nodes, weights)
+            pairs, interval by interval and left to right.
 
     Returns:
-        (values, failed): ``values`` has one row per interval, the running
-        sum of its accepted panels, added round by round in the interval's
-        own row order; so it does not depend on the intervals it is
-        batched with. An interval whose integrand is not finite somewhere
-        leaves the refinement at once; it is flagged in ``failed`` and its
-        value is NaN. Empty intervals (b <= a) integrate to zero; when
-        every interval is empty, one node probe of ``f`` gives the
-        number of components.
+        (values, failed): ``values`` has one row per interval: its Kronrod
+        sum, or the running sum of its accepted panels, added round by
+        round in the interval's own row order; so it does not depend on
+        the intervals it is batched with. An interval whose integrand is
+        not finite somewhere leaves the refinement at once; it is flagged
+        in ``failed`` and its value is NaN. Empty intervals (b <= a)
+        integrate to zero; when every interval is empty, one node probe of
+        ``f`` gives the number of components.
 
     Raises:
         QuadratureError: a panel still fails the error test at MAX_DEPTH,
@@ -112,13 +191,52 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, collect=None):
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
-    x, w = gauss_legendre_rule(NODES)
-    width = b - a
     failed = np.zeros(a.size, dtype=bool)
-    own = (width > 0.0).nonzero()[0]
+    own = (b - a > 0.0).nonzero()[0]
     if own.size == 0:
         probe = np.asarray(f(a[:1], np.zeros(min(a.size, 1), dtype=int)), dtype=float)
         return np.zeros((a.size, probe.shape[-1])), failed
+    xk, wk = gauss_kronrod_rule()
+    sums, l1 = _panels(f, a[own], b[own], own, xk, wk)
+    kronrod = sums[:, 0]
+    allowance = np.maximum(_budget(kronrod, rel_tol), max(1e-13, 1e-2 * rel_tol) * l1[:, 0])
+    # A non-finite sum is rejected: the bisection flags it.
+    done = np.isfinite(kronrod).all(axis=1) & (np.abs(kronrod - sums[:, 1]) <= allowance).all(axis=1)
+    values = np.zeros((a.size, kronrod.shape[1]))
+    values[own[done]] = kronrod[done]
+    accepted = None  # (interval, lo, hi, is a Kronrod panel) of accepted rows
+    if collect is not None:
+        accepted = [(own[done], a[own[done]], b[own[done]], np.ones(done.sum(), dtype=bool))]
+    if not done.all():
+        _bisect(f, a, b, own[~done], rel_tol, values, failed, accepted)
+
+    values[failed] = np.nan
+    if collect is not None:
+        x, w = gauss_legendre_rule(NODES)
+        o, lo, hi, whole = (np.concatenate(c) for c in zip(*accepted))
+        for i in np.lexsort((lo, o)):
+            if failed[o[i]]:
+                continue
+            if whole[i]:
+                panels, rule, weights = ((lo[i], hi[i]),), xk, wk[0]
+            else:
+                mid = 0.5 * (lo[i] + hi[i])
+                panels, rule, weights = ((lo[i], mid), (mid, hi[i])), x, w
+            for p_lo, p_hi in panels:
+                half = 0.5 * (p_hi - p_lo)
+                collect.append((0.5 * (p_lo + p_hi) + half * rule, half * weights))
+    return values, failed
+
+
+def _bisect(f, a, b, own, rel_tol, values, failed, accepted):
+    """Refine intervals ``own`` of [a, b] by Gauss-Legendre bisection.
+
+    Adds each interval's accepted panels to ``values`` and appends the
+    accepted rows to ``accepted`` (unless it is None); flags intervals
+    whose integrand is not finite in ``failed``.
+    """
+    x, w = gauss_legendre_rule(NODES)
+    width = b - a
     # The first call evaluates the whole interval and both of its halves.
     # Every call after it holds both halves of each row to refine: rows
     # [0, r) of ``halves`` are the left ones, [r, 2r) the right ones.
@@ -130,20 +248,16 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, collect=None):
         np.concatenate([own, own, own]), x, w,
     )
     coarse, halves, l1 = panels[:r], panels[r:], l1[r:]
-    m = coarse.shape[1]
     # Error budget per interval and component: rel_tol times the scale of
     # the whole-interval estimate; a row gets its width's share of it.
     # Genuine discontinuities bisect down to min_width, bounding their
     # error by ~1e-12 of the local mass.
-    peak = np.maximum(np.abs(coarse).max(axis=1), _TINY)
-    budget = np.zeros((a.size, m))
-    budget[own] = rel_tol * np.maximum(np.abs(coarse), 1e-3 * peak[:, None])
+    budget = np.zeros(values.shape)
+    budget[own] = _budget(coarse, rel_tol)
     min_width = 1e-12 * width
     l1_floor = max(1e-13, 1e-2 * rel_tol)
     failed[own[~np.isfinite(coarse).all(axis=1)]] = True
 
-    values = np.zeros((a.size, m))
-    accepted = []  # (interval, lo, hi) of accepted rows, for ``collect``
     for depth in range(MAX_DEPTH + 1):
         left, right = halves[:r], halves[r:]
         better = left + right
@@ -161,8 +275,8 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, collect=None):
         live = ~failed[own]
         acc = (done & live).nonzero()[0]
         np.add.at(values, own[acc], better[acc])
-        if collect is not None:
-            accepted.append((own[acc], lo[acc], hi[acc]))
+        if accepted is not None:
+            accepted.append((own[acc], lo[acc], hi[acc], np.zeros(acc.size, dtype=bool)))
         split = (~done & live).nonzero()[0]
         if not split.size:
             break
@@ -187,29 +301,22 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, collect=None):
             x, w,
         )
 
-    values[failed] = np.nan
-    if collect is not None and accepted:
-        o, lo, hi = (np.concatenate(c) for c in zip(*accepted))
-        for i in np.lexsort((lo, o)):
-            if not failed[o[i]]:
-                mid = 0.5 * (lo[i] + hi[i])
-                for p_lo, p_hi in ((lo[i], mid), (mid, hi[i])):
-                    half = 0.5 * (p_hi - p_lo)
-                    collect.append((0.5 * (p_lo + p_hi) + half * x, half * w))
-    return values, failed
-
 
 def adaptive_gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-10,
                             collect: list | None = None):
     """Integrate ``f`` over [a, b] to the requested relative tolerance.
 
-    The one-interval call of ``integrate_intervals``.
+    The one-interval call of ``integrate_intervals``: one Gauss-Kronrod
+    panel over [a, b], and Gauss-Legendre bisection if it is rejected. The
+    name predates the Kronrod panel; it stays because callers, and the
+    benchmark tracer, use it.
 
     Args:
         f: maps a node array xs (n,) to a value array (n, m).
         rel_tol: target relative error against a per-component scale.
         collect: if a list is given, accepted panel nodes and weights are
-            appended as (nodes, weights) pairs, left to right.
+            appended as (nodes, weights) pairs, left to right: the one
+            21-node Kronrod panel, or the 16-node Gauss-Legendre panels.
 
     Raises:
         QuadratureError: MAX_DEPTH exceeded (carries the achieved estimate),

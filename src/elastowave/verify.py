@@ -18,7 +18,8 @@ the production evaluation paths they judge:
 * a closed form: the displacement of a constant force in uniform motion,
   whose retarded lags solve a quadratic and whose slowness integral is a
   fixed Gauss-Legendre rule, so neither the retarded-time solver nor the
-  adaptive engine enters it.
+  adaptive engine enters it; its distortion and velocity are complex-step
+  derivatives of it, so no field kernel of the evaluator enters either.
 
 ``run_check_suite`` packages the module invariants into named,
 deterministic, seedable checks and returns CheckReport records that
@@ -645,13 +646,14 @@ def _uniform_oracle(mat, vel, q, X, n_gauss):
     X = x - s(t). Each channel's retarded lag tau = t - t' is the positive
     root of tau^2 (1 - k^2 V^2) - 2 k^2 (X.V) tau - k^2 |X|^2 = 0, so no
     Newton solve; the slowness integral is one fixed Gauss-Legendre rule.
+    Analytic in X: a complex X gives the complex-step derivatives.
     """
     kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
     xv, xx, vv = X @ vel, X @ X, vel @ vel
 
     def channel(k):
         a = 1.0 - k * k * vv
-        tau = (k * k * xv + math.sqrt(k ** 4 * xv * xv + a * k * k * xx)) / a
+        tau = (k * k * xv + np.sqrt(k ** 4 * xv * xv + a * k * k * xx)) / a
         rvec = X + vel * tau
         r = tau / k
         return rvec / r, r - k * (vel @ rvec)
@@ -667,25 +669,42 @@ def _uniform_oracle(mat, vel, q, X, n_gauss):
     return u / (4.0 * math.pi * mat.rho)
 
 
-def check_uniform_motion_oracle(seed=0, n_cases=5, tolerance=1e-11):
-    """Displacement of a uniformly moving constant force against a closed form.
+def _uniform_oracle_fields(mat, vel, q, X, n_gauss):
+    """u, beta and v of ``_uniform_oracle``; beta and v by complex step.
 
-    The oracle uses neither the retarded-time solver nor the adaptive
-    engine (see _uniform_oracle), so it judges both directly, at 0.3,
-    0.95, 0.99 and 0.999 cT. Its integrand is analytic on [1/cL, 1/cT]
-    with a branch point at k^2 = 1 / (V^2 sin^2 theta), theta the angle
-    between X and V. Near 0.999 cT an observer abeam of the source
-    (theta = 90 deg) brings it within 1e-3 of 1/cT, where GL64 is off by
-    5e-9; observers at most 70 degrees off the line of motion keep it
-    clear, so GL64 is converged, and GL128 checks that. Each speed draws
-    the same n_cases observers from ``seed``.
+    beta_ik = Im u(X + i h e_k) / h, and v = du/dt = Im u(X - i h V) / h,
+    since X = x - s(t) moves at -V. With h = 1e-30 nothing is subtracted,
+    so both are as accurate as u.
+    """
+    h = 1e-30
+    steps = np.vstack([np.eye(3), -vel])
+    d = np.array([_uniform_oracle(mat, vel, q, X + 1j * h * step, n_gauss).imag / h
+                  for step in steps])
+    return _uniform_oracle(mat, vel, q, X, n_gauss), d[:3].T, d[3]
+
+
+def check_uniform_motion_oracle(seed=0, n_cases=5, tolerance=1e-11):
+    """u, beta and v of a uniformly moving constant force against a closed form.
+
+    The oracle uses neither the retarded-time solver, nor the adaptive
+    engine, nor ``lw_fields``: its beta and v are complex-step derivatives
+    of the closed-form u (see _uniform_oracle_fields). So it judges all
+    three directly, at 0.3, 0.95, 0.99 and 0.999 cT. Its integrand is analytic on [1/cL, 1/cT] with a
+    branch point at k^2 = 1 / (V^2 sin^2 theta), theta the angle between X
+    and V. Near 0.999 cT an observer abeam of the source (theta = 90 deg)
+    brings it within 1e-3 of 1/cT, where GL64 is off by 5e-9; observers
+    at most 70 degrees off the line of motion keep it clear, so GL64 is
+    converged, and GL128 checks that. Each field is measured against its
+    own largest component. Each speed draws the same n_cases observers
+    from ``seed``.
     """
     mat = make_material_poisson(rho=1.0, mu=1.0, nu=0.25)
     worst = 0.0
     details = []
     for frac in (0.3, 0.95, 0.99, 0.999):
         rng = np.random.default_rng(seed)
-        dev = oracle_dev = 0.0
+        dev = dict.fromkeys(("u", "beta", "v"), 0.0)
+        oracle_dev = 0.0
         for _ in range(n_cases):
             d, e = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
             vel = frac * mat.cT * d
@@ -693,15 +712,18 @@ def check_uniform_motion_oracle(seed=0, n_cases=5, tolerance=1e-11):
             theta = rng.choice([theta, math.pi - theta])
             X = rng.uniform(0.5, 2.5) * (math.cos(theta) * d + math.sin(theta) * e)
             s0, q, t = rng.normal(size=3), rng.normal(size=3), rng.uniform(-1.0, 1.0)
-            oracle = _uniform_oracle(mat, vel, q, X, 64)
-            scale = float(np.max(np.abs(oracle)))
-            oracle_dev = max(oracle_dev, float(np.max(np.abs(
-                _uniform_oracle(mat, vel, q, X, 128) - oracle))) / scale)
-            u = lw_fields(mat, uniform_trajectory(s0, vel), constant_force(q),
-                          s0 + vel * t + X, t, rel_tol=1e-12).u
-            dev = max(dev, float(np.max(np.abs(u - oracle))) / scale)
-        details.append({"speed": frac, "max_rel_err": dev, "gl64_vs_gl128": oracle_dev})
-        worst = max(worst, dev, oracle_dev)
+            oracle = _uniform_oracle_fields(mat, vel, q, X, 64)
+            fine = _uniform_oracle_fields(mat, vel, q, X, 128)
+            fs = lw_fields(mat, uniform_trajectory(s0, vel), constant_force(q),
+                           s0 + vel * t + X, t, rel_tol=1e-12)
+            for name, got, ref, ref_fine in zip(dev, (fs.u, fs.beta, fs.v), oracle, fine):
+                scale = float(np.max(np.abs(ref)))
+                oracle_dev = max(oracle_dev, float(np.max(np.abs(ref_fine - ref))) / scale)
+                dev[name] = max(dev[name], float(np.max(np.abs(got - ref))) / scale)
+        details.append({"speed": frac, "max_rel_err": max(dev.values()),
+                        **{f"{name}_rel_err": err for name, err in dev.items()},
+                        "gl64_vs_gl128": oracle_dev})
+        worst = max(worst, *dev.values(), oracle_dev)
     return _report("uniform_motion_oracle", worst, tolerance, 4 * n_cases, details)
 
 

@@ -343,7 +343,8 @@ def test_shell_events_solve_only_their_support(monkeypatch):
     # Deterministic work gate: inside the P-S shell about half the slowness
     # nodes retard to before the switch-on, and the rest start Newton from
     # the anchor (kappa_on, t_on), so few trajectory points are spent per
-    # engine node. A smooth event is not cut and keeps its 48 nodes.
+    # engine node. A smooth event is not cut and keeps its 21 nodes: one
+    # Gauss-Kronrod panel.
     rows, points = [], []
     newton = pointforce3d._newton
 
@@ -369,4 +370,4 @@ def test_shell_events_solve_only_their_support(monkeypatch):
     rounds.clear()
     rows.clear()
     cli._rows_3d(cfg, events[[2]])
-    assert sum(rounds) == 48 and sum(rows) == 48
+    assert sum(rounds) == 21 and sum(rows) == 21

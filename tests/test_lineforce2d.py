@@ -175,14 +175,14 @@ def _count_engine(monkeypatch):
 
 def test_antiplane_arccosh_node_count(monkeypatch):
     # The substitution t' = t_ret - w^2 over the whole history leaves a
-    # smooth integrand: the first pass of the engine (the whole interval
-    # and both halves, 48 nodes) already meets 1e-11.
+    # smooth integrand: the engine's first panel (Gauss-Kronrod, 21 nodes)
+    # already meets 1e-11.
     calls = _count_engine(monkeypatch)
     traj, prof = _static_antiplane()
     t, r = 2.9, 1.2
     u3 = antiplane_fields(MAT, traj, prof, [r, 0.0], t, rel_tol=1e-11).u
     assert u3 == pytest.approx(math.acosh(MAT.cT * t / r), rel=1e-13)
-    assert calls == [[48]]
+    assert calls == [[21]]
 
 
 def test_antiplane_fields_one_solve_one_engine_call(monkeypatch):
@@ -251,14 +251,14 @@ def test_inplane_moving_matches_oracle():
 def test_inplane_displacement_integrand_calls(monkeypatch):
     # Behind the S front both history segments run, each substituted as a
     # whole: one engine call for both, each integrand call handed node
-    # arrays of both segments.
+    # arrays of both segments; each takes one 21-node Kronrod panel.
     calls = _count_engine(monkeypatch)
     traj = oscillatory_trajectory([0, 0, 0], [0.2, 0, 0], 1.0)
     prof = step_force([1.0, 0.5, 0], t_on=0.0)
     u = inplane_displacement(MAT, traj, prof, [1.5, 0.5], 6.0)
     assert np.all(u != 0)
     assert len(calls) == 1
-    assert len(calls[0]) <= 2 and sum(calls[0]) >= 2 * 48
+    assert len(calls[0]) <= 2 and sum(calls[0]) == 2 * 21
 
 
 _KNOTS = np.linspace(0.0, 8.0, 9)

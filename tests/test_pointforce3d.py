@@ -1,9 +1,11 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from elastowave import pointforce3d
 from elastowave.errors import SingularPointError, SupersonicError
 from elastowave.kinematics import (
     bump_force,
@@ -371,11 +373,28 @@ def uniform_oracle_report():
 
 @pytest.mark.parametrize("frac", [0.3, 0.95, 0.99, 0.999])
 def test_uniform_motion_closed_form_oracle(uniform_oracle_report, frac):
-    # Five observers at most 70 degrees off the line of motion, u within
-    # 1e-11 of the closed form; the oracle's GL64 rule within 1e-14 of GL128.
+    # Five observers at most 70 degrees off the line of motion, u, beta and
+    # v within 1e-11 of the closed form and its complex-step derivatives;
+    # the oracle's GL64 rule within 1e-14 of GL128.
     assert uniform_oracle_report.passed, uniform_oracle_report.details
     (d,) = [d for d in uniform_oracle_report.details if d["speed"] == frac]
+    assert max(d["u_rel_err"], d["beta_rel_err"], d["v_rel_err"]) == d["max_rel_err"]
     assert d["max_rel_err"] <= 1e-11 and d["gl64_vs_gl128"] <= 1e-14
+
+
+def test_uniform_motion_oracle_catches_a_velocity_term(monkeypatch):
+    # Scale the V (x) w2 term of b_vel, which vanishes for a static source,
+    # by 1 + 1e-9: u and v are untouched, and beta fails the check.
+    source = inspect.getsource(pointforce3d._field_terms)
+    term = "b_vel += v[:, None] * ((s * k / pc) * rv)[None]"
+    assert source.count(term) == 1
+    namespace = dict(vars(pointforce3d))
+    exec(source.replace(term, f"b_vel += (1.0 + 1e-9) * {term[len('b_vel += '):]}"), namespace)
+    monkeypatch.setattr(pointforce3d, "_field_terms", namespace["_field_terms"])
+    report = check_uniform_motion_oracle(seed=11)
+    assert not report.passed
+    assert all(d["u_rel_err"] <= 1e-11 and d["v_rel_err"] <= 1e-11 for d in report.details)
+    assert max(d["beta_rel_err"] for d in report.details) > 5e-11
 
 
 def test_fd_consistency_near_sonic():

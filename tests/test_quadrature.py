@@ -8,6 +8,7 @@ from elastowave import quadrature
 from elastowave.errors import QuadratureError
 from elastowave.quadrature import (
     adaptive_gauss_legendre,
+    gauss_kronrod_rule,
     gauss_legendre_rule,
     integrate_intervals,
 )
@@ -19,8 +20,43 @@ def test_rule_weights_sum_to_two():
         assert w.sum() == pytest.approx(2.0, rel=1e-14)
 
 
+def test_kronrod_rule_matches_scipy():
+    # scipy's private copy of QUADPACK's qk21, read through its integrand
+    # (the nodes, from descending order) and its error norm (K21 - G10).
+    from scipy.integrate._quad_vec import _quadrature_gk21
+
+    x, w = gauss_kronrod_rule()
+    nodes, diffs = [], []
+
+    def f(xs):
+        nodes.append(xs)
+        return np.eye(21)[len(nodes) - 1]
+
+    def norm(v):
+        diffs.append(v)
+        return float(np.max(np.abs(v)))
+
+    k21, _, _ = _quadrature_gk21(-1.0, 1.0, f, norm)
+    assert np.array_equal(x, np.array(nodes)[::-1])
+    assert np.array_equal(w[0], k21[::-1])
+    np.testing.assert_allclose(w[1], (k21 - diffs[0])[::-1], rtol=1e-15, atol=1e-18)
+    assert np.all(w[1, ::2] == 0.0) and np.all(w[1, 1::2] > 0.0)
+
+
+def test_kronrod_rule_exactness():
+    # On [0, 1]: K21 is exact to degree 31, its embedded G10 to degree 19.
+    x, w = gauss_kronrod_rule()
+    t, w = 0.5 * (x + 1.0), 0.5 * w
+    for row, degree in ((0, 31), (1, 19)):
+        for d in range(degree + 1):
+            assert w[row] @ t ** d == pytest.approx(1.0 / (d + 1), rel=1e-15, abs=0.0)
+    # One degree more is not exact.
+    assert abs(w[1] @ t ** 20 - 1.0 / 21) > 1e-12
+
+
 def test_polynomial_exactness():
-    # GL16 integrates degree-31 polynomials exactly, on each of 3 intervals
+    # The first panel, K21, integrates degree-31 polynomials exactly, on
+    # each of 3 intervals
     a, b = np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 2.0])
     val, failed = integrate_intervals(lambda xs, owner: xs[:, None] ** 17, a, b)
     assert not failed.any()
@@ -67,16 +103,20 @@ def test_narrow_peak_needs_break_points():
 
 
 def test_collect_nodes_and_weights():
-    # accepted nodes are strictly interior and the weights sum to the interval
-    panels = []
-    adaptive_gauss_legendre(
-        lambda xs: np.column_stack([xs * xs, 1.0 / (1.0 + xs)]), 0.0, 3.0, rel_tol=1e-10,
-        collect=panels,
-    )
-    nodes = np.concatenate([p[0] for p in panels])
-    weights = np.concatenate([p[1] for p in panels])
-    assert np.all((nodes > 0.0) & (nodes < 3.0))
-    assert weights.sum() == pytest.approx(3.0, rel=1e-14)
+    # Accepted nodes are strictly interior, the weights sum to the interval
+    # and the collected panels reproduce the value: one Kronrod panel for a
+    # smooth integrand, Gauss-Legendre halves for ones it rejects.
+    for f, count in ((lambda xs: np.column_stack([xs * xs, np.exp(-xs)]), 21),
+                     (lambda xs: np.column_stack([xs * xs, 1.0 / (1.0 + xs)]), 32),
+                     (lambda xs: np.abs(xs - 1.3)[:, None], None)):
+        panels = []
+        val = adaptive_gauss_legendre(f, 0.0, 3.0, rel_tol=1e-10, collect=panels)
+        nodes = np.concatenate([p[0] for p in panels])
+        weights = np.concatenate([p[1] for p in panels])
+        assert (nodes.size == count) if count else (nodes.size % 32 == 0 and nodes.size > 48)
+        assert np.all((nodes > 0.0) & (nodes < 3.0)) and np.all(np.diff(nodes) > 0.0)
+        assert weights.sum() == pytest.approx(3.0, rel=1e-14)
+        np.testing.assert_allclose(weights @ f(nodes), val, rtol=1e-14)
 
 
 def test_non_convergence_raises_with_estimate(monkeypatch):
@@ -130,11 +170,35 @@ def test_many_intervals_match_one_interval_calls(monkeypatch):
                 lambda xs, i=i: f(xs, np.full(xs.size, i)), a[i], b[i], rel_tol=1e-11
             )
             assert np.array_equal(one, ref[i])
-    # A budget below one panel's 16 nodes hands every panel over alone.
+    # Smooth intervals, which the Kronrod panel accepts, mixed with ones it
+    # rejects (a step inside), which bisect.
+    a2 = np.array([0.0, 0.5, -2.0, 1.0, 0.29, 2.0])
+    b2 = np.array([0.25, 1.5, 2.0, 1.2, 0.31, 3.0])
+
+    def g(xs):
+        return np.column_stack([np.cos(xs), np.where(xs > 0.3, 1.0, 0.0)])
+
+    sizes = []
+
+    def counted(xs, owner):
+        sizes.append(xs.size)
+        return g(xs)
+
+    ones = []
+    for i in range(a2.size):
+        panels = []
+        ones.append(adaptive_gauss_legendre(g, a2[i], b2[i], rel_tol=1e-11, collect=panels))
+        assert (len(panels) == 1) == (i not in (2, 4))
+    # A budget below one panel's 16 nodes hands every panel over alone; one
+    # of 50 splits the Kronrod round of six panels over three calls.
     monkeypatch.setattr(quadrature, "NODE_BUDGET", 7)
     again, failed_again = integrate_intervals(f, a, b, rel_tol=1e-11)
     assert np.array_equal(again, ref, equal_nan=True)
     assert np.array_equal(failed_again, failed)
+    monkeypatch.setattr(quadrature, "NODE_BUDGET", 50)
+    mixed, failed_mixed = integrate_intervals(counted, a2, b2, rel_tol=1e-11)
+    assert sizes[:3] == [42, 42, 42] and not failed_mixed.any()
+    assert np.array_equal(mixed, np.array(ones))
 
 
 def test_never_converging_integrand_raises_quickly():
@@ -168,8 +232,9 @@ def test_non_finite_integrand_raises():
 @pytest.mark.xfail(strict=True, reason="a jump between a panel edge and its first node is "
                    "invisible to the panel test; breakpoint-aware quadrature removes it")
 def test_hidden_jump_near_panel_edge():
-    # The first GL16 node of [0, 0.5] sits at 0.00266, right of the jump,
-    # so the whole interval and both halves agree on the value 1.0.
+    # The outer Kronrod node sits 0.0022 of the width from the edge, right
+    # of the jump, so K21 and G10 agree on the value 1.0 and the first
+    # panel is accepted.
     val = adaptive_gauss_legendre(lambda xs: (xs > 0.002).astype(float)[:, None], 0.0, 1.0,
                                   rel_tol=1e-10)
     assert val[0] == pytest.approx(0.998, rel=1e-9)
