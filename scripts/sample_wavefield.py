@@ -21,11 +21,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=None)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     cfg = parse_config(Path(args.config).read_text())
-    grid = sample_grid(cfg, threads=args.threads)
+    grid = sample_grid(cfg)
     out = args.out or cfg.out_path
     write_csv(grid, out)
 

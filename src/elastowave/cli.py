@@ -15,8 +15,8 @@ Values are printed with 17 significant digits so the CSV round-trips
 float64 exactly. Singular grid points, and events whose retarded times
 reach past the end of a bounded worldline, are masked (mask=1, fields
 zeroed) rather than aborting the run or emitting NaN. 3D grids are evaluated in
-fixed chunks of events, each chunk one batched evaluation; ``--threads``
-spreads the chunks (2D: the events) over a thread pool.
+chunks of events, one after another, each chunk one batched evaluation;
+2D grids event by event.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,8 +61,8 @@ class FieldGrid:
     provenance: dict = field(default_factory=dict)
 
 
-# Events per batched 3D evaluation. Fixed, so rows do not depend on the
-# thread count: ``--threads`` spreads whole chunks over the pool.
+# Events per batched 3D evaluation; bounds the engine arrays of one batch.
+# Every event's row is independent of the chunk it falls in.
 EVENT_CHUNK = 256
 
 
@@ -125,30 +124,27 @@ def _grid_events(cfg: RunConfig) -> np.ndarray:
 
 
 def sample_grid(cfg: RunConfig, threads: int = 1) -> FieldGrid:
-    """Evaluate the configured grid; deterministic row order regardless of threads.
+    """Evaluate the configured grid, time-major; deterministic row order.
 
-    3D grids are evaluated in fixed chunks of EVENT_CHUNK events, each one
-    batch; 2D grids event by event. ``threads`` > 1 maps the chunks (2D:
-    the events) over a thread pool.
+    3D grids are evaluated in chunks of EVENT_CHUNK events, one after
+    another, each one batch; 2D grids event by event. ``threads`` must be
+    1 (it stays only because the scripts under perfbench/ pass it).
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}")
     events = _grid_events(cfg)
     if cfg.dimension == "3d-point":
-        rows_of, size = _rows_3d, EVENT_CHUNK
+        rows = np.concatenate([_rows_3d(cfg, events[i:i + EVENT_CHUNK])
+                               for i in range(0, len(events), EVENT_CHUNK)])
     else:
-        rows_of, size = _rows_2d, 1
-    chunks = [events[i:i + size] for i in range(0, len(events), size)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(lambda c: rows_of(cfg, c), chunks))
-    else:
-        blocks = [rows_of(cfg, c) for c in chunks]
+        rows = _rows_2d(cfg, events)
     provenance = {
         "version": __version__,
         "config_sha256": cfg.text_sha256,
         "seed": cfg.seed,
         "dimension": cfg.dimension,
     }
-    return FieldGrid(columns=list(COLUMNS), rows=np.concatenate(blocks), provenance=provenance)
+    return FieldGrid(columns=list(COLUMNS), rows=rows, provenance=provenance)
 
 
 def write_csv(grid: FieldGrid, path: str):
@@ -231,7 +227,7 @@ def _load_config(path: str) -> RunConfig:
 
 def cmd_sample(args) -> int:
     cfg = _load_config(args.config)
-    grid = sample_grid(cfg, threads=args.threads)
+    grid = sample_grid(cfg)
     out = args.out or cfg.out_path
     fmt = args.format or cfg.out_format
     if fmt == "csv":
@@ -293,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--config", required=True)
     p_sample.add_argument("--out", default=None)
     p_sample.add_argument("--format", choices=("csv", "json"), default=None)
-    p_sample.add_argument("--threads", type=int, default=1)
     p_sample.set_defaults(fn=cmd_sample)
 
     p_val = sub.add_parser("validate", help="run the verification suite")

@@ -33,8 +33,12 @@ One channel kernel gives every quantity at each retarded row; the
 displacement alone is ``lw_fields(...).u``.
 
 Every evaluation first raises the first ``motion_violations`` of its
-source. Accuracy stays within the requested tolerance up to 0.999 cT,
-where the fields still meet their closed-form and finite-difference oracles.
+source. For a constant force, accuracy stays within the requested
+tolerance up to 0.999 cT, where the fields still meet their closed-form
+and finite-difference oracles. A time-varying force seen from ahead of a
+near-sonic source can fail there with ``QuadratureError``: its history
+spans hundreds of force periods, and near 1/cT one ulp of kappa moves
+t_ret by 2-4e-11.
 
 Static-source limits reduce to the classical time-dependent concentrated
 force solution (``stokes_*``) and, for constant strength, to the static

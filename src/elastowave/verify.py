@@ -15,11 +15,12 @@ the production evaluation paths they judge:
   (error is O(eps^2)); in 2D the singular history kernels are integrated
   by QUADPACK's algebraic-weight rule, a genuinely different quadrature
   from the production substitution;
-* a closed form: the displacement of a constant force in uniform motion,
-  whose retarded lags solve a quadratic and whose slowness integral is a
-  fixed Gauss-Legendre rule, so neither the retarded-time solver nor the
-  adaptive engine enters it; its distortion and velocity are complex-step
-  derivatives of it, so no field kernel of the evaluator enters either.
+* a closed form: the displacement of a constant or sinusoidal force in
+  uniform motion, whose retarded lags solve a quadratic and whose slowness
+  integral is a fixed Gauss-Legendre rule, so neither the retarded-time
+  solver nor the adaptive engine enters it; its distortion and velocity
+  are complex-step derivatives of it, so no field kernel of the evaluator
+  enters either.
 
 ``run_check_suite`` packages the module invariants into named,
 deterministic, seedable checks and returns CheckReport records that
@@ -640,13 +641,14 @@ def check_radiation_uniform_zero(seed=0, n_cases=10, tolerance=1e-14):
     return _report("radiation_uniform_zero", worst, tolerance, n_cases)
 
 
-def _uniform_oracle(mat, vel, q, X, n_gauss):
-    """Displacement of a constant force on s(t) = s0 + V t, t_on = -inf.
+def _uniform_oracle(mat, vel, force, X, t, n_gauss):
+    """Displacement at time t of a force Q(t') on s(t) = s0 + V t, t_on = -inf.
 
     X = x - s(t). Each channel's retarded lag tau = t - t' is the positive
     root of tau^2 (1 - k^2 V^2) - 2 k^2 (X.V) tau - k^2 |X|^2 = 0, so no
-    Newton solve; the slowness integral is one fixed Gauss-Legendre rule.
-    Analytic in X: a complex X gives the complex-step derivatives.
+    Newton solve; the slowness integral is one fixed Gauss-Legendre rule,
+    and ``force`` gives Q at each node's t - tau. Analytic in X and t when
+    ``force`` is: a complex X or t gives the complex-step derivatives.
     """
     kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
     xv, xx, vv = X @ vel, X @ X, vel @ vel
@@ -656,75 +658,104 @@ def _uniform_oracle(mat, vel, q, X, n_gauss):
         tau = (k * k * xv + np.sqrt(k ** 4 * xv * xv + a * k * k * xx)) / a
         rvec = X + vel * tau
         r = tau / k
-        return rvec / r, r - k * (vel @ rvec)
+        return rvec / r, r - k * (vel @ rvec), force(t - tau)
 
-    n, p = channel(kT)
+    n, p, q = channel(kT)
     u = kT ** 2 / p * (q - n * (n @ q))
-    n, p = channel(kL)
+    n, p, q = channel(kL)
     u += kL ** 2 / p * n * (n @ q)
     z, w = np.polynomial.legendre.leggauss(n_gauss)
     for k, wk in zip(0.5 * (kT - kL) * z + 0.5 * (kT + kL), 0.5 * (kT - kL) * w):
-        n, p = channel(k)
+        n, p, q = channel(k)
         u += wk * k / p * (3.0 * n * (n @ q) - q)
     return u / (4.0 * math.pi * mat.rho)
 
 
-def _uniform_oracle_fields(mat, vel, q, X, n_gauss):
+def _uniform_oracle_fields(mat, vel, force, X, t, n_gauss):
     """u, beta and v of ``_uniform_oracle``; beta and v by complex step.
 
-    beta_ik = Im u(X + i h e_k) / h, and v = du/dt = Im u(X - i h V) / h,
-    since X = x - s(t) moves at -V. With h = 1e-30 nothing is subtracted,
-    so both are as accurate as u.
+    beta_ik = Im u(X + i h e_k, t) / h, and v = du/dt = Im u(X - i h V,
+    t + i h) / h, since X = x - s(t) moves at -V. With h = 1e-30 nothing
+    is subtracted, so both are as accurate as u.
     """
     h = 1e-30
-    steps = np.vstack([np.eye(3), -vel])
-    d = np.array([_uniform_oracle(mat, vel, q, X + 1j * h * step, n_gauss).imag / h
+    steps = np.vstack([np.eye(4)[:3], np.append(-vel, 1.0)])
+    d = np.array([_uniform_oracle(mat, vel, force, X + 1j * h * step[:3],
+                                  t + 1j * h * step[3], n_gauss).imag / h
                   for step in steps])
-    return _uniform_oracle(mat, vel, q, X, n_gauss), d[:3].T, d[3]
+    return _uniform_oracle(mat, vel, force, X, t, n_gauss), d[:3].T, d[3]
+
+
+def _uniform_motion_devs(mat, frac, rng, n_cases, sinusoid):
+    """Max rel. deviations of ``lw_fields`` from the oracle, for n_cases draws.
+
+    Returns ({u, beta, v: err}, GL64-vs-GL128 error of the oracle). A
+    constant force is seen at most 70 deg off the line of motion, a
+    sinusoid q0 sin(1.3 t' + 0.4) from behind the source (110-180 deg).
+    """
+    dev = dict.fromkeys(("u", "beta", "v"), 0.0)
+    oracle_dev = 0.0
+    for _ in range(n_cases):
+        d, e = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
+        vel = frac * mat.cT * d
+        if sinusoid:
+            theta = rng.uniform(11 * math.pi / 18, math.pi)
+        else:
+            theta = rng.uniform(0.0, 7 * math.pi / 18)
+            theta = rng.choice([theta, math.pi - theta])
+        X = rng.uniform(0.5, 2.5) * (math.cos(theta) * d + math.sin(theta) * e)
+        s0, q, t = rng.normal(size=3), rng.normal(size=3), rng.uniform(-1.0, 1.0)
+        if sinusoid:
+            prof, force = sinusoid_force(q, 1.3, 0.4), lambda tp: q * np.sin(1.3 * tp + 0.4)
+        else:
+            prof, force = constant_force(q), lambda tp: q
+        oracle = _uniform_oracle_fields(mat, vel, force, X, t, 64)
+        fine = _uniform_oracle_fields(mat, vel, force, X, t, 128)
+        fs = lw_fields(mat, uniform_trajectory(s0, vel), prof, s0 + vel * t + X, t,
+                       rel_tol=1e-12)
+        for name, got, ref, ref_fine in zip(dev, (fs.u, fs.beta, fs.v), oracle, fine):
+            scale = float(np.max(np.abs(ref)))
+            oracle_dev = max(oracle_dev, float(np.max(np.abs(ref_fine - ref))) / scale)
+            dev[name] = max(dev[name], float(np.max(np.abs(got - ref))) / scale)
+    return dev, oracle_dev
 
 
 def check_uniform_motion_oracle(seed=0, n_cases=5, tolerance=1e-11):
-    """u, beta and v of a uniformly moving constant force against a closed form.
+    """u, beta and v of a uniformly moving force against a closed form.
 
     The oracle uses neither the retarded-time solver, nor the adaptive
     engine, nor ``lw_fields``: its beta and v are complex-step derivatives
     of the closed-form u (see _uniform_oracle_fields). So it judges all
-    three directly, at 0.3, 0.95, 0.99 and 0.999 cT. Its integrand is analytic on [1/cL, 1/cT] with a
+    three directly, at 0.3, 0.95, 0.99 and 0.999 cT, for a constant force
+    and, under the ``sinusoid_`` keys, for q0 sin(1.3 t' + 0.4), whose
+    rate parts the constant force leaves unchecked. Its integrand is
+    analytic on [1/cL, 1/cT] with a
     branch point at k^2 = 1 / (V^2 sin^2 theta), theta the angle between X
     and V. Near 0.999 cT an observer abeam of the source (theta = 90 deg)
     brings it within 1e-3 of 1/cT, where GL64 is off by 5e-9; observers
     at most 70 degrees off the line of motion keep it clear, so GL64 is
-    converged, and GL128 checks that. Each field is measured against its
-    own largest component. Each speed draws the same n_cases observers
-    from ``seed``.
+    converged, and GL128 checks that. The sinusoid observers are behind
+    the source (theta in [110, 180] deg): ahead of it the history window
+    spans hundreds of force periods near 0.999 cT and ``lw_fields`` does
+    not converge (``test_near_sonic_sinusoid_ahead_of_the_source`` pins
+    one such call). Each field is measured
+    against its own largest component. Each speed draws the same n_cases
+    observers per force from ``seed``.
     """
     mat = make_material_poisson(rho=1.0, mu=1.0, nu=0.25)
     worst = 0.0
     details = []
     for frac in (0.3, 0.95, 0.99, 0.999):
         rng = np.random.default_rng(seed)
-        dev = dict.fromkeys(("u", "beta", "v"), 0.0)
-        oracle_dev = 0.0
-        for _ in range(n_cases):
-            d, e = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
-            vel = frac * mat.cT * d
-            theta = rng.uniform(0.0, 7 * math.pi / 18)
-            theta = rng.choice([theta, math.pi - theta])
-            X = rng.uniform(0.5, 2.5) * (math.cos(theta) * d + math.sin(theta) * e)
-            s0, q, t = rng.normal(size=3), rng.normal(size=3), rng.uniform(-1.0, 1.0)
-            oracle = _uniform_oracle_fields(mat, vel, q, X, 64)
-            fine = _uniform_oracle_fields(mat, vel, q, X, 128)
-            fs = lw_fields(mat, uniform_trajectory(s0, vel), constant_force(q),
-                           s0 + vel * t + X, t, rel_tol=1e-12)
-            for name, got, ref, ref_fine in zip(dev, (fs.u, fs.beta, fs.v), oracle, fine):
-                scale = float(np.max(np.abs(ref)))
-                oracle_dev = max(oracle_dev, float(np.max(np.abs(ref_fine - ref))) / scale)
-                dev[name] = max(dev[name], float(np.max(np.abs(got - ref))) / scale)
-        details.append({"speed": frac, "max_rel_err": max(dev.values()),
-                        **{f"{name}_rel_err": err for name, err in dev.items()},
-                        "gl64_vs_gl128": oracle_dev})
-        worst = max(worst, *dev.values(), oracle_dev)
-    return _report("uniform_motion_oracle", worst, tolerance, 4 * n_cases, details)
+        entry = {"speed": frac}
+        for prefix, sinusoid in (("", False), ("sinusoid_", True)):
+            dev, oracle_dev = _uniform_motion_devs(mat, frac, rng, n_cases, sinusoid)
+            entry.update({f"{prefix}max_rel_err": max(dev.values()),
+                          **{f"{prefix}{name}_rel_err": err for name, err in dev.items()},
+                          f"{prefix}gl64_vs_gl128": oracle_dev})
+            worst = max(worst, *dev.values(), oracle_dev)
+        details.append(entry)
+    return _report("uniform_motion_oracle", worst, tolerance, 8 * n_cases, details)
 
 
 def check_radiation_farfield(seed=0, tolerance=1e-2, radius=60.0, n_phases=16):

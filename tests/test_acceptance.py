@@ -121,7 +121,7 @@ run.seed = 11
     )
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["sample", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["sample", "--config", str(cfg), "--out", str(out2), "--threads", "4"]) == 0
+    assert main(["sample", "--config", str(cfg), "--out", str(out2)]) == 0
     identical = out1.read_bytes() == out2.read_bytes()
 
     grid = read_csv(str(out1))

@@ -284,11 +284,14 @@ def test_one_integrand_call_per_round(monkeypatch):
     assert calls == rounds
 
 
-def test_threads_spread_fixed_chunks(monkeypatch):
-    monkeypatch.setattr(cli, "EVENT_CHUNK", 16)
+def test_rows_do_not_depend_on_the_chunk_size(monkeypatch):
     cfg = parse_config(OSCILLATORY)
-    one = cli.sample_grid(cfg, threads=1).rows
-    assert np.array_equal(cli.sample_grid(cfg, threads=3).rows, one)
+    rows = cli.sample_grid(cfg).rows
+    assert len(rows) > 16
+    monkeypatch.setattr(cli, "EVENT_CHUNK", 16)
+    assert np.array_equal(cli.sample_grid(cfg).rows, rows)
+    with pytest.raises(ValueError, match="threads"):
+        cli.sample_grid(cfg, threads=2)
 
 
 def _window_of(cfg, prof, events):

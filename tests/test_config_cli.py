@@ -235,8 +235,18 @@ def test_byte_identical_reruns(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     assert main(["sample", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    assert main(["sample", "--config", str(cfg_path), "--out", str(out2), "--threads", "3"]) == 0
+    assert main(["sample", "--config", str(cfg_path), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sample_has_no_threads_option(tmp_path):
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text(GRID_2222)
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "a.csv"),
+              "--threads", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_sample_json_format(tmp_path):

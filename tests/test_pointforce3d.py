@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from elastowave import pointforce3d
-from elastowave.errors import SingularPointError, SupersonicError
+from elastowave.errors import QuadratureError, SingularPointError, SupersonicError
 from elastowave.kinematics import (
     bump_force,
     constant_force,
@@ -382,19 +382,62 @@ def test_uniform_motion_closed_form_oracle(uniform_oracle_report, frac):
     assert d["max_rel_err"] <= 1e-11 and d["gl64_vs_gl128"] <= 1e-14
 
 
+@pytest.mark.parametrize("frac", [0.3, 0.95, 0.99, 0.999])
+def test_uniform_motion_sinusoid_oracle(uniform_oracle_report, frac):
+    # A force q0 sin(1.3 t' + 0.4), five observers behind the source: the
+    # rate parts of beta and v against the complex-step derivatives. The
+    # oracle's GL64 rule is within 2e-14 of GL128 here, so it gets its own
+    # bound rather than the constant force's 1e-14.
+    (d,) = [d for d in uniform_oracle_report.details if d["speed"] == frac]
+    errs = [d[f"sinusoid_{name}_rel_err"] for name in ("u", "beta", "v")]
+    assert max(errs) == d["sinusoid_max_rel_err"] <= 1e-11
+    assert d["sinusoid_gl64_vs_gl128"] <= 1e-11
+
+
+def _patch_field_terms(monkeypatch, term, replacement):
+    """Patch pointforce3d._field_terms with its one ``term`` replaced."""
+    source = inspect.getsource(pointforce3d._field_terms)
+    assert source.count(term) == 1
+    namespace = dict(vars(pointforce3d))
+    exec(source.replace(term, replacement), namespace)
+    monkeypatch.setattr(pointforce3d, "_field_terms", namespace["_field_terms"])
+
+
 def test_uniform_motion_oracle_catches_a_velocity_term(monkeypatch):
     # Scale the V (x) w2 term of b_vel, which vanishes for a static source,
     # by 1 + 1e-9: u and v are untouched, and beta fails the check.
-    source = inspect.getsource(pointforce3d._field_terms)
     term = "b_vel += v[:, None] * ((s * k / pc) * rv)[None]"
-    assert source.count(term) == 1
-    namespace = dict(vars(pointforce3d))
-    exec(source.replace(term, f"b_vel += (1.0 + 1e-9) * {term[len('b_vel += '):]}"), namespace)
-    monkeypatch.setattr(pointforce3d, "_field_terms", namespace["_field_terms"])
+    _patch_field_terms(monkeypatch, term, f"b_vel += (1.0 + 1e-9) * {term[len('b_vel += '):]}")
     report = check_uniform_motion_oracle(seed=11)
     assert not report.passed
     assert all(d["u_rel_err"] <= 1e-11 and d["v_rel_err"] <= 1e-11 for d in report.details)
     assert max(d["beta_rel_err"] for d in report.details) > 5e-11
+
+
+def test_uniform_motion_oracle_catches_a_rate_term(monkeypatch):
+    # Scale b_qdot, the force-rate part of beta, by 1 + 1e-9: a constant
+    # force has no rate part, so only the sinusoid's beta fails the check.
+    term = "((p * k / pc2) * rv)[None], out=b_qdot"
+    _patch_field_terms(monkeypatch, term, f"((1.0 + 1e-9) * {term[1:]}")
+    report = check_uniform_motion_oracle(seed=11)
+    assert not report.passed
+    assert all(d["max_rel_err"] <= 1e-11 for d in report.details)
+    assert all(d["sinusoid_u_rel_err"] <= 1e-11 and d["sinusoid_v_rel_err"] <= 1e-11
+               for d in report.details)
+    assert max(d["sinusoid_beta_rel_err"] for d in report.details) > 5e-11
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureError,
+                   reason="near 1/cT one ulp of kappa moves t' by 2-4e-11, so a "
+                          "time-varying force ahead of a 0.999 cT source does not converge")
+def test_near_sonic_sinusoid_ahead_of_the_source():
+    # Ahead of the source at 0.999 cT the history window spans hundreds of
+    # force periods, and the retarded lag moves by up to ~1e6 per unit
+    # slowness near 1/cT: the engine gives up at depth 20 near kappa =
+    # 0.999175. A constant force converges here at rel_tol 1e-12.
+    fs = lw_fields(MAT, uniform_trajectory([0, 0, 0], [0.999, 0, 0]),
+                   sinusoid_force([0, 0, 1], 1.0, 0.0), [1.0, 0.3, 0.0], 0.0)
+    assert np.all(np.isfinite(fs.u))
 
 
 def test_fd_consistency_near_sonic():
