@@ -7,7 +7,7 @@ Subcommands:
     validate  run the verification suite, write a JSON report, exit 0
               iff every check passes
     limits    compare the moving-force evaluator against its static
-              closed forms over the grid (requires a static trajectory)
+              closed forms over the grid (requires a static 3D point force)
     presets   list built-in trajectory/force presets and their keys
 
 Rows are ordered time-major, then lexicographically over (x1, x2, x3).
@@ -187,7 +187,13 @@ def write_json(grid: FieldGrid, path: str):
 
 
 def limits_report(cfg: RunConfig, events=None) -> dict:
-    """Max deviation of the moving-force evaluator from its static closed forms."""
+    """Max deviation of the moving-force evaluator from its static closed forms.
+
+    Compares with Stokes always, and with Kelvin when the force is constant
+    for all time (a constant, or a step switched on at -inf).
+    """
+    if cfg.dimension != "3d-point":
+        raise ConfigError([f"source.dimension: limits require 3d-point, got {cfg.dimension!r}"])
     if cfg.trajectory.vmax > 0.0:
         raise ConfigError(["limits require a static trajectory (V = 0)"])
     if events is None:
@@ -200,7 +206,7 @@ def limits_report(cfg: RunConfig, events=None) -> dict:
     s0 = cfg.trajectory.eval(0.0)[0]
     dev_stokes = 0.0
     dev_kelvin = 0.0
-    kelvin_applicable = cfg.force.kind == "constant"
+    kelvin_applicable = cfg.force.kind in ("constant", "step") and cfg.force.t_on == -np.inf
     for i in np.flatnonzero(~singular):
         rvec, t, u, beta = xs[i] - s0, ts[i], fs.u[i], fs.beta[i]
         u_ref = stokes_displacement(cfg.material, cfg.force, rvec, t)
@@ -246,6 +252,8 @@ def cmd_validate(args) -> int:
         for name in sorted(CHECKS):
             print(name)
         return 0
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError([f"--seed: must be a non-negative integer, got {args.seed}"])
     names = cfg.checks
     if args.checks is not None:
         names = [c for c in args.checks.split(",") if c.strip()]

@@ -26,8 +26,8 @@ tolerances.quad_rel / tolerances.retarded_rel / tolerances.history_rel
     Positive tolerances for the slowness quadrature, the retarded-time
     solver, and the 2D history quadrature.
 run.seed / run.checks
-    Seed for randomized validation, and an optional comma list
-    restricting which validation checks run.
+    Non-negative integer seed for randomized validation, and an optional
+    comma list restricting which validation checks run.
 output.path / output.format
     Output file and csv | json.
 """
@@ -301,6 +301,8 @@ def parse_config(text: str) -> RunConfig:
     except ValueError:
         errors.append(f"run.seed: expected an integer, got {kv.get('run.seed')!r}")
         seed = 0
+    if seed < 0:
+        errors.append(f"run.seed: must be a non-negative integer, got {seed}")
 
     checks = None
     if "run.checks" in kv:

@@ -4,7 +4,10 @@ A trajectory supplies the source worldline s(t) with exact analytic
 velocity and acceleration, and the exact supremum vmax of its speed
 (tabulated and piecewise-polynomial worldlines take it from the roots of
 d|V|^2/dt on each interval); a force profile supplies the strength Q(t) and
-its analytic derivative. The retarded-time condition
+its analytic derivative. The constant, step, ramp and polynomial forces
+are one family, polynomials in t - t_on that one Horner evaluator
+(``_polynomial``) serves; a constant is one row, at t_on = -inf. The
+retarded-time condition
 
     t - t' - kappa * |x - s(t')| = 0
 
@@ -399,40 +402,43 @@ def tabulated_trajectory(times, positions) -> Trajectory:
 # ---------------------------------------------------------------------------
 # force-profile presets
 
-def constant_force(q0) -> ForceProfile:
-    """Q(t) = q0 for all time (t_on = -inf)."""
-    q = _vec3(q0)
-    zero = np.zeros(3)
+def _polynomial(kind, c, t_on) -> ForceProfile:
+    """Q_i(t) = sum_k c[k, i] * (t - t_on)^k for t >= t_on, and its rate, by Horner.
+
+    ``c`` has shape (order + 1, 3), lowest power first. Horner runs
+    elementwise, so a time's bits do not depend on the times sharing its
+    call. One row is a constant: it never forms t - t_on, so t_on = -inf
+    and t = +-inf give c[0] without a warning.
+    """
+    dc = c[1:] * np.arange(1, len(c))[:, None] if len(c) > 1 else np.zeros((1, 3))
+
+    def horner(coef, tau):
+        out = _broadcast_const(coef[-1], tau)
+        for ck in coef[-2::-1]:
+            out = out * tau + _col(ck, tau)
+        return out
 
     def fn(t):
-        return _broadcast_const(q, t), _broadcast_const(zero, t)
+        tau = t if len(c) == 1 else np.asarray(t, float) - t_on
+        return horner(c, tau), horner(dc, tau)
 
-    return ForceProfile("constant", -math.inf, fn)
+    return ForceProfile(kind, float(t_on), fn)
+
+
+def constant_force(q0) -> ForceProfile:
+    """Q(t) = q0 for all time (t_on = -inf)."""
+    return _polynomial("constant", _vec3(q0)[None], -math.inf)
 
 
 def step_force(q0, t_on: float) -> ForceProfile:
     """Q(t) = q0 * H(t - t_on); t_on is finite or -inf (always on)."""
-    q = _vec3(q0)
-    zero = np.zeros(3)
-    if t_on != -math.inf:
-        t_on = _finite("t_on", t_on)
-
-    def fn(t):
-        return _broadcast_const(q, t), _broadcast_const(zero, t)
-
-    return ForceProfile("step", float(t_on), fn)
+    q = _vec3(q0)[None]
+    return _polynomial("step", q, t_on if t_on == -math.inf else _finite("t_on", t_on))
 
 
 def ramp_force(rate, t_on: float) -> ForceProfile:
     """Q(t) = rate * (t - t_on) for t >= t_on; t_on must be finite."""
-    r = _vec3(rate)
-    t_on = _finite("t_on", t_on)
-
-    def fn(t):
-        t = np.asarray(t, float)
-        return _col(r, t) * (t - t_on), _broadcast_const(r, t)
-
-    return ForceProfile("ramp", float(t_on), fn)
+    return _polynomial("ramp", np.stack([np.zeros(3), _vec3(rate)]), _finite("t_on", t_on))
 
 
 def sinusoid_force(q0, omega: float, phase: float = 0.0) -> ForceProfile:
@@ -477,28 +483,16 @@ def polynomial_force(coefficients, t_on: float) -> ForceProfile:
     """Q_i(t) = sum_k c[k, i] * (t - t_on)^k for t >= t_on.
 
     ``coefficients`` has shape (order + 1, 3), lowest power first, or is
-    that array flattened. ``t_on`` must be finite.
+    that array flattened. ``t_on`` must be finite. Constant, step and ramp
+    forces are the same family: one shared Horner evaluator serves them
+    all (``_polynomial``).
     """
     c = np.asarray(coefficients, dtype=float)
     if c.ndim == 1 and c.size % 3 == 0:
         c = c.reshape(-1, 3)
     if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] != 3 or not np.isfinite(c).all():
         raise ValueError("polynomial force needs coefficients of shape (order + 1, 3), all finite")
-    t_on = _finite("t_on", t_on)
-    dc = c[1:] * np.arange(1, c.shape[0])[:, None] if c.shape[0] > 1 else np.zeros((1, 3))
-
-    def horner(coef, tau):
-        # Elementwise, so a time's bits do not depend on the times sharing its call.
-        out = _broadcast_const(coef[-1], tau)
-        for ck in coef[-2::-1]:
-            out = out * tau + _col(ck, tau)
-        return out
-
-    def fn(t):
-        tau = np.asarray(t, float) - t_on
-        return horner(c, tau), horner(dc, tau)
-
-    return ForceProfile("polynomial", t_on, fn)
+    return _polynomial("polynomial", c, _finite("t_on", t_on))
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,42 @@ def test_limits_empty_event_list():
     assert rep == {"n_events": 0, "stokes_max_rel_dev": 0.0, "kelvin_max_rel_dev": 0.0}
 
 
+def test_limits_refuses_2d_configs(capsys):
+    # The static closed forms are those of a 3D point force; an anti-plane
+    # line force is not compared with them.
+    assert main(["limits", "--config", str(ROOT / "configs" / "antiplane.cfg")]) == 2
+    assert "source.dimension" in capsys.readouterr().err
+
+
+def test_limits_compares_kelvin_for_a_step_on_for_all_time():
+    # A step switched on at -inf is the constant force, so it gets the same
+    # report, Kelvin comparison included.
+    step = parse_config(KELVIN_CFG.replace(
+        "force.preset = constant", "force.preset = step\nforce.t_on = -inf"))
+    assert step.force.kind == "step"
+    rep = limits_report(step)
+    assert "kelvin_max_rel_dev" in rep
+    assert rep == limits_report(parse_config(KELVIN_CFG))
+
+
+def test_negative_run_seed_is_a_config_error(tmp_path, capsys):
+    text = KELVIN_CFG + "run.seed = -4\n"
+    with pytest.raises(ConfigError, match="run.seed: must be a non-negative integer"):
+        parse_config(text)
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text(text)
+    assert main(["validate", "--config", str(cfg_path), "--checks", "kelvin_limit"]) == 2
+    assert "run.seed" in capsys.readouterr().err
+
+
+def test_negative_validate_seed_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text(KELVIN_CFG)
+    argv = ["validate", "--config", str(cfg_path), "--checks", "kelvin_limit", "--seed", "-1"]
+    assert main(argv) == 2
+    assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_validate_list_and_subset(tmp_path, capsys):
     cfg_path = tmp_path / "cfg"
     cfg_path.write_text(KELVIN_CFG)

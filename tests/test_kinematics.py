@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -208,6 +209,44 @@ def test_force_rows_do_not_depend_on_the_batch(prof):
     for i in range(0, ts.size, 7):
         q, qd = prof.eval(float(ts[i]))
         assert np.array_equal(q, whole[0][i]) and np.array_equal(qd, whole[1][i])
+
+
+# ---------------------------------------------------------------------------
+# the polynomial force family: constant, step and ramp are polynomials
+
+_Q = [1.0, -2.0, 3.0]
+_RATE = [0.3, 0.0, -0.2]
+
+
+@pytest.mark.parametrize(
+    "prof, same, kind",
+    [
+        (step_force(_Q, 0.5), polynomial_force([_Q], 0.5), "step"),
+        (ramp_force(_RATE, 0.5), polynomial_force([[0.0, 0.0, 0.0], _RATE], 0.5), "ramp"),
+        (constant_force(_Q), step_force(_Q, -math.inf), "constant"),
+    ],
+    ids=["step", "ramp", "constant"],
+)
+def test_polynomial_family_members_agree(prof, same, kind):
+    # Each preset gives the bits of the polynomial it is, at scalar and
+    # array times on both sides of its switch-on, and keeps its kind.
+    assert prof.kind == kind and prof.t_on == same.t_on
+    ts = np.array([-3.0, 0.0, 0.5, 0.5 + 1e-12, 1.7, 40.0])
+    for t in [ts, *ts.tolist()]:
+        for value, other in zip(prof.eval(t), same.eval(t)):
+            assert np.array_equal(value, other)
+
+
+@pytest.mark.parametrize(
+    "prof", [constant_force(_Q), step_force(_Q, -math.inf)], ids=["constant", "step"]
+)
+def test_force_on_for_all_time_at_infinite_times(prof):
+    # q0 and a zero rate at t = +-inf, without forming inf - inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (-math.inf, math.inf, np.array([-math.inf, 0.0, math.inf])):
+            q, qd = prof.eval(t)
+            assert np.array_equal(q, np.broadcast_to(_Q, q.shape)) and not qd.any()
 
 
 def test_constructors_take_flat_values_and_check_sizes():
