@@ -408,7 +408,9 @@ def _polynomial(kind, c, t_on) -> ForceProfile:
     ``c`` has shape (order + 1, 3), lowest power first. Horner runs
     elementwise, so a time's bits do not depend on the times sharing its
     call. One row is a constant: it never forms t - t_on, so t_on = -inf
-    and t = +-inf give c[0] without a warning.
+    and t = +-inf give c[0] without a warning. Longer rows give their
+    limit at tau = +-inf: c[0] for a constant component, else +-inf by the
+    sign of the highest non-zero coefficient (Horner would make 0 * inf).
     """
     dc = c[1:] * np.arange(1, len(c))[:, None] if len(c) > 1 else np.zeros((1, 3))
 
@@ -418,9 +420,21 @@ def _polynomial(kind, c, t_on) -> ForceProfile:
             out = out * tau + _col(ck, tau)
         return out
 
+    def limit(coef, tau):
+        deg = np.array([np.flatnonzero(col).max(initial=0) for col in coef.T])
+        lead = coef[deg, np.arange(3)]
+        lim = np.copysign(math.inf, _col(lead, tau) * np.sign(tau) ** _col(deg, tau))
+        return np.where(_col(deg == 0, tau), _col(coef[0], tau), lim)
+
     def fn(t):
-        tau = t if len(c) == 1 else np.asarray(t, float) - t_on
-        return horner(c, tau), horner(dc, tau)
+        if len(c) == 1:
+            return horner(c, t), horner(dc, t)
+        tau = np.asarray(t, float) - t_on
+        inf = np.isinf(tau)
+        if not inf.any():
+            return horner(c, tau), horner(dc, tau)
+        finite = np.where(inf, 0.0, tau)
+        return tuple(np.where(inf, limit(coef, tau), horner(coef, finite)) for coef in (c, dc))
 
     return ForceProfile(kind, float(t_on), fn)
 

@@ -249,6 +249,53 @@ def test_force_on_for_all_time_at_infinite_times(prof):
             assert np.array_equal(q, np.broadcast_to(_Q, q.shape)) and not qd.any()
 
 
+_POLY = [[1.0, 2.0, 3.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -2.0]]
+
+
+@pytest.mark.parametrize(
+    "prof, q_inf, qd_inf",
+    [
+        (ramp_force([0.0, 0.0, 1.0], 0.0), [0.0, 0.0, math.inf], [0.0, 0.0, 1.0]),
+        (polynomial_force(_POLY, 0.5), [1.0, -math.inf, -math.inf], [0.0, -1.0, -math.inf]),
+    ],
+    ids=["ramp", "polynomial"],
+)
+def test_polynomial_limits_at_infinite_times(prof, q_inf, qd_inf):
+    # The limit at t = +inf (c0 for a constant component, else +-inf by the
+    # leading coefficient's sign) and zero before the switch-on, no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, qd = prof.eval(math.inf)
+        assert np.array_equal(q, q_inf) and np.array_equal(qd, qd_inf)
+        assert not np.any(prof.eval(-math.inf))
+        q, qd = prof.eval(np.array([-math.inf, 1.0, math.inf]))
+        assert not q[0].any() and not qd[0].any()
+        assert np.array_equal(q[2], q_inf) and np.array_equal(qd[2], qd_inf)
+
+
+def test_polynomial_finite_times_are_plain_horner():
+    # Finite times keep the bits of elementwise Horner in t - t_on, also
+    # beside infinite times in the same call.
+    c = np.array(_POLY)
+    dc = c[1:] * np.arange(1, len(c))[:, None]
+    prof = polynomial_force(c, 0.5)
+    rng = np.random.default_rng(3)
+    ts = rng.standard_normal(500) * 10.0 ** rng.integers(-3, 4, 500)
+
+    def horner(coef, tau):
+        out = np.broadcast_to(coef[-1][:, None], (3, tau.size))
+        for ck in coef[-2::-1]:
+            out = out * tau + ck[:, None]
+        return np.where(tau >= 0.0, out, 0.0).T
+
+    want = horner(c, ts - 0.5), horner(dc, ts - 0.5)
+    mixed = np.concatenate([ts, [math.inf, -math.inf]])
+    for got in (prof.eval(ts), [v[:-2] for v in prof.eval(mixed)]):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for i in range(0, 500, 37):
+        assert all(np.array_equal(g, w[i]) for g, w in zip(prof.eval(float(ts[i])), want))
+
+
 def test_constructors_take_flat_values_and_check_sizes():
     ts = [0.0, 1.0, 2.0]
     pos = np.arange(9.0).reshape(3, 3) * 0.1

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from elastowave.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -42,4 +44,8 @@ def test_sample_wavefield_runs_a_shipped_config(tmp_path):
     out = _run("sample_wavefield", "--config", "configs/kelvin.cfg",
                "--out", str(tmp_path / "fields.csv"))
     assert out.rstrip().endswith("masked rows = 0")
-    assert (tmp_path / "fields.csv").is_file()
+    # The script and `elastowave sample` share one CSV writer.
+    cli_csv = tmp_path / "cli.csv"
+    assert main(["sample", "--config", str(ROOT / "configs" / "kelvin.cfg"),
+                 "--out", str(cli_csv)]) == 0
+    assert (tmp_path / "fields.csv").read_bytes() == cli_csv.read_bytes()
