@@ -37,13 +37,15 @@ moving singular endpoint into a bounded boundary term at switch-on plus
 a smooth integrand. Its d(S^2)/S^2 is formed from the same differences,
 so ``antiplane_fields`` converges at history tolerances down to 1e-13 on
 moving sources and is the one anti-plane evaluator. The in-plane
-gradient and time derivative have no published closed form; they are
-evaluated by Richardson-paired central differences of the displacement
-with the step tied to the distance to the nearest wavefront. The 19
-distinct points of those stencils (the centre and six offsets along each
-of x1, x2 and t) share one retarded solve: ``inplane_displacement`` takes
-arrays of points, and each point's history still takes its own engine
-call.
+velocity is assembled the same way, for both segments: the kernel
+differentiated at fixed w, plus the bounded boundary terms where a
+segment's lower end moves with t (the switch-on, and t_T where the L
+segment starts). Only the in-plane gradient is still evaluated by
+Richardson-paired central differences of the displacement, with the step
+tied to the distance to the nearest wavefront: ``inplane_fields`` takes
+its centre and the six offsets along each of x1 and x2 from one
+``inplane_displacement`` call: one retarded solve, and one engine call
+per point, the centre's integrating u and du/dt together.
 
 Every evaluator first raises the first ``motion_violations`` of its
 source, among them an infinite switch-on.
@@ -88,8 +90,9 @@ class FieldSample2D:
 
     In-plane: u, v are 2-vectors and beta is 2x2. Anti-plane: u, v are
     the scalars u3, v3 and beta is the 2-vector beta_3alpha. ``fd_error``
-    reports Richardson error estimates where derivatives were taken
-    numerically.
+    holds the Richardson error estimates of the derivatives taken
+    numerically: ``beta_d1`` and ``beta_d2``, the in-plane distortion's
+    columns (None for the anti-plane fields, all analytic).
     """
 
     u: np.ndarray | float
@@ -155,24 +158,24 @@ def _history_nodes(traj, t, st, rows, w):
     return _HistoryNodes(b - h, tbar, kappa, rvec, r, st.v[rows] - dv, ds, dv, dr, d, s)
 
 
-def _history_sums(traj, t, st, a, rows, kernel, rel_tol):
+def _history_sums(traj, t, st, rows, w_lo, w_hi, kernel, rel_tol):
     """Integrals over the history segments of one evaluation, in one engine call.
 
-    Segment k is [a[k], b] with b = st.t_ret[rows[k]], the retarded time
-    of the row of ``st`` whose root S is singular there. Each whole
-    segment is mapped by t' = b - w^2, w in [0, sqrt(b - a[k])], which
-    turns the inverse-square-root endpoint into a smooth integrand. The one
-    ``kernel`` maps the _HistoryNodes of every segment's nodes at once to
-    values (n, m) per unit t', telling the segments apart by their
-    ``kappa``; the factor dt'/dw = 2w is applied here. Returns one row of
-    m values per segment.
+    Segment k ends at the retarded row ``rows[k]`` of ``st``, whose root S
+    is singular at its retarded time b. Segments are given in w, where
+    t' = b - w^2: the whole segment [a, b] is w in [0, sqrt(b - a)],
+    which turns the inverse-square-root endpoint into a smooth integrand,
+    and segment k is [w_lo[k], w_hi[k]]. The one ``kernel`` maps the
+    _HistoryNodes of every segment's nodes at once, with the segment index
+    of each node, to values (n, m) per unit t', telling the segments apart
+    by their ``kappa``; the factor dt'/dw = 2w is applied here. Returns one
+    row of m values per segment.
     """
-    w_max = np.sqrt(st.t_ret[rows] - a)
 
     def integrand(w, owner):
-        return 2.0 * w[:, None] * kernel(_history_nodes(traj, t, st, rows[owner], w))
+        return 2.0 * w[:, None] * kernel(_history_nodes(traj, t, st, rows[owner], w), owner)
 
-    values, failed = integrate_intervals(integrand, np.zeros(w_max.size), w_max, rel_tol=rel_tol)
+    values, failed = integrate_intervals(integrand, w_lo, w_hi, rel_tol=rel_tol)
     if failed.any():
         raise QuadratureError("history integrand is not finite")
     return values
@@ -209,7 +212,7 @@ def antiplane_fields(
     dtup = np.concatenate([[r_b], -kap * rvec_b]) / st.pc[0]
     dtbar = np.array([1.0, 0.0, 0.0]) - dtup
 
-    def kernel(g):
+    def kernel(g, _owner):
         # Columns u3, then d/dt, d/dx1, d/dx2 at fixed w, with
         # d(S^2)/S^2 = dD/D + dE/E and E = tbar + kap r. dD vanishes at
         # w = 0; the root identity (1, -kap n_b) = dtup (1 - kap n_b . V_b)
@@ -223,9 +226,10 @@ def antiplane_fields(
         q, qd = prof.eval(g.tp)
         return np.hstack([q[:, 2:], qd[:, 2:] * dtup - 0.5 * q[:, 2:] * dlog_s2]) / g.s[:, None]
 
-    (total,) = _history_sums(traj, t, st, np.array([prof.t_on]), np.array([0]), kernel, rel_tol)
-    # Boundary term of the derivatives at the switch-on node w = sqrt(b - t_on).
+    # The switch-on node w = sqrt(b - t_on) ends the history and carries the
+    # boundary term of the derivatives.
     w_on = np.array([math.sqrt(st.t_ret[0] - prof.t_on)])
+    (total,) = _history_sums(traj, t, st, np.array([0]), np.zeros(1), w_on, kernel, rel_tol)
     s_on = _history_nodes(traj, t, st, [0], w_on).s[0]
     total[1:] += prof.eval(prof.t_on)[0][2] * dtup / s_on
     total /= 2.0 * math.pi * mat.rho * mat.cT ** 2
@@ -234,6 +238,120 @@ def antiplane_fields(
 
 # ---------------------------------------------------------------------------
 # in-plane (force in the x1-x2 plane)
+
+def _inplane_u(g, q, kT, kL2):
+    """The in-plane history kernel (n, 2) per unit t' at nodes g for forces q (n, 2).
+
+    Also returns the pieces its rate reuses: the columns r^2, R . Q and
+    (n . Q) n, the mask of T rows and S_L.
+    """
+    # A segment ending at the T root integrates the L kernel minus the
+    # T kernel: their far history cancels pointwise, and S_L stays
+    # bounded away from zero there. The L segment integrates the L
+    # kernel alone, with S_L its singular root s; S_L is formed only
+    # on T rows, since on the L segment it cancels to about 0.
+    r2 = (g.r * g.r)[:, None]
+    rq = np.einsum("ni,ni->n", g.rvec, q)[:, None]
+    nn_q = rq / r2 * g.rvec
+    nn_q_q = nn_q - q
+    tb2, s = (g.tbar ** 2)[:, None], g.s[:, None]
+    on_t = (g.kappa == kT)[:, None]
+    sl = np.where(on_t, np.sqrt(np.maximum(tb2 - r2 * kL2, 0.0)), s)
+    tt = np.where(on_t, nn_q * s + nn_q_q * (tb2 / s), 0.0)
+    u = (nn_q * (tb2 / sl) + nn_q_q * sl - tt) / r2
+    return u, r2, rq, nn_q, on_t[:, 0], sl[:, 0]
+
+
+def _inplane_rate_kernel(prof, kT, kL2, st, rows, m):
+    """Kernel of segments ending at the retarded rows ``rows`` of ``st``.
+
+    Segments [0, m) integrate u, the others du/dt at fixed w; values (n, 2)
+    per unit t'.
+    """
+    # Per segment: db/dt of its end b, and n_b . V_b and V_b at b.
+    rate = st.r[rows] / st.pc[rows]
+    nv_b = np.einsum("ni,ni->n", st.rvec[rows], st.v[rows]) / st.r[rows]
+    v_b = st.v[rows]
+
+    def kernel(g, owner):
+        q, qd = prof.eval(g.tp)
+        q, qd = q[:, :2], qd[:, :2]
+        u, r2, rq, nn_q, on_t, sl = _inplane_u(g, q, kT, kL2)
+        # r^2 u = nn_q X + (nn_q - q) Y, X = tbar^2/S_L - S_T and
+        # Y = S_L - tbar^2/S_T (no S_T terms on L rows). At fixed w,
+        # t' = b - w^2 moves with b: dtbar = 1 - db/dt, dR = -V db/dt and
+        # dQ = Qdot db/dt.
+        b_t = rate[owner]
+        rv = np.einsum("ni,ni->n", g.rvec, g.v)
+        dtbar = 1.0 - b_t
+        # d(S^2)/S^2 of the singular root is dD/D + dE/E with D = tbar - kappa r
+        # and E = tbar + kappa r. dD = kappa db/dt (n . V - n_b . V_b)
+        # vanishes at w = 0, so it is formed from history differences only,
+        # as in ``antiplane_fields``. S_L on T rows is bounded away from
+        # zero and differentiated directly.
+        dn_v = (g.dr * nv_b[owner] - np.einsum("ni,ni->n", g.ds, v_b[owner])
+                + np.einsum("ni,ni->n", g.rvec, g.dv)) / g.r
+        kb = g.kappa * b_t
+        lam_s = (dtbar - kb * rv / g.r) / (g.tbar + g.kappa * g.r) - kb * dn_v / g.d
+        s, tb2 = g.s, g.tbar ** 2
+        lam_l = np.where(on_t, 2.0 * (g.tbar * dtbar + kL2 * b_t * rv) / (sl * sl), lam_s)
+        dtb2 = 2.0 * dtbar / g.tbar  # d(tbar^2)/tbar^2
+        pl, pt, hl, hs = tb2 / sl, tb2 / s, 0.5 * lam_l, 0.5 * lam_s
+        y = sl - np.where(on_t, pt, 0.0)
+        dx = pl * (dtb2 - hl) - np.where(on_t, s * hs, 0.0)
+        dy = sl * hl - np.where(on_t, pt * (dtb2 - hs), 0.0)
+        xy = pl + y - np.where(on_t, s, 0.0)
+        rho = (2.0 * b_t * rv)[:, None] / r2  # d(r^-2)/r^-2
+        d_rq = b_t * (np.einsum("ni,ni->n", g.rvec, qd) - np.einsum("ni,ni->n", g.v, q))
+        d_nn_q = (d_rq[:, None] * g.rvec - (b_t * rq[:, 0])[:, None] * g.v) / r2 + rho * nn_q
+        d_r2u = (d_nn_q * xy[:, None] + nn_q * (dx + dy)[:, None] - q * dy[:, None]
+                 - qd * (b_t * y)[:, None])
+        return np.where((owner < m)[:, None], u, d_r2u / r2 + rho * u)
+
+    return kernel
+
+
+def _inplane_rates(traj, t, st, rows, a, prof, kT, kL2, rel_tol):
+    """u and du/dt (2,) of one point, times 2 pi rho, in one engine call.
+
+    Segment k of the point is [a[k], b] with b the retarded time of row
+    rows[k]. The rate integrals are segments of their own beside the u
+    segments, so u is refined exactly as without them. Each is split at
+    half its w-range: its integrand varies more for its size than u's, and
+    two Kronrod panels meet the tolerance where one would be bisected.
+    Differentiating at fixed w leaves each moving lower end a as a bounded
+    boundary term: the u kernel at a times d(b - a)/dt, at the switch-on
+    (da/dt = 0) and where the L segment starts (a = t_T).
+    """
+    m = rows.size
+    w_max = np.sqrt(st.t_ret[rows] - a)
+    seg = np.tile(rows, 3)
+    sums = _history_sums(traj, t, st, seg, np.concatenate([np.zeros(2 * m), 0.5 * w_max]),
+                         np.concatenate([w_max, 0.5 * w_max, w_max]),
+                         _inplane_rate_kernel(prof, kT, kL2, st, seg, m), rel_tol)
+    # Q is taken at a itself: the node b - (sqrt(b - a))^2 may round below
+    # the switch-on.
+    ends = _inplane_u(_history_nodes(traj, t, st, rows, w_max), prof.eval(a)[0][:, :2], kT, kL2)[0]
+    if not np.isfinite(ends).all():
+        raise QuadratureError("history kernel is not finite at a segment end")
+    rate = st.r[rows] / st.pc[rows]
+    return sums[:m].sum(axis=0), sums[m:].sum(axis=0) + (rate - np.append(0.0, rate[:-1])) @ ends
+
+
+@dataclass
+class _FirstPointRate:
+    """A force profile that also asks ``inplane_displacement`` for du/dt.
+
+    Passed as ``prof``, it makes the call integrate du/dt (2,) of its first
+    point in that point's engine call, from the shared retarded solve, and
+    leave it in ``du``. ``inplane_fields`` takes its centre's velocity this
+    way, in the one displacement call of its evaluation, without a keyword
+    on the public signature.
+    """
+
+    prof: ForceProfile
+    du: np.ndarray | None = None
+
 
 def inplane_displacement(
     mat: Material,
@@ -252,6 +370,9 @@ def inplane_displacement(
     history segments then take one engine call, as a one-point call does,
     so a point's u does not depend on the points it is batched with.
     """
+    rates = prof if isinstance(prof, _FirstPointRate) else None
+    if rates is not None:
+        prof = rates.prof
     for error, message in motion_violations(traj, prof, mat.cT, line=True):
         raise error(message)
     x = np.asarray(x, dtype=float)[..., :2]
@@ -259,35 +380,27 @@ def inplane_displacement(
     shape = np.broadcast_shapes(x.shape[:-1], t.shape)
     xs = np.broadcast_to(x, shape + (2,)).reshape(-1, 2)
     ts = np.broadcast_to(t, shape).reshape(-1)
-    kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
+    kT, kL2 = 1.0 / mat.cT, 1.0 / mat.cL ** 2
     # Row 2i ends the longitudinal history of point i, row 2i + 1 the transversal one.
     st, live = _singular_ends(traj, prof, np.repeat(xs, 2, axis=0), np.repeat(ts, 2),
-                              np.tile([kL, kT], ts.size), tol_ret)
-    kL2 = 1.0 / mat.cL ** 2
+                              np.tile([1.0 / mat.cL, kT], ts.size), tol_ret)
 
-    def kernel(g):
-        # A segment ending at the T root integrates the L kernel minus the
-        # T kernel: their far history cancels pointwise, and S_L stays
-        # bounded away from zero there. The L segment integrates the L
-        # kernel alone, with S_L its singular root s; S_L is formed only
-        # on T rows, since on the L segment it cancels to about 0.
-        q = prof.eval(g.tp)[0][:, :2]
-        r2 = (g.r * g.r)[:, None]
-        nn_q = np.einsum("ni,ni->n", g.rvec, q)[:, None] / r2 * g.rvec
-        tb2, s = (g.tbar ** 2)[:, None], g.s[:, None]
-        on_t = g.kappa == kT
-        sl = s.copy()
-        sl[on_t] = np.sqrt(tb2[on_t] - r2[on_t] * kL2)
-        tt = np.where(on_t[:, None], nn_q * s + (nn_q - q) * (tb2 / s), 0.0)
-        return (nn_q * (tb2 / sl) + (nn_q - q) * sl - tt) / r2
+    def kernel(g, _owner):
+        return _inplane_u(g, prof.eval(g.tp)[0][:, :2], kT, kL2)[0]
 
-    u = np.zeros((ts.size, 2))
+    u, du = np.zeros((ts.size, 2)), np.zeros(2)
     for i in np.flatnonzero(live[0::2]):
         # Behind the S front the T segment [t_on, t_T] comes first and the
         # L segment starts where it ends.
         rows = np.array([2 * i + 1, 2 * i] if live[2 * i + 1] else [2 * i])
         a = np.append(prof.t_on, st.t_ret[rows[:-1]])
-        u[i] = _history_sums(traj, ts[i], st, a, rows, kernel, rel_tol).sum(axis=0)
+        if i == 0 and rates is not None:
+            u[0], du = _inplane_rates(traj, ts[0], st, rows, a, prof, kT, kL2, rel_tol)
+        else:
+            u[i] = _history_sums(traj, ts[i], st, rows, np.zeros(rows.size),
+                                 np.sqrt(st.t_ret[rows] - a), kernel, rel_tol).sum(axis=0)
+    if rates is not None:
+        rates.du = du / (2.0 * math.pi * mat.rho)
     return (u / (2.0 * math.pi * mat.rho)).reshape(shape + (2,))
 
 
@@ -304,7 +417,7 @@ def _arrival_times(traj, prof, x, c_list):
 
 
 def _fd_step(mat, traj, prof, x, t):
-    """Time step for in-plane differencing, kept clear of wavefronts."""
+    """Time scale of the in-plane difference step, kept clear of wavefronts."""
     scale = max(t - prof.t_on, 1.0)
     h = 1e-3 * scale
     arrivals = _arrival_times(traj, prof, x, (mat.cL, mat.cT))
@@ -350,28 +463,24 @@ def inplane_fields(
     rel_tol: float = DEFAULT_HISTORY_TOL,
     tol_ret: float = DEFAULT_RETARDED_TOL,
 ) -> FieldSample2D:
-    """Displacement plus FD-differentiated distortion and velocity.
+    """Displacement and analytic velocity, plus FD-differentiated distortion.
 
-    The centre and the six offsets of the stencil along each of x1, x2 and
-    t are 19 points of one ``inplane_displacement`` call; the Richardson
-    pairs read their values from that table.
+    The centre and the six offsets of the stencil along each of x1 and x2
+    are 13 points of one ``inplane_displacement`` call, which also
+    integrates the centre's du/dt in the centre's engine call; the
+    Richardson pairs of the distortion read their values from that table.
     """
     for error, message in motion_violations(traj, prof, mat.cT, line=True):
         raise error(message)
     x = np.asarray(x, dtype=float)[:2]
-    h_t = _fd_step(mat, traj, prof, x, t)
-    steps = (mat.cT * h_t, mat.cT * h_t, h_t)  # along x1, x2 and t
-    offsets = [h * _STENCIL for h in steps]
-    n, e = _STENCIL.size, np.eye(2)
-    xs = [x] + [x + s * e[k] for k in range(2) for s in offsets[k]] + [x] * n
-    ts = [t] * (1 + 2 * n) + [t + s for s in offsets[2]]
+    h = mat.cT * _fd_step(mat, traj, prof, x, t)
+    offsets = h * _STENCIL
+    xs = np.array([x] + [x + s * e for e in np.eye(2) for s in offsets])
+    rates = _FirstPointRate(prof)
     # A call of the module-level name, which the benchmark tracer wraps.
-    u = inplane_displacement(
-        mat, traj, prof, np.array(xs), np.array(ts), rel_tol=rel_tol, tol_ret=tol_ret
-    )
-    derivs, errs = [], {}
-    for name, h, offs, values in zip(("beta_d1", "beta_d2", "v"), steps, offsets,
-                                     u[1:].reshape(3, n, 2)):
-        value, errs[name] = _richardson_d1(dict(zip(offs, values)).__getitem__, h)
-        derivs.append(value)
-    return FieldSample2D(u=u[0], beta=np.column_stack(derivs[:2]), v=derivs[2], fd_error=errs)
+    u = inplane_displacement(mat, traj, rates, xs, t, rel_tol=rel_tol, tol_ret=tol_ret)
+    cols, errs = [], {}
+    for k, values in enumerate(u[1:].reshape(2, _STENCIL.size, 2)):
+        col, errs[f"beta_d{k + 1}"] = _richardson_d1(dict(zip(offsets, values)).__getitem__, h)
+        cols.append(col)
+    return FieldSample2D(u=u[0], beta=np.column_stack(cols), v=rates.du, fd_error=errs)

@@ -20,7 +20,8 @@ the production evaluation paths they judge:
   integral is a fixed Gauss-Legendre rule, so neither the retarded-time
   solver nor the adaptive engine enters it; its distortion and velocity
   are complex-step derivatives of it, so no field kernel of the evaluator
-  enters either.
+  enters either. The velocity of a static in-plane step is the impulsive
+  plane-strain Green tensor itself.
 
 ``run_check_suite`` packages the module invariants into named,
 deterministic, seedable checks and returns CheckReport records that
@@ -48,9 +49,10 @@ from .kinematics import (
     sinusoid_force,
     static_trajectory,
     step_force,
+    tabulated_trajectory,
     uniform_trajectory,
 )
-from .lineforce2d import antiplane_fields, inplane_displacement
+from .lineforce2d import antiplane_fields, inplane_displacement, inplane_fields
 from .material import Material, make_material, make_material_poisson
 from .pointforce3d import (
     kelvin_displacement,
@@ -843,6 +845,46 @@ def check_inplane_oracle(seed=0, n_cases=6, tolerance=1e-3):
     return _report("inplane_convolution_oracle", worst, tolerance, n_cases)
 
 
+def check_inplane_velocity(seed=0, n_cases=8, tolerance=1e-8, fd_tolerance=1e-6):
+    """Analytic in-plane velocity against a closed form and differences.
+
+    A static step force has v = G(x - s0, t - t_on) q0, the impulsive
+    plane-strain Green tensor; it is checked behind both fronts and
+    inside the P-S shell. On moving sources (oscillatory and tabulated
+    worldlines, step and bump forces) v is compared with Richardson
+    differences of the displacement, whose error limits the tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    err_static = err_fd = 0.0
+    knots = np.linspace(0.0, 8.0, 17)
+    for i in range(n_cases):
+        mat = _random_material(rng)
+        q0 = rng.normal(size=3)
+        q0[2] = 0.0
+        x = rng.uniform(0.8, 2.0) * _random_unit(rng, dim=2)
+        r = float(np.linalg.norm(x))
+        # Behind both fronts, then midway through the P-S shell.
+        for t in (r / mat.cT + rng.uniform(0.5, 2.0), 0.5 * r * (1.0 / mat.cL + 1.0 / mat.cT)):
+            v = inplane_fields(mat, static_trajectory(np.zeros(3)), step_force(q0, t_on=0.0),
+                               x, t, rel_tol=1e-10).v
+            err_static = max(err_static, _rel_err(v, _green2d_inplane(mat, x, t) @ q0[:2]))
+
+        traj = _random_oscillatory(rng, mat, vfrac=0.5)[0]
+        if i % 2:  # the same motion as a cubic spline through its positions
+            traj = tabulated_trajectory(knots, traj.eval(knots)[0])
+        prof = step_force(q0, t_on=0.0) if i % 4 < 2 else bump_force(q0, 1.0, 1.0)
+        x, t = 1.5 * x / r, rng.uniform(4.0, 6.0)
+        v = inplane_fields(mat, traj, prof, x, t, rel_tol=1e-10).v
+        fd = fd_consistency(
+            lambda xx, tt: inplane_displacement(mat, traj, prof, xx, tt, rel_tol=1e-12), x, t, 1e-3
+        )
+        err_fd = max(err_fd, _rel_err(v, fd.v_fd))
+    return [
+        _report("inplane_velocity_closed_form", err_static, tolerance, 2 * n_cases),
+        _report("inplane_velocity_fd", err_fd, fd_tolerance, n_cases),
+    ]
+
+
 def check_afterglow(seed=0, tolerance=1e-12):
     """2D fields persist after the trailing front; 3D fields return to zero."""
     mat = make_material(1.0, 1.0, 1.0)
@@ -988,6 +1030,7 @@ CHECKS = {
     "uniform_motion_oracle": check_uniform_motion_oracle,
     "antiplane_closed_form": check_antiplane_closed_form,
     "inplane_convolution_oracle": check_inplane_oracle,
+    "inplane_velocity": check_inplane_velocity,
     "afterglow_huygens": check_afterglow,
     "equivariance": check_equivariance,
     "linearity": check_linearity,
@@ -1004,6 +1047,7 @@ _QUICK_SIZES = {
     "radiation_uniform_zero": {"n_cases": 4},
     "antiplane_closed_form": {"n_cases": 20},
     "inplane_convolution_oracle": {"n_cases": 3},
+    "inplane_velocity": {"n_cases": 4},
     "equivariance": {"n_cases": 3},
     "linearity": {"n_cases": 3},
 }

@@ -131,17 +131,22 @@ def test_grid_longer_than_one_row_block(tmp_path):
 
 
 def test_json_rows_equal_the_per_value_floats(tmp_path):
-    rows = np.random.default_rng(7).standard_normal((6, len(cli.COLUMNS)))
-    rows[2, 4:19] = 0.0
-    rows[2, 19] = 1.0
-    rows[3, 4:19] = -0.0
-    grid = _grid(rows)
-    path = tmp_path / "grid.json"
-    cli.write_json(grid, str(path))
-    old = {"provenance": grid.provenance, "columns": grid.columns,
-           "rows": [[float(v) for v in row] for row in grid.rows]}
-    assert path.read_text() == json.dumps(old, indent=1, sort_keys=True) + "\n"
-    assert "-0.0" in path.read_text()
+    rng = np.random.default_rng(7)
+    for n in (0, 6, 2 * cli._CSV_BLOCK_ROWS + 37):
+        rows = rng.standard_normal((n, len(cli.COLUMNS))) * 10.0 ** rng.integers(-40, 40, (n, 1))
+        if n:
+            rows[2, 4:19] = 0.0
+            rows[2, 19] = 1.0
+            rows[3, 4:19] = -0.0
+            rows[4, 4:7] = [math.nan, math.inf, -math.inf]
+        grid = _grid(rows)
+        path = tmp_path / "grid.json"
+        cli.write_json(grid, str(path))
+        old = {"provenance": grid.provenance, "columns": grid.columns,
+               "rows": [[float(v) for v in row] for row in grid.rows]}
+        assert path.read_text() == json.dumps(old, indent=1, sort_keys=True) + "\n"
+        if n:
+            assert "-0.0" in path.read_text() and "-Infinity" in path.read_text()
 
 
 def _config_text(name):

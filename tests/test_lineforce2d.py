@@ -27,7 +27,7 @@ from elastowave.lineforce2d import (
 )
 from elastowave.material import make_material
 from elastowave.quadrature import integrate_intervals
-from elastowave.verify import inplane_convolution_u
+from elastowave.verify import _green2d_inplane, inplane_convolution_u
 
 MAT = make_material(rho=1.3, lam=0.9, mu=1.3)  # cT = 1
 Q0 = 2.0 * math.pi * MAT.rho * MAT.cT ** 2
@@ -316,11 +316,12 @@ def test_history_sums_rows_do_not_depend_on_the_other_segments(traj, monkeypatch
     for x, t in POINTS[2:]:
         inplane_displacement(MAT, traj, prof, x, t)
     assert len(seen) == 2
-    for traj_, t, st, a, rows, kernel, rel_tol in seen:
+    for traj_, t, st, rows, w_lo, w_hi, kernel, rel_tol in seen:
         assert rows.size == 2
-        together = history_sums(traj_, t, st, a, rows, kernel, rel_tol)
+        together = history_sums(traj_, t, st, rows, w_lo, w_hi, kernel, rel_tol)
         for k in range(2):
-            alone = history_sums(traj_, t, st, a[k:k + 1], rows[k:k + 1], kernel, rel_tol)
+            one = slice(k, k + 1)
+            alone = history_sums(traj_, t, st, rows[one], w_lo[one], w_hi[one], kernel, rel_tol)
             assert np.all(together[k] != 0.0) and np.array_equal(alone[0], together[k])
 
 
@@ -354,7 +355,7 @@ def test_inplane_knotted_worldline_matches_oracle():
 
 
 def _fields_from_one_point_calls(traj, prof, x, t):
-    """inplane_fields rebuilt from 25 one-point displacement calls."""
+    """inplane_fields rebuilt from one-point displacement calls, v differenced too."""
     x = np.asarray(x, dtype=float)
 
     def u_of(xx, tt):
@@ -367,26 +368,28 @@ def _fields_from_one_point_calls(traj, prof, x, t):
         e = np.eye(2)[k]
         col, errs[f"beta_d{k + 1}"] = lineforce2d._richardson_d1(lambda s: u_of(x + s * e, t), h_x)
         cols.append(col)
-    v, errs["v"] = lineforce2d._richardson_d1(lambda s: u_of(x, t + s), h_t)
-    return u_of(x, t), np.column_stack(cols), v, errs
+    v_fd, _ = lineforce2d._richardson_d1(lambda s: u_of(x, t + s), h_t)
+    return u_of(x, t), np.column_stack(cols), v_fd, errs
 
 
 @pytest.mark.parametrize("traj", WORLDLINES, ids=["oscillatory", "tabulated"])
 def test_inplane_fields_equal_one_point_differences(traj):
-    # The 19-point stencil evaluated in one call gives the same Richardson
-    # pairs, bit for bit, as one displacement call per difference term.
+    # The 12 offsets of one call give the same Richardson pairs, bit for
+    # bit, as one displacement call per difference term, and the centre's
+    # u is that of a one-point call. The analytic v agrees with the
+    # differenced displacement.
     prof = bump_force([0.8, 0.5, 0], center=1.0, half_width=1.0)
     for x, t in POINTS[1:]:
         fs = inplane_fields(MAT, traj, prof, x, t)
-        u, beta, v, errs = _fields_from_one_point_calls(traj, prof, x, t)
-        assert np.array_equal(fs.u, u) and np.array_equal(fs.beta, beta)
-        assert np.array_equal(fs.v, v) and fs.fd_error == errs
+        u, beta, v_fd, errs = _fields_from_one_point_calls(traj, prof, x, t)
+        assert np.array_equal(fs.u, u) and np.array_equal(fs.beta, beta) and fs.fd_error == errs
+        np.testing.assert_allclose(fs.v, v_fd, rtol=0, atol=1e-6 * np.max(np.abs(v_fd)))
 
 
 def test_inplane_fields_one_solve(monkeypatch):
     # Deterministic work gate: one behind-front evaluation is one
-    # displacement call and one retarded solve for its 19 stencil points,
-    # and one engine call per point.
+    # displacement call and one retarded solve for its 13 stencil points,
+    # and one engine call per point, the centre's integrating u and v.
     engine = _count_engine(monkeypatch)
     solves, displacements = [], []
 
@@ -402,8 +405,48 @@ def test_inplane_fields_one_solve(monkeypatch):
     monkeypatch.setattr(lineforce2d, "inplane_displacement", counting_displacement)
     traj = WORLDLINES[0]
     fs = inplane_fields(MAT, traj, step_force([1.0, 0.5, 0], t_on=0.0), [1.2, -0.7], 3.5)
-    assert np.all(fs.beta != 0.0)
-    assert len(displacements) == 1 and len(solves) == 1 and len(engine) == 19
+    assert np.all(fs.beta != 0.0) and np.all(fs.v != 0.0)
+    assert len(displacements) == 1 and len(solves) == 1 and len(engine) == 13
+
+
+@pytest.mark.parametrize("x, t", [((0.9, 0.5), 3.7), ((2.0, 0.5), 1.6), ((2.0, 0.5), 0.5)])
+def test_inplane_velocity_of_a_static_step_is_the_green_tensor(x, t):
+    # Behind both fronts, inside the P-S shell and before the L front: the
+    # velocity of a step is the impulsive Green tensor, which the boundary
+    # terms at the switch-on and at t_T carry alone (the integrands vanish).
+    q0 = np.array([1.0, 0.5, 0.0])
+    fs = inplane_fields(MAT, static_trajectory([0, 0, 0]), step_force(q0, t_on=0.0), x, t,
+                        rel_tol=1e-10)
+    exact = _green2d_inplane(MAT, np.array(x), t) @ q0[:2]
+    np.testing.assert_allclose(fs.v, exact, rtol=0, atol=1e-13 + 1e-12 * np.max(np.abs(exact)))
+
+
+@pytest.mark.parametrize("traj", WORLDLINES, ids=["oscillatory", "tabulated"])
+@pytest.mark.parametrize("prof", [step_force([1.0, 0.5, 0], t_on=0.0),
+                                  bump_force([0.8, 0.5, 0], center=1.0, half_width=1.0)],
+                         ids=["step", "bump"])
+def test_inplane_velocity_matches_differences(traj, prof):
+    for x, t in POINTS[1:]:
+        v = inplane_fields(MAT, traj, prof, x, t, rel_tol=1e-11).v
+        _, v_fd = _fd_fields(
+            lambda xx, tt: inplane_displacement(MAT, traj, prof, xx, tt, rel_tol=1e-12),
+            np.array(x), t, 1e-3)
+        np.testing.assert_allclose(v, v_fd, rtol=0, atol=1e-9 * np.max(np.abs(v_fd)))
+
+
+def test_inplane_velocity_switch_on_at_the_first_knot():
+    # The switch-on node b - (sqrt(b - t_on))^2 of the T segment rounds
+    # below t_on = 0 here: its boundary term must still see the step on.
+    ts = np.linspace(0.0, 6.0, 25)
+    traj = tabulated_trajectory(ts, np.column_stack([0.2 * np.sin(ts), 0.1 * np.cos(ts), 0 * ts]))
+    prof = step_force([1.0, 0.5, 0], t_on=0.0)
+    x, t = np.array([0.427, 0.918]), 4.403
+    st = retarded_time(traj, x, t, 1.0 / MAT.cT, dim=2)
+    assert st.t_ret - math.sqrt(st.t_ret) ** 2 < 0.0
+    v = inplane_fields(MAT, traj, prof, x, t, rel_tol=1e-11).v
+    _, v_fd = _fd_fields(lambda xx, tt: inplane_displacement(MAT, traj, prof, xx, tt, rel_tol=1e-12),
+                         x, t, 1e-3)
+    np.testing.assert_allclose(v, v_fd, rtol=0, atol=1e-8 * np.max(np.abs(v_fd)))
 
 
 def test_inplane_fields_richardson_consistency():
