@@ -31,21 +31,22 @@ kernel integrates their difference on the shared interval [t_on, t_T]
 instead of differencing two large integrals, and the longitudinal term
 alone on [t_T, t_L]; it evaluates Q once for the nodes of both.
 
-Anti-plane distortion and velocity are assembled analytically by
-differentiating the substituted history integral, which converts the
-moving singular endpoint into a bounded boundary term at switch-on plus
-a smooth integrand. Its d(S^2)/S^2 is formed from the same differences,
-so ``antiplane_fields`` converges at history tolerances down to 1e-13 on
-moving sources and is the one anti-plane evaluator. The in-plane
-velocity is assembled the same way, for both segments: the kernel
-differentiated at fixed w, plus the bounded boundary terms where a
-segment's lower end moves with t (the switch-on, and t_T where the L
-segment starts). Only the in-plane gradient is still evaluated by
-Richardson-paired central differences of the displacement, with the step
-tied to the distance to the nearest wavefront: ``inplane_fields`` takes
-its centre and the six offsets along each of x1 and x2 from one
-``inplane_displacement`` call: one retarded solve, and one engine call
-per point, the centre's integrating u and du/dt together.
+Rates are taken by one mechanism for both line forces: the history
+integral is differentiated under the integral at fixed w, so the rate
+integrands are extra columns of the u segments, refined together with u
+in the same engine call. The lower limit of a segment [a, b] sits at
+w = sqrt(b - a), which moves, so each segment adds a bounded end term:
+d(b - a) times the kernel at a, the switch-on (fixed) or t_T (where the L
+segment starts). The d(S^2)/S^2 of the singular root is formed from the
+same differences, so the rates converge at history tolerances down to
+1e-13 on moving sources. ``antiplane_fields`` takes u3, its distortion
+and its velocity this way, and is the one anti-plane evaluator; the
+in-plane velocity is taken this way too. Only the in-plane gradient is
+still evaluated by Richardson-paired central differences of the
+displacement, with the step tied to the distance to the nearest
+wavefront: ``inplane_fields`` takes its centre and the six offsets along
+each of x1 and x2 from one ``inplane_displacement`` call: one retarded
+solve, and one engine call per point, the centre's carrying its du/dt.
 
 Every evaluator first raises the first ``motion_violations`` of its
 source, among them an infinite switch-on.
@@ -53,6 +54,7 @@ source, among them an infinite switch-on.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -181,8 +183,76 @@ def _history_sums(traj, t, st, rows, w_lo, w_hi, kernel, rel_tol):
     return values
 
 
+def _dlog_s2(g, st, rows, db):
+    """d(S^2)/S^2 of the singular root at nodes g, one column per direction.
+
+    Node i ends at the retarded row ``rows[i]`` of ``st``, and ``db`` (n, k)
+    holds db/d. of that end b along the first k of the directions t, x1,
+    x2. At fixed w, t' = b - w^2 moves with b, and S^2 = D E with
+    D = tbar - kappa r and E = tbar + kappa r, so d(S^2)/S^2 = dD/D + dE/E.
+    dD vanishes at w = 0; the root identity (1, -kappa n_b) =
+    db (1 - kappa n_b . V_b) writes it through history differences only,
+    dD = kappa [(0, dn) - db (dn . V_b + n . dv)] with dn = n_b - n.
+    """
+    k = db.shape[1]
+    rvec_b, r_b, v_b = st.rvec[rows], st.r[rows], st.v[rows]
+    n = g.rvec / g.r[:, None]
+    dn = (rvec_b * g.dr[:, None] - r_b[:, None] * g.ds) / (g.r * r_b)[:, None]
+    dn_v = np.einsum("ni,ni->n", dn, v_b) + np.einsum("ni,ni->n", n, g.dv)
+    # dD/kappa, dr and dtbar: the t column, then one per x_j (dx_j/dx_j = 1).
+    d_d = -dn_v[:, None] * db
+    d_d[:, 1:] += dn[:, :k - 1]
+    d_r = -np.einsum("ni,ni->n", n, g.v)[:, None] * db
+    d_r[:, 1:] += n[:, :k - 1]
+    dtbar = -db
+    dtbar[:, 0] += 1.0
+    kap = g.kappa[:, None]
+    return kap * d_d / g.d[:, None] + (dtbar + kap * d_r) / (g.tbar + g.kappa * g.r)[:, None]
+
+
+def _value_and_rates(traj, prof, t, st, rows, a, k, kernel, rel_tol):
+    """A history integral and its rates along t (and x1, x2), in one engine call.
+
+    Segment j is [a[j], b_j], with b_j the retarded time of row ``rows[j]``.
+    ``kernel(g, q)`` maps nodes g and forces Q (n, 3) to the values u (n, c)
+    per unit t' and a function ``rate(qd, db, lam)`` of Qdot, db/d. and
+    ``_dlog_s2`` at the nodes, which gives the k blocks of u differentiated
+    at fixed w, (n, k c). They are extra columns of the u segments, so u is
+    refined together with its rates. Each segment adds the Leibniz end term
+    (db_j/d. - da_j/d.) times u at a_j, where db/dt = R/P and
+    db/dx = -kappa R/P; a_j is the switch-on (da = 0) or b_(j-1).
+    Returns u (c,) and its rates (k, c), summed over the segments.
+    """
+    db = (np.column_stack([st.r[rows], -st.slowness[rows, None] * st.rvec[rows]])
+          / st.pc[rows, None])[:, :k]
+    w_max = np.sqrt(st.t_ret[rows] - a)
+
+    def integrand(g, owner):
+        q, qd = prof.eval(g.tp)
+        u, rate = kernel(g, q)
+        db_n = db[owner]
+        return np.hstack([u, rate(qd, db_n, _dlog_s2(g, st, rows[owner], db_n))])
+
+    total = _history_sums(traj, t, st, rows, np.zeros(rows.size), w_max, integrand,
+                          rel_tol).sum(axis=0)
+    # Q is taken at a itself: the node b - (sqrt(b - a))^2 may round below
+    # the switch-on.
+    ends = kernel(_history_nodes(traj, t, st, rows, w_max), prof.eval(a)[0])[0]
+    if not np.isfinite(ends).all():
+        raise QuadratureError("history kernel is not finite at a segment end")
+    c = ends.shape[1]
+    da = np.vstack([np.zeros((1, k)), db[:-1]])
+    return total[:c], total[c:].reshape(k, c) + (db - da).T @ ends
+
+
 # ---------------------------------------------------------------------------
 # anti-plane (force along x3)
+
+def _antiplane_kernel(g, q):
+    """u3 (n, 1) per unit t' and its rates: Q/S_T, differentiated at fixed w."""
+    q, s = q[:, 2:], g.s[:, None]
+    return q / s, lambda qd, db, lam: (qd[:, 2:] * db - 0.5 * q * lam) / s
+
 
 def antiplane_fields(
     mat: Material,
@@ -198,8 +268,8 @@ def antiplane_fields(
     One retarded solve and one engine call. The gradient and time
     derivative act on both the integrand and the moving singular limit.
     After the w-substitution the limit becomes a fixed endpoint: what
-    remains is a bounded switch-on boundary term plus smooth integrals of
-    the differentiated kernel.
+    remains is a bounded switch-on end term plus smooth integrals of the
+    differentiated kernel.
     """
     for error, message in motion_violations(traj, prof, mat.cT, line=True):
         raise error(message)
@@ -207,44 +277,19 @@ def antiplane_fields(
     st, live = _singular_ends(traj, prof, x, t, [1.0 / mat.cT], tol_ret)
     if not live[0]:
         return FieldSample2D(u=0.0, beta=np.zeros(2), v=0.0)
-    kap, rvec_b, r_b, v_b = st.slowness[0], st.rvec[0], st.r[0], st.v[0]
-    # Sensitivities of the retarded limit: dtT/dt = R/P, dtT/dx = -kap R_vec/P.
-    dtup = np.concatenate([[r_b], -kap * rvec_b]) / st.pc[0]
-    dtbar = np.array([1.0, 0.0, 0.0]) - dtup
-
-    def kernel(g, _owner):
-        # Columns u3, then d/dt, d/dx1, d/dx2 at fixed w, with
-        # d(S^2)/S^2 = dD/D + dE/E and E = tbar + kap r. dD vanishes at
-        # w = 0; the root identity (1, -kap n_b) = dtup (1 - kap n_b . V_b)
-        # writes it through differences only, with dn = n_b - n.
-        n = g.rvec / g.r[:, None]
-        dn = (rvec_b * g.dr[:, None] - r_b * g.ds) / (g.r * r_b)[:, None]
-        dn_v = dn @ v_b + np.einsum("ni,ni->n", n, g.dv)
-        d_d = np.pad(dn, ((0, 0), (1, 0))) - dn_v[:, None] * dtup
-        d_r = np.pad(n, ((0, 0), (1, 0))) - np.einsum("ni,ni->n", n, g.v)[:, None] * dtup
-        dlog_s2 = kap * d_d / g.d[:, None] + (dtbar + kap * d_r) / (g.tbar + kap * g.r)[:, None]
-        q, qd = prof.eval(g.tp)
-        return np.hstack([q[:, 2:], qd[:, 2:] * dtup - 0.5 * q[:, 2:] * dlog_s2]) / g.s[:, None]
-
-    # The switch-on node w = sqrt(b - t_on) ends the history and carries the
-    # boundary term of the derivatives.
-    w_on = np.array([math.sqrt(st.t_ret[0] - prof.t_on)])
-    (total,) = _history_sums(traj, t, st, np.array([0]), np.zeros(1), w_on, kernel, rel_tol)
-    s_on = _history_nodes(traj, t, st, [0], w_on).s[0]
-    total[1:] += prof.eval(prof.t_on)[0][2] * dtup / s_on
-    total /= 2.0 * math.pi * mat.rho * mat.cT ** 2
-    return FieldSample2D(u=float(total[0]), beta=total[2:], v=float(total[1]))
+    u, rates = _value_and_rates(traj, prof, t, st, np.array([0]), np.array([prof.t_on]), 3,
+                                _antiplane_kernel, rel_tol)
+    scale = 2.0 * math.pi * mat.rho * mat.cT ** 2
+    return FieldSample2D(u=float(u[0] / scale), beta=rates[1:, 0] / scale,
+                         v=float(rates[0, 0] / scale))
 
 
 # ---------------------------------------------------------------------------
 # in-plane (force in the x1-x2 plane)
 
-def _inplane_u(g, q, kT, kL2):
-    """The in-plane history kernel (n, 2) per unit t' at nodes g for forces q (n, 2).
-
-    Also returns the pieces its rate reuses: the columns r^2, R . Q and
-    (n . Q) n, the mask of T rows and S_L.
-    """
+def _inplane_kernel(g, q, kT, kL2):
+    """The in-plane history kernel u (n, 2) per unit t' at nodes g, and its rate along t."""
+    q = q[:, :2]
     # A segment ending at the T root integrates the L kernel minus the
     # T kernel: their far history cancels pointwise, and S_L stays
     # bounded away from zero there. The L segment integrates the L
@@ -254,97 +299,46 @@ def _inplane_u(g, q, kT, kL2):
     rq = np.einsum("ni,ni->n", g.rvec, q)[:, None]
     nn_q = rq / r2 * g.rvec
     nn_q_q = nn_q - q
-    tb2, s = (g.tbar ** 2)[:, None], g.s[:, None]
+    tbar, s = g.tbar[:, None], g.s[:, None]
+    tb2 = tbar ** 2
     on_t = (g.kappa == kT)[:, None]
     sl = np.where(on_t, np.sqrt(np.maximum(tb2 - r2 * kL2, 0.0)), s)
     tt = np.where(on_t, nn_q * s + nn_q_q * (tb2 / s), 0.0)
     u = (nn_q * (tb2 / sl) + nn_q_q * sl - tt) / r2
-    return u, r2, rq, nn_q, on_t[:, 0], sl[:, 0]
 
-
-def _inplane_rate_kernel(prof, kT, kL2, st, rows, m):
-    """Kernel of segments ending at the retarded rows ``rows`` of ``st``.
-
-    Segments [0, m) integrate u, the others du/dt at fixed w; values (n, 2)
-    per unit t'.
-    """
-    # Per segment: db/dt of its end b, and n_b . V_b and V_b at b.
-    rate = st.r[rows] / st.pc[rows]
-    nv_b = np.einsum("ni,ni->n", st.rvec[rows], st.v[rows]) / st.r[rows]
-    v_b = st.v[rows]
-
-    def kernel(g, owner):
-        q, qd = prof.eval(g.tp)
-        q, qd = q[:, :2], qd[:, :2]
-        u, r2, rq, nn_q, on_t, sl = _inplane_u(g, q, kT, kL2)
+    def rate(qd, db, lam):
         # r^2 u = nn_q X + (nn_q - q) Y, X = tbar^2/S_L - S_T and
         # Y = S_L - tbar^2/S_T (no S_T terms on L rows). At fixed w,
-        # t' = b - w^2 moves with b: dtbar = 1 - db/dt, dR = -V db/dt and
-        # dQ = Qdot db/dt.
-        b_t = rate[owner]
-        rv = np.einsum("ni,ni->n", g.rvec, g.v)
-        dtbar = 1.0 - b_t
-        # d(S^2)/S^2 of the singular root is dD/D + dE/E with D = tbar - kappa r
-        # and E = tbar + kappa r. dD = kappa db/dt (n . V - n_b . V_b)
-        # vanishes at w = 0, so it is formed from history differences only,
-        # as in ``antiplane_fields``. S_L on T rows is bounded away from
-        # zero and differentiated directly.
-        dn_v = (g.dr * nv_b[owner] - np.einsum("ni,ni->n", g.ds, v_b[owner])
-                + np.einsum("ni,ni->n", g.rvec, g.dv)) / g.r
-        kb = g.kappa * b_t
-        lam_s = (dtbar - kb * rv / g.r) / (g.tbar + g.kappa * g.r) - kb * dn_v / g.d
-        s, tb2 = g.s, g.tbar ** 2
-        lam_l = np.where(on_t, 2.0 * (g.tbar * dtbar + kL2 * b_t * rv) / (sl * sl), lam_s)
-        dtb2 = 2.0 * dtbar / g.tbar  # d(tbar^2)/tbar^2
-        pl, pt, hl, hs = tb2 / sl, tb2 / s, 0.5 * lam_l, 0.5 * lam_s
+        # t' = b - w^2 moves with b: dtbar = 1 - db/dt, dR = -V db/dt
+        # and dQ = Qdot db/dt. lam is d(S^2)/S^2 of the singular root;
+        # S_L on T rows is bounded away from zero and differentiated
+        # directly.
+        qd = qd[:, :2]
+        rv = np.einsum("ni,ni->n", g.rvec, g.v)[:, None]
+        dtbar = 1.0 - db
+        lam_l = np.where(on_t, 2.0 * (tbar * dtbar + kL2 * db * rv) / (sl * sl), lam)
+        dtb2 = 2.0 * dtbar / tbar  # d(tbar^2)/tbar^2
+        pl, pt, hl, hs = tb2 / sl, tb2 / s, 0.5 * lam_l, 0.5 * lam
         y = sl - np.where(on_t, pt, 0.0)
         dx = pl * (dtb2 - hl) - np.where(on_t, s * hs, 0.0)
         dy = sl * hl - np.where(on_t, pt * (dtb2 - hs), 0.0)
         xy = pl + y - np.where(on_t, s, 0.0)
-        rho = (2.0 * b_t * rv)[:, None] / r2  # d(r^-2)/r^-2
-        d_rq = b_t * (np.einsum("ni,ni->n", g.rvec, qd) - np.einsum("ni,ni->n", g.v, q))
-        d_nn_q = (d_rq[:, None] * g.rvec - (b_t * rq[:, 0])[:, None] * g.v) / r2 + rho * nn_q
-        d_r2u = (d_nn_q * xy[:, None] + nn_q * (dx + dy)[:, None] - q * dy[:, None]
-                 - qd * (b_t * y)[:, None])
-        return np.where((owner < m)[:, None], u, d_r2u / r2 + rho * u)
+        rho = 2.0 * db * rv / r2  # d(r^-2)/r^-2
+        d_rq = db * (np.einsum("ni,ni->n", g.rvec, qd) - np.einsum("ni,ni->n", g.v, q))[:, None]
+        d_nn_q = (d_rq * g.rvec - db * rq * g.v) / r2 + rho * nn_q
+        return (d_nn_q * xy + nn_q * (dx + dy) - q * dy - qd * (db * y)) / r2 + rho * u
 
-    return kernel
-
-
-def _inplane_rates(traj, t, st, rows, a, prof, kT, kL2, rel_tol):
-    """u and du/dt (2,) of one point, times 2 pi rho, in one engine call.
-
-    Segment k of the point is [a[k], b] with b the retarded time of row
-    rows[k]. The rate integrals are segments of their own beside the u
-    segments, so u is refined exactly as without them. Each is split at
-    half its w-range: its integrand varies more for its size than u's, and
-    two Kronrod panels meet the tolerance where one would be bisected.
-    Differentiating at fixed w leaves each moving lower end a as a bounded
-    boundary term: the u kernel at a times d(b - a)/dt, at the switch-on
-    (da/dt = 0) and where the L segment starts (a = t_T).
-    """
-    m = rows.size
-    w_max = np.sqrt(st.t_ret[rows] - a)
-    seg = np.tile(rows, 3)
-    sums = _history_sums(traj, t, st, seg, np.concatenate([np.zeros(2 * m), 0.5 * w_max]),
-                         np.concatenate([w_max, 0.5 * w_max, w_max]),
-                         _inplane_rate_kernel(prof, kT, kL2, st, seg, m), rel_tol)
-    # Q is taken at a itself: the node b - (sqrt(b - a))^2 may round below
-    # the switch-on.
-    ends = _inplane_u(_history_nodes(traj, t, st, rows, w_max), prof.eval(a)[0][:, :2], kT, kL2)[0]
-    if not np.isfinite(ends).all():
-        raise QuadratureError("history kernel is not finite at a segment end")
-    rate = st.r[rows] / st.pc[rows]
-    return sums[:m].sum(axis=0), sums[m:].sum(axis=0) + (rate - np.append(0.0, rate[:-1])) @ ends
+    return u, rate
 
 
 @dataclass
 class _FirstPointRate:
     """A force profile that also asks ``inplane_displacement`` for du/dt.
 
-    Passed as ``prof``, it makes the call integrate du/dt (2,) of its first
-    point in that point's engine call, from the shared retarded solve, and
-    leave it in ``du``. ``inplane_fields`` takes its centre's velocity this
+    Passed as ``prof``, it makes the call integrate its first point with
+    ``_value_and_rates``, from the shared retarded solve: du/dt (2,) as
+    extra columns of that point's u segments, plus the end terms. The rate
+    is left in ``du``. ``inplane_fields`` takes its centre's velocity this
     way, in the one displacement call of its evaluation, without a keyword
     on the public signature.
     """
@@ -385,22 +379,24 @@ def inplane_displacement(
     st, live = _singular_ends(traj, prof, np.repeat(xs, 2, axis=0), np.repeat(ts, 2),
                               np.tile([1.0 / mat.cL, kT], ts.size), tol_ret)
 
-    def kernel(g, _owner):
-        return _inplane_u(g, prof.eval(g.tp)[0][:, :2], kT, kL2)[0]
+    inplane = functools.partial(_inplane_kernel, kT=kT, kL2=kL2)
 
-    u, du = np.zeros((ts.size, 2)), np.zeros(2)
+    def kernel(g, _owner):
+        return inplane(g, prof.eval(g.tp)[0])[0]
+
+    u, du = np.zeros((ts.size, 2)), np.zeros((1, 2))
     for i in np.flatnonzero(live[0::2]):
         # Behind the S front the T segment [t_on, t_T] comes first and the
         # L segment starts where it ends.
         rows = np.array([2 * i + 1, 2 * i] if live[2 * i + 1] else [2 * i])
         a = np.append(prof.t_on, st.t_ret[rows[:-1]])
         if i == 0 and rates is not None:
-            u[0], du = _inplane_rates(traj, ts[0], st, rows, a, prof, kT, kL2, rel_tol)
+            u[0], du = _value_and_rates(traj, prof, ts[0], st, rows, a, 1, inplane, rel_tol)
         else:
             u[i] = _history_sums(traj, ts[i], st, rows, np.zeros(rows.size),
                                  np.sqrt(st.t_ret[rows] - a), kernel, rel_tol).sum(axis=0)
     if rates is not None:
-        rates.du = du / (2.0 * math.pi * mat.rho)
+        rates.du = du[0] / (2.0 * math.pi * mat.rho)
     return (u / (2.0 * math.pi * mat.rho)).reshape(shape + (2,))
 
 
@@ -466,9 +462,10 @@ def inplane_fields(
     """Displacement and analytic velocity, plus FD-differentiated distortion.
 
     The centre and the six offsets of the stencil along each of x1 and x2
-    are 13 points of one ``inplane_displacement`` call, which also
-    integrates the centre's du/dt in the centre's engine call; the
-    Richardson pairs of the distortion read their values from that table.
+    are 13 points of one ``inplane_displacement`` call. The centre's
+    engine call integrates du/dt as extra columns of its u segments, so
+    its u is refined together with its velocity; the Richardson pairs of
+    the distortion read the offsets' values from that table.
     """
     for error, message in motion_violations(traj, prof, mat.cT, line=True):
         raise error(message)

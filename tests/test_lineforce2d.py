@@ -375,14 +375,17 @@ def _fields_from_one_point_calls(traj, prof, x, t):
 @pytest.mark.parametrize("traj", WORLDLINES, ids=["oscillatory", "tabulated"])
 def test_inplane_fields_equal_one_point_differences(traj):
     # The 12 offsets of one call give the same Richardson pairs, bit for
-    # bit, as one displacement call per difference term, and the centre's
-    # u is that of a one-point call. The analytic v agrees with the
-    # differenced displacement.
+    # bit, as one displacement call per difference term. The centre's u is
+    # refined together with its velocity, so it agrees with a one-point
+    # call to the history tolerance (at most 5.3e-11 of max|u| here). The
+    # analytic v agrees with the differenced displacement.
     prof = bump_force([0.8, 0.5, 0], center=1.0, half_width=1.0)
     for x, t in POINTS[1:]:
         fs = inplane_fields(MAT, traj, prof, x, t)
         u, beta, v_fd, errs = _fields_from_one_point_calls(traj, prof, x, t)
-        assert np.array_equal(fs.u, u) and np.array_equal(fs.beta, beta) and fs.fd_error == errs
+        assert np.array_equal(fs.beta, beta) and fs.fd_error == errs
+        np.testing.assert_allclose(fs.u, u, rtol=0,
+                                   atol=lineforce2d.DEFAULT_HISTORY_TOL * np.max(np.abs(u)))
         np.testing.assert_allclose(fs.v, v_fd, rtol=0, atol=1e-6 * np.max(np.abs(v_fd)))
 
 
@@ -407,6 +410,55 @@ def test_inplane_fields_one_solve(monkeypatch):
     fs = inplane_fields(MAT, traj, step_force([1.0, 0.5, 0], t_on=0.0), [1.2, -0.7], 3.5)
     assert np.all(fs.beta != 0.0) and np.all(fs.v != 0.0)
     assert len(displacements) == 1 and len(solves) == 1 and len(engine) == 13
+
+
+def test_inplane_fields_engine_intervals(monkeypatch):
+    # Work gate: a behind-front evaluation hands 13 engine calls one
+    # interval per live history segment, 26 in all. The centre's velocity
+    # rides as extra columns of its two u segments, not as segments of its
+    # own.
+    intervals = []
+
+    def counting(f, a, b, **kw):
+        intervals.append(np.size(a))
+        return integrate_intervals(f, a, b, **kw)
+
+    monkeypatch.setattr(lineforce2d, "integrate_intervals", counting)
+    x, t = POINTS[2]
+    fs = inplane_fields(MAT, WORLDLINES[0], step_force([1.0, 0.5, 0], t_on=0.0), x, t)
+    assert np.all(fs.v != 0.0)
+    assert len(intervals) == 13 and sum(intervals) == 26 and intervals[0] == 2
+
+
+@pytest.mark.parametrize("traj", WORLDLINES, ids=["oscillatory", "tabulated"])
+def test_dlog_s2_matches_differences_at_fixed_w(traj):
+    # The one d(S^2)/S^2 of both line forces, along t, x1 and x2, at random
+    # history nodes of the L root (in-plane) and the T root (both), against
+    # central differences of S^2 = (t - t')^2 - kappa^2 |x - s(t')|^2 at
+    # fixed w: t' = b(x, t) - w^2 with b re-solved at every shifted event.
+    prof = step_force([1.0, 0.5, 0], t_on=0.0)
+    (x, t), slowness = POINTS[3], [1.0 / MAT.cL, 1.0 / MAT.cT]
+    x = np.array(x)
+
+    def solve(xx, tt):
+        return lineforce2d._singular_ends(traj, prof, xx, tt, slowness, 1e-14)[0]
+
+    st = solve(x, t)
+    rows = np.repeat([0, 1], 8)
+    w = np.random.default_rng(5).uniform(0.1, 0.9, rows.size) * np.sqrt(st.t_ret[rows])
+    db = np.column_stack([st.r, -st.slowness[:, None] * st.rvec]) / st.pc[:, None]
+    g = lineforce2d._history_nodes(traj, t, st, rows, w)
+    lam = lineforce2d._dlog_s2(g, st, rows, db[rows])
+
+    def s2(xx, tt):
+        tp = solve(xx, tt).t_ret[rows] - w * w
+        rvec = xx - traj.eval(tp)[0][:, :2]
+        return (tt - tp) ** 2 - st.slowness[rows] ** 2 * np.einsum("ni,ni->n", rvec, rvec)
+
+    h = 1e-4
+    shifts = [(np.zeros(2), h), (h * np.eye(2)[0], 0.0), (h * np.eye(2)[1], 0.0)]
+    fd = np.column_stack([s2(x + dx, t + dt) - s2(x - dx, t - dt) for dx, dt in shifts])
+    np.testing.assert_allclose(lam, fd / (2.0 * h * s2(x, t)[:, None]), rtol=1e-6)
 
 
 @pytest.mark.parametrize("x, t", [((0.9, 0.5), 3.7), ((2.0, 0.5), 1.6), ((2.0, 0.5), 0.5)])
@@ -466,7 +518,11 @@ def test_inplane_fields_switch_off_after_the_last_knot():
     x, t = np.array([1.5, 0.3]), 5.0
     fs = inplane_fields(MAT, traj, prof, x, t)
     assert np.isfinite(fs.beta).all() and np.isfinite(fs.v).all()
-    np.testing.assert_array_equal(fs.u, inplane_displacement(MAT, traj, prof, x, t))
+    # The centre's u is refined with its velocity: 1.9e-10 of max|u| from
+    # a one-point call here.
+    u = inplane_displacement(MAT, traj, prof, x, t)
+    np.testing.assert_allclose(fs.u, u, rtol=0,
+                               atol=lineforce2d.DEFAULT_HISTORY_TOL * np.max(np.abs(u)))
 
 
 def test_inplane_wavefront_proximity_warning():

@@ -20,7 +20,7 @@ def _run(name, *args):
 
 
 @pytest.mark.parametrize(
-    "name", ["sample_wavefield", "radiation_scan", "afterglow_trace"]
+    "name", ["sample_wavefield", "radiation_scan", "afterglow_trace", "count_code_lines"]
 )
 def test_script_help_runs(name):
     # --help imports the script's whole dependency chain without computing
@@ -49,3 +49,13 @@ def test_sample_wavefield_runs_a_shipped_config(tmp_path):
     assert main(["sample", "--config", str(ROOT / "configs" / "kelvin.cfg"),
                  "--out", str(cli_csv)]) == 0
     assert (tmp_path / "fields.csv").read_bytes() == cli_csv.read_bytes()
+
+
+def test_count_code_lines_sums_to_its_totals():
+    out = _run("count_code_lines").splitlines()
+    modules = [line.split() for line in out[1:-1]]
+    total = out[-1].split()
+    assert total[0] == "total" and "lineforce2d.py" in [m[0] for m in modules]
+    for k in (1, 2):
+        assert sum(int(m[k]) for m in modules) == int(total[k])
+    assert all(0 < int(m[2]) < int(m[1]) for m in modules)
