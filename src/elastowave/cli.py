@@ -466,7 +466,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except ElastowaveError as exc:
+    except (ElastowaveError, OSError, UnicodeError) as exc:
+        # a config that cannot be read or decoded, or an output that
+        # cannot be written, is a usage error like an invalid config
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

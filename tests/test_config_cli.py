@@ -359,6 +359,34 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["sample", "--config", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["sample", "validate", "limits"])
+def test_cli_unreadable_config_exit_code(tmp_path, capsys, command):
+    # A config that is missing or not UTF-8 is a usage error: "error: ..."
+    # and exit 2, not a traceback.
+    missing = tmp_path / "missing.cfg"
+    assert main([command, "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.cfg" in err
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"material.rho = \xff\xfe\n")
+    assert main([command, "--config", str(binary)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--format", "csv"],
+    ["sample", "--format", "json"],
+    ["validate", "--checks", "kelvin_limit"],
+])
+def test_cli_unwritable_out_exit_code(tmp_path, capsys, argv):
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text(GRID_2222)
+    out = tmp_path / "no_such_dir" / "out"
+    assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no_such_dir" in err
+
+
 @pytest.mark.parametrize("old, new, named", [
     ("trajectory.omega = 1.0", "trajectory.omega = nan", "trajectory: omega must be finite"),
     ("force.q0 = 0,0,1", "force.q0 = nan,0,1", "force: expected a finite 2- or 3-vector"),

@@ -27,7 +27,7 @@ from elastowave.lineforce2d import (
 )
 from elastowave.material import make_material
 from elastowave.quadrature import integrate_intervals
-from elastowave.verify import _green2d_inplane, inplane_convolution_u
+from elastowave.verify import _green2d_inplane, fd_consistency, inplane_convolution_u
 
 MAT = make_material(rho=1.3, lam=0.9, mu=1.3)  # cT = 1
 Q0 = 2.0 * math.pi * MAT.rho * MAT.cT ** 2
@@ -37,16 +37,10 @@ def _static_antiplane():
     return static_trajectory([0, 0, 0]), step_force([0, 0, Q0], t_on=0.0)
 
 
-def _richardson(g, h):
-    """6th-order first derivative of g at 0 from the (h, h/2) central-difference pair."""
-    c = lambda hh: (g(-2 * hh) - 8 * g(-hh) + 8 * g(hh) - g(2 * hh)) / (12 * hh)
-    return (16 * c(h / 2) - c(h)) / 15
-
-
-def _fd_fields(u_of, x, t, h):
-    """Richardson differences of u_of(x, t): (beta (2,), v)."""
-    beta = np.array([_richardson(lambda s: u_of(x + s * np.eye(2)[k], t), h) for k in range(2)])
-    return beta, _richardson(lambda s: u_of(x, t + s), h)
+def _antiplane_u(mat, traj, prof, rel_tol):
+    """u3 as a function of events (xs, ts), the contract of ``fd_consistency``."""
+    return lambda xs, ts: [antiplane_fields(mat, traj, prof, x, t, rel_tol=rel_tol).u
+                           for x, t in zip(xs, ts)]
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +96,10 @@ def test_antiplane_fields_tight_tolerance_moving(amplitude, omega, phase, x, t):
     prof = step_force([0, 0, 1.0], t_on=0.0)
     x = np.array(x)
     fs = antiplane_fields(mat, traj, prof, x, t, rel_tol=1e-11)
-    u_of = lambda xx, tt: antiplane_fields(mat, traj, prof, xx, tt, rel_tol=1e-13).u
-    assert fs.u == pytest.approx(u_of(x, t), rel=1e-10)
-    b_fd, v_fd = _fd_fields(u_of, x, t, 1e-3)
+    assert fs.u == pytest.approx(antiplane_fields(mat, traj, prof, x, t, rel_tol=1e-13).u,
+                                 rel=1e-10)
+    fd = fd_consistency(_antiplane_u(mat, traj, prof, 1e-13), x, t, 1e-3)
+    b_fd, v_fd = fd.beta_fd[0], fd.v_fd[0]
     np.testing.assert_allclose(fs.beta, b_fd, atol=1e-9 * np.max(np.abs(b_fd)))
     assert fs.v == pytest.approx(v_fd, rel=1e-9)
 
@@ -148,8 +143,8 @@ def test_antiplane_moving_fd_crosscheck():
     x = np.array([1.3, -0.9])
     t = 3.1
     fs = antiplane_fields(MAT, traj, prof, x, t, rel_tol=1e-11)
-    u_of = lambda xx, tt: antiplane_fields(MAT, traj, prof, xx, tt, rel_tol=1e-11).u
-    b_fd, v_fd = _fd_fields(u_of, x, t, 1e-3)
+    fd = fd_consistency(_antiplane_u(MAT, traj, prof, 1e-11), x, t, 1e-3)
+    b_fd, v_fd = fd.beta_fd[0], fd.v_fd[0]
     np.testing.assert_allclose(fs.beta, b_fd, atol=1e-7 * np.max(np.abs(b_fd)))
     assert fs.v == pytest.approx(v_fd, rel=1e-7)
     assert fs.u == pytest.approx(antiplane_fields(MAT, traj, prof, x, t, rel_tol=1e-13).u,
@@ -480,9 +475,9 @@ def test_inplane_velocity_of_a_static_step_is_the_green_tensor(x, t):
 def test_inplane_velocity_matches_differences(traj, prof):
     for x, t in POINTS[1:]:
         v = inplane_fields(MAT, traj, prof, x, t, rel_tol=1e-11).v
-        _, v_fd = _fd_fields(
-            lambda xx, tt: inplane_displacement(MAT, traj, prof, xx, tt, rel_tol=1e-12),
-            np.array(x), t, 1e-3)
+        v_fd = fd_consistency(
+            lambda xs, ts: inplane_displacement(MAT, traj, prof, xs, ts, rel_tol=1e-12),
+            np.array(x), t, 1e-3).v_fd
         np.testing.assert_allclose(v, v_fd, rtol=0, atol=1e-9 * np.max(np.abs(v_fd)))
 
 
@@ -496,8 +491,8 @@ def test_inplane_velocity_switch_on_at_the_first_knot():
     st = retarded_time(traj, x, t, 1.0 / MAT.cT, dim=2)
     assert st.t_ret - math.sqrt(st.t_ret) ** 2 < 0.0
     v = inplane_fields(MAT, traj, prof, x, t, rel_tol=1e-11).v
-    _, v_fd = _fd_fields(lambda xx, tt: inplane_displacement(MAT, traj, prof, xx, tt, rel_tol=1e-12),
-                         x, t, 1e-3)
+    v_fd = fd_consistency(
+        lambda xs, ts: inplane_displacement(MAT, traj, prof, xs, ts, rel_tol=1e-12), x, t, 1e-3).v_fd
     np.testing.assert_allclose(v, v_fd, rtol=0, atol=1e-8 * np.max(np.abs(v_fd)))
 
 

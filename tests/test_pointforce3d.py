@@ -30,6 +30,7 @@ from elastowave.pointforce3d import (
     kelvin_displacement,
     kelvin_gradient,
     lw_fields,
+    lw_fields_batch,
     stokes_displacement,
     stokes_gradient,
     stokes_gradient_split,
@@ -462,7 +463,7 @@ def test_fd_consistency_near_sonic():
     x, t = np.array([0.7, 1.2, 1.9]), 1.0
     h = 0.02 / ((1.5 + 2.0 * omega) / MAT.cT + 2.0 / np.linalg.norm(x))
     s = lw_fields(MAT, traj, prof, x, t, rel_tol=TOL)
-    fd = fd_consistency(lambda xx, tt: lw_fields(MAT, traj, prof, xx, tt, rel_tol=TOL).u,
+    fd = fd_consistency(lambda xs, ts: lw_fields_batch(MAT, traj, prof, xs, ts, rel_tol=TOL)[0].u,
                         x, t, h)
     scale = max(np.max(np.abs(fd.beta_fd)), np.max(np.abs(fd.v_fd)))
     assert traj.vmax == pytest.approx(0.999 * MAT.cT, rel=1e-15)

@@ -9,6 +9,7 @@ from elastowave.kinematics import (
 )
 from elastowave.material import make_material, make_material_poisson
 from elastowave.pointforce3d import kelvin_displacement, kelvin_gradient, lw_fields
+from elastowave import verify
 from elastowave.verify import (
     CHECKS,
     CheckReport,
@@ -21,12 +22,24 @@ from elastowave.verify import (
 MAT = make_material_poisson(1.0, 1.0, 0.25)
 
 
+def _kelvin_u(q):
+    return lambda xs, ts: np.array([kelvin_displacement(MAT, q, x) for x in xs])
+
+
+def _counted(fn, calls):
+    def counted(xs, ts):
+        calls.append(len(ts))
+        return fn(xs, ts)
+
+    return counted
+
+
 def test_fd_linear_stub_is_exact():
     m = np.array([[0.3, -0.1, 0.2], [0.0, 0.5, -0.4], [0.7, 0.1, 0.0]])
     c = np.array([0.1, -0.2, 0.3])
 
-    def u_fn(x, t):
-        return m @ x + c * t
+    def u_fn(xs, ts):
+        return xs @ m.T + np.outer(ts, c)
 
     res = fd_consistency(u_fn, [0.4, -0.2, 0.9], 1.3, h=1e-2)
     np.testing.assert_allclose(res.beta_fd, m, atol=1e-13)
@@ -36,39 +49,88 @@ def test_fd_linear_stub_is_exact():
 
 def test_fd_matches_kelvin_gradient():
     q = np.array([0.2, -0.5, 1.0])
-
-    def u_fn(x, t):
-        return kelvin_displacement(MAT, q, x)
-
     x = np.array([0.8, -0.3, 1.1])
-    res = fd_consistency(u_fn, x, 0.0, h=1e-3 * np.linalg.norm(x))
+    res = fd_consistency(_kelvin_u(q), x, 0.0, h=1e-3 * np.linalg.norm(x))
     np.testing.assert_allclose(res.beta_fd, kelvin_gradient(MAT, q, x), atol=1e-8)
     np.testing.assert_allclose(res.v_fd, 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_fd_calls_the_field_once_on_its_whole_stencil(dim):
+    calls = []
+    u_fn = _counted(lambda xs, ts: np.sin(xs) * np.cos(ts)[:, None], calls)
+    x = np.linspace(0.3, 0.9, dim)
+    res = fd_consistency(u_fn, x, 0.4, h=1e-2)
+    assert calls == [6 * (dim + 1)]
+    np.testing.assert_allclose(res.beta_fd, np.diag(np.cos(x)) * np.cos(0.4), atol=1e-12)
+    np.testing.assert_allclose(res.v_fd, -np.sin(x) * np.sin(0.4), atol=1e-12)
+
+
 def test_navier_static_kelvin_residual_small():
-    q = np.array([0.0, 0.0, 1.0])
-
-    def u_fn(x, t):
-        return kelvin_displacement(MAT, q, x)
-
-    def v_fn(x, t):
-        return np.zeros(3)
-
-    res = navier_residual(MAT, u_fn, v_fn, np.array([0.7, 0.4, 0.9]), 0.0, h=1e-2)
+    res = navier_residual(MAT, _kelvin_u(np.array([0.0, 0.0, 1.0])),
+                          lambda xs, ts: np.zeros((len(ts), 3)),
+                          np.array([0.7, 0.4, 0.9]), 0.0, h=1e-2)
     assert res.rel_residual < 1e-6
 
 
 def test_navier_detects_corruption():
-    q = np.array([0.0, 0.0, 1.0])
-
-    def u_fn(x, t):
-        u = kelvin_displacement(MAT, q, x).copy()
-        u[0] *= 1.1
+    def u_fn(xs, ts):
+        u = _kelvin_u(np.array([0.0, 0.0, 1.0]))(xs, ts)
+        u[:, 0] *= 1.1
         return u
 
-    res = navier_residual(MAT, u_fn, lambda x, t: np.zeros(3), np.array([0.7, 0.4, 0.9]), 0.0, h=1e-2)
+    res = navier_residual(MAT, u_fn, lambda xs, ts: np.zeros((len(ts), 3)),
+                          np.array([0.7, 0.4, 0.9]), 0.0, h=1e-2)
     assert res.rel_residual > 1e-2
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("wave", ["P", "S"])
+def test_navier_plane_waves(dim, wave):
+    # u = a sin(k (n.x - c t)) solves the equation of motion in any
+    # dimension for a P wave (a along n, c = cL) and an S wave (a normal
+    # to n, c = cT); the other speed leaves an O(1) residual.
+    n = np.linspace(1.0, 2.0, dim)
+    n /= np.linalg.norm(n)
+    a = n if wave == "P" else np.append([-n[1], n[0]], np.zeros(dim - 2))
+    c, wrong = (MAT.cL, MAT.cT) if wave == "P" else (MAT.cT, MAT.cL)
+    x, k = np.linspace(0.2, 0.5, dim), 1.3
+
+    def residual(speed):
+        calls = []
+        u_fn = _counted(lambda xs, ts: np.outer(np.sin(k * (xs @ n - speed * ts)), a), calls)
+        v_fn = _counted(lambda xs, ts: np.outer(-k * speed * np.cos(k * (xs @ n - speed * ts)), a),
+                        calls)
+        res = navier_residual(MAT, u_fn, v_fn, x, 0.7, h=1e-2)
+        # one u call on the centre, 4 points per axis and a 4x4 grid per plane; one v call
+        assert calls == [1 + 4 * dim + 8 * dim * (dim - 1), 4]
+        return res.rel_residual
+
+    assert residual(c) < 1e-7
+    assert residual(wrong) > 1e-1
+
+
+def test_inplane_checks_make_one_displacement_call_per_case(monkeypatch):
+    calls = []
+    displacement = verify.inplane_displacement
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[4]))
+        return displacement(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "inplane_displacement", counted)
+    rep_static, rep_fd = verify.check_inplane_velocity(seed=0, n_cases=2)
+    assert calls == [(18,), (18,)]  # the 6-offset stencil along x1, x2 and t
+    assert rep_static.passed and rep_fd.passed
+    calls.clear()
+    assert verify.check_navier_residual_2d(seed=0, n_cases=2).passed
+    assert calls == [(25,), (25,)]  # centre, 4 per axis, a 4x4 grid in the plane
+
+
+def test_inject_corruption_fails_the_2d_navier_check():
+    bad, = run_check_suite(names=["navier_residual_2d"], seed=0, corrupt=True)
+    assert bad.name == "navier_residual_2d_corrupted" and bad.n_samples == 4
+    assert not bad.passed and bad.max_rel_err > 1e-2
 
 
 def test_mollified_zero_force():
