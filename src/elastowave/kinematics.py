@@ -12,23 +12,25 @@ retarded-time condition
     t - t' - kappa * |x - s(t')| = 0
 
 is strictly monotone in t' whenever the source stays slower than the wave
-speed 1/kappa, so a bracketed Newton iteration with bisection fallback
-always converges to the unique root. The root also falls monotonically as
-kappa rises, with dt'/dkappa = -R^2/P_c: a solve at two slownesses
-brackets every root between them, which the 3D slowness integral uses to
-start each node's Newton loop (``_newton``) inside its event's two
-far-channel roots, near the root. ``retarded_time`` solves many rows
-in one array iteration: a row is a slowness kappa with its own
-observer x and time t, or one event's x and t shared by an array of
-slownesses. On a bounded trajectory domain, rows whose root precedes the
-first knot come back masked (``valid`` False): the force vanishes there,
-so they contribute nothing. Rows whose observer sits on the worldline
-come back flagged (``singular``), so one such event does not abort a
-batch. A scalar call raises NoRetardationError or SingularPointError
-instead. The same solver serves 3D points and 2D lines (``dim=2``
-restricts the geometry to the x1-x2 plane). ``motion_violations``
-decides once whether a source lies in the scope of the solutions; the
-preset constructors reject non-finite parameters.
+speed 1/kappa, so a bracketed Halley iteration with bisection fallback
+always converges to the unique root; its second derivative comes from the
+acceleration that every trajectory evaluation returns anyway. The root
+also falls monotonically as kappa rises, with dt'/dkappa = -R^2/P_c: a
+solve at two slownesses brackets every root between them, which the 3D
+slowness integral uses to start each node's Halley loop (``_newton``)
+inside its event's two far-channel roots, near the root.
+``retarded_time`` solves many rows in one array iteration: a row is a
+slowness kappa with its own observer x and time t, or one event's x and
+t shared by an array of slownesses. On a bounded trajectory domain,
+rows whose root precedes the first knot come back masked (``valid``
+False): the force vanishes there, so they contribute nothing. Rows
+whose observer sits on the worldline come back flagged (``singular``),
+so one such event does not abort a batch. A scalar call raises
+NoRetardationError or SingularPointError instead. The same solver
+serves 3D points and 2D lines (``dim=2`` restricts the geometry to the
+x1-x2 plane). ``motion_violations`` decides once whether a source lies
+in the scope of the solutions; the preset constructors reject
+non-finite parameters.
 
 Every preset function (``Trajectory._fn``, ``ForceProfile._fn``) returns
 component-major arrays: shape (3, n) for an array of times (n,), and (3,)
@@ -107,7 +109,10 @@ class Trajectory:
     ``vmax`` is the supremum of |V|, exact for every preset: closed form
     for the analytic ones, the maximum of the piecewise polynomial |V|^2
     for tabulated and piecewise-polynomial data. ``domain`` bounds where
-    the worldline is defined (infinite for the analytic presets). ``_fn``
+    the worldline is defined (infinite for the analytic presets), and
+    ``knots`` are the times where the pieces of a tabulated or
+    piecewise-polynomial worldline meet (``pp.x``; empty for the analytic
+    presets): a derivative of s may jump there. ``_fn``
     maps a scalar time to (s, V, A) of shape (3,) each and an array of
     times (n,) to component-major arrays (3, n). ``_diff`` maps arrays b
     and h >= 0 of shape (n,) to the component-major history differences
@@ -121,6 +126,7 @@ class Trajectory:
     _fn: Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
     _diff: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
     domain: tuple[float, float] = (-math.inf, math.inf)
+    knots: tuple[float, ...] = ()
 
     def eval(self, t):
         """Return (s, V, A) at time t: (3,) each, or (n, 3) for an array t (n,).
@@ -360,7 +366,8 @@ def _ppoly_trajectory(kind, pp: PPoly) -> Trajectory:
             rows[:, cross] = (sva(b[cross]) - sva(lo))[:, :6].T
         return rows[0:3], rows[3:6]
 
-    return Trajectory(kind, math.sqrt(v2), fn, diff, (float(x[0]), float(x[-1])))
+    return Trajectory(kind, math.sqrt(v2), fn, diff, (float(x[0]), float(x[-1])),
+                      tuple(x.tolist()))
 
 
 def piecewise_polynomial_trajectory(breakpoints, coefficients) -> Trajectory:
@@ -622,13 +629,19 @@ def _check_slowness(traj, slowness):
 
 
 def _newton(traj, xc, t, k, lo, hi, tp, valid, tol):
-    """Bracketed Newton iteration from ``tp`` for the roots in [lo, hi]; returns t'.
+    """Bracketed Halley iteration from ``tp`` for the roots in [lo, hi]; returns t'.
 
     ``xc`` holds the observer components (dim, 1) or (dim, n), ``t`` one
     time or one per row, and ``k``, ``lo``, ``hi``, ``tp`` and ``valid``
     one value per row, with f(lo) >= 0 >= f(hi). Rows not ``valid`` keep
     their start. Each row depends only on its own inputs, so it does not
     matter which rows share a call.
+
+    With n = R/|R|, f' = -(1 - kappa n.V) and f'' = kappa (n.A - (|V|^2 -
+    (n.V)^2)/|R|), both from the one trajectory evaluation of the step,
+    whose acceleration Newton would not use. A Halley step that leaves
+    the bracket, or turns back against Newton's direction (the bracket
+    end was just moved to t'), bisects.
     """
     dim = len(xc)
     # Stop rule, fixed per row from the bracket: tol * max(1, t - t') with
@@ -640,19 +653,23 @@ def _newton(traj, xc, t, k, lo, hi, tp, valid, tol):
     # reports it.
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_ITERATIONS):
-            s, v, _ = traj.eval(tp)
+            s, v, a = traj.eval(tp)
             rv = xc - s.T[:dim]
+            v, a = v.T[:dim], a.T
             r = np.sqrt(_dot(rv, rv))
             fval = t - tp - k * r
             pos = fval > 0.0
             lo = np.where(pos, tp, lo)
             hi = np.where(pos, hi, tp)
-            t_new = tp + fval / (1.0 - k * _dot(rv, v.T) / r)
+            nv = _dot(rv, v) / r
+            d1 = 1.0 - k * nv  # -f'
+            d2 = k * (_dot(rv, a) - _dot(v, v) + nv * nv) / r  # f''
+            t_new = tp + fval / (d1 - 0.5 * fval * d2 / d1)
             conv = np.abs(fval) <= stop
-            # A converged row takes one final Newton increment, which keeps
+            # A converged row takes one final Halley increment, which keeps
             # solver jitter at machine level; downstream adaptive quadrature
             # of smooth kappa-integrands relies on that. Other rows bisect
-            # whenever Newton leaves the bracket.
+            # whenever the step leaves the bracket.
             inside = (lo < t_new) & (t_new < hi)
             t_new = np.where(inside, t_new, np.where(conv, tp, 0.5 * (lo + hi)))
             tp = np.where(done, tp, t_new)
@@ -678,11 +695,11 @@ def retarded_time(
 
     ``slowness`` is one kappa or an array of them (n,); ``x`` is one
     observer (dim,) or one per row (n, dim), and ``t`` one time or one per
-    row (n,). Every row runs in one array-wide bracketed Newton iteration
+    row (n,). Every row runs in one array-wide bracketed Halley iteration
     with bisection fallback. A row stops once |f| <= tol * max(1, t - t')
-    plus the rounding floor of f near t', then takes one final Newton
+    plus the rounding floor of f near t', then takes one final Halley
     increment. The bracket comes from the speed bound (``_bracket``) and
-    Newton starts at its midpoint. Callers that already know a tighter
+    the iteration starts at its midpoint. Callers that already know a tighter
     bracket run the same loop (``_newton``) from their own start: t' falls
     as kappa rises, so the slowness nodes of a 3D event solve inside the
     roots of its two far channels, t_T <= t' <= t_L, from a cubic Hermite

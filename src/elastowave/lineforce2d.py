@@ -44,7 +44,8 @@ and its velocity this way, and is the one anti-plane evaluator; the
 in-plane velocity is taken this way too. Only the in-plane gradient is
 still evaluated by Richardson-paired central differences of the
 displacement, with the step tied to the distance to the nearest
-wavefront: ``inplane_fields`` takes its centre and the six offsets along
+wavefront, from the switch-on, the switch-off or a knot of the worldline:
+``inplane_fields`` takes its centre and the six offsets along
 each of x1 and x2 from one ``inplane_displacement`` call: one retarded
 solve, and one engine call per point, the centre's carrying its du/dt.
 
@@ -401,15 +402,17 @@ def inplane_displacement(
 
 
 def _arrival_times(traj, prof, x, c_list):
-    """Wavefront passage times at x from switch-on and switch-off within traj.domain."""
-    arrivals = []
-    for t_edge in (prof.t_on, prof.t_off):
-        if not (math.isfinite(t_edge) and traj.domain[0] <= t_edge <= traj.domain[1]):
-            continue
-        s, _, _ = traj.eval(t_edge)
-        r = float(np.linalg.norm(np.asarray(x, float)[:2] - s[:2]))
-        arrivals.extend(t_edge + r / c for c in c_list)
-    return arrivals
+    """Wavefront passage times at x from every break of the source within traj.domain.
+
+    The breaks are the switch-on, the switch-off and the knots of the
+    worldline while the force acts: a derivative of s jumps at a knot,
+    which sends out weak fronts across which the fields are not smooth.
+    """
+    knots = [t_k for t_k in traj.knots if prof.t_on < t_k < prof.t_off]
+    t_b = np.array([prof.t_on, prof.t_off] + knots)
+    t_b = t_b[np.isfinite(t_b) & (traj.domain[0] <= t_b) & (t_b <= traj.domain[1])]
+    r = np.linalg.norm(np.asarray(x, float)[:2] - traj.eval(t_b)[0][:, :2], axis=1)
+    return np.concatenate([t_b + r / c for c in c_list])
 
 
 def _fd_step(mat, traj, prof, x, t):
@@ -417,8 +420,8 @@ def _fd_step(mat, traj, prof, x, t):
     scale = max(t - prof.t_on, 1.0)
     h = 1e-3 * scale
     arrivals = _arrival_times(traj, prof, x, (mat.cL, mat.cT))
-    if arrivals:
-        dist = min(abs(t - ta) for ta in arrivals)
+    if arrivals.size:
+        dist = float(np.abs(t - arrivals).min())
         floor = 1e-5 * scale
         if dist / 8.0 < floor:
             warnings.warn(

@@ -26,9 +26,12 @@ window: Q vanishes before t_on (and after t_off), and t_ret(kappa) = t_on
 exactly at kappa_on = (t - t_on)/|x - s(t_on)|, so inside the P-S shell
 the nodes above kappa_on (below kappa_off) are exact zeros and are not
 solved. The others solve inside [t_on, t_L], from a start interpolated
-between (kL, t_L) and the anchor (kappa_on, t_on). ``lw_fields`` is its
-one-event call. Events whose retarded times reach past the end of a
-bounded worldline are masked in a batch and raise in ``lw_fields``.
+between (kL, t_L) and the anchor (kappa_on, t_on). A window that no
+break cuts is smooth: the engine probes it with the (7, 15) Gauss-Kronrod
+pair, and a cut window with the (10, 21) pair, whose outer nodes sit
+nearer the break. ``lw_fields`` is its one-event call. Events whose
+retarded times reach past the end of a bounded worldline are masked in a
+batch and raise in ``lw_fields``.
 One channel kernel gives every quantity at each retarded row; the
 displacement alone is ``lw_fields(...).u``.
 
@@ -315,16 +318,17 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret):
     ``xs`` (n, 3) and ``ts`` (n,) are the observation events. The
     transversal and longitudinal channels of all events share one 2n-row
     ``retarded_time`` call. Their roots bracket the root of every
-    slowness node of the event, and the n slowness integrals are refined
+    slowness node of the event, and the slowness integrals are refined
     together by ``integrate_intervals``, whose integrand solves each batch
     of nodes inside those brackets and evaluates it in one call
-    (``_slowness_terms``). Nodes past a break of the force's support
-    (``_windows``) are exact zeros and are not solved. Returns the sums
-    (n, width), the mask of events whose observer lies on the worldline
-    (those leave the refinement at once) and the mask of events whose
-    retarded times reach past the end of a bounded worldline (those are
-    not evaluated); the sums of both are NaN. Raises the first violation
-    of ``motion_violations``.
+    (``_slowness_terms``): one engine call probes the windows that no
+    break cuts with 15 nodes, and one the cut windows with 21. Nodes past
+    a break of the force's support (``_windows``) are exact zeros and are
+    not solved. Returns the sums (n, width), the mask of events whose
+    observer lies on the worldline (those leave the refinement at once)
+    and the mask of events whose retarded times reach past the end of a
+    bounded worldline (those are not evaluated); the sums of both are
+    NaN. Raises the first violation of ``motion_violations``.
     """
     for error, message in motion_violations(traj, prof, mat.cT, line=False):
         raise error(message)
@@ -348,26 +352,32 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret):
                         np.tile(_FAR_M, n))
     total = rows.reshape(n, 2, rows.shape[1]).sum(axis=1)
     singular = st.singular.reshape(n, 2).any(axis=1)
-    live = np.flatnonzero(~singular)
     on_worldline = np.zeros(n, dtype=bool)  # events with a singular slowness node
     win = _windows(_far_roots(st, n), kL, kT, _break(traj, xc, ts, prof.t_on),
                    _break(traj, xc, ts, prof.t_off))
+    # A break inside (kL, kT) cuts the window: its event keeps the qk21
+    # probe, whose outer nodes sit nearer the break.
+    cut = ((kL < win[:2]) & (win[:2] < kT)).any(axis=0)
+    for order, events in ((15, ~singular & ~cut), (21, ~singular & cut)):
+        events = np.flatnonzero(events)
+        if not events.size:
+            continue
 
-    def integrand(kappas, owner):
-        # A singular row has NaN geometry and therefore NaN terms, which
-        # takes its event out of the refinement.
-        terms, hit = _slowness_terms(traj, prof, xc, ts, win, live[owner], kappas, tol_ret)
-        on_worldline[hit] = True
-        return terms
+        def integrand(kappas, owner):
+            # A singular row has NaN geometry and therefore NaN terms, which
+            # takes its event out of the refinement.
+            terms, hit = _slowness_terms(traj, prof, xc, ts, win, events[owner], kappas, tol_ret)
+            on_worldline[hit] = True
+            return terms
 
-    if live.size:
         mid, failed = integrate_intervals(
-            integrand, np.full(live.size, kL), np.full(live.size, kT), rel_tol=rel_tol
+            integrand, np.full(events.size, kL), np.full(events.size, kT), rel_tol=rel_tol,
+            order=order,
         )
-        if (failed & ~on_worldline[live]).any():
+        if (failed & ~on_worldline[events]).any():
             raise QuadratureError("slowness integrand is not finite off the worldline")
-        total[live] += mid
-        singular[live[failed]] = True
+        total[events] += mid
+        singular[events[failed]] = True
     total[singular] = np.nan
     return total, singular, late
 

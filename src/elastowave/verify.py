@@ -384,7 +384,7 @@ def _random_smooth_force(rng):
 
 
 def check_retarded_solver(seed=0, n_cases=1000, tolerance=1e-12):
-    """Newton-vs-bisection agreement plus monotonicity and Doppler positivity."""
+    """Halley-vs-bisection agreement plus monotonicity and Doppler positivity."""
     rng = np.random.default_rng(seed)
     mat = make_material(1.0, 1.0, 1.0)
     worst = 0.0
@@ -799,7 +799,9 @@ def _inplane_cases(rng, n_cases):
     (behind both fronts, then midway through the P-S shell), and a moving
     source (traj, prof, x, t): an oscillatory worldline, on odd cases the
     cubic spline through its positions, with a step or a bump force,
-    seen from r = 1.5 in the direction of x at t in [4, 6].
+    seen from r = 1.5 in the direction of x at t in [4, 6]. On the spline
+    t then moves to the middle of the widest gap between the fronts of
+    its knots near t.
     """
     for i in range(n_cases):
         mat = _random_material(rng)
@@ -812,7 +814,10 @@ def _inplane_cases(rng, n_cases):
         if i % 2:
             traj = tabulated_trajectory(_SPLINE_KNOTS, traj.eval(_SPLINE_KNOTS)[0])
         prof = step_force(q0, t_on=0.0) if i % 4 < 2 else bump_force(q0, 1.0, 1.0)
-        yield mat, q0, x, static_ts, (traj, prof, 1.5 * x / r, rng.uniform(4.0, 6.0))
+        x_m, t_m = 1.5 * x / r, rng.uniform(4.0, 6.0)
+        if traj.knots:
+            t_m = _between_knot_fronts(mat, traj, x_m, t_m)
+        yield mat, q0, x, static_ts, (traj, prof, x_m, t_m)
 
 
 def check_inplane_velocity(seed=0, n_cases=8, tolerance=1e-8):
@@ -851,8 +856,9 @@ def _between_knot_fronts(mat, traj, x, t):
     weak P and S fronts, across which the fields are not smooth enough
     for a difference stencil.
     """
-    r = np.linalg.norm(x - traj.eval(_SPLINE_KNOTS)[0][:, :2], axis=1)
-    fronts = np.concatenate([_SPLINE_KNOTS + r / mat.cL, _SPLINE_KNOTS + r / mat.cT])
+    knots = np.array(traj.knots)
+    r = np.linalg.norm(x - traj.eval(knots)[0][:, :2], axis=1)
+    fronts = np.concatenate([knots + r / mat.cL, knots + r / mat.cT])
     ends = np.sort(np.append(fronts[np.abs(fronts - t) < 0.5], [t - 0.5, t + 0.5]))
     k = np.argmax(np.diff(ends))
     return 0.5 * (ends[k] + ends[k + 1])
@@ -863,14 +869,11 @@ def check_navier_residual_2d(seed=0, n_cases=8, tolerance=1e-4, corrupt=False):
 
     The moving sources of ``check_inplane_velocity``: u from one
     ``inplane_displacement`` call per case, v from ``inplane_fields``,
-    stencil step 0.01. On a spline worldline the event time moves to the
-    middle of the widest gap between the fronts of its knots near t.
+    stencil step 0.01.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for mat, _, _, _, (traj, prof, x, t) in _inplane_cases(rng, n_cases):
-        if traj.kind == "tabulated":
-            t = _between_knot_fronts(mat, traj, x, t)
 
         def u_fn(xs, ts):
             return inplane_displacement(mat, traj, prof, xs, ts, rel_tol=1e-12)

@@ -346,7 +346,7 @@ def test_shell_events_solve_only_their_support(monkeypatch):
     # Deterministic work gate: inside the P-S shell about half the slowness
     # nodes retard to before the switch-on, and the rest start Newton from
     # the anchor (kappa_on, t_on), so few trajectory points are spent per
-    # engine node. A smooth event is not cut and keeps its 21 nodes: one
+    # engine node. A smooth event is not cut and keeps its 15 nodes: one
     # Gauss-Kronrod panel.
     rows, points = [], []
     newton = pointforce3d._newton
@@ -373,4 +373,28 @@ def test_shell_events_solve_only_their_support(monkeypatch):
     rounds.clear()
     rows.clear()
     cli._rows_3d(cfg, events[[2]])
-    assert sum(rounds) == 21 and sum(rows) == 21
+    assert sum(rounds) == 15 and sum(rows) == 15
+
+
+def test_cut_windows_keep_the_21_node_probe(monkeypatch):
+    # Shell events 1 and 4, whose windows the switch-on cuts, keep the
+    # qk21 probe and its Gauss-Legendre bisection: their rows are the bits
+    # of an engine that probes every window with qk21. The behind-front
+    # event 2 takes the qk15 probe, in an engine call of its own.
+    cfg = parse_config(OSCILLATORY)
+    events = _mixed_events(cfg, 2.5)[[1, 2, 4]]
+    sizes = []
+    panels = quadrature._panels
+
+    def counted(f, lo, hi, owner, x, w):
+        sizes.append((lo.size, x.size))
+        return panels(f, lo, hi, owner, x, w)
+
+    monkeypatch.setattr(quadrature, "_panels", counted)
+    rows = cli._rows_3d(cfg, events)
+    assert sizes[:2] == [(1, 15), (2, 21)]
+    assert {k for _, k in sizes[2:]} == {quadrature.NODES}
+    engine = quadrature.integrate_intervals
+    monkeypatch.setattr(pointforce3d, "integrate_intervals",
+                        lambda *args, order, **kw: engine(*args, **kw))
+    assert np.array_equal(cli._rows_3d(cfg, events)[[0, 2]], rows[[0, 2]])

@@ -35,6 +35,17 @@ from elastowave.kinematics import (
 # ---------------------------------------------------------------------------
 # trajectories
 
+def test_knots_of_each_worldline():
+    # The breakpoints of a piecewise worldline, where a derivative of s may
+    # jump; the analytic presets have none.
+    times = [0.0, 0.5, 1.5, 3.0]
+    assert tabulated_trajectory(times, np.ones((4, 3))).knots == tuple(times)
+    assert piecewise_polynomial_trajectory([0.0, 1.0, 2.0], np.ones((2, 2, 3))).knots == (
+        0.0, 1.0, 2.0)
+    assert static_trajectory([0, 0, 0]).knots == ()
+    assert oscillatory_trajectory([0, 0, 0], [0.1, 0, 0], 1.0).knots == ()
+
+
 def test_static_eval():
     traj = static_trajectory([1.0, 2.0, 3.0])
     s, v, a = traj.eval(17.3)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from elastowave import lineforce2d
+from elastowave import lineforce2d, verify
 from elastowave.errors import (
     SingularPointError,
     SupersonicError,
@@ -527,6 +527,23 @@ def test_inplane_wavefront_proximity_warning():
     t_front = r / MAT.cT
     with pytest.warns(WavefrontProximityWarning):
         inplane_fields(MAT, traj, prof, [r, 0.0], t_front + 1e-7)
+
+
+def test_fd_step_keeps_clear_of_knot_fronts():
+    # The moving case 1 of check_inplane_velocity at seed 2: a spline
+    # worldline seen 9e-5 after the S front of a knot. The knot's fronts
+    # floor the step, with a warning, and beta meets the Richardson
+    # differences of a finer step (it read 2.5e-8 off them when the step
+    # kept clear only of the switch-on fronts).
+    case = list(verify._inplane_cases(np.random.default_rng(2), 2))[1]
+    mat, (traj, prof, x, _) = case[0], case[4]
+    t = 5.6985
+    with pytest.warns(WavefrontProximityWarning):
+        beta = inplane_fields(mat, traj, prof, x, t, rel_tol=1e-12).beta
+    ref = fd_consistency(
+        lambda xs, ts: inplane_displacement(mat, traj, prof, xs, ts, rel_tol=1e-12), x, t, 1e-4,
+    ).beta_fd
+    assert np.max(np.abs(beta - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_inplane_velocity_afterglow_decay():

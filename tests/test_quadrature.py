@@ -20,38 +20,74 @@ def test_rule_weights_sum_to_two():
         assert w.sum() == pytest.approx(2.0, rel=1e-14)
 
 
-def test_kronrod_rule_matches_scipy():
-    # scipy's private copy of QUADPACK's qk21, read through its integrand
-    # (the nodes, from descending order) and its error norm (K21 - G10).
-    from scipy.integrate._quad_vec import _quadrature_gk21
-
-    x, w = gauss_kronrod_rule()
+def _check_against_scipy(order, scipy_rule):
+    # scipy's private copy of a QUADPACK rule, read through its integrand
+    # (the nodes, from descending order) and its error norm (K - G).
+    x, w = gauss_kronrod_rule(order)
     nodes, diffs = [], []
 
     def f(xs):
         nodes.append(xs)
-        return np.eye(21)[len(nodes) - 1]
+        return np.eye(order)[len(nodes) - 1]
 
     def norm(v):
         diffs.append(v)
         return float(np.max(np.abs(v)))
 
-    k21, _, _ = _quadrature_gk21(-1.0, 1.0, f, norm)
+    k, _, _ = scipy_rule(-1.0, 1.0, f, norm)
     assert np.array_equal(x, np.array(nodes)[::-1])
-    assert np.array_equal(w[0], k21[::-1])
-    np.testing.assert_allclose(w[1], (k21 - diffs[0])[::-1], rtol=1e-15, atol=1e-18)
+    assert np.array_equal(w[0], k[::-1])
+    np.testing.assert_allclose(w[1], (k - diffs[0])[::-1], rtol=1e-15, atol=1e-18)
     assert np.all(w[1, ::2] == 0.0) and np.all(w[1, 1::2] > 0.0)
 
 
-def test_kronrod_rule_exactness():
-    # On [0, 1]: K21 is exact to degree 31, its embedded G10 to degree 19.
-    x, w = gauss_kronrod_rule()
+def _check_exactness(order, degrees):
+    # On [0, 1], each row exact to its degree, and the Gauss row not one
+    # degree more.
+    x, w = gauss_kronrod_rule(order)
     t, w = 0.5 * (x + 1.0), 0.5 * w
-    for row, degree in ((0, 31), (1, 19)):
+    for row, degree in enumerate(degrees):
         for d in range(degree + 1):
             assert w[row] @ t ** d == pytest.approx(1.0 / (d + 1), rel=1e-15, abs=0.0)
-    # One degree more is not exact.
-    assert abs(w[1] @ t ** 20 - 1.0 / 21) > 1e-12
+    assert abs(w[1] @ t ** (degrees[1] + 1) - 1.0 / (degrees[1] + 2)) > 1e-12
+
+
+def test_kronrod_rule_matches_scipy():
+    from scipy.integrate._quad_vec import _quadrature_gk21
+
+    _check_against_scipy(21, _quadrature_gk21)
+
+
+def test_kronrod15_rule_matches_scipy():
+    from scipy.integrate._quad_vec import _quadrature_gk15
+
+    _check_against_scipy(15, _quadrature_gk15)
+
+
+def test_kronrod_rule_exactness():
+    # K21 is exact to degree 31, its embedded G10 to degree 19.
+    _check_exactness(21, (31, 19))
+
+
+def test_kronrod15_rule_exactness():
+    # K15 is exact to degree 22, its embedded G7 to degree 13.
+    _check_exactness(15, (22, 13))
+
+
+def test_probe_order_sets_the_first_panel():
+    # A degree-13 polynomial, which G7 and G10 integrate exactly, passes
+    # either probe: 15 or 21 nodes per interval in one engine call.
+    a, b = np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 2.0])
+    for order in (15, 21):
+        calls = []
+
+        def f(xs, owner):
+            calls.append(xs.size)
+            return xs[:, None] ** 13
+
+        values, failed = integrate_intervals(f, a, b, order=order)
+        assert calls == [3 * order] and not failed.any()
+        np.testing.assert_allclose(values[:, 0], (b ** 14 - a ** 14) / 14.0, rtol=1e-14)
 
 
 def test_polynomial_exactness():

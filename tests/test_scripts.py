@@ -20,7 +20,8 @@ def _run(name, *args):
 
 
 @pytest.mark.parametrize(
-    "name", ["sample_wavefield", "radiation_scan", "afterglow_trace", "count_code_lines"]
+    "name",
+    ["sample_wavefield", "radiation_scan", "afterglow_trace", "count_code_lines", "bench_pairs"],
 )
 def test_script_help_runs(name):
     # --help imports the script's whole dependency chain without computing

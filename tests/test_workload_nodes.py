@@ -1,17 +1,22 @@
-"""Integrand nodes per event of the benchmark's seed-0 grids.
+"""Integrand nodes and trajectory points per event of the benchmark's seed-0 grids.
 
 ``perfbench/workloads.py`` generates the benchmark's configs; it is loaded
 read-only, as ``test_tracer_contract.py`` loads the tracer. Every node the
 engine hands to an integrand passes through ``quadrature._panels``, so
 counting there gives the engine's work on each grid. A smooth 3D event
-and each smooth 2D history segment take one 21-node Gauss-Kronrod panel;
-the shell and spline events add that panel to their bisection.
+takes one 15-node Gauss-Kronrod panel, and each smooth 2D history segment
+one 21-node panel; the spline events add the 15-node panel to their
+bisection, the shell events the 21-node one. Every trajectory point the
+retarded solves and the 3D kernel evaluate passes through the
+trajectory's ``_fn``.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from elastowave import cli, quadrature
@@ -21,13 +26,17 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 # name: (nodes per event, exact)
 LIMITS = {
-    "smooth3d": (21, True),
+    "smooth3d": (15, True),
     # 13 points, two segments each; the centre's velocity rides as extra
     # columns of its segments, which some events then bisect
     "inplane2d": (570, True),
     "shell3d": (2444, False),
-    "spline3d": (1243, False),
+    "spline3d": (1237, False),
 }
+
+# name: most trajectory points per event. A Halley step reaches the
+# retarded-time stop rule in fewer evaluations than a Newton step.
+POINTS = {"smooth3d": 60.05, "shell3d": 3050, "spline3d": 3720, "inplane2d": 148}
 
 
 def _load_workloads():
@@ -61,3 +70,19 @@ def test_nodes_per_event_on_seed0_grids(monkeypatch, name):
         assert per_event == limit
     else:
         assert per_event <= limit
+
+
+@pytest.mark.parametrize("name", sorted(POINTS))
+def test_trajectory_points_per_event_on_seed0_grids(name):
+    wl = _load_workloads().make(name, 0)
+    cfg = parse_config(wl.config_text())
+    traj, points = cfg.trajectory, []
+
+    def fn(t):
+        points.append(np.size(t))
+        return traj._fn(t)
+
+    cfg = dataclasses.replace(cfg, trajectory=dataclasses.replace(traj, _fn=fn))
+    events = len(wl.events())
+    assert cli.sample_grid(cfg).rows.shape[0] == events
+    assert sum(points) / events <= POINTS[name]
