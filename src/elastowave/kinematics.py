@@ -34,10 +34,12 @@ non-finite parameters.
 
 Every preset function (``Trajectory._fn``, ``ForceProfile._fn``) returns
 component-major arrays: shape (3, n) for an array of times (n,), and (3,)
-for a scalar time. ``eval`` hands the public (n, 3) layout back as the
-zero-copy transpose, so the solver and the 3D channel kernel recover the
-contiguous component rows (3, n) with ``.T`` and compute on them: a dot
-product is a[0]*b[0] + a[1]*b[1] + a[2]*b[2] over whole rows.
+for a 0-d one. ``eval`` sends a scalar time down the same path as a 0-d
+array and hands the public (n, 3) layout back as the zero-copy transpose
+(a (3,) row is its own transpose), so the solver and the 3D channel
+kernel recover the contiguous component rows (3, n) with ``.T`` and
+compute on them: a dot product is a[0]*b[0] + a[1]*b[1] + a[2]*b[2] over
+whole rows.
 
 Every trajectory preset also supplies its history differences
 (``Trajectory._diff``) without cancellation: 0 (static), V h (uniform),
@@ -112,9 +114,9 @@ class Trajectory:
     the worldline is defined (infinite for the analytic presets), and
     ``knots`` are the times where the pieces of a tabulated or
     piecewise-polynomial worldline meet (``pp.x``; empty for the analytic
-    presets): a derivative of s may jump there. ``_fn``
-    maps a scalar time to (s, V, A) of shape (3,) each and an array of
-    times (n,) to component-major arrays (3, n). ``_diff`` maps arrays b
+    presets): a derivative of s may jump there. ``_fn`` maps an array of
+    times (n,) to component-major arrays (s, V, A) of shape (3, n) each,
+    and a scalar or 0-d time to (3,) each. ``_diff`` maps arrays b
     and h >= 0 of shape (n,) to the component-major history differences
     (s(b) - s(b - h), V(b) - V(b - h)), (3, n) each, formed without
     subtracting absolute positions, so they keep their relative accuracy
@@ -123,7 +125,7 @@ class Trajectory:
 
     kind: str
     vmax: float
-    _fn: Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
+    _fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
     _diff: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
     domain: tuple[float, float] = (-math.inf, math.inf)
     knots: tuple[float, ...] = ()
@@ -131,23 +133,22 @@ class Trajectory:
     def eval(self, t):
         """Return (s, V, A) at time t: (3,) each, or (n, 3) for an array t (n,).
 
-        The (n, 3) arrays are transposed views of ``_fn``'s component-major
-        rows; ``.T`` of them gives those contiguous rows back.
+        A scalar t takes the array path as a 0-d array. The (n, 3) arrays
+        are transposed views of ``_fn``'s component-major rows; ``.T`` of
+        them gives those contiguous rows back (a (3,) row is its own
+        transpose).
         """
         ta = np.asarray(t, dtype=float)
-        lo = ta.min(initial=math.inf) if ta.ndim else ta
-        hi = ta.max(initial=-math.inf) if ta.ndim else ta
-        if lo < self.domain[0] or hi > self.domain[1]:
-            outside = ((ta < self.domain[0]) | (ta > self.domain[1])).reshape(-1)
+        lo, hi = self.domain
+        if ta.min(initial=math.inf) < lo or ta.max(initial=-math.inf) > hi:
+            outside = ((ta < lo) | (ta > hi)).reshape(-1)
             raise ExtrapolationError(
-                f"{outside.sum()} time(s) outside trajectory domain [{self.domain[0]:g}, "
-                f"{self.domain[1]:g}]; first: {ta.reshape(-1)[outside.argmax()]:g}"
+                f"{outside.sum()} time(s) outside trajectory domain [{lo:g}, {hi:g}]; "
+                f"first: {ta.reshape(-1)[outside.argmax()]:g}"
             )
-        s, v, a = self._fn(t)
+        s, v, a = self._fn(ta)
         _check_component_major(self, s, ta)
-        if ta.ndim:
-            return s.T, v.T, a.T
-        return s, v, a
+        return s.T, v.T, a.T
 
 
 @dataclass(frozen=True)
@@ -156,29 +157,29 @@ class ForceProfile:
 
     Q and Qdot vanish identically outside [t_on, t_off]. 2D history
     integrals require a finite t_on; 3D admits t_on = -inf. ``_fn`` maps
-    a scalar time to (Q, Qdot) of shape (3,) each and an array of times
-    (n,) to component-major arrays (3, n).
+    an array of times (n,) to component-major arrays (Q, Qdot) of shape
+    (3, n) each, and a scalar or 0-d time to (3,) each. ``scale`` is
+    sup |Q| for the bounded presets (|q0| for constant, step, sinusoid
+    and bump forces) and None for the unbounded ramp and polynomial
+    forces (a one-row polynomial is a step and has |q0|); the 3D
+    slowness integral takes its absolute error floor from it.
     """
 
     kind: str
     t_on: float
-    _fn: Callable[[float], tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    _fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
     t_off: float = math.inf
+    scale: float | None = None
 
     def eval(self, t):
         """Return (Q, Qdot) at time t: (3,) each, or (n, 3) for an array t (n,).
 
-        The (n, 3) arrays are transposed views of component-major rows,
-        as in ``Trajectory.eval``.
+        A scalar t takes the array path as a 0-d array, as in
+        ``Trajectory.eval``, and the (n, 3) arrays are transposed views of
+        component-major rows. Both are zero outside [t_on, t_off] and at a
+        NaN time.
         """
         ta = np.asarray(t, dtype=float)
-        if ta.ndim == 0:
-            if ta < self.t_on or ta > self.t_off:
-                z = np.zeros(3)
-                return z, z
-            q, qd = self._fn(float(ta))
-            _check_component_major(self, q, ta)
-            return q, qd
         q, qd = self._fn(ta)
         _check_component_major(self, q, ta)
         active = (ta >= self.t_on) & (ta <= self.t_off)
@@ -242,14 +243,12 @@ def _finite(name, value):
 
 def _col(vec, t):
     """``vec`` (3,) shaped to scale component rows: a column for an array t."""
-    return vec[:, None] if t.ndim else vec
+    return vec[:, None] if np.ndim(t) else vec
 
 
 def _broadcast_const(vec, t):
-    """``vec`` at every time of t: (3,) for a scalar t, (3, n) for an array t (n,)."""
-    if np.ndim(t) == 0:
-        return vec
-    return np.broadcast_to(vec[:, None], (3, np.size(t)))
+    """``vec`` at every time of t: (3,) for a 0-d t, (3, n) for an array t (n,); read-only."""
+    return np.broadcast_to(_col(vec, t), (3,) + np.shape(t))
 
 
 def static_trajectory(position) -> Trajectory:
@@ -443,7 +442,9 @@ def _polynomial(kind, c, t_on) -> ForceProfile:
         finite = np.where(inf, 0.0, tau)
         return tuple(np.where(inf, limit(coef, tau), horner(coef, finite)) for coef in (c, dc))
 
-    return ForceProfile(kind, float(t_on), fn)
+    # One row is a step (or a constant): bounded by |c[0]|.
+    return ForceProfile(kind, float(t_on), fn,
+                        scale=math.hypot(*c[0].tolist()) if len(c) == 1 else None)
 
 
 def constant_force(q0) -> ForceProfile:
@@ -474,7 +475,7 @@ def sinusoid_force(q0, omega: float, phase: float = 0.0) -> ForceProfile:
         ph = w * np.asarray(t, float) + phase
         return _col(q, ph) * np.sin(ph), _col(wq, ph) * np.cos(ph)
 
-    return ForceProfile("sinusoid", -math.inf, fn)
+    return ForceProfile("sinusoid", -math.inf, fn, scale=math.hypot(*q.tolist()))
 
 
 def bump_force(q0, center: float, half_width: float) -> ForceProfile:
@@ -497,7 +498,7 @@ def bump_force(q0, center: float, half_width: float) -> ForceProfile:
         e = np.where(inside, np.exp(1.0 - 1.0 / g_safe), 0.0)
         return _col(q, e) * e, _col(q, e) * (e * (-2.0 * xi / (g_safe * g_safe)) / w)
 
-    return ForceProfile("bump", center - w, fn, t_off=center + w)
+    return ForceProfile("bump", center - w, fn, t_off=center + w, scale=math.hypot(*q.tolist()))
 
 
 def polynomial_force(coefficients, t_on: float) -> ForceProfile:

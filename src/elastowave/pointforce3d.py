@@ -324,7 +324,10 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret):
     (``_slowness_terms``): one engine call probes the windows that no
     break cuts with 15 nodes, and one the cut windows with 21. Nodes past
     a break of the force's support (``_windows``) are exact zeros and are
-    not solved. Returns the sums (n, width), the mask of events whose
+    not solved. A bounded force (``ForceProfile.scale``) gives each
+    event's integral an absolute error floor, the size scale kT^2 / R_T
+    of its far-T term, so a window that holds only a pulse's far tail
+    converges. Returns the sums (n, width), the mask of events whose
     observer lies on the worldline (those leave the refinement at once)
     and the mask of events whose retarded times reach past the end of a
     bounded worldline (those are not evaluated); the sums of both are
@@ -358,6 +361,7 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret):
     # A break inside (kL, kT) cuts the window: its event keeps the qk21
     # probe, whose outer nodes sit nearer the break.
     cut = ((kL < win[:2]) & (win[:2] < kT)).any(axis=0)
+    floor = None if prof.scale is None else prof.scale * kT * kT / st.r[::2]  # T rows
     for order, events in ((15, ~singular & ~cut), (21, ~singular & cut)):
         events = np.flatnonzero(events)
         if not events.size:
@@ -372,7 +376,7 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret):
 
         mid, failed = integrate_intervals(
             integrand, np.full(events.size, kL), np.full(events.size, kT), rel_tol=rel_tol,
-            order=order,
+            order=order, scale=None if floor is None else floor[events],
         )
         if (failed & ~on_worldline[events]).any():
             raise QuadratureError("slowness integrand is not finite off the worldline")
@@ -485,8 +489,11 @@ def stokes_gradient(mat, prof, rvec, t) -> np.ndarray:
 def stokes_gradient_split(mat, prof, rvec, t, parts=("q", "qdot")) -> dict:
     """Gradient split into strength-driven (1/R^2) and rate-driven (1/R) parts.
 
-    Only the strength part needs the slowness moment integral, so far-field
-    scans of the rate part stay cheap via ``parts=("qdot",)``.
+    Only the strength part needs the slowness moment integral. Far out it
+    cannot be taken: at R = 1e4 and 1e5 the window of an omega = 2
+    sinusoid spans thousands of force periods, and the integral raises
+    QuadratureError. ``parts=("qdot",)`` skips it, so far-field scans of
+    the rate part still evaluate.
     """
     rv, r, n = _static_geometry(rvec)
     kL, kT = 1.0 / mat.cL, 1.0 / mat.cT

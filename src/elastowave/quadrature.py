@@ -23,7 +23,19 @@ refine (the switch-on inside the P-S shell, the kinks of a spline
 worldline) while their stored benchmark rows still carry those values;
 ROADMAP items 2 and 3 regenerate the rows and then replace it.
 
-``adaptive_gauss_legendre`` is the one-interval call of the same engine.
+The error test is relative: each component of an interval's integral
+against rel_tol times its own magnitude, with a floor for tiny
+components at 1e-3 of the floor scale, the larger of the interval's
+largest component and an optional caller-supplied ``scale``. The
+caller's scale is an absolute floor in the manner of QUADPACK's epsabs
+(Piessens et al., 1983), taken from the source rather than from a knob:
+without it, a window that holds only the far tail of a pulse chases the
+rounding noise of values 1e-77 of the pulse's peak and never converges.
+
+The engine returns values only; code that watches it (the tests, work
+counters) wraps the integrand or ``_panels``, through which every
+evaluation passes. ``adaptive_gauss_legendre`` is the one-interval call
+of the same engine.
 All evaluations happen at strictly interior nodes, so integrable endpoint
 behavior that has been substituted away (see lineforce2d) never divides
 by zero.
@@ -155,24 +167,26 @@ def _panels(f, lo, hi, owner, x, w):
     return half * np.concatenate(sums), half * np.concatenate(l1s)
 
 
-def _budget(estimate, rel_tol):
+def _budget(estimate, rel_tol, scale):
     """Error budget of whole-interval estimates (n, m), per component.
 
     rel_tol times each component's magnitude; tiny components are measured
-    against 1e-3 of the largest one so the loop never chases exact zeros.
+    against 1e-3 of the larger of the largest component and the
+    interval's ``scale`` (n,), so the loop never chases exact zeros, nor
+    the rounding noise of a window that holds only a far tail of its source.
     """
-    peak = np.maximum(np.abs(estimate).max(axis=1), _TINY)
+    peak = np.maximum(np.maximum(np.abs(estimate).max(axis=1), scale), _TINY)
     return rel_tol * np.maximum(np.abs(estimate), 1e-3 * peak[:, None])
 
 
-def integrate_intervals(f, a, b, rel_tol=1e-10, collect=None, order=21):
+def integrate_intervals(f, a, b, rel_tol=1e-10, order=21, scale=None):
     """Integrate ``f`` over every interval [a[i], b[i]] in one refinement loop.
 
     Each interval first takes one Gauss-Kronrod panel over its whole
     width: (10, 21), or (7, 15) for ``order`` 15. It is done when |K - G|
     passes the test of the first bisection round at span = width: per
-    component at most rel_tol times max(|K|, 1e-3 of its largest
-    component), or max(1e-13, 1e-2 rel_tol) times its L1 sum.
+    component at most rel_tol times max(|K|, 1e-3 of the floor scale), or
+    max(1e-13, 1e-2 rel_tol) times its L1 sum.
     Every interval the panel rejects is refined by ``_bisect`` as if the
     panel had not been tried.
 
@@ -181,16 +195,19 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, collect=None, order=21):
             belongs to interval ``owner[j]``.
         rel_tol: target relative error of each interval's integral against
             a per-component scale taken from its whole-interval estimate;
-            tiny components are measured against 1e-3 of the largest one so
-            the loop never chases exact zeros.
-        collect: if a list is given, the nodes and weights of every accepted
-            panel (a whole-interval Kronrod panel, or the two Gauss-Legendre
-            halves of an accepted row) are appended as (nodes, weights)
-            pairs, interval by interval and left to right.
+            tiny components are measured against 1e-3 of the floor scale,
+            the larger of its largest component and ``scale``, so the loop
+            never chases exact zeros.
         order: nodes of the first panel, 21 or 15. The 15-node panel is
             cheaper where it passes, but its outer node sits 0.43 % of the
             width from each edge (0.22 % for 21), and a jump closer to an
             edge than that is invisible to it.
+        scale: None, or the size (n,) an integral of each interval would
+            have if its source were not reduced to a far tail. It sets an
+            absolute error floor, as QUADPACK's epsabs does: a window
+            whose integrand is only a pulse's tail, 1e-77 of its peak,
+            stops at rel_tol 1e-3 scale instead of chasing the rounding
+            noise of its tiny values.
 
     Returns:
         (values, failed): ``values`` has one row per interval: its Kronrod
@@ -214,44 +231,28 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, collect=None, order=21):
     if own.size == 0:
         probe = np.asarray(f(a[:1], np.zeros(min(a.size, 1), dtype=int)), dtype=float)
         return np.zeros((a.size, probe.shape[-1])), failed
+    scale = np.zeros(a.size) if scale is None else np.asarray(scale, dtype=float)
     xk, wk = gauss_kronrod_rule(order)
     sums, l1 = _panels(f, a[own], b[own], own, xk, wk)
     kronrod = sums[:, 0]
-    allowance = np.maximum(_budget(kronrod, rel_tol), max(1e-13, 1e-2 * rel_tol) * l1[:, 0])
+    allowance = np.maximum(_budget(kronrod, rel_tol, scale[own]),
+                           max(1e-13, 1e-2 * rel_tol) * l1[:, 0])
     # A non-finite sum is rejected: the bisection flags it.
     done = np.isfinite(kronrod).all(axis=1) & (np.abs(kronrod - sums[:, 1]) <= allowance).all(axis=1)
     values = np.zeros((a.size, kronrod.shape[1]))
     values[own[done]] = kronrod[done]
-    accepted = None  # (interval, lo, hi, is a Kronrod panel) of accepted rows
-    if collect is not None:
-        accepted = [(own[done], a[own[done]], b[own[done]], np.ones(done.sum(), dtype=bool))]
     if not done.all():
-        _bisect(f, a, b, own[~done], rel_tol, values, failed, accepted)
-
+        _bisect(f, a, b, own[~done], rel_tol, values, failed, scale)
     values[failed] = np.nan
-    if collect is not None:
-        x, w = gauss_legendre_rule(NODES)
-        o, lo, hi, whole = (np.concatenate(c) for c in zip(*accepted))
-        for i in np.lexsort((lo, o)):
-            if failed[o[i]]:
-                continue
-            if whole[i]:
-                panels, rule, weights = ((lo[i], hi[i]),), xk, wk[0]
-            else:
-                mid = 0.5 * (lo[i] + hi[i])
-                panels, rule, weights = ((lo[i], mid), (mid, hi[i])), x, w
-            for p_lo, p_hi in panels:
-                half = 0.5 * (p_hi - p_lo)
-                collect.append((0.5 * (p_lo + p_hi) + half * rule, half * weights))
     return values, failed
 
 
-def _bisect(f, a, b, own, rel_tol, values, failed, accepted):
+def _bisect(f, a, b, own, rel_tol, values, failed, scale):
     """Refine intervals ``own`` of [a, b] by Gauss-Legendre bisection.
 
-    Adds each interval's accepted panels to ``values`` and appends the
-    accepted rows to ``accepted`` (unless it is None); flags intervals
-    whose integrand is not finite in ``failed``.
+    Adds each interval's accepted panels to ``values``, and flags
+    intervals whose integrand is not finite in ``failed``. ``scale`` (n,)
+    floors every interval's error budget, as in ``integrate_intervals``.
     """
     x, w = gauss_legendre_rule(NODES)
     width = b - a
@@ -271,7 +272,7 @@ def _bisect(f, a, b, own, rel_tol, values, failed, accepted):
     # Genuine discontinuities bisect down to min_width, bounding their
     # error by ~1e-12 of the local mass.
     budget = np.zeros(values.shape)
-    budget[own] = _budget(coarse, rel_tol)
+    budget[own] = _budget(coarse, rel_tol, scale[own])
     min_width = 1e-12 * width
     l1_floor = max(1e-13, 1e-2 * rel_tol)
     failed[own[~np.isfinite(coarse).all(axis=1)]] = True
@@ -293,8 +294,6 @@ def _bisect(f, a, b, own, rel_tol, values, failed, accepted):
         live = ~failed[own]
         acc = (done & live).nonzero()[0]
         np.add.at(values, own[acc], better[acc])
-        if accepted is not None:
-            accepted.append((own[acc], lo[acc], hi[acc], np.zeros(acc.size, dtype=bool)))
         split = (~done & live).nonzero()[0]
         if not split.size:
             break
@@ -320,8 +319,7 @@ def _bisect(f, a, b, own, rel_tol, values, failed, accepted):
         )
 
 
-def adaptive_gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-10,
-                            collect: list | None = None):
+def adaptive_gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-10):
     """Integrate ``f`` over [a, b] to the requested relative tolerance.
 
     The one-interval call of ``integrate_intervals``: one Gauss-Kronrod
@@ -332,15 +330,12 @@ def adaptive_gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-10,
     Args:
         f: maps a node array xs (n,) to a value array (n, m).
         rel_tol: target relative error against a per-component scale.
-        collect: if a list is given, accepted panel nodes and weights are
-            appended as (nodes, weights) pairs, left to right: the one
-            21-node Kronrod panel, or the 16-node Gauss-Legendre panels.
 
     Raises:
         QuadratureError: MAX_DEPTH exceeded (carries the achieved estimate),
             or the integrand is not finite somewhere on [a, b].
     """
-    values, failed = integrate_intervals(lambda xs, owner: f(xs), [a], [b], rel_tol, collect)
+    values, failed = integrate_intervals(lambda xs, owner: f(xs), [a], [b], rel_tol)
     if failed[0]:
         raise QuadratureError(f"integrand is not finite on [{a:g}, {b:g}]")
     return values[0]

@@ -249,6 +249,35 @@ def test_sample_has_no_threads_option(tmp_path):
     assert not (tmp_path / "a.csv").exists()
 
 
+BUMP_TAIL = """
+material.rho = 1.0
+material.lam = 1.0
+material.mu = 1.0
+source.dimension = 3d-point
+trajectory.preset = static
+trajectory.position = 0,0,0
+force.preset = bump
+force.q0 = 0.3,-0.5,1.0
+force.center = 2.0
+force.half_width = 1.0
+grid.x3 = 1.5:1.5:1
+grid.t = 1.869025:4.497:2
+"""
+
+
+def test_sample_bump_tail_events(tmp_path):
+    # Both events see only a far tail of the pulse (1e-77 of its peak),
+    # where a relative-only error test never converged; the force-scale
+    # floor lets the whole grid through, every row finite and unmasked.
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text(BUMP_TAIL)
+    out = tmp_path / "tail.csv"
+    assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 0
+    grid = read_csv(str(out))
+    assert grid.rows[:, 3].tolist() == [1.869025, 4.497]
+    assert np.all(np.isfinite(grid.rows)) and np.all(grid.rows[:, -1] == 0)
+
+
 def test_sample_json_format(tmp_path):
     cfg_path = tmp_path / "cfg"
     cfg_path.write_text(KELVIN_CFG)

@@ -441,17 +441,40 @@ def test_near_sonic_sinusoid_ahead_of_the_source():
     assert np.all(np.isfinite(fs.u))
 
 
-@pytest.mark.xfail(strict=True, raises=QuadratureError,
-                   reason="in the far tail of a bump one ulp of t' changes Q by 2.5-4.4e-11 "
-                          "relative, above rel_tol, so a relative-only error test never passes")
 @pytest.mark.parametrize("t", [4.497, 1.869025])
 def test_bump_tail_window(t):
     # The event's history window holds only the far tail of the bump
-    # (xi = 0.997-0.9985), where Q is about 1e-77 of its peak. With an
-    # absolute error floor the same integral converges.
+    # (xi = 0.997-0.9985), where Q is about 1e-77 of its peak and one ulp
+    # of t' changes Q by 2.5-4.4e-11 relative, above rel_tol. The error
+    # floor from the force's scale (``ForceProfile.scale``) ends the
+    # refinement there; a relative-only test never did.
     prof = bump_force([0.3, -0.5, 1.0], center=2.0, half_width=1.0)
     fs = lw_fields(MAT, static_trajectory([0, 0, 0]), prof, [0.0, 0.0, 1.5], t)
     assert np.all(np.isfinite(fs.u))
+
+
+@pytest.mark.parametrize("traj", [static_trajectory([0, 0, 0]),
+                                  oscillatory_trajectory([0, 0, 0], [0.3, 0.15, 0.0], 1.0, 0.2)],
+                         ids=["static", "oscillatory"])
+def test_bump_tail_scan(traj):
+    # 160 events whose windows hold only a tail of the bump: 1e-4 to 0.03
+    # behind the P front of its switch-on and ahead of the S front of its
+    # switch-off, at two observers. Without the force-scale floor 57 of
+    # the 320 events of both sources raise QuadratureError; with it the
+    # batch converges, and the far tails that underflow are exact zeros.
+    prof = bump_force([0.3, -0.5, 1.0], center=2.0, half_width=1.0)
+    deltas = np.geomspace(1e-4, 0.03, 40)
+    xs, ts = [], []
+    for x in (np.array([0.0, 0.0, 1.5]), np.array([1.1, 0.6, -0.4])):
+        t_p = prof.t_on + np.linalg.norm(x - traj.eval(prof.t_on)[0]) / MAT.cL
+        t_s = prof.t_off + np.linalg.norm(x - traj.eval(prof.t_off)[0]) / MAT.cT
+        ts.extend(np.concatenate([t_p + deltas, t_s - deltas]))
+        xs.extend([x] * 2 * deltas.size)
+    fs, masked = lw_fields_batch(MAT, traj, prof, np.array(xs), np.array(ts))
+    assert not masked.any()
+    for field in (fs.u, fs.beta, fs.v):
+        assert np.all(np.isfinite(field))
+    assert 0 < np.count_nonzero(np.all(fs.u == 0.0, axis=1)) < len(ts)
 
 
 def test_fd_consistency_near_sonic():

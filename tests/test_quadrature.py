@@ -138,21 +138,44 @@ def test_narrow_peak_needs_break_points():
     assert split[0] == pytest.approx(1e-3 * math.sqrt(math.pi), rel=1e-8)
 
 
-def test_collect_nodes_and_weights():
-    # Accepted nodes are strictly interior, the weights sum to the interval
-    # and the collected panels reproduce the value: one Kronrod panel for a
-    # smooth integrand, Gauss-Legendre halves for ones it rejects.
-    for f, count in ((lambda xs: np.column_stack([xs * xs, np.exp(-xs)]), 21),
-                     (lambda xs: np.column_stack([xs * xs, 1.0 / (1.0 + xs)]), 32),
-                     (lambda xs: np.abs(xs - 1.3)[:, None], None)):
-        panels = []
-        val = adaptive_gauss_legendre(f, 0.0, 3.0, rel_tol=1e-10, collect=panels)
-        nodes = np.concatenate([p[0] for p in panels])
-        weights = np.concatenate([p[1] for p in panels])
-        assert (nodes.size == count) if count else (nodes.size % 32 == 0 and nodes.size > 48)
-        assert np.all((nodes > 0.0) & (nodes < 3.0)) and np.all(np.diff(nodes) > 0.0)
-        assert weights.sum() == pytest.approx(3.0, rel=1e-14)
-        np.testing.assert_allclose(weights @ f(nodes), val, rtol=1e-14)
+def test_collect_nodes_and_weights(monkeypatch):
+    # Nodes collected through the integrand, rules and weights through
+    # ``_panels``: every node is strictly interior, a smooth integrand is
+    # done after the one 21-node Kronrod probe, and one the probe rejects
+    # bisects into 16-node Gauss-Legendre halves, the whole interval and
+    # both halves (48 nodes) in its first round.
+    rules = []
+    panels = quadrature._panels
+
+    def spy(f, lo, hi, owner, x, w):
+        rules.append((lo.size, x.size, float(np.atleast_2d(w)[0].sum())))
+        return panels(f, lo, hi, owner, x, w)
+
+    monkeypatch.setattr(quadrature, "_panels", spy)
+    cases = (
+        (lambda xs: np.column_stack([xs * xs, np.exp(-xs)]), [9.0, 1.0 - math.exp(-3.0)], 1),
+        (lambda xs: np.column_stack([xs * xs, 1.0 / (1.0 + xs)]), [9.0, math.log(4.0)], 2),
+        (lambda xs: np.abs(xs - 1.3)[:, None], [0.5 * (1.3 ** 2 + 1.7 ** 2)], None),
+    )
+    for f, exact, calls in cases:
+        rules.clear()
+        nodes = []
+
+        def g(xs):
+            nodes.append(xs)
+            return f(xs)
+
+        val = adaptive_gauss_legendre(g, 0.0, 3.0, rel_tol=1e-10)
+        nodes = np.concatenate(nodes)
+        assert np.all((nodes > 0.0) & (nodes < 3.0))
+        assert nodes.size == sum(rows * k for rows, k, _ in rules)
+        assert all(weight == pytest.approx(2.0, rel=1e-14) for _, _, weight in rules)
+        # One 21-node probe of the whole interval, then 16-node panels: the
+        # whole interval and its two halves in the first round.
+        assert [k for _, k, _ in rules] == [21] + [16] * (len(rules) - 1)
+        assert [rows for rows, _, _ in rules[:2]] == [1, 3][:len(rules)]
+        assert len(rules) == calls if calls else len(rules) > 2
+        np.testing.assert_allclose(val, exact, rtol=1e-10)
 
 
 def test_non_convergence_raises_with_estimate(monkeypatch):
@@ -222,9 +245,14 @@ def test_many_intervals_match_one_interval_calls(monkeypatch):
 
     ones = []
     for i in range(a2.size):
-        panels = []
-        ones.append(adaptive_gauss_legendre(g, a2[i], b2[i], rel_tol=1e-11, collect=panels))
-        assert (len(panels) == 1) == (i not in (2, 4))
+        nodes = []
+
+        def probed(xs):
+            nodes.append(xs.size)
+            return g(xs)
+
+        ones.append(adaptive_gauss_legendre(probed, a2[i], b2[i], rel_tol=1e-11))
+        assert (nodes == [21]) == (i not in (2, 4))
     # A budget below one panel's 16 nodes hands every panel over alone; one
     # of 50 splits the Kronrod round of six panels over three calls.
     monkeypatch.setattr(quadrature, "NODE_BUDGET", 7)

@@ -21,7 +21,8 @@ def _run(name, *args):
 
 @pytest.mark.parametrize(
     "name",
-    ["sample_wavefield", "radiation_scan", "afterglow_trace", "count_code_lines", "bench_pairs"],
+    ["sample_wavefield", "radiation_scan", "afterglow_trace", "count_code_lines", "bench_pairs",
+     "compare_rows"],
 )
 def test_script_help_runs(name):
     # --help imports the script's whole dependency chain without computing
