@@ -16,9 +16,12 @@ speed 1/kappa, so a bracketed Halley iteration with bisection fallback
 always converges to the unique root; its second derivative comes from the
 acceleration that every trajectory evaluation returns anyway. The root
 also falls monotonically as kappa rises, with dt'/dkappa = -R^2/P_c: a
-solve at two slownesses brackets every root between them, which the 3D
-slowness integral uses to start each node's Halley loop (``_newton``)
-inside its event's two far-channel roots, near the root.
+solve at two slownesses brackets every root between them. The 3D
+slowness integral of a window that a break or a knot cuts uses that to
+start each node's Halley loop (``_newton``) inside its event's two
+far-channel roots, near the root; every other window integrates over the
+retarded times between those roots, where the slowness (t - t')/R is
+explicit and nothing is solved.
 ``retarded_time`` solves many rows in one array iteration: a row is a
 slowness kappa with its own observer x and time t, or one event's x and
 t shared by an array of slownesses. On a bounded trajectory domain,
@@ -587,13 +590,15 @@ def _no_retardation(t):
     )
 
 
-def _finalize_state(traj, xc, tp, slowness, valid=True):
+def _finalize_state(traj, xc, tp, slowness, valid=True, t=None):
     """Geometry at the solved retarded time(s); masked rows are not checked.
 
     ``xc`` is the observer (dim,) of a scalar solve, or its component rows
     (dim, 1) or (dim, n). A scalar solve raises SingularPointError for an
     observer within R_MIN of the worldline; an array solve flags such rows
-    in ``singular`` and gives them NaN geometry. The row vectors of the
+    in ``singular`` and gives them NaN geometry. With ``slowness`` None,
+    each row takes the slowness whose root tp is, kappa = (t - tp)/R, for
+    its observation time ``t``; nothing is solved. The row vectors of the
     state are transposed views of component-major arrays.
     """
     dim = len(xc)
@@ -609,6 +614,8 @@ def _finalize_state(traj, xc, tp, slowness, valid=True):
         singular = False
     else:
         r = np.where(singular, np.nan, r)
+    if slowness is None:
+        slowness = (t - tp) / r
     pc = r - slowness * _dot(v, rvec)
     if ((pc <= 0.0) & valid).any():
         raise SupersonicError(
@@ -702,9 +709,12 @@ def retarded_time(
     increment. The bracket comes from the speed bound (``_bracket``) and
     the iteration starts at its midpoint. Callers that already know a tighter
     bracket run the same loop (``_newton``) from their own start: t' falls
-    as kappa rises, so the slowness nodes of a 3D event solve inside the
+    as kappa rises, so the slowness nodes of a 3D event whose window a
+    break of the force or a knot of the worldline cuts solve inside the
     roots of its two far channels, t_T <= t' <= t_L, from a cubic Hermite
-    start in kappa (see ``pointforce3d._node_states``). An array row whose
+    start in kappa (see ``pointforce3d._node_states``). The other 3D
+    events solve only those two roots: their nodes are retarded times in
+    [t_T, t_L], whose slowness (t - t')/R is explicit. An array row whose
     root precedes the first knot of a bounded trajectory domain is masked
     (``valid`` False), and one whose observer sits within R_MIN of the
     worldline is flagged (``singular``); a scalar call raises

@@ -19,29 +19,42 @@ near field, 1/R^2). ``lw_fields`` returns that decomposition as
 ``lw_fields_batch`` evaluates many events in one pass: the far channels
 of all events are one retarded solve, and their slowness integrals are
 refined together, so the per-call cost of the solver and the kernel is
-shared by every event. The retarded time falls as the slowness rises, so
-each slowness node solves inside its event's two far-channel roots, from
-a start interpolated between them. The force's support cuts that
-window: Q vanishes before t_on (and after t_off), and t_ret(kappa) = t_on
-exactly at kappa_on = (t - t_on)/|x - s(t_on)|, so inside the P-S shell
-the nodes above kappa_on (below kappa_off) are exact zeros and are not
-solved. The others solve inside [t_on, t_L], from a start interpolated
-between (kL, t_L) and the anchor (kappa_on, t_on). A window that no
-break cuts is smooth: the engine probes it with the (7, 15) Gauss-Kronrod
-pair, and a cut window with the (10, 21) pair, whose outer nodes sit
-nearer the break. ``lw_fields`` is its one-event call. Events whose
-retarded times reach past the end of a bounded worldline are masked in a
-batch and raise in ``lw_fields``.
-One channel kernel gives every quantity at each retarded row; the
-displacement alone is ``lw_fields(...).u``.
+shared by every event. The retarded time falls as the slowness rises, from
+t_L at 1/cL to t_T at 1/cT, and kappa(t') = (t - t')/R(t') is explicit.
+So an event whose window no break of the force's support cuts, whose far
+roots both lie on the worldline, and which holds no knot of the worldline
+between them, integrates over t' in [t_T, t_L] instead, with weight
+P_c/R^2 (dkappa/dt' = -P_c/R^2): one trajectory evaluation per node and
+no solve. The engine probes it with the (7, 15) Gauss-Kronrod pair.
+The other events keep the slowness nodes, each solved inside its event's
+two far-channel roots from a start interpolated between them. The
+force's support cuts that window: Q vanishes before t_on (and after
+t_off), and t_ret(kappa) = t_on exactly at kappa_on = (t - t_on)/|x -
+s(t_on)|, so inside the P-S shell the nodes above kappa_on (below
+kappa_off) are exact zeros and are not solved. The others solve inside
+[t_on, t_L], from a start interpolated between (kL, t_L) and the anchor
+(kappa_on, t_on). A cut window takes the (10, 21) pair, whose outer
+nodes sit nearer the break, and an uncut one that stays in slowness (a
+knot between its far roots, or a masked far root) the (7, 15) pair.
+ROADMAP item 2 moves those events to retarded time too, split at the
+breaks and knots, once the stored benchmark rows they change are
+regenerated; then ``_node_states``, ``_windows``, ``_break`` and
+``_slowness_terms`` go. ``lw_fields`` is the one-event call. Events
+whose retarded times reach past the end of a bounded worldline are
+masked in a batch and raise in ``lw_fields``. One channel kernel gives
+every quantity at each retarded row; the displacement alone is
+``lw_fields(...).u``.
 
 Every evaluation first raises the first ``motion_violations`` of its
-source. For a constant force, accuracy stays within the requested
-tolerance up to 0.999 cT, where the fields still meet their closed-form
-and finite-difference oracles. A time-varying force seen from ahead of a
-near-sonic source can fail there with ``QuadratureError``: its history
-spans hundreds of force periods, and near 1/cT one ulp of kappa moves
-t_ret by 2-4e-11.
+source. Accuracy stays within the requested tolerance up to 0.999 cT,
+where the fields still meet their closed-form and finite-difference
+oracles. Seen from ahead of a near-sonic source, the history of a
+time-varying force spans hundreds of force periods, and near 1/cT one
+ulp of kappa moves t_ret by 2-4e-11, so such a window does not converge
+in slowness. Over retarded time those periods are evenly spread: a
+window that integrates there converges, and a sinusoid ahead of a
+0.999 cT source takes about 4,200 nodes and sits within 5e-11 of the
+closed form.
 
 Static-source limits reduce to the classical time-dependent concentrated
 force solution (``stokes_*``) and, for constant strength, to the static
@@ -112,10 +125,11 @@ class FieldSample:
 # Each retarded row is characterized by (p, G, m): an overall prefactor p,
 # a projector Gq = ga q + gb n (n.q) acting on the force, and a sign
 # multiplier m for the purely geometric gradient terms. The channel
-# slowness k is the slowness of the row's retarded solve.
+# slowness k is the slowness whose root the row's retarded time is.
 #   transversal:   p = kT^2,  Gq = q - n (n.q),      m = +1
 #   longitudinal:  p = kL^2,  Gq = n (n.q),          m = -1
 #   intermediate:  p = kappa, Gq = 3 n (n.q) - q,    m = -3
+# (p = kappa P / R^2 on a node in retarded time: the Jacobian dkappa/dt').
 # p, ga, gb and m are scalars or one value per row.
 #
 # The kernels compute on component rows (3, n): the transposes of the
@@ -298,6 +312,17 @@ def _slowness_terms(traj, prof, xc, ts, win, ev, kappas, tol_ret):
     return terms, ev[st.singular]
 
 
+def _time_node_states(traj, xc, ts, tp):
+    """Retarded states of retarded-time nodes: row i is t' = tp[i] of event (xc[:, i], ts[i]).
+
+    kappa(t') = (t - t')/R(t') is explicit, so a row costs one trajectory
+    evaluation and no solve. Rows within R_MIN of the worldline are
+    flagged ``singular`` (NaN geometry), and a non-positive Doppler
+    denominator raises SupersonicError, as in every retarded solve.
+    """
+    return _finalize_state(traj, xc, tp, None, t=ts)
+
+
 def _past_the_end(traj, xc, ts, kL):
     """Mask of events whose retarded times reach past the end of a bounded worldline.
 
@@ -317,17 +342,21 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret):
 
     ``xs`` (n, 3) and ``ts`` (n,) are the observation events. The
     transversal and longitudinal channels of all events share one 2n-row
-    ``retarded_time`` call. Their roots bracket the root of every
-    slowness node of the event, and the slowness integrals are refined
-    together by ``integrate_intervals``, whose integrand solves each batch
-    of nodes inside those brackets and evaluates it in one call
-    (``_slowness_terms``): one engine call probes the windows that no
-    break cuts with 15 nodes, and one the cut windows with 21. Nodes past
-    a break of the force's support (``_windows``) are exact zeros and are
-    not solved. A bounded force (``ForceProfile.scale``) gives each
-    event's integral an absolute error floor, the size scale kT^2 / R_T
-    of its far-T term, so a window that holds only a pulse's far tail
-    converges. Returns the sums (n, width), the mask of events whose
+    ``retarded_time`` call, and the slowness integrals are refined
+    together by ``integrate_intervals``, in three engine calls. The first
+    takes the events whose window no break cuts, whose far roots are both
+    valid and which hold no ``Trajectory.knots`` entry between them: it
+    integrates over t' in [t_T, t_L], one trajectory evaluation per node
+    and no solve (``_time_node_states``), with 15-node probes. The other
+    two stay in slowness, where the far roots bracket the root of every
+    node: the integrand solves each batch of nodes inside those brackets
+    and evaluates it in one call (``_slowness_terms``). One probes the
+    remaining uncut windows with 15 nodes, one the cut windows with 21.
+    Nodes past a break of the force's support (``_windows``) are exact
+    zeros and are not solved. A bounded force (``ForceProfile.scale``)
+    gives each event's integral an absolute error floor, the size scale
+    kT^2 / R_T of its far-T term, so a window that holds only a pulse's
+    far tail converges. Returns the sums (n, width), the mask of events whose
     observer lies on the worldline (those leave the refinement at once)
     and the mask of events whose retarded times reach past the end of a
     bounded worldline (those are not evaluated); the sums of both are
@@ -361,22 +390,41 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret):
     # A break inside (kL, kT) cuts the window: its event keeps the qk21
     # probe, whose outer nodes sit nearer the break.
     cut = ((kL < win[:2]) & (win[:2] < kT)).any(axis=0)
+    # An uncut, nonempty window is all of [kL, kT]. With both far roots and
+    # no knot between them, its integrand is smooth in t' on [t_T, t_L].
+    t_T, t_L = st.t_ret[::2], st.t_ret[1::2]
+    knots = np.asarray(traj.knots)
+    timed = (~singular & ~cut & (win[0] < win[1]) & st.valid.reshape(n, 2).all(axis=1)
+             & (np.searchsorted(knots, t_L) == np.searchsorted(knots, t_T, side="right")))
+
+    def kappa_terms(kappas, ev):
+        return _slowness_terms(traj, prof, xc, ts, win, ev, kappas, tol_ret)
+
+    def time_terms(tp, ev):
+        # dkappa = (P_c/R^2) dt' joins the prefactor p = kappa.
+        node = _time_node_states(traj, np.take(xc, ev, axis=1), ts[ev], tp)
+        p = node.slowness * node.pc / (node.r * node.r)
+        return _field_terms(node, prof, p, _MID_GA, _MID_GB, _MID_M), ev[node.singular]
+
     floor = None if prof.scale is None else prof.scale * kT * kT / st.r[::2]  # T rows
-    for order, events in ((15, ~singular & ~cut), (21, ~singular & cut)):
+    for order, events, lo, hi, terms in (
+            (15, timed, t_T, t_L, time_terms),
+            (15, ~singular & ~cut & ~timed, kL, kT, kappa_terms),
+            (21, ~singular & cut, kL, kT, kappa_terms)):
         events = np.flatnonzero(events)
         if not events.size:
             continue
 
-        def integrand(kappas, owner):
+        def integrand(nodes, owner):
             # A singular row has NaN geometry and therefore NaN terms, which
             # takes its event out of the refinement.
-            terms, hit = _slowness_terms(traj, prof, xc, ts, win, events[owner], kappas, tol_ret)
+            values, hit = terms(nodes, events[owner])
             on_worldline[hit] = True
-            return terms
+            return values
 
         mid, failed = integrate_intervals(
-            integrand, np.full(events.size, kL), np.full(events.size, kT), rel_tol=rel_tol,
-            order=order, scale=None if floor is None else floor[events],
+            integrand, np.broadcast_to(lo, n)[events], np.broadcast_to(hi, n)[events],
+            rel_tol=rel_tol, order=order, scale=None if floor is None else floor[events],
         )
         if (failed & ~on_worldline[events]).any():
             raise QuadratureError("slowness integrand is not finite off the worldline")
@@ -554,11 +602,15 @@ def _kappa_moment(prof, t, r, kL, kT):
     """integral of kappa * Q(t - kappa r) over the slowness interval.
 
     Q(t - kappa r) vanishes past kappa_on = (t - t_on)/r and kappa_off =
-    (t - t_off)/r, so a jump of Q at t_on or t_off is an endpoint.
+    (t - t_off)/r, so a jump of Q at t_on or t_off is an endpoint. A
+    bounded force floors the error at its size scale |Q| kT (kT - kL), as
+    in ``lw_fields``, so a window that holds only a pulse's far tail
+    converges.
     """
     def f(kappas):
         return kappas[:, None] * prof.eval(t - kappas * r)[0]
 
     lo = max(kL, (t - prof.t_off) / r)
     hi = min(kT, (t - prof.t_on) / r)
-    return adaptive_gauss_legendre(f, lo, hi, rel_tol=_STATIC_TOL)
+    scale = None if prof.scale is None else prof.scale * kT * (kT - kL)
+    return adaptive_gauss_legendre(f, lo, hi, rel_tol=_STATIC_TOL, scale=scale)

@@ -319,7 +319,7 @@ def _bisect(f, a, b, own, rel_tol, values, failed, scale):
         )
 
 
-def adaptive_gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-10):
+def adaptive_gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-10, scale=None):
     """Integrate ``f`` over [a, b] to the requested relative tolerance.
 
     The one-interval call of ``integrate_intervals``: one Gauss-Kronrod
@@ -330,12 +330,15 @@ def adaptive_gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-10):
     Args:
         f: maps a node array xs (n,) to a value array (n, m).
         rel_tol: target relative error against a per-component scale.
+        scale: None, or the absolute error floor's size scale, as in
+            ``integrate_intervals``.
 
     Raises:
         QuadratureError: MAX_DEPTH exceeded (carries the achieved estimate),
             or the integrand is not finite somewhere on [a, b].
     """
-    values, failed = integrate_intervals(lambda xs, owner: f(xs), [a], [b], rel_tol)
+    values, failed = integrate_intervals(lambda xs, owner: f(xs), [a], [b], rel_tol,
+                                         scale=None if scale is None else [scale])
     if failed[0]:
         raise QuadratureError(f"integrand is not finite on [{a:g}, {b:g}]")
     return values[0]
