@@ -3,17 +3,18 @@
 
 Samples the four benchmark workloads (configs built by
 ``perfbench/workloads.py`` of the change checkout, which is only read) at
-one seed, and every shipped config under ``configs/``, once in each
-checkout, through ``parse_config`` -> ``sample_grid`` in a child process
-whose import path is that checkout's ``src/``. For every grid it prints
-"bitwise", or the largest column-relative deviation max |change - parent|
-/ max |parent| over a column (absolute where the parent's column is zero).
+every given seed, and every shipped config under ``configs/``, once in
+each checkout, through ``parse_config`` -> ``sample_grid`` in one child
+process whose import path is that checkout's ``src/``. For every grid
+(a workload's label names its seed) it prints "bitwise", or the largest
+column-relative deviation max |change - parent| / max |parent| over a
+column (absolute where the parent's column is zero).
 Exits non-zero when a grid's deviation exceeds 10 times its configured
 tolerance (``quad_rel`` in 3D, ``history_rel`` in 2D), when the two grids
 differ in shape or mask, or when a checkout fails to sample.
 
 Example:
-    python scripts/compare_rows.py --parent ../base --change . --seed 3
+    python scripts/compare_rows.py --parent ../base --change . --seed 0 1 3 7
 """
 
 import argparse
@@ -46,14 +47,15 @@ np.savez(sys.argv[1], **out)
 """
 
 
-def workload_configs(checkout, seed):
-    """(name, config text) of the benchmark workloads at ``seed``."""
+def workload_configs(checkout, seeds):
+    """(label, config text) of the benchmark workloads at every seed of ``seeds``."""
     path = checkout / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     sys.dont_write_bytecode = True  # leave no cache file beside it
     spec.loader.exec_module(workloads)
-    return [(name, workloads.make(name, seed).config_text()) for name in WORKLOADS]
+    return [(f"{name} (seed {seed})", workloads.make(name, seed).config_text())
+            for seed in seeds for name in WORKLOADS]
 
 
 def sample(checkout, jobs, out):
@@ -79,21 +81,22 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="parent source checkout")
     ap.add_argument("--change", type=Path, required=True, help="changed source checkout")
-    ap.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
+    ap.add_argument("--seed", type=int, nargs="+", default=[0],
+                    help="one or more workload seeds (default 0)")
     args = ap.parse_args(argv)
     configs = sorted(p.name for p in (args.change / "configs").glob("*.cfg"))
+    workloads = workload_configs(args.change, args.seed)
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for side, checkout in (("parent", args.parent), ("change", args.change)):
-            jobs = workload_configs(args.change, args.seed) + [
+            jobs = workloads + [
                 (name, (checkout / "configs" / name).read_text(encoding="utf-8"))
                 for name in configs]
             results[side] = sample(checkout, jobs, Path(tmp) / f"{side}.npz")
     worst = 0
-    for name in list(WORKLOADS) + configs:
-        parent, change = results["parent"][name], results["change"][name]
-        tol = float(results["change"][name + ".tol"])
-        label = f"{name} (seed {args.seed})" if name in WORKLOADS else name
+    for label in [label for label, _ in workloads] + configs:
+        parent, change = results["parent"][label], results["change"][label]
+        tol = float(results["change"][label + ".tol"])
         if parent.shape != change.shape or not np.array_equal(parent[:, -1], change[:, -1]):
             print(f"{label}: shape or mask differs ({parent.shape} -> {change.shape})")
             worst = max(worst, 2)

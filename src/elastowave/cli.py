@@ -303,26 +303,11 @@ def read_csv(path: str) -> FieldGrid:
 
 
 def write_json(grid: FieldGrid, path: str):
-    """The bytes of ``json.dump(payload, fh, indent=1, sort_keys=True)`` plus a newline.
-
-    With an indent ``json`` encodes in pure Python, several times slower
-    than ``write_csv``. The rows, lists of floats, go through ``json``'s C
-    encoder on one line instead (the same float spellings: ``repr``, and
-    ``NaN``, ``Infinity``, ``-Infinity``) and are then laid out as the
-    indented encoder lays them out, in place of a placeholder that
-    ``json`` lays out with the rest of the payload.
-    """
-    placeholder = "\0rows"
-    text = json.dumps({"provenance": grid.provenance, "columns": grid.columns,
-                       "rows": placeholder}, indent=1, sort_keys=True)
-    rows = "[]"
-    if grid.rows.size:
-        cells = json.dumps(grid.rows.tolist())[2:-2].replace(", ", ",\n   ")
-        rows = "[\n  [\n   " + cells.replace("],\n   [", "\n  ],\n  [\n   ") + "\n  ]\n ]"
-    # "rows" is the last key, so its placeholder is the last match.
-    head, _, tail = text.rpartition(json.dumps(placeholder))
+    """``grid``'s provenance, columns and rows as indented JSON with sorted keys."""
+    payload = {"provenance": grid.provenance, "columns": grid.columns, "rows": grid.rows.tolist()}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head + rows + tail + "\n")
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def limits_report(cfg: RunConfig, events=None) -> dict:

@@ -469,8 +469,10 @@ def lw_fields(
 ) -> FieldSample:
     """Displacement, distortion and velocity of the moving point force.
 
-    One retarded solve per slowness node is shared by every returned
-    quantity. Events the force has not yet influenced give exactly zero.
+    Every returned quantity comes from the same integrand evaluations:
+    the retarded time of each slowness node, or the slowness of each
+    retarded-time node on a break-free window, is found once and shared.
+    Events the force has not yet influenced give exactly zero.
     The one-event call of ``lw_fields_batch``; raises SingularPointError
     for an observer on the worldline, and ExtrapolationError for an event
     whose retarded times reach past the end of a bounded worldline.

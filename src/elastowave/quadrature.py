@@ -10,18 +10,20 @@ error passes the test of the first bisection round is done; a smooth
 interval so takes 21 or 15 nodes; qk21's outer nodes sit closer to the
 interval's edges, where qk15 cannot see a jump.
 
-Every other interval is refined exactly as if the panel had not been
-tried: every unconverged (interval, panel) pair is a row, and each round
-evaluates both 16-point Gauss-Legendre halves of every row in as few
-integrand calls as possible, none holding more than NODE_BUDGET nodes. A
-row is accepted once its error fits within a width-proportional share of
-its interval's relative tolerance; otherwise it is bisected, and an
-interval that would hold more than MAX_LIVE_ROWS rows raises. This
-Gauss-Legendre bisection stays, rather than Gauss-Kronrod bisection,
-because it keeps the panel trees, and so the values, of the events that
-refine (the switch-on inside the P-S shell, the kinks of a spline
-worldline) while their stored benchmark rows still carry those values;
-ROADMAP items 2 and 3 regenerate the rows and then replace it.
+The probe is depth 0 of the bisection: every other interval keeps its
+Kronrod sum as its coarse estimate and the probe's error budget, so its
+whole width is evaluated once. Every unconverged (interval, panel) pair
+is a row, and each round evaluates both 16-point Gauss-Legendre halves of
+every row in as few integrand calls as possible, none holding more than
+NODE_BUDGET nodes. A row is accepted once its halves agree with its
+coarse estimate within a width-proportional share of its interval's
+budget; otherwise each half becomes a row with its own sum as the coarse
+estimate, and an interval that would hold more than MAX_LIVE_ROWS rows
+raises. This Gauss-Legendre bisection stays, rather than Gauss-Kronrod
+bisection, because it keeps the panel trees, and so the values, of the
+events that refine (the switch-on inside the P-S shell, the kinks of a
+spline worldline) while their stored benchmark rows still carry those
+values; ROADMAP items 2 and 3 regenerate the rows and then replace it.
 
 The error test is relative: each component of an interval's integral
 against rel_tol times its own magnitude, with a floor for tiny
@@ -187,8 +189,10 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, order=21, scale=None):
     passes the test of the first bisection round at span = width: per
     component at most rel_tol times max(|K|, 1e-3 of the floor scale), or
     max(1e-13, 1e-2 rel_tol) times its L1 sum.
-    Every interval the panel rejects is refined by ``_bisect`` as if the
-    panel had not been tried.
+    Every interval the panel rejects is refined by ``_bisect``, with the
+    Kronrod sum as its depth-0 estimate and the same error budget, so its
+    whole width is evaluated once. An interval with a non-finite value at
+    a panel node fails without being refined.
 
     Args:
         f: ``f(xs, owner)`` maps nodes xs (n,) to values (n, ...); node j
@@ -235,62 +239,56 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, order=21, scale=None):
     xk, wk = gauss_kronrod_rule(order)
     sums, l1 = _panels(f, a[own], b[own], own, xk, wk)
     kronrod = sums[:, 0]
-    allowance = np.maximum(_budget(kronrod, rel_tol, scale[own]),
-                           max(1e-13, 1e-2 * rel_tol) * l1[:, 0])
-    # A non-finite sum is rejected: the bisection flags it.
-    done = np.isfinite(kronrod).all(axis=1) & (np.abs(kronrod - sums[:, 1]) <= allowance).all(axis=1)
+    budget = _budget(kronrod, rel_tol, scale[own])
+    allowance = np.maximum(budget, max(1e-13, 1e-2 * rel_tol) * l1[:, 0])
+    finite = np.isfinite(kronrod).all(axis=1)
+    done = finite & (np.abs(kronrod - sums[:, 1]) <= allowance).all(axis=1)
     values = np.zeros((a.size, kronrod.shape[1]))
     values[own[done]] = kronrod[done]
     if not done.all():
-        _bisect(f, a, b, own[~done], rel_tol, values, failed, scale)
+        # A non-finite probe fails its interval; only the others bisect.
+        failed[own[~finite]] = True
+        split = ~done & finite
+        if split.any():
+            _bisect(f, a, b, own[split], kronrod[split], budget[split], rel_tol, values, failed)
     values[failed] = np.nan
     return values, failed
 
 
-def _bisect(f, a, b, own, rel_tol, values, failed, scale):
+def _bisect(f, a, b, own, coarse, budget, rel_tol, values, failed):
     """Refine intervals ``own`` of [a, b] by Gauss-Legendre bisection.
 
-    Adds each interval's accepted panels to ``values``, and flags
-    intervals whose integrand is not finite in ``failed``. ``scale`` (n,)
-    floors every interval's error budget, as in ``integrate_intervals``.
+    Each row starts from its interval's Kronrod sum ``coarse``, the depth-0
+    estimate, and carries its interval's error budget ``budget`` per
+    component. Adds each interval's accepted panels to ``values``, and
+    flags intervals whose integrand is not finite in ``failed``.
     """
     x, w = gauss_legendre_rule(NODES)
     width = b - a
-    # The first call evaluates the whole interval and both of its halves.
-    # Every call after it holds both halves of each row to refine: rows
-    # [0, r) of ``halves`` are the left ones, [r, 2r) the right ones.
-    lo, hi = a[own], b[own]
-    mid = 0.5 * (lo + hi)
-    r = own.size
-    panels, l1 = _panels(
-        f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]),
-        np.concatenate([own, own, own]), x, w,
-    )
-    coarse, halves, l1 = panels[:r], panels[r:], l1[r:]
-    # Error budget per interval and component: rel_tol times the scale of
-    # the whole-interval estimate; a row gets its width's share of it.
-    # Genuine discontinuities bisect down to min_width, bounding their
-    # error by ~1e-12 of the local mass.
-    budget = np.zeros(values.shape)
-    budget[own] = _budget(coarse, rel_tol, scale[own])
-    min_width = 1e-12 * width
     l1_floor = max(1e-13, 1e-2 * rel_tol)
-    failed[own[~np.isfinite(coarse).all(axis=1)]] = True
+    lo, hi = a[own], b[own]
 
     for depth in range(MAX_DEPTH + 1):
+        # Each round evaluates both halves of every row: rows [0, r) of
+        # ``halves`` are the left ones, [r, 2r) the right ones.
+        r = own.size
+        mid = 0.5 * (lo + hi)
+        halves, l1 = _panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
+                             np.concatenate([own, own]), x, w)
         left, right = halves[:r], halves[r:]
         better = left + right
         failed[own[~np.isfinite(better).all(axis=1)]] = True
         err = np.abs(better - coarse)
         span = hi - lo
-        # The width share is floored at a small multiple of the local L1
-        # mass: cancellation-dominated components and integrands whose
-        # scale was invisible at the top level cannot trigger endless
-        # refinement.
-        allowance = np.maximum(
-            budget[own] * (span / width[own])[:, None], l1_floor * (l1[:r] + l1[r:])
-        )
-        done = (err <= allowance).all(axis=1) | (span <= min_width[own])
+        # A row gets its width's share of its interval's budget, floored at
+        # a small multiple of the local L1 mass: cancellation-dominated
+        # components and integrands whose scale was invisible at the top
+        # level cannot trigger endless refinement.
+        allowance = np.maximum(budget * (span / width[own])[:, None],
+                               l1_floor * (l1[:r] + l1[r:]))
+        # Genuine discontinuities bisect down to a min_width of 1e-12 of
+        # the interval, bounding their error by ~1e-12 of the local mass.
+        done = (err <= allowance).all(axis=1) | (span <= 1e-12 * width[own])
         live = ~failed[own]
         acc = (done & live).nonzero()[0]
         np.add.at(values, own[acc], better[acc])
@@ -307,16 +305,10 @@ def _bisect(f, a, b, own, rel_tol, values, failed, scale):
                 estimate=better[i],
                 error=float(np.max(err[i])),
             )
-        mid = mid[split]
-        own = np.concatenate([own[split], own[split]])
-        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        twice = np.concatenate([split, split])
+        own, budget = own[twice], budget[twice]
+        lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
         coarse = np.concatenate([left[split], right[split]])
-        r = own.size
-        mid = 0.5 * (lo + hi)
-        halves, l1 = _panels(
-            f, np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([own, own]),
-            x, w,
-        )
 
 
 def adaptive_gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-10, scale=None):

@@ -142,8 +142,9 @@ def test_collect_nodes_and_weights(monkeypatch):
     # Nodes collected through the integrand, rules and weights through
     # ``_panels``: every node is strictly interior, a smooth integrand is
     # done after the one 21-node Kronrod probe, and one the probe rejects
-    # bisects into 16-node Gauss-Legendre halves, the whole interval and
-    # both halves (48 nodes) in its first round.
+    # keeps the Kronrod sum as its depth-0 estimate and bisects into
+    # 16-node Gauss-Legendre halves, both halves (32 nodes) in its first
+    # round.
     rules = []
     panels = quadrature._panels
 
@@ -171,11 +172,43 @@ def test_collect_nodes_and_weights(monkeypatch):
         assert nodes.size == sum(rows * k for rows, k, _ in rules)
         assert all(weight == pytest.approx(2.0, rel=1e-14) for _, _, weight in rules)
         # One 21-node probe of the whole interval, then 16-node panels: the
-        # whole interval and its two halves in the first round.
+        # interval's two halves in the first round.
         assert [k for _, k, _ in rules] == [21] + [16] * (len(rules) - 1)
-        assert [rows for rows, _, _ in rules[:2]] == [1, 3][:len(rules)]
+        assert [rows for rows, _, _ in rules[:2]] == [1, 2][:len(rules)]
         assert len(rules) == calls if calls else len(rules) > 2
         np.testing.assert_allclose(val, exact, rtol=1e-10)
+
+
+def test_probe_is_the_only_whole_width_panel(monkeypatch):
+    # The Kronrod probe is depth 0 of the bisection: every nonempty
+    # interval's whole width is evaluated once, whether the probe accepts
+    # it (smooth), rejects it (a kink) or finds a non-finite value at its
+    # centre node, which fails the interval without bisecting it.
+    panels = quadrature._panels
+    seen = []
+
+    def spy(f, lo, hi, owner, x, w):
+        seen.append((lo.copy(), hi.copy(), owner.copy()))
+        return panels(f, lo, hi, owner, x, w)
+
+    def f(xs, owner):
+        vals = np.column_stack([np.exp(-xs), np.where(owner == 0, 0.0, np.abs(xs - 1.3))])
+        vals[(owner == 3) & (xs == 0.0)] = np.nan
+        return vals
+
+    monkeypatch.setattr(quadrature, "_panels", spy)
+    a, b = np.array([0.0, 0.0, 2.0, -1.0]), np.array([3.0, 3.0, 2.0, 1.0])
+    vals, failed = integrate_intervals(f, a, b, rel_tol=1e-10)
+    lo, hi, owner = (np.concatenate(parts) for parts in zip(*seen))
+    whole = (lo == a[owner]) & (hi == b[owner])
+    assert np.bincount(owner[whole], minlength=4).tolist() == [1, 1, 0, 1]
+    # Only the kinked interval is bisected.
+    counts = np.bincount(owner, minlength=4)
+    assert counts[[0, 2, 3]].tolist() == [1, 0, 1] and counts[1] > 1
+    assert failed.tolist() == [False, False, False, True]
+    assert np.all(np.isnan(vals[3])) and np.all(vals[2] == 0.0)
+    np.testing.assert_allclose(vals[1], [1.0 - math.exp(-3.0), 0.5 * (1.3 ** 2 + 1.7 ** 2)],
+                               rtol=1e-10)
 
 
 def test_non_convergence_raises_with_estimate(monkeypatch):

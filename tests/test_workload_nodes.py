@@ -5,8 +5,10 @@ read-only, as ``test_tracer_contract.py`` loads the tracer. Every node the
 engine hands to an integrand passes through ``quadrature._panels``, so
 counting there gives the engine's work on each grid. A smooth 3D event
 takes one 15-node Gauss-Kronrod panel, and each smooth 2D history segment
-one 21-node panel; the spline events add the 15-node panel to their
-bisection, the shell events the 21-node one. Every trajectory point the
+one 21-node panel. A window the panel rejects keeps its Kronrod sum as the
+depth-0 estimate and bisects into 16-node Gauss-Legendre halves, so the
+spline events take the 15-node panel plus their halves, the shell events
+the 21-node one plus theirs. Every trajectory point the
 retarded solves and the 3D kernel evaluate passes through the
 trajectory's ``_fn``.
 """
@@ -29,16 +31,16 @@ LIMITS = {
     "smooth3d": (15, True),
     # 13 points, two segments each; the centre's velocity rides as extra
     # columns of its segments, which some events then bisect
-    "inplane2d": (570, True),
-    "shell3d": (2444, False),
-    "spline3d": (1237, False),
+    "inplane2d": (562, True),
+    "shell3d": (2428, False),
+    "spline3d": (1221, False),
 }
 
 # name: most trajectory points per event. A Halley step reaches the
 # retarded-time stop rule in fewer evaluations than a Newton step, and a
 # smooth3d event solves only its two far roots: its 15 slowness nodes are
 # retarded times, one point each.
-POINTS = {"smooth3d": 26.59, "shell3d": 3050, "spline3d": 3720, "inplane2d": 148}
+POINTS = {"smooth3d": 26.59, "shell3d": 3026, "spline3d": 3672, "inplane2d": 148}
 
 
 def _load_workloads():
