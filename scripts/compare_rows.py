@@ -3,7 +3,8 @@
 
 Samples the four benchmark workloads (configs built by
 ``perfbench/workloads.py`` of the change checkout, which is only read) at
-every given seed, and every shipped config under ``configs/``, once in
+every given seed, and every shipped config under the change checkout's
+``configs/`` (so a config the change adds is compared too), once in
 each checkout, through ``parse_config`` -> ``sample_grid`` in one child
 process whose import path is that checkout's ``src/``. For every grid
 (a workload's label names its seed) it prints "bitwise", or the largest
@@ -84,17 +85,15 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, nargs="+", default=[0],
                     help="one or more workload seeds (default 0)")
     args = ap.parse_args(argv)
-    configs = sorted(p.name for p in (args.change / "configs").glob("*.cfg"))
-    workloads = workload_configs(args.change, args.seed)
+    jobs = workload_configs(args.change, args.seed) + [
+        (path.name, path.read_text(encoding="utf-8"))
+        for path in sorted((args.change / "configs").glob("*.cfg"))]
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for side, checkout in (("parent", args.parent), ("change", args.change)):
-            jobs = workloads + [
-                (name, (checkout / "configs" / name).read_text(encoding="utf-8"))
-                for name in configs]
             results[side] = sample(checkout, jobs, Path(tmp) / f"{side}.npz")
     worst = 0
-    for label in [label for label, _ in workloads] + configs:
+    for label, _ in jobs:
         parent, change = results["parent"][label], results["change"][label]
         tol = float(results["change"][label + ".tol"])
         if parent.shape != change.shape or not np.array_equal(parent[:, -1], change[:, -1]):

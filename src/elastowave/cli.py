@@ -107,7 +107,7 @@ def _row_2d(cfg: RunConfig, x1, x2, x3, t):
             row[16:18] = fs.v
     except (SingularPointError, ExtrapolationError):
         # An observer on the worldline, or a history that reaches past the
-        # end of a bounded worldline (the 3D ``_past_the_end`` rows).
+        # end of a bounded worldline (masked as the 3D late events are).
         row[4:19] = 0.0
         row[19] = 1.0
     return row

@@ -25,11 +25,15 @@ explicit and nothing is solved.
 ``retarded_time`` solves many rows in one array iteration: a row is a
 slowness kappa with its own observer x and time t, or one event's x and
 t shared by an array of slownesses. On a bounded trajectory domain,
-rows whose root precedes the first knot come back masked (``valid``
-False): the force vanishes there, so they contribute nothing. Rows
-whose observer sits on the worldline come back flagged (``singular``),
-so one such event does not abort a batch. A scalar call raises
-NoRetardationError or SingularPointError instead. The same solver
+the bracket decides both ends: rows whose root precedes the first knot
+come back masked (``valid`` False), since the force vanishes there and
+they contribute nothing, and rows whose root lies past the last knot
+come back masked and flagged (``late``), since the worldline holds no
+source state there; neither is iterated, and no time outside the domain
+is asked of the worldline. Rows whose observer sits on the worldline
+come back flagged (``singular``), so one such event does not abort a
+batch. A scalar call raises NoRetardationError, ExtrapolationError or
+SingularPointError instead. The same solver
 serves 3D points and 2D lines (``dim=2`` restricts the geometry to the
 x1-x2 plane). ``motion_violations`` decides once whether a source lies
 in the scope of the solutions; the preset constructors reject
@@ -205,11 +209,13 @@ class RetardedState:
                subsonic motion
         slowness: kappa = 1/c used for this solve [s/m]
         v, a:  source velocity and acceleration at t_ret
-        valid: False on rows whose root precedes a bounded trajectory
-               domain; their geometry is taken at the domain start and
-               carries no force
+        valid: False on rows whose root lies outside a bounded trajectory
+               domain; their geometry is taken at the domain end nearer
+               the root and carries no force
         singular: True on rows whose observer lies within R_MIN of the
                worldline; their r, n and pc are NaN
+        late:  True on rows whose root lies past the end of a bounded
+               trajectory domain (those are not ``valid`` either)
     """
 
     t_ret: float
@@ -222,6 +228,7 @@ class RetardedState:
     a: np.ndarray
     valid: np.ndarray | bool = True
     singular: np.ndarray | bool = False
+    late: np.ndarray | bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -560,28 +567,36 @@ def _bracket(traj, xc, t, k):
     t_c = min(t, domain[1]), where the worldline is defined: with
     delta = t - t_c, |R(t') - R(t_c)| <= vmax (t - t' - delta) for every
     t' <= t_c, and inside the domain delta = 0. On a bounded domain the
-    bracket is clamped to the first knot, and rows whose root precedes it
-    are masked (``valid`` False) with lo = hi = domain[0]. Only a clamped
-    bracket pays for that check: f(domain[0]) < 0 puts the root before
-    the first knot.
+    bracket is clamped to both ends. f(t_c) > 0 puts the root past the
+    last knot: such a row is masked and flagged (``valid`` False, ``late``
+    True) with lo = hi = domain[1]; only a call with some t past the end
+    pays for that test. f(domain[0]) < 0 puts the root before the first
+    knot: such a row is masked with lo = hi = domain[0]; only a bracket
+    that reaches before the first knot pays for that test. Returns lo, hi,
+    valid and late.
     """
     dim = len(xc)
-    t_c = np.minimum(t, traj.domain[1])
+    t_min, t_max = traj.domain
+    t_c = np.minimum(t, t_max)
     rv = xc - traj.eval(t_c)[0].T.reshape(3, -1)[:dim]
     r_c = np.sqrt(_dot(rv, rv))
     slack = traj.vmax * (t - t_c)
     kv = k * traj.vmax
     lo = t - k * (r_c - slack) / (1.0 - kv)
     hi = t - k * (r_c + slack) / (1.0 + kv)
-    valid = np.ones(k.shape, dtype=bool)
-    t_min = traj.domain[0]
+    late = np.zeros(k.shape, dtype=bool)
+    if np.max(t, initial=-math.inf) > t_max:
+        late = t - t_c - k * r_c > 0.0
+        lo, hi = np.where(late, t_max, lo), np.minimum(hi, t_max)
+    valid = ~late
     if t_min > -math.inf and lo.min(initial=math.inf) < t_min:
         rv = xc - traj.eval(t_min)[0][:dim, None]
         f_min = t - t_min - k * np.sqrt(_dot(rv, rv))
-        valid = (hi >= t_min) & (f_min >= 0.0)
-        lo = np.where(valid, np.maximum(lo, t_min), t_min)
-        hi = np.where(valid, hi, t_min)
-    return lo, hi, valid
+        inside = (hi >= t_min) & (f_min >= 0.0)
+        valid &= inside
+        lo = np.where(inside, np.maximum(lo, t_min), t_min)
+        hi = np.where(inside, hi, t_min)
+    return lo, hi, valid, late
 
 
 def _no_retardation(t):
@@ -590,7 +605,15 @@ def _no_retardation(t):
     )
 
 
-def _finalize_state(traj, xc, tp, slowness, valid=True, t=None):
+def _past_the_end(traj, t):
+    """The error of an event whose retarded times reach past the end of ``traj.domain``."""
+    return ExtrapolationError(
+        f"retarded times of the event at t={t:g} reach past the end of the trajectory "
+        f"domain [{traj.domain[0]:g}, {traj.domain[1]:g}]"
+    )
+
+
+def _finalize_state(traj, xc, tp, slowness, valid=True, t=None, late=False):
     """Geometry at the solved retarded time(s); masked rows are not checked.
 
     ``xc`` is the observer (dim,) of a scalar solve, or its component rows
@@ -624,7 +647,7 @@ def _finalize_state(traj, xc, tp, slowness, valid=True, t=None):
         )
     return RetardedState(
         t_ret=tp, rvec=rvec.T, r=r, n=(rvec / r).T, pc=pc, slowness=slowness,
-        v=v.T, a=a.T, valid=valid, singular=singular,
+        v=v.T, a=a.T, valid=valid, singular=singular, late=late,
     )
 
 
@@ -715,10 +738,12 @@ def retarded_time(
     start in kappa (see ``pointforce3d._node_states``). The other 3D
     events solve only those two roots: their nodes are retarded times in
     [t_T, t_L], whose slowness (t - t')/R is explicit. An array row whose
-    root precedes the first knot of a bounded trajectory domain is masked
-    (``valid`` False), and one whose observer sits within R_MIN of the
-    worldline is flagged (``singular``); a scalar call raises
-    NoRetardationError or SingularPointError instead. Raises
+    root lies outside a bounded trajectory domain is masked (``valid``
+    False) and not iterated: before the first knot, or past the last one,
+    where it is also flagged (``late``). One whose observer sits within
+    R_MIN of the worldline is flagged (``singular``). A scalar call raises
+    NoRetardationError, ExtrapolationError ("past the end") or
+    SingularPointError instead. Raises
     RetardedConvergenceError when a row has not met the stop rule after
     the iteration budget, SupersonicError when kappa*vmax >= 1.
     """
@@ -729,13 +754,13 @@ def retarded_time(
     k = np.broadcast_to(k, np.broadcast_shapes(k.shape, t.shape, x.shape[:-1])).reshape(-1)
     _check_slowness(traj, k)
     xc = np.ascontiguousarray(x.T).reshape(dim, -1)  # component rows (dim, 1 or n)
-    lo, hi, valid = _bracket(traj, xc, t, k)
+    lo, hi, valid, late = _bracket(traj, xc, t, k)
     if scalar and not valid[0]:
-        raise _no_retardation(float(t))
+        raise _past_the_end(traj, float(t)) if late[0] else _no_retardation(float(t))
     tp = _newton(traj, xc, t, k, lo, hi, 0.5 * (lo + hi), valid, tol)
     if scalar:
         return _finalize_state(traj, x, float(tp[0]), float(k[0]))
-    return _finalize_state(traj, xc, tp, k, valid)
+    return _finalize_state(traj, xc, tp, k, valid, late=late)
 
 
 def retarded_time_bisection(
@@ -747,13 +772,14 @@ def retarded_time_bisection(
 ) -> RetardedState:
     """Plain-bisection reference solver for the same root as retarded_time.
 
-    Bisects the bracket down to 4 ulp of t'.
+    Bisects the bracket down to 4 ulp of t'. A root outside a bounded
+    domain raises as in a scalar ``retarded_time`` call.
     """
     x = np.asarray(x, dtype=float)[:dim]
     _check_slowness(traj, slowness)
-    lo, hi, valid = _bracket(traj, x[:, None], t, np.array([slowness], dtype=float))
+    lo, hi, valid, late = _bracket(traj, x[:, None], t, np.array([slowness], dtype=float))
     if not valid[0]:
-        raise _no_retardation(t)
+        raise _past_the_end(traj, t) if late[0] else _no_retardation(t)
     lo, hi = float(lo[0]), float(hi[0])
     for _ in range(200):
         if hi - lo <= 4.0 * _EPS * max(1.0, abs(lo), abs(hi)):

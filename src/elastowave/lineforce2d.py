@@ -69,6 +69,7 @@ from .kinematics import (
     R_MIN,
     ForceProfile,
     Trajectory,
+    _past_the_end,
     motion_violations,
     retarded_time,
 )
@@ -111,9 +112,13 @@ def _singular_ends(traj, prof, x, t, slowness, tol):
     ``retarded_time``: every row of every point shares one solve. Returns it
     with the mask of live rows: a row is dead when its retarded time
     precedes the switch-on or the worldline, and then its kernel has no
-    history.
+    history. Raises ExtrapolationError before any integration when a
+    retarded time lies past the end of a bounded worldline (``late``): the
+    history up to it is not known.
     """
     st = retarded_time(traj, x, t, slowness, tol=tol, dim=2)
+    if st.late.any():
+        raise _past_the_end(traj, np.broadcast_to(t, st.late.shape)[st.late.argmax()])
     if st.singular.any():
         raise SingularPointError(f"observer within R_MIN={R_MIN:g} of the source worldline")
     return st, st.valid & (st.t_ret > prof.t_on)
@@ -161,14 +166,14 @@ def _history_nodes(traj, t, st, rows, w):
     return _HistoryNodes(b - h, tbar, kappa, rvec, r, st.v[rows] - dv, ds, dv, dr, d, s)
 
 
-def _history_sums(traj, t, st, rows, w_lo, w_hi, kernel, rel_tol):
+def _history_sums(traj, t, st, rows, w_hi, kernel, rel_tol):
     """Integrals over the history segments of one evaluation, in one engine call.
 
     Segment k ends at the retarded row ``rows[k]`` of ``st``, whose root S
     is singular at its retarded time b. Segments are given in w, where
     t' = b - w^2: the whole segment [a, b] is w in [0, sqrt(b - a)],
     which turns the inverse-square-root endpoint into a smooth integrand,
-    and segment k is [w_lo[k], w_hi[k]]. The one ``kernel`` maps the
+    and segment k is [0, w_hi[k]]. The one ``kernel`` maps the
     _HistoryNodes of every segment's nodes at once, with the segment index
     of each node, to values (n, m) per unit t', telling the segments apart
     by their ``kappa``; the factor dt'/dw = 2w is applied here. Returns one
@@ -178,7 +183,7 @@ def _history_sums(traj, t, st, rows, w_lo, w_hi, kernel, rel_tol):
     def integrand(w, owner):
         return 2.0 * w[:, None] * kernel(_history_nodes(traj, t, st, rows[owner], w), owner)
 
-    values, failed = integrate_intervals(integrand, w_lo, w_hi, rel_tol=rel_tol)
+    values, failed = integrate_intervals(integrand, np.zeros(rows.size), w_hi, rel_tol=rel_tol)
     if failed.any():
         raise QuadratureError("history integrand is not finite")
     return values
@@ -234,8 +239,7 @@ def _value_and_rates(traj, prof, t, st, rows, a, k, kernel, rel_tol):
         db_n = db[owner]
         return np.hstack([u, rate(qd, db_n, _dlog_s2(g, st, rows[owner], db_n))])
 
-    total = _history_sums(traj, t, st, rows, np.zeros(rows.size), w_max, integrand,
-                          rel_tol).sum(axis=0)
+    total = _history_sums(traj, t, st, rows, w_max, integrand, rel_tol).sum(axis=0)
     # Q is taken at a itself: the node b - (sqrt(b - a))^2 may round below
     # the switch-on.
     ends = kernel(_history_nodes(traj, t, st, rows, w_max), prof.eval(a)[0])[0]
@@ -394,8 +398,8 @@ def inplane_displacement(
         if i == 0 and rates is not None:
             u[0], du = _value_and_rates(traj, prof, ts[0], st, rows, a, 1, inplane, rel_tol)
         else:
-            u[i] = _history_sums(traj, ts[i], st, rows, np.zeros(rows.size),
-                                 np.sqrt(st.t_ret[rows] - a), kernel, rel_tol).sum(axis=0)
+            u[i] = _history_sums(traj, ts[i], st, rows, np.sqrt(st.t_ret[rows] - a), kernel,
+                                 rel_tol).sum(axis=0)
     if rates is not None:
         rates.du = du[0] / (2.0 * math.pi * mat.rho)
     return (u / (2.0 * math.pi * mat.rho)).reshape(shape + (2,))

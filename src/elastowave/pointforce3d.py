@@ -39,9 +39,11 @@ knot between its far roots, or a masked far root) the (7, 15) pair.
 ROADMAP item 2 moves those events to retarded time too, split at the
 breaks and knots, once the stored benchmark rows they change are
 regenerated; then ``_node_states``, ``_windows``, ``_break`` and
-``_slowness_terms`` go. ``lw_fields`` is the one-event call. Events
-whose retarded times reach past the end of a bounded worldline are
-masked in a batch and raise in ``lw_fields``. One channel kernel gives
+``_slowness_terms`` go. ``lw_fields`` is the one-event call. The
+far-channel solve also decides the ends of a bounded worldline: an
+event is late when its L root, the later one, lies past the last knot
+(``RetardedState.late``). A late event takes no slowness integral; it is
+masked in a batch and raises in ``lw_fields``. One channel kernel gives
 every quantity at each retarded row; the displacement alone is
 ``lw_fields(...).u``.
 
@@ -69,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtrapolationError, QuadratureError, SingularPointError
+from .errors import QuadratureError, SingularPointError
 from .kinematics import (
     DEFAULT_RETARDED_TOL,
     R_MIN,
@@ -79,6 +81,7 @@ from .kinematics import (
     _dot,
     _finalize_state,
     _newton,
+    _past_the_end,
     motion_violations,
     retarded_time,
 )
@@ -160,7 +163,7 @@ def _project(n, ga, gb, vec):
 
 def _field_terms(st, prof, p, ga, gb, m):
     """All field components of each row, in the 39-wide layout of lw_fields."""
-    # Rows whose root precedes the worldline carry no force.
+    # Masked rows, whose root lies outside the worldline, carry no force.
     q, qd = (c.T * st.valid for c in prof.eval(st.t_ret))
     k, r, pc = st.slowness, st.r, st.pc
     rv, n, v, a = st.rvec.T, st.n.T, st.v.T, st.a.T
@@ -263,11 +266,15 @@ def _node_states(traj, xc, ts, kappas, win, tol_ret):
     their roots t_a >= t_b and slopes m_a, m_b, or NaN where a far row is
     masked. t_ret falls as kappa rises, so a row with both roots solves
     inside [t_b, t_a], starting from the cubic Hermite interpolant through
-    (k_a, t_a) and (k_b, t_b), clipped into the bracket. The other rows,
-    such as those whose root may precede the first knot of a bounded
-    worldline, take ``_bracket`` and its midpoint. Each row is chosen and
-    solved on its own, so its result does not depend on the rows that
-    share the call.
+    (k_a, t_a) and (k_b, t_b), clipped into the bracket. The other rows
+    take ``_bracket`` and its midpoint. From ``_retarded_sums`` few do: a
+    masked T root means t_T < domain[0] <= t_on, which puts kappa_on
+    inside (kL, kT) and anchors the window at (kappa_on, t_on), and a
+    masked L root makes the window empty (late events take no nodes at
+    all). That fallback stays for rounding at kappa_on ~ kT, where the
+    anchor does not move, and for an observer exactly at s(t_on), whose
+    break is NaN. Each row is chosen and solved on its own, so its result
+    does not depend on the rows that share the call.
     """
     k_a, k_b, t_a, t_b, m_a, m_b = win
     h = k_b - k_a
@@ -279,7 +286,7 @@ def _node_states(traj, xc, ts, kappas, win, tol_ret):
     valid = np.ones(kappas.size, dtype=bool)
     own = np.isnan(t_a) | np.isnan(t_b)
     if own.any():
-        lo[own], hi[own], valid[own] = _bracket(traj, xc[:, own], ts[own], kappas[own])
+        lo[own], hi[own], valid[own], _ = _bracket(traj, xc[:, own], ts[own], kappas[own])
         start[own] = 0.5 * (lo[own] + hi[own])
     tp = _newton(traj, xc, ts, kappas, lo, hi, start, valid, tol_ret)
     return _finalize_state(traj, xc, tp, kappas, valid)
@@ -312,55 +319,32 @@ def _slowness_terms(traj, prof, xc, ts, win, ev, kappas, tol_ret):
     return terms, ev[st.singular]
 
 
-def _time_node_states(traj, xc, ts, tp):
-    """Retarded states of retarded-time nodes: row i is t' = tp[i] of event (xc[:, i], ts[i]).
-
-    kappa(t') = (t - t')/R(t') is explicit, so a row costs one trajectory
-    evaluation and no solve. Rows within R_MIN of the worldline are
-    flagged ``singular`` (NaN geometry), and a non-positive Doppler
-    denominator raises SupersonicError, as in every retarded solve.
-    """
-    return _finalize_state(traj, xc, tp, None, t=ts)
-
-
-def _past_the_end(traj, xc, ts, kL):
-    """Mask of events whose retarded times reach past the end of a bounded worldline.
-
-    The root is latest at kL, so it lies past domain[1] exactly when
-    f = t - domain[1] - kL |x - s(domain[1])| > 0; only events after the
-    end can be such, and only they pay for the check.
-    """
-    t_end = traj.domain[1]
-    if not ts.max(initial=-math.inf) > t_end:
-        return np.zeros(ts.size, dtype=bool)
-    rv = xc - traj.eval(t_end)[0][:, None]
-    return ts - t_end - kL * np.sqrt(_dot(rv, rv)) > 0.0
-
-
 def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret):
     """Sum ``_field_terms`` over the two far channels and the slowness integral, per event.
 
     ``xs`` (n, 3) and ``ts`` (n,) are the observation events. The
     transversal and longitudinal channels of all events share one 2n-row
-    ``retarded_time`` call, and the slowness integrals are refined
-    together by ``integrate_intervals``, in three engine calls. The first
-    takes the events whose window no break cuts, whose far roots are both
-    valid and which hold no ``Trajectory.knots`` entry between them: it
-    integrates over t' in [t_T, t_L], one trajectory evaluation per node
-    and no solve (``_time_node_states``), with 15-node probes. The other
-    two stay in slowness, where the far roots bracket the root of every
-    node: the integrand solves each batch of nodes inside those brackets
-    and evaluates it in one call (``_slowness_terms``). One probes the
-    remaining uncut windows with 15 nodes, one the cut windows with 21.
-    Nodes past a break of the force's support (``_windows``) are exact
-    zeros and are not solved. A bounded force (``ForceProfile.scale``)
-    gives each event's integral an absolute error floor, the size scale
-    kT^2 / R_T of its far-T term, so a window that holds only a pulse's
-    far tail converges. Returns the sums (n, width), the mask of events whose
-    observer lies on the worldline (those leave the refinement at once)
-    and the mask of events whose retarded times reach past the end of a
-    bounded worldline (those are not evaluated); the sums of both are
-    NaN. Raises the first violation of ``motion_violations``.
+    ``retarded_time`` call, which also flags the events whose L root lies
+    past the end of a bounded worldline (``late``). The slowness
+    integrals of the other events are refined together by
+    ``integrate_intervals``, in three engine calls. The first takes the
+    events whose window no break cuts, whose far roots are both valid and
+    which hold no ``Trajectory.knots`` entry between them: it integrates
+    over t' in [t_T, t_L], one trajectory evaluation per node and no
+    solve (``_finalize_state`` at kappa = (t - t')/R), with 15-node
+    probes. The other two stay in slowness, where the far roots bracket
+    the root of every node: the integrand solves each batch of nodes
+    inside those brackets and evaluates it in one call
+    (``_slowness_terms``). One probes the remaining uncut windows with 15
+    nodes, one the cut windows with 21. Nodes past a break of the force's
+    support (``_windows``) are exact zeros and are not solved. A bounded
+    force (``ForceProfile.scale``) gives each event's integral an absolute
+    error floor, the size scale kT^2 / R_T of its far-T term, so a window
+    that holds only a pulse's far tail converges. Returns the sums
+    (n, width), the mask of events whose observer lies on the worldline
+    (those leave the refinement at once) and the mask of late events
+    (those take no slowness integral); the sums of both are NaN. Raises
+    the first violation of ``motion_violations``.
     """
     for error, message in motion_violations(traj, prof, mat.cT, line=False):
         raise error(message)
@@ -369,21 +353,14 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret):
     n = ts.size
     kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
     xc = np.ascontiguousarray(xs.T)
-    late = _past_the_end(traj, xc, ts, kL)
-    if late.any():
-        total = np.full((n, _WIDTH), np.nan)
-        singular = np.zeros(n, dtype=bool)
-        keep = ~late
-        total[keep], singular[keep], _ = _retarded_sums(
-            mat, traj, prof, xs[keep], ts[keep], rel_tol, tol_ret)
-        return total, singular, late
-
     far = np.tile([kT, kL], n)
     st = retarded_time(traj, np.repeat(xs, 2, axis=0), np.repeat(ts, 2), far, tol_ret)
     rows = _field_terms(st, prof, far * far, np.tile(_FAR_GA, n), np.tile(_FAR_GB, n),
                         np.tile(_FAR_M, n))
     total = rows.reshape(n, 2, rows.shape[1]).sum(axis=1)
     singular = st.singular.reshape(n, 2).any(axis=1)
+    # The L root is the later one: an event is late when its L row is.
+    late = st.late[1::2]
     on_worldline = np.zeros(n, dtype=bool)  # events with a singular slowness node
     win = _windows(_far_roots(st, n), kL, kT, _break(traj, xc, ts, prof.t_on),
                    _break(traj, xc, ts, prof.t_off))
@@ -394,7 +371,8 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret):
     # no knot between them, its integrand is smooth in t' on [t_T, t_L].
     t_T, t_L = st.t_ret[::2], st.t_ret[1::2]
     knots = np.asarray(traj.knots)
-    timed = (~singular & ~cut & (win[0] < win[1]) & st.valid.reshape(n, 2).all(axis=1)
+    live = ~singular & ~late
+    timed = (live & ~cut & (win[0] < win[1]) & st.valid.reshape(n, 2).all(axis=1)
              & (np.searchsorted(knots, t_L) == np.searchsorted(knots, t_T, side="right")))
 
     def kappa_terms(kappas, ev):
@@ -402,15 +380,15 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret):
 
     def time_terms(tp, ev):
         # dkappa = (P_c/R^2) dt' joins the prefactor p = kappa.
-        node = _time_node_states(traj, np.take(xc, ev, axis=1), ts[ev], tp)
+        node = _finalize_state(traj, np.take(xc, ev, axis=1), tp, None, t=ts[ev])
         p = node.slowness * node.pc / (node.r * node.r)
         return _field_terms(node, prof, p, _MID_GA, _MID_GB, _MID_M), ev[node.singular]
 
     floor = None if prof.scale is None else prof.scale * kT * kT / st.r[::2]  # T rows
     for order, events, lo, hi, terms in (
             (15, timed, t_T, t_L, time_terms),
-            (15, ~singular & ~cut & ~timed, kL, kT, kappa_terms),
-            (21, ~singular & cut, kL, kT, kappa_terms)):
+            (15, live & ~cut & ~timed, kL, kT, kappa_terms),
+            (21, live & cut, kL, kT, kappa_terms)):
         events = np.flatnonzero(events)
         if not events.size:
             continue
@@ -430,7 +408,7 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret):
             raise QuadratureError("slowness integrand is not finite off the worldline")
         total[events] += mid
         singular[events[failed]] = True
-    total[singular] = np.nan
+    total[singular | late] = np.nan
     return total, singular, late
 
 
@@ -479,10 +457,7 @@ def lw_fields(
     """
     acc, singular, late = _retarded_sums(mat, traj, prof, [x], [t], rel_tol, tol_ret)
     if late[0]:
-        raise ExtrapolationError(
-            f"retarded times of the event at t={t:g} reach past the end of the trajectory "
-            f"domain [{traj.domain[0]:g}, {traj.domain[1]:g}]"
-        )
+        raise _past_the_end(traj, t)
     if singular[0]:
         raise SingularPointError(
             f"observer within R_MIN={R_MIN:g} of the source worldline at t={t:g}"

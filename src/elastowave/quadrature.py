@@ -240,7 +240,8 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, order=21, scale=None):
     sums, l1 = _panels(f, a[own], b[own], own, xk, wk)
     kronrod = sums[:, 0]
     budget = _budget(kronrod, rel_tol, scale[own])
-    allowance = np.maximum(budget, max(1e-13, 1e-2 * rel_tol) * l1[:, 0])
+    l1_floor = max(1e-13, 1e-2 * rel_tol)
+    allowance = np.maximum(budget, l1_floor * l1[:, 0])
     finite = np.isfinite(kronrod).all(axis=1)
     done = finite & (np.abs(kronrod - sums[:, 1]) <= allowance).all(axis=1)
     values = np.zeros((a.size, kronrod.shape[1]))
@@ -250,22 +251,22 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, order=21, scale=None):
         failed[own[~finite]] = True
         split = ~done & finite
         if split.any():
-            _bisect(f, a, b, own[split], kronrod[split], budget[split], rel_tol, values, failed)
+            _bisect(f, a, b, own[split], kronrod[split], budget[split], l1_floor, values, failed)
     values[failed] = np.nan
     return values, failed
 
 
-def _bisect(f, a, b, own, coarse, budget, rel_tol, values, failed):
+def _bisect(f, a, b, own, coarse, budget, l1_floor, values, failed):
     """Refine intervals ``own`` of [a, b] by Gauss-Legendre bisection.
 
     Each row starts from its interval's Kronrod sum ``coarse``, the depth-0
     estimate, and carries its interval's error budget ``budget`` per
-    component. Adds each interval's accepted panels to ``values``, and
-    flags intervals whose integrand is not finite in ``failed``.
+    component; ``l1_floor`` times a row's L1 sum floors its allowance.
+    Adds each interval's accepted panels to ``values``, and flags
+    intervals whose integrand is not finite in ``failed``.
     """
     x, w = gauss_legendre_rule(NODES)
     width = b - a
-    l1_floor = max(1e-13, 1e-2 * rel_tol)
     lo, hi = a[own], b[own]
 
     for depth in range(MAX_DEPTH + 1):

@@ -10,6 +10,7 @@ from elastowave import cli, pointforce3d, quadrature
 from elastowave.config import parse_config
 from elastowave.errors import ExtrapolationError, SingularPointError
 from elastowave.kinematics import (
+    Trajectory,
     bump_force,
     piecewise_polynomial_trajectory,
     retarded_time,
@@ -154,6 +155,31 @@ def test_2d_grid_masks_events_past_the_last_knot(dimension):
         fs = fields(*args, **kw)
         assert np.array_equal(row[columns], np.hstack([fs.u, np.ravel(fs.beta), fs.v]))
     assert np.any(rows[:3, 4:19] != 0.0)
+
+
+def test_no_evaluator_asks_for_a_time_outside_the_domain(monkeypatch):
+    # The retarded solve masks a root past the last knot from its bracket,
+    # so no evaluator asks the worldline for a time it does not hold: the
+    # 3D batch skips late events, and the 2D evaluators raise before they
+    # integrate. Each grid holds late rows and rows that are evaluated.
+    asked = []
+    evaluate = Trajectory.eval
+
+    def recording(self, t):
+        asked.append(np.asarray(t, dtype=float).reshape(-1))
+        return evaluate(self, t)
+
+    monkeypatch.setattr(Trajectory, "eval", recording)
+    late = TABULATED.replace("grid.x1 = 1:2:10", "grid.x1 = 1:3:3").replace(
+        "grid.x2 = 0:1:10", "grid.x2 = 0.5:0.5:1").replace("grid.t = 5:5:1", "grid.t = 3:6.5:2")
+    for dimension in ("3d-point", "2d-inplane", "2d-antiplane"):
+        cfg = parse_config(late.replace("3d-point", dimension))
+        asked.clear()
+        mask = cli.sample_grid(cfg).rows[:, 19]
+        assert mask.any() and not mask.all()
+        times = np.concatenate(asked)
+        lo, hi = cfg.trajectory.domain
+        assert times.size and lo <= times.min() and times.max() <= hi, dimension
 
 
 @pytest.mark.parametrize("text", [OSCILLATORY, TABULATED], ids=["oscillatory", "tabulated"])

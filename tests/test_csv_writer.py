@@ -156,7 +156,8 @@ def _config_text(name):
 
 
 @pytest.mark.parametrize("name", ["smooth3d", "shell3d", "spline3d", "inplane2d",
-                                  "default3d.cfg", "kelvin.cfg", "antiplane.cfg"])
+                                  "default3d.cfg", "kelvin.cfg", "antiplane.cfg",
+                                  "tabulated3d.cfg"])
 def test_no_cell_falls_back_on_benchmark_grids_and_shipped_configs(monkeypatch, tmp_path, name):
     grid = cli.sample_grid(parse_config(_config_text(name)))
     fallbacks = []

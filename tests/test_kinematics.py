@@ -595,6 +595,40 @@ def test_no_retardation_for_bounded_domain():
         retarded_time(traj, [10.0, 0, 0], t=2.0, slowness=1.0)
 
 
+def test_root_past_the_last_knot_raises():
+    # The root would be near t' = 9, past the last knot (t = 2): a scalar
+    # solve raises from the bracket instead of asking the worldline for
+    # a time it does not hold.
+    traj = tabulated_trajectory(
+        [0.0, 1.0, 2.0], np.array([[0.0, 0, 0], [0.1, 0, 0], [0.2, 0, 0]])
+    )
+    with pytest.raises(ExtrapolationError, match="past the end"):
+        retarded_time(traj, [1.0, 0, 0], t=10.0, slowness=1.0)
+    with pytest.raises(ExtrapolationError, match="past the end"):
+        retarded_time_bisection(traj, [1.0, 0, 0], t=10.0, slowness=1.0)
+
+
+def test_late_rows_are_masked_and_leave_the_others_alone():
+    # Rows whose root lies past the last knot come back late and masked,
+    # at the domain end; the other rows are bitwise those of the call
+    # without them.
+    times = np.linspace(0.0, 4.0, 41)
+    traj = tabulated_trajectory(times, np.column_stack([0.2 * np.sin(times), 0.1 * times,
+                                                        np.zeros(41)]))
+    xs = np.array([[1.5, -0.7, 0.4], [3.0, 0.0, 0.5], [0.8, 0.3, -0.2], [1.0, 1.0, 1.0],
+                   [2.0, 0.5, 0.5]])
+    ts = np.array([3.0, 6.5, 4.5, 9.0, 4.2])
+    kappas = np.array([0.9, 0.6, 0.6, 1.0, 0.5])
+    st = retarded_time(traj, xs, ts, kappas)
+    late = np.array([False, True, False, True, False])
+    assert np.array_equal(st.late, late) and not st.valid[late].any()
+    assert np.all(st.t_ret[late] == traj.domain[1]) and st.valid[~late].all()
+    ref = retarded_time(traj, xs[~late], ts[~late], kappas[~late])
+    assert not ref.late.any()
+    for name in ("t_ret", "rvec", "r", "pc", "v", "a", "singular"):
+        assert np.array_equal(getattr(st, name)[~late], getattr(ref, name)), name
+
+
 def test_retarded_time_2d():
     traj = static_trajectory([0, 0, 0])
     st = retarded_time(traj, [3.0, 4.0], t=10.0, slowness=1.0, dim=2)

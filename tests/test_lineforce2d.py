@@ -311,12 +311,12 @@ def test_history_sums_rows_do_not_depend_on_the_other_segments(traj, monkeypatch
     for x, t in POINTS[2:]:
         inplane_displacement(MAT, traj, prof, x, t)
     assert len(seen) == 2
-    for traj_, t, st, rows, w_lo, w_hi, kernel, rel_tol in seen:
+    for traj_, t, st, rows, w_hi, kernel, rel_tol in seen:
         assert rows.size == 2
-        together = history_sums(traj_, t, st, rows, w_lo, w_hi, kernel, rel_tol)
+        together = history_sums(traj_, t, st, rows, w_hi, kernel, rel_tol)
         for k in range(2):
             one = slice(k, k + 1)
-            alone = history_sums(traj_, t, st, rows[one], w_lo[one], w_hi[one], kernel, rel_tol)
+            alone = history_sums(traj_, t, st, rows[one], w_hi[one], kernel, rel_tol)
             assert np.all(together[k] != 0.0) and np.array_equal(alone[0], together[k])
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from elastowave import pointforce3d
+from elastowave import kinematics, pointforce3d
 from elastowave.errors import SingularPointError, SupersonicError
 from elastowave.kinematics import (
     bump_force,
@@ -552,8 +552,8 @@ def test_time_nodes_are_the_roots_of_their_slowness():
     x, t = np.array([1.1, -0.6, 0.8]), 2.7
     t_T, t_L = retarded_time(traj, x, t, np.array([1 / MAT.cT, 1 / MAT.cL])).t_ret
     tp = np.linspace(t_T, t_L, 9)
-    st = pointforce3d._time_node_states(traj, np.repeat(x[:, None], tp.size, axis=1),
-                                        np.full(tp.size, t), tp)
+    st = kinematics._finalize_state(traj, np.repeat(x[:, None], tp.size, axis=1), tp, None,
+                                    t=np.full(tp.size, t))
     assert np.all(np.diff(st.slowness) < 0) and not st.singular.any()
     for i, k in enumerate(st.slowness):
         ref = retarded_time_bisection(traj, x, t, k)
