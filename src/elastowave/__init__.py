@@ -42,7 +42,6 @@ from .verify import (
     fd_consistency,
     navier_residual,
     mollified_convolution_u,
-    inplane_convolution_u,
     run_check_suite,
 )
 from .config import RunConfig, parse_config

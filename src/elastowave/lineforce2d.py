@@ -439,22 +439,20 @@ def _fd_step(mat, traj, prof, x, t):
     return h
 
 
-def _richardson_d1(g, h):
-    """6th-order first derivative from the (h, h/2) Richardson pair."""
-
-    def central(hh):
-        return (g(-2 * hh) - 8 * g(-hh) + 8 * g(hh) - g(2 * hh)) / (12 * hh)
-
-    d_h = central(h)
-    d_half = central(0.5 * h)
-    value = (16.0 * d_half - d_h) / 15.0
-    return value, float(np.max(np.abs(d_half - d_h)))
-
-
-# Offsets at which ``_richardson_d1`` evaluates g, in units of its step h:
-# central(h) takes +-2h and +-h, central(h/2) takes +-h and +-h/2, and
-# 2 * (h/2) == h exactly, so the two share +-h.
+# Offsets of the Richardson pair, in units of its step h: central(h) takes
+# +-2h and +-h, central(h/2) takes +-h and +-h/2, and 2 * (h/2) == h exactly.
 _STENCIL = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+
+
+def _richardson_d1(vals, h):
+    """6th-order first derivatives and their pair spreads from values at h * _STENCIL.
+
+    ``vals`` carries the six offsets on its second-to-last axis.
+    """
+    lo2, lo1, lo_half, hi_half, hi1, hi2 = np.moveaxis(vals, -2, 0)
+    d_h = (lo2 - 8.0 * lo1 + 8.0 * hi1 - hi2) / (12.0 * h)
+    d_half = (lo1 - 8.0 * lo_half + 8.0 * hi_half - hi1) / (12.0 * (0.5 * h))
+    return (16.0 * d_half - d_h) / 15.0, np.abs(d_half - d_h)
 
 
 def inplane_fields(
@@ -478,13 +476,10 @@ def inplane_fields(
         raise error(message)
     x = np.asarray(x, dtype=float)[:2]
     h = mat.cT * _fd_step(mat, traj, prof, x, t)
-    offsets = h * _STENCIL
-    xs = np.array([x] + [x + s * e for e in np.eye(2) for s in offsets])
+    xs = np.array([x] + [x + s * e for e in np.eye(2) for s in h * _STENCIL])
     rates = _FirstPointRate(prof)
     # A call of the module-level name, which the benchmark tracer wraps.
     u = inplane_displacement(mat, traj, rates, xs, t, rel_tol=rel_tol, tol_ret=tol_ret)
-    cols, errs = [], {}
-    for k, values in enumerate(u[1:].reshape(2, _STENCIL.size, 2)):
-        col, errs[f"beta_d{k + 1}"] = _richardson_d1(dict(zip(offsets, values)).__getitem__, h)
-        cols.append(col)
-    return FieldSample2D(u=u[0], beta=np.column_stack(cols), v=rates.du, fd_error=errs)
+    d, spread = _richardson_d1(u[1:].reshape(2, _STENCIL.size, 2), h)  # d[k] = d_k u
+    errs = {f"beta_d{k + 1}": float(np.max(e)) for k, e in enumerate(spread)}
+    return FieldSample2D(u=u[0], beta=d.T, v=rates.du, fd_error=errs)

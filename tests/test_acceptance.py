@@ -84,6 +84,12 @@ def test_criterion_08_antiplane_closed_form():
     _gate("8b", rep_d, 5.0, elapsed)
 
 
+
+def test_criterion_08_line_descent():
+    t0 = time.process_time()
+    rep = verify.check_line_descent(seed=8, n_cases=6, tolerance=1e-9)
+    _gate("8c", rep, 20.0, time.process_time() - t0)
+
 def test_criterion_09_afterglow_huygens():
     t0 = time.process_time()
     rep = verify.check_afterglow(seed=9, tolerance=1e-12)

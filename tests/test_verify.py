@@ -9,7 +9,7 @@ from elastowave.kinematics import (
 )
 from elastowave.material import make_material, make_material_poisson
 from elastowave.pointforce3d import kelvin_displacement, kelvin_gradient, lw_fields
-from elastowave import verify
+from elastowave import lineforce2d, pointforce3d, verify
 from elastowave.verify import (
     CHECKS,
     CheckReport,
@@ -126,6 +126,62 @@ def test_inplane_checks_make_one_displacement_call_per_case(monkeypatch):
     assert verify.check_navier_residual_2d(seed=0, n_cases=2).passed
     assert calls == [(25,), (25,)]  # centre, 4 per axis, a 4x4 grid in the plane
 
+
+
+# Defects that ``line_descent`` must catch at 1e-6, each with the part of
+# its report keys that it may move: the anti-plane rate, the in-plane u
+# kernel on L rows (which also enters v through the end term at t_T), and
+# the acceleration (radiation) parts of the 3D distortion and velocity.
+LINE_DEFECTS = {"antiplane_rate": "antiplane", "inplane_u_on_l_rows": "inplane",
+                "beta_acc": "beta", "v_acc": "_v"}
+
+
+def _inject_line_defect(monkeypatch, defect, eps):
+    """Scale the part of the fields named by ``defect`` by 1 + eps."""
+    if defect == "antiplane_rate":
+        kernel = lineforce2d._antiplane_kernel
+
+        def scaled(g, q):
+            u, rate = kernel(g, q)
+            return u, lambda *args: rate(*args) * (1.0 + eps)
+
+        monkeypatch.setattr(lineforce2d, "_antiplane_kernel", scaled)
+    elif defect == "inplane_u_on_l_rows":
+        kernel = lineforce2d._inplane_kernel
+
+        def scaled(g, q, kT, kL2):
+            u, rate = kernel(g, q, kT, kL2)
+            return np.where((g.kappa != kT)[:, None], u * (1.0 + eps), u), rate
+
+        monkeypatch.setattr(lineforce2d, "_inplane_kernel", scaled)
+    else:  # a block of the 39-column layout of the 3D field terms
+        terms, cols = pointforce3d._field_terms, {"beta_acc": slice(21, 30),
+                                                  "v_acc": slice(36, 39)}[defect]
+
+        def scaled(*args):
+            out = terms(*args)
+            out[:, cols] *= 1.0 + eps
+            return out
+
+        monkeypatch.setattr(pointforce3d, "_field_terms", scaled)
+
+
+def test_line_descent_passes_every_defect_at_zero(monkeypatch):
+    for defect in LINE_DEFECTS:
+        _inject_line_defect(monkeypatch, defect, 0.0)
+    assert verify.check_line_descent(seed=0, n_cases=1).passed
+
+
+@pytest.mark.parametrize("defect", LINE_DEFECTS)
+def test_line_descent_catches_a_defect_of_1e_6(monkeypatch, defect):
+    # The first case of the check is an accelerated source seen while its
+    # T retarded time lies inside the bump, so the L segment carries force.
+    _inject_line_defect(monkeypatch, defect, 1e-6)
+    rep = verify.check_line_descent(seed=0, n_cases=1)
+    assert not rep.passed
+    dev, part = rep.details[0], LINE_DEFECTS[defect]
+    assert all(err <= rep.tolerance for name, err in dev.items() if part not in name), dev
+    assert max(err for name, err in dev.items() if part in name) > 1e-7, dev
 
 def test_inject_corruption_fails_the_2d_navier_check():
     bad, = run_check_suite(names=["navier_residual_2d"], seed=0, corrupt=True)
