@@ -41,7 +41,6 @@ from .verify import (
     CheckReport,
     fd_consistency,
     navier_residual,
-    mollified_convolution_u,
     run_check_suite,
 )
 from .config import RunConfig, parse_config

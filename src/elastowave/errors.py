@@ -42,10 +42,6 @@ class QuadratureError(ElastowaveError, RuntimeError):
         self.error = error
 
 
-class ResolutionError(ElastowaveError, ValueError):
-    """Requested mollification width is below the time-quadrature resolution."""
-
-
 class ConfigError(ElastowaveError, ValueError):
     """Run configuration is invalid; carries the full list of violations."""
 

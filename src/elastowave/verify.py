@@ -1,6 +1,6 @@
 """Independent oracles and consistency checks for the field evaluators.
 
-Five kinds of evidence are produced here, none of which share code with
+Four kinds of evidence are produced here, none of which share code with
 the production evaluation paths they judge:
 
 * finite-difference consistency: distortion and velocity against
@@ -11,17 +11,16 @@ the production evaluation paths they judge:
   stencils in 3D and in 2D plane strain. Both differencing oracles take
   batched fields, (xs (n, dim), ts (n,)) -> (n, m), and evaluate each
   stencil in one call;
-* a convolution oracle: the 3D displacement recomputed from the retarded
-  Green tensor, its sharp arrival kernels mollified with a Gaussian of
-  width eps and integrated over the source history (error O(eps^2));
 * the method of descent: a line force along x3 is the point force spread
   uniformly over x3, so one ``lw_fields_batch`` call on a fixed
   Gauss-Legendre rule in x3 judges both 2D evaluators;
-* closed forms: the displacement of a constant or sinusoidal force in
-  uniform motion, whose retarded lags solve a quadratic and whose slowness
-  integral is a fixed Gauss-Legendre rule, so neither the retarded-time
-  solver nor the adaptive engine enters it; its distortion and velocity
-  are complex-step derivatives of it, so no field kernel of the evaluator
+* closed forms: the displacement of a force on a worldline as its far T
+  and L terms plus a slowness integral on a fixed Gauss-Legendre rule,
+  each term at the retarded lag of its slowness: from a quadratic for
+  uniform motion, from a Newton iteration of the oracle's own for an
+  oscillatory (or static) worldline, so neither the retarded-time solver
+  nor the adaptive engine enters it. Its distortion and velocity are
+  complex-step derivatives of it, so no field kernel of the evaluator
   enters either. A static in-plane step has the plane-strain Green tensor
   as its velocity and that tensor's time integral as its displacement.
 
@@ -36,12 +35,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
-from .errors import ConfigError, ResolutionError, SingularPointError
+from .errors import ConfigError, RetardedConvergenceError, SingularPointError
 from .kinematics import (
-    ForceProfile,
-    Trajectory,
     bump_force,
     constant_force,
     motion_violations,
@@ -64,7 +60,6 @@ from .pointforce3d import (
     stokes_displacement,
     stokes_gradient,
 )
-from .quadrature import adaptive_gauss_legendre
 
 __all__ = [
     "CheckReport",
@@ -72,12 +67,9 @@ __all__ = [
     "NavierResult",
     "fd_consistency",
     "navier_residual",
-    "mollified_convolution_u",
     "run_check_suite",
     "CHECKS",
 ]
-
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass
@@ -212,71 +204,7 @@ def navier_residual(mat: Material, u_fn, v_fn, x, t, h) -> NavierResult:
 
 
 # ---------------------------------------------------------------------------
-# convolution and descent oracles
-
-def _gauss_pdf(u, eps):
-    return np.exp(-0.5 * (u / eps) ** 2) / (_SQRT2PI * eps)
-
-
-def mollified_convolution_u(mat: Material, traj: Trajectory, prof: ForceProfile, x, t: float,
-                            eps: float, rel_tol: float = 1e-9) -> np.ndarray:
-    """Displacement via the pre-sifted Green-tensor convolution.
-
-    Each sharp arrival kernel delta(t - t' - kappa R) is replaced by a
-    Gaussian of width ``eps`` and the source-history integral is done
-    numerically; the intermediate-slowness moment is reduced to normal
-    cdf/pdf terms in closed form. Converges to the sharp evaluator at
-    second order in eps. Retarded times enter only to place quadrature
-    break points, never the values.
-    """
-    x = np.asarray(x, dtype=float)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if eps < 50.0 * np.finfo(float).eps * max(1.0, abs(t)):
-        raise ResolutionError(f"eps={eps:g} is below the resolvable width at t={t:g}")
-    kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
-
-    def psi(tp):
-        s, _, _ = traj.eval(tp)
-        q = prof.eval(tp)[0]
-        rv = x - s
-        r = np.sqrt(np.einsum("ni,ni->n", rv, rv))
-        n = rv / r[:, None]
-        nn_q = np.einsum("ni,ni->n", n, q)[:, None] * n
-        a = t - tp
-        g_t = _gauss_pdf(a - kT * r, eps)
-        g_l = _gauss_pdf(a - kL * r, eps)
-        z1 = (kL * r - a) / eps
-        z2 = (kT * r - a) / eps
-        mom = (a * (ndtr(z2) - ndtr(z1))
-               + eps * (_gauss_pdf(z1, 1.0) - _gauss_pdf(z2, 1.0))) / (r * r)
-        val = (
-            (kT * kT * g_t)[:, None] * (q - nn_q)
-            + (kL * kL * g_l)[:, None] * nn_q
-            + mom[:, None] * (3.0 * nn_q - q)
-        )
-        return val / r[:, None]
-
-    st_t = retarded_time(traj, x, t, kT)
-    st_l = retarded_time(traj, x, t, kL)
-    edges = {max(prof.t_on, st_t.t_ret - 60.0 * eps), min(t, st_l.t_ret + 60.0 * eps)}
-    lo, hi = min(edges), max(edges)
-    if hi <= lo:
-        return np.zeros(3)
-    for st in (st_t, st_l):
-        width = eps * st.r / st.pc
-        for off in (-12.0, -3.0, -1.0, 0.0, 1.0, 3.0, 12.0):
-            e = st.t_ret + off * width
-            if lo < e < hi:
-                edges.add(e)
-    if math.isfinite(prof.t_off) and lo < prof.t_off < hi:
-        edges.add(prof.t_off)
-    pts = sorted(edges)
-    total = np.zeros(3)
-    for a_, b_ in zip(pts[:-1], pts[1:]):
-        total += adaptive_gauss_legendre(psi, a_, b_, rel_tol=rel_tol)
-    return total / (4.0 * math.pi * mat.rho)
-
+# descent and static-step oracles
 
 def _inplane_static_step(mat, rvec, tau):
     """u and v per unit force, each (2, 2), of a static in-plane step switched on tau ago.
@@ -335,11 +263,16 @@ def _descent_devs(mat, traj, prof, xs, ts):
 # ---------------------------------------------------------------------------
 # named checks
 
-def _rel_err(got, ref, floor=1e-300):
+def _rel_err(got, ref, floor=0.0):
+    """max|got - ref| over the larger of max|ref| and ``floor``.
+
+    When both are zero the scale is max|got|: a deviation from an all-zero
+    reference reads 1.0, and 0.0 when ``got`` is zero too.
+    """
     got = np.asarray(got, dtype=float)
     ref = np.asarray(ref, dtype=float)
-    scale = max(float(np.max(np.abs(ref))), floor)
-    return float(np.max(np.abs(got - ref))) / scale
+    scale = max(float(np.max(np.abs(ref))), floor) or float(np.max(np.abs(got)))
+    return float(np.max(np.abs(got - ref))) / scale if scale else 0.0
 
 
 def _random_material(rng):
@@ -353,18 +286,20 @@ def _random_unit(rng, dim=3):
 
 
 def _random_oscillatory(rng, mat, vfrac=0.8, dim=3):
-    """An oscillatory worldline about the origin, in the (x1, x2) plane if dim == 2."""
+    """An oscillatory worldline about the origin, in the (x1, x2) plane if dim == 2.
+
+    Returns the worldline, its angular frequency and its ``_newton_lags``.
+    """
     omega = rng.uniform(0.5, 1.5)
     speed = rng.uniform(0.2, vfrac) * mat.cT
     amp = speed / omega
     if amp > 0.35:  # keep the excursion clear of the observer shell
         amp = 0.35
         omega = speed / amp
-    direction = np.append(_random_unit(rng, dim), np.zeros(3 - dim))
-    traj = oscillatory_trajectory(
-        np.zeros(3), amp * direction, omega, phase=rng.uniform(0, 2 * math.pi)
-    )
-    return traj, omega
+    amp = amp * np.append(_random_unit(rng, dim), np.zeros(3 - dim))
+    phase = rng.uniform(0, 2 * math.pi)
+    return (oscillatory_trajectory(np.zeros(3), amp, omega, phase), omega,
+            _newton_lags(amp, omega, phase))
 
 
 def _random_smooth_force(rng):
@@ -453,7 +388,7 @@ def check_kelvin_limit(seed=0, n_cases=20, tolerance=1e-12):
 
 def _smooth_case(rng, vfrac=0.8):
     mat = _random_material(rng)
-    traj, om_t = _random_oscillatory(rng, mat, vfrac)
+    traj, om_t, _ = _random_oscillatory(rng, mat, vfrac)
     prof, om_f = _random_smooth_force(rng)
     x = rng.uniform(1.5, 3.5) * _random_unit(rng)
     t = rng.uniform(0.0, 3.0)
@@ -516,55 +451,6 @@ def check_navier_residual_3d(seed=0, n_cases=50, tolerance=1e-3, corrupt=False):
     return _report(name, worst, tolerance, n_cases)
 
 
-def _mollified_cases(seed):
-    rng = np.random.default_rng(seed)
-    cases = []
-    mat = make_material(1.0, 1.0, 1.0)
-    for i in range(5):
-        if i == 0:
-            traj = static_trajectory(np.zeros(3))
-        elif i == 1:
-            traj = uniform_trajectory(np.zeros(3), 0.4 * _random_unit(rng))
-        else:
-            traj = _random_oscillatory(rng, mat, vfrac=0.6)[0]  # accelerating
-        prof = bump_force(2.0 * _random_unit(rng), center=1.0, half_width=1.0)
-        x = rng.uniform(1.0, 2.0) * _random_unit(rng)
-        # observe when the transversal signal of the pulse peak arrives
-        r_peak = float(np.linalg.norm(x - traj.eval(prof.t_on + 1.0)[0]))
-        t = prof.t_on + 1.0 + r_peak / mat.cT + rng.uniform(-0.2, 0.2)
-        cases.append((mat, traj, prof, x, t))
-    return cases
-
-
-def check_mollified_oracle(seed=0, tolerance=1e-4, slope_band=0.2):
-    """Oracle agreement at the finest width plus the eps^2 convergence slope.
-
-    The widths are 0.04 and three halvings of it. Returns two reports:
-    agreement at 0.005 (vs tolerance) and |slope - 2| (vs the band)
-    fitted over the four widths.
-    """
-    rel_tol = 1e-12
-    agree = slope_err = 0.0
-    details = []
-    cases = _mollified_cases(seed)
-    for mat, traj, prof, x, t in cases:
-        u_ref = lw_fields(mat, traj, prof, x, t, rel_tol=rel_tol).u
-        scale = float(np.max(np.abs(u_ref)))
-        eps_list = [0.04 * 0.5 ** j for j in range(4)]
-        errs = []
-        for eps in eps_list:
-            u_m = mollified_convolution_u(mat, traj, prof, x, t, eps)
-            errs.append(float(np.max(np.abs(u_m - u_ref))) / scale)
-        slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
-        agree = max(agree, errs[-1])
-        slope_err = max(slope_err, abs(slope - 2.0))
-        details.append({"slope": float(slope), "errors": errs})
-    return [
-        _report("mollified_agreement", agree, tolerance, len(cases), details),
-        _report("mollified_slope", slope_err, slope_band, len(cases), details),
-    ]
-
-
 def check_radiation_uniform_zero(seed=0, n_cases=10, tolerance=1e-14):
     """Acceleration part must vanish identically for unaccelerated motion."""
     rng = np.random.default_rng(seed)
@@ -583,28 +469,27 @@ def check_radiation_uniform_zero(seed=0, n_cases=10, tolerance=1e-14):
     return _report("radiation_uniform_zero", worst, tolerance, n_cases)
 
 
-def _uniform_oracle(mat, vel, force, X, t, rule):
-    """Displacement at time t of a force Q(t') on s(t) = s0 + V t, t_on = -inf.
+def _oracle_u(mat, lags, force, x, t, rule):
+    """Displacement at (x, t) of a force Q(t') = ``force(t')`` on a worldline s(t').
 
-    X = x - s(t). Each channel's retarded lag tau = t - t' is the positive
-    root of tau^2 (1 - k^2 V^2) - 2 k^2 (X.V) tau - k^2 |X|^2 = 0, so no
-    Newton solve; the slowness integral is one fixed Gauss-Legendre
-    ``rule`` (nodes, weights), and ``force`` gives Q at each node's t -
-    tau. Analytic in X and t when ``force`` is: a complex X or t gives the
-    complex-step derivatives.
+    ``lags(x, t, k)`` gives, per slowness k (n,), the t' of t - t' = k |x
+    - s(t')|, s(t') and V(t'). With R = (t - t') / k and P = R - k (x -
+    s).V, the far T and L terms are k^2 / P times the transverse and the
+    longitudinal part of Q, and the slowness integral of (k / P) (3 n
+    (n.Q) - Q) takes one fixed Gauss-Legendre ``rule``. A complex x or t
+    gives the complex-step derivatives.
     """
     kL, kT = 1.0 / mat.cL, 1.0 / mat.cT
-    xv, xx, vv = X @ vel, X @ X, vel @ vel
 
     def channel(k):
-        """Per slowness k (n,): R/|R|, the Doppler factor P and Q at t - tau."""
-        a = 1.0 - k * k * vv
-        tau = (k * k * xv + np.sqrt(k ** 4 * xv * xv + a * k * k * xx)) / a
-        rvec = X + np.multiply.outer(tau, vel)
-        r = tau / k
+        """Per slowness k (n,): R/|R|, P, and Q at t' with its projection n (n.Q)."""
+        tp, s, vel = lags(x, t, k)
+        rvec = x - s
+        r = (t - tp) / k
         n = rvec / r[:, None]
-        q = np.broadcast_to(force(t - tau), n.shape)
-        return n, r - k * (rvec @ vel), q, n * np.einsum("ni,ni->n", n, q)[:, None]
+        q = np.broadcast_to(force(tp), n.shape)
+        return (n, r - k * np.einsum("ni,ni->n", rvec, vel), q,
+                n * np.einsum("ni,ni->n", n, q)[:, None])
 
     n, p, q, nn_q = channel(np.array([kT, kL]))
     u = kT ** 2 / p[0] * (q[0] - nn_q[0]) + kL ** 2 / p[1] * nn_q[1]
@@ -615,33 +500,90 @@ def _uniform_oracle(mat, vel, force, X, t, rule):
     return u / (4.0 * math.pi * mat.rho)
 
 
-def _uniform_oracle_fields(mat, vel, force, X, t, n_gauss):
-    """u, beta and v of ``_uniform_oracle``; beta and v by complex step.
+def _uniform_lags(s0, vel):
+    """``_oracle_u``'s lags on s(t') = s0 + vel t', from a quadratic.
 
-    beta_ik = Im u(X + i h e_k, t) / h, and v = du/dt = Im u(X - i h V,
-    t + i h) / h, since X = x - s(t) moves at -V. With h = 1e-30 nothing
-    is subtracted, so both are as accurate as u. The five evaluations
-    share one n_gauss-point rule, which takes seconds to build at n_gauss
-    in the thousands.
+    With X = x - s(t), the lag tau = t - t' is the positive root of tau^2
+    (1 - k^2 V^2) - 2 k^2 (X.V) tau - k^2 |X|^2 = 0. Near-sonic sources
+    need it: 0.999 cT ahead of the source, a Newton root is good to only
+    about 1e-10.
+    """
+
+    def lags(x, t, k):
+        X = x - s0 - vel * t
+        xv, xx, vv = X @ vel, X @ X, vel @ vel
+        a = 1.0 - k * k * vv
+        tp = t - (k * k * xv + np.sqrt(k ** 4 * xv * xv + a * k * k * xx)) / a
+        return tp, s0 + np.multiply.outer(tp, vel), np.broadcast_to(vel, (k.size, 3))
+
+    return lags
+
+
+def _newton_lags(amp, omega, phase, max_iter=20):
+    """``_oracle_u``'s lags on s(t') = amp sin(omega t' + phase) (static if amp = 0).
+
+    Newton steps on t - t' - k R(t') = 0 from t - k |x - s(t)|, in complex
+    arithmetic, until each step is below 1e-14 of |t| + |t - t'|; raises
+    RetardedConvergenceError after ``max_iter`` steps.
+    """
+
+    def path(tp):
+        ph = omega * tp + phase
+        return np.multiply.outer(np.sin(ph), amp), np.multiply.outer(omega * np.cos(ph), amp)
+
+    def lags(x, t, k):
+        rvec = x - path(t)[0]
+        tp = t - k * np.sqrt(rvec @ rvec)
+        for _ in range(max_iter):
+            s, vel = path(tp)
+            rvec = x - s
+            r = np.sqrt(np.einsum("ni,ni->n", rvec, rvec))
+            step = (t - tp - k * r) / (1.0 - k * np.einsum("ni,ni->n", rvec, vel) / r)
+            tp = tp + step
+            if np.all(np.abs(step) <= 1e-14 * (abs(t) + np.abs(t - tp))):
+                return (tp, *path(tp))
+        raise RetardedConvergenceError(f"oracle lags did not converge in {max_iter} Newton steps")
+
+    return lags
+
+
+def _oracle_fields(mat, lags, force, x, t, n_gauss):
+    """u, beta and v of ``_oracle_u``; beta and v by complex step.
+
+    beta_ik = Im u(x + i h e_k, t) / h and v = Im u(x, t + i h) / h. With h
+    = 1e-30 nothing is subtracted, so both are as accurate as u. The five
+    evaluations share one n_gauss-point rule, which takes seconds to build
+    at n_gauss in the thousands.
     """
     h = 1e-30
     rule = np.polynomial.legendre.leggauss(n_gauss)
-    steps = np.vstack([np.eye(4)[:3], np.append(-vel, 1.0)])
-    d = np.array([_uniform_oracle(mat, vel, force, X + 1j * h * step[:3],
-                                  t + 1j * h * step[3], rule).imag / h
-                  for step in steps])
-    return _uniform_oracle(mat, vel, force, X, t, rule), d[:3].T, d[3]
+    d = np.array([_oracle_u(mat, lags, force, x + 1j * h * step[:3], t + 1j * h * step[3],
+                            rule).imag / h
+                  for step in np.eye(4)])
+    return _oracle_u(mat, lags, force, x, t, rule), d[:3].T, d[3]
+
+
+def _oracle_devs(mat, traj, prof, lags, force, x, t):
+    """Deviations of u, beta and v of ``lw_fields`` from the GL64 ``_oracle_fields``.
+
+    Each field is measured against its own largest component, and
+    ``gl64_vs_gl128`` holds the oracle's own deviation from GL128.
+    """
+    fs = lw_fields(mat, traj, prof, x, t, rel_tol=1e-12)
+    ref, fine = (_oracle_fields(mat, lags, force, x, t, n) for n in (64, 128))
+    dev = {name: _rel_err(got, want)
+           for name, got, want in zip(("u", "beta", "v"), (fs.u, fs.beta, fs.v), ref)}
+    return {**dev, "gl64_vs_gl128": max(_rel_err(f, r) for f, r in zip(fine, ref))}
 
 
 def _uniform_motion_devs(mat, frac, rng, n_cases, sinusoid):
     """Max rel. deviations of ``lw_fields`` from the oracle, for n_cases draws.
 
-    Returns ({u, beta, v: err}, GL64-vs-GL128 error of the oracle). A
-    constant force is seen at most 70 deg off the line of motion, a
-    sinusoid q0 sin(1.3 t' + 0.4) from behind the source (110-180 deg).
+    Returns the largest of each key of ``_oracle_devs``. A constant force
+    is seen at most 70 deg off the line of motion, a sinusoid q0 sin(1.3
+    t' + 0.4) from behind the source (110-180 deg).
     """
-    dev = dict.fromkeys(("u", "beta", "v"), 0.0)
-    oracle_dev = 0.0
+    devs = []
     for _ in range(n_cases):
         d, e = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
         vel = frac * mat.cT * d
@@ -657,15 +599,9 @@ def _uniform_motion_devs(mat, frac, rng, n_cases, sinusoid):
             force = lambda tp: np.multiply.outer(np.sin(1.3 * tp + 0.4), q)
         else:
             prof, force = constant_force(q), lambda tp: q
-        oracle = _uniform_oracle_fields(mat, vel, force, X, t, 64)
-        fine = _uniform_oracle_fields(mat, vel, force, X, t, 128)
-        fs = lw_fields(mat, uniform_trajectory(s0, vel), prof, s0 + vel * t + X, t,
-                       rel_tol=1e-12)
-        for name, got, ref, ref_fine in zip(dev, (fs.u, fs.beta, fs.v), oracle, fine):
-            scale = float(np.max(np.abs(ref)))
-            oracle_dev = max(oracle_dev, float(np.max(np.abs(ref_fine - ref))) / scale)
-            dev[name] = max(dev[name], float(np.max(np.abs(got - ref))) / scale)
-    return dev, oracle_dev
+        devs.append(_oracle_devs(mat, uniform_trajectory(s0, vel), prof, _uniform_lags(s0, vel),
+                                 force, s0 + vel * t + X, t))
+    return {key: max(d[key] for d in devs) for key in devs[0]}
 
 
 def check_uniform_motion_oracle(seed=0, n_cases=5, tolerance=1e-11):
@@ -673,7 +609,7 @@ def check_uniform_motion_oracle(seed=0, n_cases=5, tolerance=1e-11):
 
     The oracle uses neither the retarded-time solver, nor the adaptive
     engine, nor ``lw_fields``: its beta and v are complex-step derivatives
-    of the closed-form u (see _uniform_oracle_fields). So it judges all
+    of the closed-form u (see ``_oracle_fields``). So it judges all
     three directly, at 0.3, 0.95, 0.99 and 0.999 cT, for a constant force
     and, under the ``sinusoid_`` keys, for q0 sin(1.3 t' + 0.4), whose
     rate parts the constant force leaves unchecked. Its integrand is
@@ -699,13 +635,64 @@ def check_uniform_motion_oracle(seed=0, n_cases=5, tolerance=1e-11):
         rng = np.random.default_rng(seed)
         entry = {"speed": frac}
         for prefix, sinusoid in (("", False), ("sinusoid_", True)):
-            dev, oracle_dev = _uniform_motion_devs(mat, frac, rng, n_cases, sinusoid)
+            dev = _uniform_motion_devs(mat, frac, rng, n_cases, sinusoid)
+            oracle_dev = dev.pop("gl64_vs_gl128")
             entry.update({f"{prefix}max_rel_err": max(dev.values()),
                           **{f"{prefix}{name}_rel_err": err for name, err in dev.items()},
                           f"{prefix}gl64_vs_gl128": oracle_dev})
             worst = max(worst, *dev.values(), oracle_dev)
         details.append(entry)
     return _report("uniform_motion_oracle", worst, tolerance, 8 * n_cases, details)
+
+
+def _bump_history(q0, center, half_width):
+    """Q(t') of ``bump_force``; raises at a t' outside the support, where Q is not analytic."""
+
+    def force(tp):
+        xi = (tp - center) / half_width
+        if np.any(np.abs(xi.real) >= 1.0):
+            raise ValueError("the history window [t_T, t_L] leaves the bump's support")
+        return np.multiply.outer(np.exp(1.0 - 1.0 / (1.0 - xi * xi)), q0)
+
+    return force
+
+
+def _pulse_cases(seed):
+    """Bump forces on a static, a uniform (0.4 cT) and three oscillatory worldlines.
+
+    Each case (mat, traj, prof, lags, force, x, t) is seen +-0.2 around
+    the T arrival of the pulse peak, with the oracle's lags and Q.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    mat = make_material(1.0, 1.0, 1.0)
+    for i in range(5):
+        if i == 0:
+            traj, lags = static_trajectory(np.zeros(3)), _newton_lags(np.zeros(3), 1.0, 0.0)
+        elif i == 1:
+            vel = 0.4 * _random_unit(rng)
+            traj, lags = uniform_trajectory(np.zeros(3), vel), _uniform_lags(np.zeros(3), vel)
+        else:
+            traj, _, lags = _random_oscillatory(rng, mat, vfrac=0.6)  # accelerating
+        q0 = 2.0 * _random_unit(rng)
+        prof = bump_force(q0, center=1.0, half_width=1.0)
+        x = rng.uniform(1.0, 2.0) * _random_unit(rng)
+        r_peak = float(np.linalg.norm(x - traj.eval(prof.t_on + 1.0)[0]))
+        t = prof.t_on + 1.0 + r_peak / mat.cT + rng.uniform(-0.2, 0.2)
+        cases.append((mat, traj, prof, lags, _bump_history(q0, 1.0, 1.0), x, t))
+    return cases
+
+
+def check_pulse_oracle(seed=0, tolerance=1e-11):
+    """u, beta and v of ``_pulse_cases`` against the closed form (``_oracle_devs``).
+
+    On the oscillatory worldlines this judges the acceleration (radiation)
+    parts of beta and v at their size. A case whose history window [t_T,
+    t_L] leaves the bump's support raises ValueError.
+    """
+    details = [_oracle_devs(*case) for case in _pulse_cases(seed)]
+    worst = max(max(d.values()) for d in details)
+    return _report("pulse_oracle", worst, tolerance, len(details), details)
 
 
 def check_radiation_farfield(seed=0, tolerance=1e-2):
@@ -1029,7 +1016,7 @@ CHECKS = {
     "fd_consistency_3d": check_fd_consistency_3d,
     "navier_residual_3d": check_navier_residual_3d,
     "navier_residual_2d": check_navier_residual_2d,
-    "mollified_oracle": check_mollified_oracle,
+    "pulse_oracle": check_pulse_oracle,
     "radiation_uniform_zero": check_radiation_uniform_zero,
     "radiation_farfield": check_radiation_farfield,
     "uniform_motion_oracle": check_uniform_motion_oracle,

@@ -51,12 +51,10 @@ def test_criterion_04_navier_residual():
     _gate(4, rep, 60.0, time.process_time() - t0)
 
 
-def test_criterion_05_mollified_oracle():
+def test_criterion_05_pulse_oracle():
     t0 = time.process_time()
-    agree, slope = verify.check_mollified_oracle(seed=5, tolerance=1e-4, slope_band=0.2)
-    elapsed = time.process_time() - t0
-    _gate("5a", agree, 120.0, elapsed)
-    _gate("5b", slope, 120.0, elapsed)
+    rep = verify.check_pulse_oracle(seed=5, tolerance=1e-11)
+    _gate(5, rep, 120.0, time.process_time() - t0)
 
 
 def test_criterion_06_radiation_structure():

@@ -37,7 +37,12 @@ from elastowave.pointforce3d import (
     stokes_gradient_split,
 )
 from elastowave.quadrature import adaptive_gauss_legendre
-from elastowave.verify import _uniform_oracle_fields, check_uniform_motion_oracle, fd_consistency
+from elastowave.verify import (
+    _oracle_fields,
+    _uniform_lags,
+    check_uniform_motion_oracle,
+    fd_consistency,
+)
 
 MAT = make_material_poisson(rho=1.0, mu=1.0, nu=0.25)  # cT = 1, cL = sqrt(3)
 TOL = 1e-12
@@ -439,8 +444,8 @@ def test_near_sonic_sinusoid_ahead_of_the_source():
     vel, q = np.array([0.999, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
     x = np.array([1.0, 0.3, 0.0])
     fs = lw_fields(MAT, uniform_trajectory([0, 0, 0], vel), sinusoid_force(q, 1.0, 0.0), x, 0.0)
-    ref = _uniform_oracle_fields(MAT, vel, lambda tp: np.multiply.outer(np.sin(tp), q), x, 0.0,
-                                 4000)
+    ref = _oracle_fields(MAT, _uniform_lags(np.zeros(3), vel),
+                         lambda tp: np.multiply.outer(np.sin(tp), q), x, 0.0, 4000)
     for got, want in zip((fs.u, fs.beta, fs.v), ref):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 

@@ -128,7 +128,7 @@ def test_adaptive_peak_refines():
 
 def test_narrow_peak_needs_break_points():
     # features far narrower than the panel cascade must be exposed by the
-    # caller via interval splitting (as the mollified oracle does)
+    # caller via interval splitting
     f = lambda xs: np.exp(-(((xs - 0.37) / 1e-3) ** 2))[:, None]
     edges = [-10.0, 0.37 - 5e-3, 0.37 + 5e-3, 10.0]
     split = sum(

@@ -1,20 +1,14 @@
 import numpy as np
 import pytest
 
-from elastowave.errors import ConfigError, ResolutionError, SupersonicError
-from elastowave.kinematics import (
-    bump_force,
-    oscillatory_trajectory,
-    static_trajectory,
-)
+from elastowave.errors import ConfigError, RetardedConvergenceError, SupersonicError
 from elastowave.material import make_material, make_material_poisson
-from elastowave.pointforce3d import kelvin_displacement, kelvin_gradient, lw_fields
+from elastowave.pointforce3d import kelvin_displacement, kelvin_gradient
 from elastowave import lineforce2d, pointforce3d, verify
 from elastowave.verify import (
     CHECKS,
     CheckReport,
     fd_consistency,
-    mollified_convolution_u,
     navier_residual,
     run_check_suite,
 )
@@ -128,6 +122,67 @@ def test_inplane_checks_make_one_displacement_call_per_case(monkeypatch):
 
 
 
+# The blocks of the 39-column layout of ``pointforce3d._field_terms``.
+FIELD_BLOCKS = {"u": slice(0, 3), "beta_qdot": slice(3, 12), "beta_vel": slice(12, 21),
+                "beta_acc": slice(21, 30), "v_qdot": slice(30, 33), "v_vel": slice(33, 36),
+                "v_acc": slice(36, 39)}
+
+
+def _scale_field_block(monkeypatch, block, eps):
+    """Scale one block of ``_field_terms`` by 1 + eps."""
+    terms, cols = pointforce3d._field_terms, FIELD_BLOCKS[block]
+
+    def scaled(*args):
+        out = terms(*args)
+        out[:, cols] *= 1.0 + eps
+        return out
+
+    monkeypatch.setattr(pointforce3d, "_field_terms", scaled)
+
+
+def test_pulse_oracle_passes_every_block_at_zero(monkeypatch):
+    for block in FIELD_BLOCKS:
+        _scale_field_block(monkeypatch, block, 0.0)
+    rep, = run_check_suite(names=["pulse_oracle"], seed=0)
+    assert rep.passed, rep.details
+
+
+@pytest.mark.parametrize("block", FIELD_BLOCKS)
+def test_pulse_oracle_catches_a_block_scaled_by_1e_6(monkeypatch, block):
+    _scale_field_block(monkeypatch, block, 1e-6)
+    rep, = run_check_suite(names=["pulse_oracle"], seed=0)
+    assert not rep.passed and rep.max_rel_err > 1e-8, rep.details
+
+
+def test_pulse_oracle_refuses_a_window_across_the_support_end(monkeypatch):
+    # The static case seen when t_off lies at the middle slowness of its
+    # history window [t_T, t_L], where the bump is not analytic.
+    mat, traj, prof, lags, force, x, _ = verify._pulse_cases(0)[0]
+    t = prof.t_off + 0.5 * np.linalg.norm(x) * (1.0 / mat.cT + 1.0 / mat.cL)
+    t_T, t_L = lags(x, t, np.array([1.0 / mat.cT, 1.0 / mat.cL]))[0]
+    assert t_T < prof.t_off < t_L
+    monkeypatch.setattr(verify, "_pulse_cases",
+                        lambda seed: [(mat, traj, prof, lags, force, x, t)])
+    with pytest.raises(ValueError, match="support"):
+        verify.check_pulse_oracle(seed=0)
+
+
+def test_newton_lags_raise_when_the_budget_is_spent():
+    x, t, k = np.array([1.2, -0.4, 0.3]), 2.0, np.array([1.0, 0.6])
+    lags = verify._newton_lags(np.array([0.3, 0.1, 0.0]), 1.3, 0.2, max_iter=2)
+    with pytest.raises(RetardedConvergenceError):
+        lags(x, t, k)
+    tp, s, _ = verify._newton_lags(np.array([0.3, 0.1, 0.0]), 1.3, 0.2)(x, t, k)
+    np.testing.assert_allclose(t - tp, k * np.linalg.norm(x - s, axis=1), rtol=1e-14)
+
+
+def test_rel_err_of_an_all_zero_reference():
+    assert verify._rel_err([0.0, 2e-3], [0.0, 0.0]) == 1.0
+    assert verify._rel_err(np.zeros(3), np.zeros(3)) == 0.0
+    assert verify._rel_err([0.0, 2e-3], 0.0, floor=4e-3) == 0.5
+    assert verify._rel_err([1.0, 3.0], [1.0, 2.0]) == 0.5
+
+
 # Defects that ``line_descent`` must catch at 1e-6, each with the part of
 # its report keys that it may move: the anti-plane rate, the in-plane u
 # kernel on L rows (which also enters v through the end term at t_T), and
@@ -155,15 +210,7 @@ def _inject_line_defect(monkeypatch, defect, eps):
 
         monkeypatch.setattr(lineforce2d, "_inplane_kernel", scaled)
     else:  # a block of the 39-column layout of the 3D field terms
-        terms, cols = pointforce3d._field_terms, {"beta_acc": slice(21, 30),
-                                                  "v_acc": slice(36, 39)}[defect]
-
-        def scaled(*args):
-            out = terms(*args)
-            out[:, cols] *= 1.0 + eps
-            return out
-
-        monkeypatch.setattr(pointforce3d, "_field_terms", scaled)
+        _scale_field_block(monkeypatch, defect, eps)
 
 
 def test_line_descent_passes_every_defect_at_zero(monkeypatch):
@@ -187,44 +234,6 @@ def test_inject_corruption_fails_the_2d_navier_check():
     bad, = run_check_suite(names=["navier_residual_2d"], seed=0, corrupt=True)
     assert bad.name == "navier_residual_2d_corrupted" and bad.n_samples == 4
     assert not bad.passed and bad.max_rel_err > 1e-2
-
-
-def test_mollified_zero_force():
-    traj = static_trajectory([0, 0, 0])
-    prof = bump_force([0, 0, 0.0], center=1.0, half_width=1.0)
-    u = mollified_convolution_u(MAT, traj, prof, [1.0, 0, 0], 2.0, eps=1e-2)
-    assert np.all(u == 0)
-
-
-def test_mollified_matches_sharp_static():
-    traj = static_trajectory([0, 0, 0])
-    prof = bump_force([0.5, 1.0, 0.2], center=1.0, half_width=1.0)
-    x = np.array([1.2, 0, 0])
-    t = 1.0 + 1.2 / MAT.cT  # peak T-arrival
-    u_sharp = lw_fields(MAT, traj, prof, x, t, rel_tol=1e-12).u
-    u_eps = mollified_convolution_u(MAT, traj, prof, x, t, eps=1.2e-3 * 1.2 / MAT.cT)
-    np.testing.assert_allclose(u_eps, u_sharp, rtol=1e-4)
-
-
-def test_mollified_halving_shrinks_error_4x():
-    traj = oscillatory_trajectory([0, 0, 0], [0.15, 0, 0], 1.2)
-    prof = bump_force([0.4, 0.8, 0.3], center=1.0, half_width=1.0)
-    x = np.array([0.9, 0.7, 0.4])
-    t = 1.0 + np.linalg.norm(x - traj.eval(1.0)[0]) / MAT.cT
-    u_sharp = lw_fields(MAT, traj, prof, x, t, rel_tol=1e-12).u
-    errs = []
-    for eps in (4e-2, 2e-2, 1e-2):
-        u_eps = mollified_convolution_u(MAT, traj, prof, x, t, eps)
-        errs.append(np.max(np.abs(u_eps - u_sharp)))
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
-    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.25)
-
-
-def test_mollified_resolution_error():
-    traj = static_trajectory([0, 0, 0])
-    prof = bump_force([1, 0, 0], center=1.0, half_width=1.0)
-    with pytest.raises(ResolutionError):
-        mollified_convolution_u(MAT, traj, prof, [1.0, 0, 0], 2.0, eps=1e-16)
 
 
 def test_check_reports_are_consistent():
