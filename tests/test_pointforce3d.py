@@ -413,8 +413,8 @@ def _patch_field_terms(monkeypatch, term, replacement):
 def test_uniform_motion_oracle_catches_a_velocity_term(monkeypatch):
     # Scale the V (x) w2 term of b_vel, which vanishes for a static source,
     # by 1 + 1e-9: u and v are untouched, and beta fails the check.
-    term = "b_vel += v[:, None] * ((s * k / pc) * rv)[None]"
-    _patch_field_terms(monkeypatch, term, f"b_vel += (1.0 + 1e-9) * {term[len('b_vel += '):]}")
+    term = "w2 = (s * k / pc) * rv"
+    _patch_field_terms(monkeypatch, term, f"w2 = (1.0 + 1e-9) * {term[len('w2 = '):]}")
     report = check_uniform_motion_oracle(seed=11)
     assert not report.passed
     assert all(d["u_rel_err"] <= 1e-11 and d["v_rel_err"] <= 1e-11 for d in report.details)

@@ -287,15 +287,53 @@ def test_many_intervals_match_one_interval_calls(monkeypatch):
         ones.append(adaptive_gauss_legendre(probed, a2[i], b2[i], rel_tol=1e-11))
         assert (nodes == [21]) == (i not in (2, 4))
     # A budget below one panel's 16 nodes hands every panel over alone; one
-    # of 50 splits the Kronrod round of six panels over three calls.
+    # of 100 splits the Kronrod round of six panels, whose nodes count once
+    # per rule (252), over three calls.
     monkeypatch.setattr(quadrature, "NODE_BUDGET", 7)
     again, failed_again = integrate_intervals(f, a, b, rel_tol=1e-11)
     assert np.array_equal(again, ref, equal_nan=True)
     assert np.array_equal(failed_again, failed)
-    monkeypatch.setattr(quadrature, "NODE_BUDGET", 50)
+    monkeypatch.setattr(quadrature, "NODE_BUDGET", 100)
     mixed, failed_mixed = integrate_intervals(counted, a2, b2, rel_tol=1e-11)
     assert sizes[:3] == [42, 42, 42] and not failed_mixed.any()
     assert np.array_equal(mixed, np.array(ones))
+
+
+def test_engine_never_writes_the_integrands_values(monkeypatch):
+    # The engine folds |values| into the L1 sums a run of panels at a time
+    # and writes nothing back, so an integrand may return a read-only
+    # array, or one it keeps: each integrates to the bits of a fresh
+    # array, and a kept array is unchanged. Nor does the run length move
+    # the bits. 40 intervals put 840 nodes in the Kronrod round, so the
+    # fold takes more than one run; the kinks at 1.3 make them bisect.
+    a = np.linspace(-1.0, 2.0, 40)
+    b = a + np.linspace(0.5, 2.0, 40)
+
+    def fresh(xs, owner):
+        # Component-major, as the 3D kernel returns its block.
+        return np.array([np.sin(3.0 * xs) - 0.2, np.abs(xs - 1.3), owner * np.cos(xs)]).T
+
+    kept = []
+
+    def shared(xs, owner):
+        vals = fresh(xs, owner)
+        kept.append((vals, vals.copy()))
+        return vals
+
+    def read_only(xs, owner):
+        vals = fresh(xs, owner)
+        vals.flags.writeable = False
+        return vals
+
+    ref, failed = integrate_intervals(fresh, a, b, rel_tol=1e-11)
+    assert not failed.any()
+    for f in (shared, read_only):
+        got, failed = integrate_intervals(f, a, b, rel_tol=1e-11)
+        assert np.array_equal(got, ref) and not failed.any()
+    assert len(kept) > 1 and all(np.array_equal(vals, copy) for vals, copy in kept)
+    for run in (1, 10 ** 6):
+        monkeypatch.setattr(quadrature, "ABS_RUN", run)
+        assert np.array_equal(integrate_intervals(fresh, a, b, rel_tol=1e-11)[0], ref)
 
 
 def test_never_converging_integrand_raises_quickly():

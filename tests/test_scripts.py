@@ -1,5 +1,6 @@
 import re
 import subprocess
+import textwrap
 import sys
 from pathlib import Path
 
@@ -61,3 +62,26 @@ def test_count_code_lines_sums_to_its_totals():
     for k in (1, 2):
         assert sum(int(m[k]) for m in modules) == int(total[k])
     assert all(0 < int(m[2]) < int(m[1]) for m in modules)
+
+
+def test_bench_pairs_reports_faults_and_system_time(tmp_path):
+    # A stand-in checkout whose benchmark run touches 8 MiB of fresh pages,
+    # 2,048 minor faults of 4 KiB pages: they show among each side's
+    # faults per run, which come from the finished runs' rusage.
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    (tmp_path / "perfbench" / "run.py").write_text(textwrap.dedent("""
+        import json
+        pages = bytearray(8 << 20)
+        for i in range(0, len(pages), 4096):
+            pages[i] = 1
+        print(json.dumps({"correct": True, "failed": 0, "metrics": {
+            name: {"value": 1.0} for name in ("events_per_s", "setup_s", "peak_rss_mb")}}))
+    """))
+    out = _run("bench_pairs", "--parent", str(tmp_path), "--change", str(tmp_path),
+               "--workload", "smooth3d", "--pairs", "2")
+    assert out.count("minor_faults") == 4  # both pair lines, and both sides' medians
+    medians = re.search(r"per run, median: parent minor_faults (\S+), sys_s (\S+); "
+                        r"change minor_faults (\S+), sys_s (\S+)$", out, re.M)
+    faults, sys_s = [float(medians[i]) for i in (1, 3)], [float(medians[i]) for i in (2, 4)]
+    assert min(faults) >= 2048 and min(sys_s) >= 0.0
