@@ -384,10 +384,8 @@ def cmd_validate(args) -> int:
         raise ConfigError([f"--seed: must be a non-negative integer, got {args.seed}"])
     names = cfg.checks
     if args.checks is not None:
-        names = [c for c in args.checks.split(",") if c.strip()]
-    reports = run_check_suite(
-        cfg, names=names, seed=args.seed, corrupt=args.inject_corruption
-    )
+        names = [c.strip() for c in args.checks.split(",") if c.strip()]
+    reports = run_check_suite(cfg, names=names, seed=args.seed)
     payload = [r.to_dict() for r in reports]
     text = json.dumps(payload, indent=1, sort_keys=True)
     if args.out:
@@ -433,10 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--seed", type=int, default=None)
     p_val.add_argument("--list", action="store_true", help="list check names and exit")
     p_val.add_argument("--checks", default=None, help="comma list of checks to run")
-    p_val.add_argument(
-        "--inject-corruption", action="store_true",
-        help="corrupt the displacement inside the equation-of-motion check (sensitivity control)",
-    )
     p_val.set_defaults(fn=cmd_validate)
 
     p_lim = sub.add_parser("limits", help="compare against static closed forms")

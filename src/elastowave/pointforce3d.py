@@ -49,11 +49,11 @@ every quantity at each retarded row; the displacement alone is
 
 Every evaluation first raises the first ``motion_violations`` of its
 source. Accuracy stays within the requested tolerance up to 0.999 cT,
-where the fields still meet their closed-form and finite-difference
-oracles. Seen from ahead of a near-sonic source, the history of a
-time-varying force spans hundreds of force periods, and near 1/cT one
-ulp of kappa moves t_ret by 2-4e-11, so such a window does not converge
-in slowness. Over retarded time those periods are evenly spread: a
+where the fields still meet their closed-form oracle
+(``verify.check_uniform_motion_oracle``). Seen from ahead of a
+near-sonic source, the history of a time-varying force spans hundreds of
+force periods, and near 1/cT one ulp of kappa moves t_ret by 2-4e-11,
+so such a window does not converge in slowness. Over retarded time those periods are evenly spread: a
 window that integrates there converges, and a sinusoid ahead of a
 0.999 cT source takes about 4,200 nodes and sits within 5e-11 of the
 closed form.

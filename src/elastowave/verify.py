@@ -3,8 +3,9 @@
 Four kinds of evidence are produced here, none of which share code with
 the production evaluation paths they judge:
 
-* finite-difference consistency: distortion and velocity against
-  Richardson-extrapolated central differences of the displacement;
+* finite differences, only in 2D and in the equation-of-motion stencils:
+  the in-plane velocity against Richardson-extrapolated central
+  differences of the displacement;
 * equation-of-motion residuals: the displacement family must satisfy the
   isotropic elastodynamic balance rho*dv/dt = mu*Lap(u) +
   (lam+mu)*grad(div u) away from the source, tested with 4th-order
@@ -21,8 +22,10 @@ the production evaluation paths they judge:
   oscillatory (or static) worldline, so neither the retarded-time solver
   nor the adaptive engine enters it. Its distortion and velocity are
   complex-step derivatives of it, so no field kernel of the evaluator
-  enters either. A static in-plane step has the plane-strain Green tensor
-  as its velocity and that tensor's time integral as its displacement.
+  enters either. Every 3D closed-form check is a list of cases of it
+  that ``_oracle_check`` judges. A static in-plane step has the
+  plane-strain Green tensor as its velocity and that tensor's time
+  integral as its displacement.
 
 ``run_check_suite`` packages the module invariants into named,
 deterministic, seedable checks and returns CheckReport records that
@@ -302,12 +305,18 @@ def _random_oscillatory(rng, mat, vfrac=0.8, dim=3):
             _newton_lags(amp, omega, phase))
 
 
+def _sinusoid_history(q0, omega, phase):
+    """Q(t') = q0 sin(omega t' + phase) of ``sinusoid_force``, at complex t' too."""
+    return lambda tp: np.multiply.outer(np.sin(omega * tp + phase), q0)
+
+
 def _random_smooth_force(rng):
+    """A sinusoid or a constant force: (profile, angular frequency, history Q(t'))."""
     q0 = rng.normal(size=3)
     if rng.random() < 0.5:
-        omega = rng.uniform(0.5, 1.5)
-        return sinusoid_force(q0, omega=omega, phase=rng.uniform(0, 2 * math.pi)), omega
-    return constant_force(q0), 0.0
+        omega, phase = rng.uniform(0.5, 1.5), rng.uniform(0, 2 * math.pi)
+        return sinusoid_force(q0, omega, phase), omega, _sinusoid_history(q0, omega, phase)
+    return constant_force(q0), 0.0, lambda tp: q0
 
 
 def check_retarded_solver(seed=0, n_cases=1000, tolerance=1e-12):
@@ -387,15 +396,20 @@ def check_kelvin_limit(seed=0, n_cases=20, tolerance=1e-12):
 
 
 def _smooth_case(rng, vfrac=0.8):
+    """An oracle case (mat, traj, prof, lags, force, x, t) and its field wavenumber.
+
+    A sinusoid or constant force on an oscillatory worldline, seen at r in
+    [1.5, 3.5] and t in [0, 3].
+    """
     mat = _random_material(rng)
-    traj, om_t, _ = _random_oscillatory(rng, mat, vfrac)
-    prof, om_f = _random_smooth_force(rng)
+    traj, om_t, lags = _random_oscillatory(rng, mat, vfrac)
+    prof, om_f, force = _random_smooth_force(rng)
     x = rng.uniform(1.5, 3.5) * _random_unit(rng)
     t = rng.uniform(0.0, 3.0)
     # dominant field wavenumber: retarded phases stack the source and force
     # frequencies on the slow branch, plus the geometric 1/r variation
     k_eff = (om_f + 2.0 * om_t) / mat.cT + 2.0 / float(np.linalg.norm(x))
-    return mat, traj, prof, x, t, k_eff
+    return (mat, traj, prof, lags, force, x, t), k_eff
 
 
 def _batched(mat, traj, prof, rel_tol, attr):
@@ -410,45 +424,17 @@ def _batched(mat, traj, prof, rel_tol, attr):
     return field_fn
 
 
-def _corrupted(u_fn):
-    """``u_fn`` with u1 scaled by 1.1, which breaks the equation of motion."""
-
-    def field_fn(xs, ts):
-        u = np.array(u_fn(xs, ts))
-        u[:, 0] *= 1.1
-        return u
-
-    return field_fn
-
-
-def check_fd_consistency_3d(seed=0, n_cases=50, tolerance=1e-5):
-    """Analytic distortion/velocity against differenced displacement."""
-    rng = np.random.default_rng(seed)
-    rel_tol = 1e-12
-    worst = 0.0
-    for _ in range(n_cases):
-        mat, traj, prof, x, t, k_eff = _smooth_case(rng)
-        s = lw_fields(mat, traj, prof, x, t, rel_tol=rel_tol)
-        fd = fd_consistency(_batched(mat, traj, prof, rel_tol, "u"), x, t, 0.02 / k_eff)
-        scale = max(float(np.max(np.abs(fd.beta_fd))), float(np.max(np.abs(fd.v_fd))))
-        worst = max(worst, float(np.max(np.abs(s.beta - fd.beta_fd))) / scale)
-        worst = max(worst, float(np.max(np.abs(s.v - fd.v_fd))) / scale)
-    return _report("fd_consistency_3d", worst, tolerance, n_cases)
-
-
-def check_navier_residual_3d(seed=0, n_cases=50, tolerance=1e-3, corrupt=False):
+def check_navier_residual_3d(seed=0, n_cases=50, tolerance=1e-3):
     """Equation-of-motion residual at off-source, off-front events."""
     rng = np.random.default_rng(seed)
     rel_tol = 1e-12
     worst = 0.0
     for _ in range(n_cases):
-        mat, traj, prof, x, t, k_eff = _smooth_case(rng)
+        (mat, traj, prof, _, _, x, t), k_eff = _smooth_case(rng)
         u_fn = _batched(mat, traj, prof, rel_tol, "u")
         v_fn = _batched(mat, traj, prof, rel_tol, "v")
-        res = navier_residual(mat, _corrupted(u_fn) if corrupt else u_fn, v_fn, x, t, 0.04 / k_eff)
-        worst = max(worst, res.rel_residual)
-    name = "navier_residual_corrupted" if corrupt else "navier_residual_3d"
-    return _report(name, worst, tolerance, n_cases)
+        worst = max(worst, navier_residual(mat, u_fn, v_fn, x, t, 0.04 / k_eff).rel_residual)
+    return _report("navier_residual_3d", worst, tolerance, n_cases)
 
 
 def check_radiation_uniform_zero(seed=0, n_cases=10, tolerance=1e-14):
@@ -576,32 +562,48 @@ def _oracle_devs(mat, traj, prof, lags, force, x, t):
     return {**dev, "gl64_vs_gl128": max(_rel_err(f, r) for f, r in zip(fine, ref))}
 
 
-def _uniform_motion_devs(mat, frac, rng, n_cases, sinusoid):
-    """Max rel. deviations of ``lw_fields`` from the oracle, for n_cases draws.
+def _oracle_check(name, cases, tolerance):
+    """Report ``name`` on cases (label, (mat, traj, prof, lags, force, x, t)).
 
-    Returns the largest of each key of ``_oracle_devs``. A constant force
-    is seen at most 70 deg off the line of motion, a sinusoid q0 sin(1.3
-    t' + 0.4) from behind the source (110-180 deg).
+    Each case's details are its label and its ``_oracle_devs``; the
+    largest of all deviations, the oracle's own included, is the error.
     """
-    devs = []
-    for _ in range(n_cases):
-        d, e = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
-        vel = frac * mat.cT * d
-        if sinusoid:
-            theta = rng.uniform(11 * math.pi / 18, math.pi)
-        else:
-            theta = rng.uniform(0.0, 7 * math.pi / 18)
-            theta = rng.choice([theta, math.pi - theta])
-        X = rng.uniform(0.5, 2.5) * (math.cos(theta) * d + math.sin(theta) * e)
-        s0, q, t = rng.normal(size=3), rng.normal(size=3), rng.uniform(-1.0, 1.0)
-        if sinusoid:
-            prof = sinusoid_force(q, 1.3, 0.4)
-            force = lambda tp: np.multiply.outer(np.sin(1.3 * tp + 0.4), q)
-        else:
-            prof, force = constant_force(q), lambda tp: q
-        devs.append(_oracle_devs(mat, uniform_trajectory(s0, vel), prof, _uniform_lags(s0, vel),
-                                 force, s0 + vel * t + X, t))
-    return {key: max(d[key] for d in devs) for key in devs[0]}
+    details, worst = [], 0.0
+    for label, case in cases:
+        dev = _oracle_devs(*case)
+        worst = max(worst, *dev.values())
+        details.append({**label, **dev})
+    return _report(name, worst, tolerance, len(details), details)
+
+
+def _uniform_cases(seed, n_cases):
+    """The cases of ``check_uniform_motion_oracle``, labelled by speed and force.
+
+    Each speed draws the same n_cases observers per force from ``seed``: a
+    constant force seen at most 70 deg off the line of motion, then a
+    sinusoid q0 sin(1.3 t' + 0.4) seen from behind the source (110-180 deg).
+    """
+    mat = make_material_poisson(rho=1.0, mu=1.0, nu=0.25)
+    for frac in (0.3, 0.95, 0.99, 0.999):
+        rng = np.random.default_rng(seed)
+        for sinusoid in (False, True):
+            for _ in range(n_cases):
+                d, e = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
+                vel = frac * mat.cT * d
+                if sinusoid:
+                    theta = rng.uniform(11 * math.pi / 18, math.pi)
+                else:
+                    theta = rng.uniform(0.0, 7 * math.pi / 18)
+                    theta = rng.choice([theta, math.pi - theta])
+                X = rng.uniform(0.5, 2.5) * (math.cos(theta) * d + math.sin(theta) * e)
+                s0, q, t = rng.normal(size=3), rng.normal(size=3), rng.uniform(-1.0, 1.0)
+                if sinusoid:
+                    prof, force = sinusoid_force(q, 1.3, 0.4), _sinusoid_history(q, 1.3, 0.4)
+                else:
+                    prof, force = constant_force(q), lambda tp, q=q: q
+                yield {"speed": frac, "force": prof.kind}, (
+                    mat, uniform_trajectory(s0, vel), prof, _uniform_lags(s0, vel), force,
+                    s0 + vel * t + X, t)
 
 
 def check_uniform_motion_oracle(seed=0, n_cases=5, tolerance=1e-11):
@@ -611,8 +613,8 @@ def check_uniform_motion_oracle(seed=0, n_cases=5, tolerance=1e-11):
     engine, nor ``lw_fields``: its beta and v are complex-step derivatives
     of the closed-form u (see ``_oracle_fields``). So it judges all
     three directly, at 0.3, 0.95, 0.99 and 0.999 cT, for a constant force
-    and, under the ``sinusoid_`` keys, for q0 sin(1.3 t' + 0.4), whose
-    rate parts the constant force leaves unchecked. Its integrand is
+    and for q0 sin(1.3 t' + 0.4), whose rate parts the constant force
+    leaves unchecked (``_uniform_cases``). Its integrand is
     analytic on [1/cL, 1/cT] with a branch point at k^2 = 1 / (V^2 sin^2
     theta), theta the angle between X and V. Near 0.999 cT an observer
     abeam of the source (theta = 90 deg) brings it within 1e-3 of 1/cT,
@@ -625,24 +627,8 @@ def check_uniform_motion_oracle(seed=0, n_cases=5, tolerance=1e-11):
     meets it to about 5e-11, above this check's tolerance
     (``test_near_sonic_sinusoid_ahead_of_the_source`` holds one such call
     at 1e-10).
-    Each field is measured against its own largest component. Each speed
-    draws the same n_cases observers per force from ``seed``.
     """
-    mat = make_material_poisson(rho=1.0, mu=1.0, nu=0.25)
-    worst = 0.0
-    details = []
-    for frac in (0.3, 0.95, 0.99, 0.999):
-        rng = np.random.default_rng(seed)
-        entry = {"speed": frac}
-        for prefix, sinusoid in (("", False), ("sinusoid_", True)):
-            dev = _uniform_motion_devs(mat, frac, rng, n_cases, sinusoid)
-            oracle_dev = dev.pop("gl64_vs_gl128")
-            entry.update({f"{prefix}max_rel_err": max(dev.values()),
-                          **{f"{prefix}{name}_rel_err": err for name, err in dev.items()},
-                          f"{prefix}gl64_vs_gl128": oracle_dev})
-            worst = max(worst, *dev.values(), oracle_dev)
-        details.append(entry)
-    return _report("uniform_motion_oracle", worst, tolerance, 8 * n_cases, details)
+    return _oracle_check("uniform_motion_oracle", _uniform_cases(seed, n_cases), tolerance)
 
 
 def _bump_history(q0, center, half_width):
@@ -660,8 +646,8 @@ def _bump_history(q0, center, half_width):
 def _pulse_cases(seed):
     """Bump forces on a static, a uniform (0.4 cT) and three oscillatory worldlines.
 
-    Each case (mat, traj, prof, lags, force, x, t) is seen +-0.2 around
-    the T arrival of the pulse peak, with the oracle's lags and Q.
+    Each case is seen +-0.2 around the T arrival of the pulse peak, and
+    labelled by its worldline.
     """
     rng = np.random.default_rng(seed)
     cases = []
@@ -679,20 +665,32 @@ def _pulse_cases(seed):
         x = rng.uniform(1.0, 2.0) * _random_unit(rng)
         r_peak = float(np.linalg.norm(x - traj.eval(prof.t_on + 1.0)[0]))
         t = prof.t_on + 1.0 + r_peak / mat.cT + rng.uniform(-0.2, 0.2)
-        cases.append((mat, traj, prof, lags, _bump_history(q0, 1.0, 1.0), x, t))
+        cases.append(({"worldline": traj.kind},
+                      (mat, traj, prof, lags, _bump_history(q0, 1.0, 1.0), x, t)))
     return cases
 
 
 def check_pulse_oracle(seed=0, tolerance=1e-11):
-    """u, beta and v of ``_pulse_cases`` against the closed form (``_oracle_devs``).
+    """u, beta and v of ``_pulse_cases`` against the closed form.
 
     On the oscillatory worldlines this judges the acceleration (radiation)
     parts of beta and v at their size. A case whose history window [t_T,
     t_L] leaves the bump's support raises ValueError.
     """
-    details = [_oracle_devs(*case) for case in _pulse_cases(seed)]
-    worst = max(max(d.values()) for d in details)
-    return _report("pulse_oracle", worst, tolerance, len(details), details)
+    return _oracle_check("pulse_oracle", _pulse_cases(seed), tolerance)
+
+
+def check_smooth_oracle(seed=0, n_cases=50, tolerance=1e-11):
+    """u, beta and v of ``_smooth_case`` draws against the closed form.
+
+    Sinusoid and constant forces on oscillatory worldlines up to 0.8 cT,
+    the draws of ``check_navier_residual_3d``: the acceleration and rate
+    parts of beta and v enter at their size.
+    """
+    rng = np.random.default_rng(seed)
+    cases = (_smooth_case(rng)[0] for _ in range(n_cases))
+    return _oracle_check("smooth_oracle", (({"force": case[2].kind}, case) for case in cases),
+                         tolerance)
 
 
 def check_radiation_farfield(seed=0, tolerance=1e-2):
@@ -857,7 +855,7 @@ def _between_knot_fronts(mat, traj, x, t):
     return 0.5 * (ends[k] + ends[k + 1])
 
 
-def check_navier_residual_2d(seed=0, n_cases=8, tolerance=1e-4, corrupt=False):
+def check_navier_residual_2d(seed=0, n_cases=8, tolerance=1e-4):
     """Plane-strain equation-of-motion residual of the in-plane line force.
 
     The moving sources of ``check_inplane_velocity``: u from one
@@ -875,10 +873,8 @@ def check_navier_residual_2d(seed=0, n_cases=8, tolerance=1e-4, corrupt=False):
             return np.array([inplane_fields(mat, traj, prof, xx, tt, rel_tol=1e-12).v
                              for xx, tt in zip(xs, ts)])
 
-        res = navier_residual(mat, _corrupted(u_fn) if corrupt else u_fn, v_fn, x, t, 0.01)
-        worst = max(worst, res.rel_residual)
-    name = "navier_residual_2d_corrupted" if corrupt else "navier_residual_2d"
-    return _report(name, worst, tolerance, n_cases)
+        worst = max(worst, navier_residual(mat, u_fn, v_fn, x, t, 0.01).rel_residual)
+    return _report("navier_residual_2d", worst, tolerance, n_cases)
 
 
 def check_afterglow(seed=0, tolerance=1e-12):
@@ -1013,7 +1009,7 @@ CHECKS = {
     "retarded_solver": check_retarded_solver,
     "stokes_limit": check_stokes_limit,
     "kelvin_limit": check_kelvin_limit,
-    "fd_consistency_3d": check_fd_consistency_3d,
+    "smooth_oracle": check_smooth_oracle,
     "navier_residual_3d": check_navier_residual_3d,
     "navier_residual_2d": check_navier_residual_2d,
     "pulse_oracle": check_pulse_oracle,
@@ -1034,7 +1030,7 @@ _QUICK_SIZES = {
     "retarded_solver": {"n_cases": 200},
     "stokes_limit": {"n_cases": 8},
     "kelvin_limit": {"n_cases": 8},
-    "fd_consistency_3d": {"n_cases": 8},
+    "smooth_oracle": {"n_cases": 8},
     "navier_residual_3d": {"n_cases": 6},
     "navier_residual_2d": {"n_cases": 4},
     "radiation_uniform_zero": {"n_cases": 4},
@@ -1046,14 +1042,12 @@ _QUICK_SIZES = {
 }
 
 
-def run_check_suite(config=None, names=None, seed=None, corrupt=False):
+def run_check_suite(config=None, names=None, seed=None):
     """Run the named verification checks; deterministic for a given seed.
 
     ``config`` may be a RunConfig (supplies the seed default); the first
     of its ``motion_violations`` is raised before any check runs.
     ``names=None`` runs everything, an explicit empty list runs nothing.
-    ``corrupt`` injects a deliberately scaled displacement into the
-    equation-of-motion checks, which must then fail (sensitivity control).
     """
     if config is not None:
         cfg, line = config, config.dimension.startswith("2d")
@@ -1069,10 +1063,7 @@ def run_check_suite(config=None, names=None, seed=None, corrupt=False):
         raise ConfigError([f"unknown check: {n}" for n in unknown])
     reports = []
     for name in names:
-        kwargs = dict(_QUICK_SIZES.get(name, {}))
-        if name.startswith("navier_residual") and corrupt:
-            kwargs["corrupt"] = True
-        result = CHECKS[name](seed=seed, **kwargs)
+        result = CHECKS[name](seed=seed, **_QUICK_SIZES.get(name, {}))
         reports.extend(result if isinstance(result, list) else [result])
     reports.sort(key=lambda r: r.name)
     return reports

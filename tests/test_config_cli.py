@@ -20,6 +20,7 @@ from elastowave.cli import (
 )
 from elastowave.config import parse_config
 from elastowave.errors import ConfigError
+from test_mutants import inject
 
 MINIMAL_3D = """
 material.rho = 1.0
@@ -358,9 +359,10 @@ def test_validate_list_and_subset(tmp_path, capsys):
     assert main(["validate", "--config", str(cfg_path), "--list"]) == 0
     listed = capsys.readouterr().out.split()
     assert "kelvin_limit" in listed
-    assert main(["validate", "--config", str(cfg_path), "--checks", "kelvin_limit"]) == 0
+    # names are stripped, as in ``run.checks``
+    assert main(["validate", "--config", str(cfg_path), "--checks", " kelvin_limit, "]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload[0]["name"] == "kelvin_limit" and payload[0]["pass"]
+    assert len(payload) == 1 and payload[0]["name"] == "kelvin_limit" and payload[0]["pass"]
 
 
 def test_validate_empty_selection(tmp_path, capsys):
@@ -370,16 +372,14 @@ def test_validate_empty_selection(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == []
 
 
-def test_validate_corruption_flag_fails(tmp_path, capsys):
+def test_validate_exits_1_when_a_check_fails(tmp_path, capsys, monkeypatch):
+    # u1 scaled by 1.1 breaks the equation of motion; the report is still written.
     cfg_path = tmp_path / "cfg"
     cfg_path.write_text(KELVIN_CFG)
-    code = main([
-        "validate", "--config", str(cfg_path),
-        "--checks", "navier_residual_3d", "--inject-corruption",
-    ])
-    assert code == 1
+    inject(monkeypatch, "u1")
+    assert main(["validate", "--config", str(cfg_path), "--checks", "navier_residual_3d"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload[0]["max_rel_err"] > 1e-2
+    assert payload[0]["max_rel_err"] > 1e-2 and not payload[0]["pass"]
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

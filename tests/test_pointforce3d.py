@@ -1,5 +1,4 @@
 import dataclasses
-import inspect
 import math
 
 import numpy as np
@@ -43,6 +42,7 @@ from elastowave.verify import (
     check_uniform_motion_oracle,
     fd_consistency,
 )
+from test_mutants import inject
 
 MAT = make_material_poisson(rho=1.0, mu=1.0, nu=0.25)  # cT = 1, cL = sqrt(3)
 TOL = 1e-12
@@ -378,15 +378,20 @@ def uniform_oracle_report():
     return check_uniform_motion_oracle(seed=11)
 
 
+def _uniform_cases(report, frac, force):
+    cases = [d for d in report.details if d["speed"] == frac and d["force"] == force]
+    assert len(cases) == 5
+    return cases
+
+
 @pytest.mark.parametrize("frac", [0.3, 0.95, 0.99, 0.999])
 def test_uniform_motion_closed_form_oracle(uniform_oracle_report, frac):
     # Five observers at most 70 degrees off the line of motion, u, beta and
     # v within 1e-11 of the closed form and its complex-step derivatives;
     # the oracle's GL64 rule within 1e-14 of GL128.
     assert uniform_oracle_report.passed, uniform_oracle_report.details
-    (d,) = [d for d in uniform_oracle_report.details if d["speed"] == frac]
-    assert max(d["u_rel_err"], d["beta_rel_err"], d["v_rel_err"]) == d["max_rel_err"]
-    assert d["max_rel_err"] <= 1e-11 and d["gl64_vs_gl128"] <= 1e-14
+    for d in _uniform_cases(uniform_oracle_report, frac, "constant"):
+        assert max(d["u"], d["beta"], d["v"]) <= 1e-11 and d["gl64_vs_gl128"] <= 1e-14
 
 
 @pytest.mark.parametrize("frac", [0.3, 0.95, 0.99, 0.999])
@@ -395,43 +400,31 @@ def test_uniform_motion_sinusoid_oracle(uniform_oracle_report, frac):
     # rate parts of beta and v against the complex-step derivatives. The
     # oracle's GL64 rule is within 2e-14 of GL128 here, so it gets its own
     # bound rather than the constant force's 1e-14.
-    (d,) = [d for d in uniform_oracle_report.details if d["speed"] == frac]
-    errs = [d[f"sinusoid_{name}_rel_err"] for name in ("u", "beta", "v")]
-    assert max(errs) == d["sinusoid_max_rel_err"] <= 1e-11
-    assert d["sinusoid_gl64_vs_gl128"] <= 1e-11
-
-
-def _patch_field_terms(monkeypatch, term, replacement):
-    """Patch pointforce3d._field_terms with its one ``term`` replaced."""
-    source = inspect.getsource(pointforce3d._field_terms)
-    assert source.count(term) == 1
-    namespace = dict(vars(pointforce3d))
-    exec(source.replace(term, replacement), namespace)
-    monkeypatch.setattr(pointforce3d, "_field_terms", namespace["_field_terms"])
+    for d in _uniform_cases(uniform_oracle_report, frac, "sinusoid"):
+        assert max(d["u"], d["beta"], d["v"]) <= 1e-11 and d["gl64_vs_gl128"] <= 1e-11
 
 
 def test_uniform_motion_oracle_catches_a_velocity_term(monkeypatch):
     # Scale the V (x) w2 term of b_vel, which vanishes for a static source,
     # by 1 + 1e-9: u and v are untouched, and beta fails the check.
-    term = "w2 = (s * k / pc) * rv"
-    _patch_field_terms(monkeypatch, term, f"w2 = (1.0 + 1e-9) * {term[len('w2 = '):]}")
+    inject(monkeypatch, "b_vel_v_term", 1e-9)
     report = check_uniform_motion_oracle(seed=11)
     assert not report.passed
-    assert all(d["u_rel_err"] <= 1e-11 and d["v_rel_err"] <= 1e-11 for d in report.details)
-    assert max(d["beta_rel_err"] for d in report.details) > 5e-11
+    assert all(d["u"] <= 1e-11 and d["v"] <= 1e-11 for d in report.details)
+    assert max(d["beta"] for d in report.details) > 5e-11
 
 
 def test_uniform_motion_oracle_catches_a_rate_term(monkeypatch):
     # Scale b_qdot, the force-rate part of beta, by 1 + 1e-9: a constant
     # force has no rate part, so only the sinusoid's beta fails the check.
-    term = "((p * k / pc2) * rv)[None], out=b_qdot"
-    _patch_field_terms(monkeypatch, term, f"((1.0 + 1e-9) * {term[1:]}")
+    inject(monkeypatch, "beta_qdot", 1e-9)
     report = check_uniform_motion_oracle(seed=11)
     assert not report.passed
-    assert all(d["max_rel_err"] <= 1e-11 for d in report.details)
-    assert all(d["sinusoid_u_rel_err"] <= 1e-11 and d["sinusoid_v_rel_err"] <= 1e-11
-               for d in report.details)
-    assert max(d["sinusoid_beta_rel_err"] for d in report.details) > 5e-11
+    constant, sinusoid = ([d for d in report.details if d["force"] == force]
+                          for force in ("constant", "sinusoid"))
+    assert all(max(d["u"], d["beta"], d["v"]) <= 1e-11 for d in constant)
+    assert all(d["u"] <= 1e-11 and d["v"] <= 1e-11 for d in sinusoid)
+    assert max(d["beta"] for d in sinusoid) > 5e-11
 
 
 def test_near_sonic_sinusoid_ahead_of_the_source():
@@ -441,13 +434,23 @@ def test_near_sonic_sinusoid_ahead_of_the_source():
     # In retarded time the force's periods are evenly spread: the window
     # takes about 4,200 nodes and sits 1.9e-11 (u) and 4.7e-11 (beta, v)
     # from the closed form, whose GL4000 and GL8000 rules agree to 2e-13.
+    # No tolerance sets that floor: the call is ill-conditioned. Its T root
+    # lags by 1,000, and one ulp more speed moves the fields by 7e-11 (u)
+    # and 1.8e-10 (beta, v), the closed form's as much as lw_fields'; a
+    # tighter rel_tol takes the same nodes and returns the same bits.
     vel, q = np.array([0.999, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
     x = np.array([1.0, 0.3, 0.0])
-    fs = lw_fields(MAT, uniform_trajectory([0, 0, 0], vel), sinusoid_force(q, 1.0, 0.0), x, 0.0)
+    prof = sinusoid_force(q, 1.0, 0.0)
+    fs, tight, ulp = (lw_fields(MAT, uniform_trajectory([0, 0, 0], [speed, 0.0, 0.0]), prof, x, 0.0,
+                                rel_tol=rel_tol)
+                      for speed, rel_tol in ((0.999, 1e-10), (0.999, 1e-14),
+                                             (np.nextafter(0.999, 1.0), 1e-10)))
     ref = _oracle_fields(MAT, _uniform_lags(np.zeros(3), vel),
                          lambda tp: np.multiply.outer(np.sin(tp), q), x, 0.0, 4000)
-    for got, want in zip((fs.u, fs.beta, fs.v), ref):
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    for got, same, moved, want in zip(*((f.u, f.beta, f.v) for f in (fs, tight, ulp)), ref):
+        dev = np.max(np.abs(got - want))
+        assert dev <= 1e-10 * np.max(np.abs(want))
+        assert np.array_equal(same, got) and np.max(np.abs(moved - got)) > 2.0 * dev
 
 
 @pytest.mark.parametrize("t", [4.497, 1.869025])

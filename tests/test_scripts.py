@@ -23,7 +23,7 @@ def _run(name, *args):
 @pytest.mark.parametrize(
     "name",
     ["sample_wavefield", "radiation_scan", "afterglow_trace", "count_code_lines", "bench_pairs",
-     "compare_rows"],
+     "compare_rows", "kill_matrix"],
 )
 def test_script_help_runs(name):
     # --help imports the script's whole dependency chain without computing

@@ -4,7 +4,7 @@ import pytest
 from elastowave.errors import ConfigError, RetardedConvergenceError, SupersonicError
 from elastowave.material import make_material, make_material_poisson
 from elastowave.pointforce3d import kelvin_displacement, kelvin_gradient
-from elastowave import lineforce2d, pointforce3d, verify
+from elastowave import verify
 from elastowave.verify import (
     CHECKS,
     CheckReport,
@@ -12,6 +12,7 @@ from elastowave.verify import (
     navier_residual,
     run_check_suite,
 )
+from test_mutants import FIELD_BLOCKS, inject
 
 MAT = make_material_poisson(1.0, 1.0, 0.25)
 
@@ -121,35 +122,16 @@ def test_inplane_checks_make_one_displacement_call_per_case(monkeypatch):
     assert calls == [(25,), (25,)]  # centre, 4 per axis, a 4x4 grid in the plane
 
 
-
-# The blocks of the 39-column layout of ``pointforce3d._field_terms``.
-FIELD_BLOCKS = {"u": slice(0, 3), "beta_qdot": slice(3, 12), "beta_vel": slice(12, 21),
-                "beta_acc": slice(21, 30), "v_qdot": slice(30, 33), "v_vel": slice(33, 36),
-                "v_acc": slice(36, 39)}
-
-
-def _scale_field_block(monkeypatch, block, eps):
-    """Scale one block of ``_field_terms`` by 1 + eps."""
-    terms, cols = pointforce3d._field_terms, FIELD_BLOCKS[block]
-
-    def scaled(*args):
-        out = terms(*args)
-        out[:, cols] *= 1.0 + eps
-        return out
-
-    monkeypatch.setattr(pointforce3d, "_field_terms", scaled)
-
-
 def test_pulse_oracle_passes_every_block_at_zero(monkeypatch):
     for block in FIELD_BLOCKS:
-        _scale_field_block(monkeypatch, block, 0.0)
+        inject(monkeypatch, block, 0.0)
     rep, = run_check_suite(names=["pulse_oracle"], seed=0)
     assert rep.passed, rep.details
 
 
 @pytest.mark.parametrize("block", FIELD_BLOCKS)
 def test_pulse_oracle_catches_a_block_scaled_by_1e_6(monkeypatch, block):
-    _scale_field_block(monkeypatch, block, 1e-6)
+    inject(monkeypatch, block, 1e-6)
     rep, = run_check_suite(names=["pulse_oracle"], seed=0)
     assert not rep.passed and rep.max_rel_err > 1e-8, rep.details
 
@@ -157,12 +139,12 @@ def test_pulse_oracle_catches_a_block_scaled_by_1e_6(monkeypatch, block):
 def test_pulse_oracle_refuses_a_window_across_the_support_end(monkeypatch):
     # The static case seen when t_off lies at the middle slowness of its
     # history window [t_T, t_L], where the bump is not analytic.
-    mat, traj, prof, lags, force, x, _ = verify._pulse_cases(0)[0]
+    label, (mat, traj, prof, lags, force, x, _) = verify._pulse_cases(0)[0]
     t = prof.t_off + 0.5 * np.linalg.norm(x) * (1.0 / mat.cT + 1.0 / mat.cL)
     t_T, t_L = lags(x, t, np.array([1.0 / mat.cT, 1.0 / mat.cL]))[0]
     assert t_T < prof.t_off < t_L
     monkeypatch.setattr(verify, "_pulse_cases",
-                        lambda seed: [(mat, traj, prof, lags, force, x, t)])
+                        lambda seed: [(label, (mat, traj, prof, lags, force, x, t))])
     with pytest.raises(ValueError, match="support"):
         verify.check_pulse_oracle(seed=0)
 
@@ -183,39 +165,18 @@ def test_rel_err_of_an_all_zero_reference():
     assert verify._rel_err([1.0, 3.0], [1.0, 2.0]) == 0.5
 
 
-# Defects that ``line_descent`` must catch at 1e-6, each with the part of
-# its report keys that it may move: the anti-plane rate, the in-plane u
-# kernel on L rows (which also enters v through the end term at t_T), and
-# the acceleration (radiation) parts of the 3D distortion and velocity.
+# Defects of ``test_mutants.DEFECTS`` that ``line_descent`` must catch at
+# 1e-6, each with the part of its report keys that it may move: the
+# anti-plane rate, the in-plane u kernel on L rows (which also enters v
+# through the end term at t_T), and the acceleration (radiation) parts of
+# the 3D distortion and velocity.
 LINE_DEFECTS = {"antiplane_rate": "antiplane", "inplane_u_on_l_rows": "inplane",
                 "beta_acc": "beta", "v_acc": "_v"}
 
 
-def _inject_line_defect(monkeypatch, defect, eps):
-    """Scale the part of the fields named by ``defect`` by 1 + eps."""
-    if defect == "antiplane_rate":
-        kernel = lineforce2d._antiplane_kernel
-
-        def scaled(g, q):
-            u, rate = kernel(g, q)
-            return u, lambda *args: rate(*args) * (1.0 + eps)
-
-        monkeypatch.setattr(lineforce2d, "_antiplane_kernel", scaled)
-    elif defect == "inplane_u_on_l_rows":
-        kernel = lineforce2d._inplane_kernel
-
-        def scaled(g, q, kT, kL2):
-            u, rate = kernel(g, q, kT, kL2)
-            return np.where((g.kappa != kT)[:, None], u * (1.0 + eps), u), rate
-
-        monkeypatch.setattr(lineforce2d, "_inplane_kernel", scaled)
-    else:  # a block of the 39-column layout of the 3D field terms
-        _scale_field_block(monkeypatch, defect, eps)
-
-
 def test_line_descent_passes_every_defect_at_zero(monkeypatch):
     for defect in LINE_DEFECTS:
-        _inject_line_defect(monkeypatch, defect, 0.0)
+        inject(monkeypatch, defect, 0.0)
     assert verify.check_line_descent(seed=0, n_cases=1).passed
 
 
@@ -223,16 +184,18 @@ def test_line_descent_passes_every_defect_at_zero(monkeypatch):
 def test_line_descent_catches_a_defect_of_1e_6(monkeypatch, defect):
     # The first case of the check is an accelerated source seen while its
     # T retarded time lies inside the bump, so the L segment carries force.
-    _inject_line_defect(monkeypatch, defect, 1e-6)
+    inject(monkeypatch, defect, 1e-6)
     rep = verify.check_line_descent(seed=0, n_cases=1)
     assert not rep.passed
     dev, part = rep.details[0], LINE_DEFECTS[defect]
     assert all(err <= rep.tolerance for name, err in dev.items() if part not in name), dev
     assert max(err for name, err in dev.items() if part in name) > 1e-7, dev
 
-def test_inject_corruption_fails_the_2d_navier_check():
-    bad, = run_check_suite(names=["navier_residual_2d"], seed=0, corrupt=True)
-    assert bad.name == "navier_residual_2d_corrupted" and bad.n_samples == 4
+
+def test_inject_corruption_fails_the_2d_navier_check(monkeypatch):
+    inject(monkeypatch, "u1")  # u1 scaled by 1.1
+    bad, = run_check_suite(names=["navier_residual_2d"], seed=0)
+    assert bad.name == "navier_residual_2d" and bad.n_samples == 4
     assert not bad.passed and bad.max_rel_err > 1e-2
 
 
@@ -284,3 +247,9 @@ force.q0 = 0,0,1
 
 def test_all_registered_checks_have_unique_names():
     assert len(CHECKS) == len(set(CHECKS))
+
+
+def test_quick_sizes_name_registered_checks():
+    # ``run_check_suite`` looks its sizes up by check name, so a size left
+    # under an old name would run that check at its full size.
+    assert set(verify._QUICK_SIZES) <= set(CHECKS)
