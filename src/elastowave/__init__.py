@@ -19,7 +19,6 @@ from .kinematics import (
     bump_force,
     polynomial_force,
     retarded_time,
-    retarded_time_bisection,
 )
 from .pointforce3d import (
     FieldSample,

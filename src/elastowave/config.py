@@ -27,7 +27,8 @@ tolerances.quad_rel / tolerances.retarded_rel / tolerances.history_rel
     solver, and the 2D history quadrature.
 run.seed / run.checks
     Non-negative integer seed for randomized validation, and an optional
-    comma list restricting which validation checks run.
+    comma list restricting which validation checks run; each must name
+    an entry of ``verify.CHECKS``.
 output.path / output.format
     Output file and csv | json.
 """
@@ -61,6 +62,7 @@ from .kinematics import (
 from .lineforce2d import DEFAULT_HISTORY_TOL
 from .material import Material, make_material, make_material_poisson
 from .pointforce3d import DEFAULT_SLOWNESS_TOL
+from .verify import CHECKS
 
 __all__ = ["RunConfig", "GridSpec", "parse_config", "TRAJECTORY_PRESETS", "FORCE_PRESETS"]
 
@@ -307,6 +309,7 @@ def parse_config(text: str) -> RunConfig:
     checks = None
     if "run.checks" in kv:
         checks = [c.strip() for c in kv["run.checks"].split(",") if c.strip()]
+        errors.extend(f"run.checks: unknown check {c!r}" for c in checks if c not in CHECKS)
 
     out_format = kv.get("output.format", "csv").strip()
     if out_format not in ("csv", "json"):

@@ -90,7 +90,6 @@ __all__ = [
     "polynomial_force",
     "motion_violations",
     "retarded_time",
-    "retarded_time_bisection",
 ]
 
 DEFAULT_RETARDED_TOL = 1e-12
@@ -762,32 +761,3 @@ def retarded_time(
         return _finalize_state(traj, x, float(tp[0]), float(k[0]))
     return _finalize_state(traj, xc, tp, k, valid, late=late)
 
-
-def retarded_time_bisection(
-    traj: Trajectory,
-    x,
-    t: float,
-    slowness: float,
-    dim: int = 3,
-) -> RetardedState:
-    """Plain-bisection reference solver for the same root as retarded_time.
-
-    Bisects the bracket down to 4 ulp of t'. A root outside a bounded
-    domain raises as in a scalar ``retarded_time`` call.
-    """
-    x = np.asarray(x, dtype=float)[:dim]
-    _check_slowness(traj, slowness)
-    lo, hi, valid, late = _bracket(traj, x[:, None], t, np.array([slowness], dtype=float))
-    if not valid[0]:
-        raise _past_the_end(traj, t) if late[0] else _no_retardation(t)
-    lo, hi = float(lo[0]), float(hi[0])
-    for _ in range(200):
-        if hi - lo <= 4.0 * _EPS * max(1.0, abs(lo), abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        rvec = x - traj.eval(mid)[0][:dim]
-        if t - mid - slowness * math.sqrt(float(rvec @ rvec)) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return _finalize_state(traj, x, 0.5 * (lo + hi), slowness)

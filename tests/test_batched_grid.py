@@ -14,10 +14,11 @@ from elastowave.kinematics import (
     bump_force,
     piecewise_polynomial_trajectory,
     retarded_time,
-    retarded_time_bisection,
     step_force,
 )
 from elastowave.lineforce2d import antiplane_fields, inplane_fields
+
+from bisection_solver import retarded_time_bisection
 
 HEAD = """
 material.rho = 1.0

@@ -345,6 +345,17 @@ def test_negative_run_seed_is_a_config_error(tmp_path, capsys):
     assert "run.seed" in capsys.readouterr().err
 
 
+def test_unknown_run_checks_are_config_errors():
+    # A config that names a check no longer registered fails when it is
+    # parsed, with every unknown name listed, not midway through validate.
+    text = KELVIN_CFG + "run.checks = kelvin_limit, radiation_farfield, radiation_uniform_zero\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.violations == ["run.checks: unknown check 'radiation_farfield'",
+                                    "run.checks: unknown check 'radiation_uniform_zero'"]
+    assert parse_config(KELVIN_CFG + "run.checks = kelvin_limit\n").checks == ["kelvin_limit"]
+
+
 def test_negative_validate_seed_is_a_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg"
     cfg_path.write_text(KELVIN_CFG)
@@ -501,6 +512,10 @@ def test_validate_full_suite_default_config():
     assert proc.returncode == 0, proc.stderr
     *report, status = proc.stdout.splitlines()
     reports = json.loads("\n".join(report))
-    assert len(reports) >= 15
+    assert sorted(r["name"] for r in reports) == [
+        "afterglow_huygens", "antiplane_closed_form_derivs", "antiplane_closed_form_u",
+        "equivariance", "inplane_velocity_closed_form", "inplane_velocity_fd", "kelvin_limit",
+        "line_descent", "linearity", "navier_residual_2d", "navier_residual_3d", "pulse_oracle",
+        "retarded_solver", "smooth_oracle", "stokes_limit", "uniform_motion_oracle"]
     assert all(r["pass"] for r in reports)
     assert status == "0 False"

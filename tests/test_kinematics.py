@@ -23,13 +23,14 @@ from elastowave.kinematics import (
     polynomial_force,
     ramp_force,
     retarded_time,
-    retarded_time_bisection,
     sinusoid_force,
     static_trajectory,
     step_force,
     tabulated_trajectory,
     uniform_trajectory,
 )
+
+from bisection_solver import retarded_time_bisection
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Injected defects and the check reports that must catch them (mutation analysis).
 
 Each entry of ``DEFECTS`` patches one production function so that one
-part of the fields moves by a relative eps (an absolute eps for the
-retarded times), and names reports of the quick check suite,
-``run_check_suite(seed=0)``, that must fail under it at the entry's eps.
+part of the fields moves by a relative eps (eps / R for ``acc_steeper``,
+an absolute eps for the retarded times), and names reports of the quick
+check suite, ``run_check_suite(seed=0)``, that must fail under it at the
+entry's eps.
 At eps = 0 every patch leaves the fields bitwise unchanged, so the whole
 suite passes with all of them in place. ``scripts/kill_matrix.py`` runs
 the whole suite under every defect and prints which reports fail;
@@ -70,6 +71,17 @@ def _b_vel_v_term(monkeypatch, eps):
     namespace = dict(vars(pointforce3d))
     exec(source.replace(term, f"w2 = (1.0 + {eps!r}) * (s * k / pc) * rv"), namespace)
     monkeypatch.setattr(pointforce3d, "_field_terms", namespace["_field_terms"])
+
+
+def _acc_steeper(monkeypatch, eps):
+    """Scale the acceleration blocks by 1 + eps / R: a term one power of R steeper."""
+    cols = np.r_[FIELD_BLOCKS["beta_acc"], FIELD_BLOCKS["v_acc"]]
+
+    def change(out, st, *args):
+        out[:, cols] *= 1.0 + eps / st.r[:, None]
+        return out
+
+    _wrap(monkeypatch, pointforce3d, "_field_terms", change)
 
 
 def _intermediate_channel(monkeypatch, eps):
@@ -147,6 +159,7 @@ DEFECTS = {
     "b_vel_v_term": Defect(_b_vel_v_term, 1e-6, _ORACLES_3D),
     **{block: Defect(_scale_columns(cols), 1e-6, _ORACLES_3D)
        for block, cols in FIELD_BLOCKS.items()},
+    "acc_steeper": Defect(_acc_steeper, 1e-6, _ORACLES_3D),
     "intermediate_channel": Defect(_intermediate_channel, 1e-6, _ORACLES_3D + _STATIC),
     "antiplane_rate": Defect(_antiplane_rate, 1e-6, ("line_descent",)),
     "antiplane_u": Defect(_antiplane_u, 1e-6, ("antiplane_closed_form_u",)),
@@ -155,7 +168,8 @@ DEFECTS = {
     # a corrupted displacement, which breaks the equation of motion
     "u1": Defect(_u1, 0.1, _ORACLES_3D + _STATIC + (
         "equivariance", "navier_residual_2d", "navier_residual_3d")),
-    "retarded_offset": Defect(_retarded_offset, 1e-6, _ORACLES_3D + _STATIC + _ANTIPLANE),
+    "retarded_offset": Defect(_retarded_offset, 1e-6,
+                              _ORACLES_3D + _STATIC + _ANTIPLANE + ("retarded_solver",)),
     "force_nonlinear": Defect(_force_nonlinear, 1e-6,
                               _ORACLES_3D + _STATIC + _ANTIPLANE + ("linearity",)),
 }

@@ -12,7 +12,6 @@ from elastowave.kinematics import (
     oscillatory_trajectory,
     ramp_force,
     retarded_time,
-    retarded_time_bisection,
     sinusoid_force,
     static_trajectory,
     step_force,
@@ -42,6 +41,7 @@ from elastowave.verify import (
     check_uniform_motion_oracle,
     fd_consistency,
 )
+from bisection_solver import retarded_time_bisection
 from test_mutants import inject
 
 MAT = make_material_poisson(rho=1.0, mu=1.0, nu=0.25)  # cT = 1, cL = sqrt(3)
