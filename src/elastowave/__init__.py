@@ -38,7 +38,6 @@ from .lineforce2d import (
 )
 from .verify import (
     CheckReport,
-    fd_consistency,
     navier_residual,
     run_check_suite,
 )

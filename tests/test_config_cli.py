@@ -513,9 +513,8 @@ def test_validate_full_suite_default_config():
     *report, status = proc.stdout.splitlines()
     reports = json.loads("\n".join(report))
     assert sorted(r["name"] for r in reports) == [
-        "afterglow_huygens", "antiplane_closed_form_derivs", "antiplane_closed_form_u",
-        "equivariance", "inplane_velocity_closed_form", "inplane_velocity_fd", "kelvin_limit",
-        "line_descent", "linearity", "navier_residual_2d", "navier_residual_3d", "pulse_oracle",
+        "afterglow_huygens", "equivariance", "kelvin_limit", "line_descent", "line_oracle",
+        "linearity", "navier_residual_2d", "navier_residual_3d", "pulse_oracle",
         "retarded_solver", "smooth_oracle", "stokes_limit", "uniform_motion_oracle"]
     assert all(r["pass"] for r in reports)
     assert status == "0 False"

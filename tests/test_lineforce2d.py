@@ -28,11 +28,8 @@ from elastowave.lineforce2d import (
 from elastowave.material import make_material
 from elastowave.pointforce3d import lw_fields_batch
 from elastowave.quadrature import integrate_intervals
-from elastowave.verify import (
-    _descent_devs,
-    _inplane_static_step,
-    fd_consistency,
-)
+from elastowave.verify import _descent_devs
+from reference_fields import fd_consistency, inplane_static_step
 
 MAT = make_material(rho=1.3, lam=0.9, mu=1.3)  # cT = 1
 Q0 = 2.0 * math.pi * MAT.rho * MAT.cT ** 2
@@ -224,7 +221,7 @@ def test_inplane_between_arrivals():
     x = np.array([r, 0.0])
     u = inplane_displacement(MAT, traj, step_force(q0, t_on=0.0), x, t, rel_tol=1e-10)
     assert np.any(u != 0)
-    exact = _inplane_static_step(MAT, x, t)[0] @ q0[:2]
+    exact = inplane_static_step(MAT, x, t)[0] @ q0[:2]
     np.testing.assert_allclose(u, exact, rtol=0, atol=1e-12 * np.max(np.abs(exact)))
 
 
@@ -235,7 +232,7 @@ def test_inplane_static_matches_oracle():
     x = np.array([0.9, 0.5])
     t = 3.7
     u = inplane_displacement(MAT, traj, step_force(q0, t_on=0.0), x, t, rel_tol=1e-10)
-    exact = _inplane_static_step(MAT, x, t)[0] @ q0[:2]
+    exact = inplane_static_step(MAT, x, t)[0] @ q0[:2]
     np.testing.assert_allclose(u, exact, rtol=0, atol=1e-12 * np.max(np.abs(exact)))
 
 
@@ -503,7 +500,7 @@ def test_inplane_velocity_of_a_static_step_is_the_green_tensor(x, t):
     q0 = np.array([1.0, 0.5, 0.0])
     fs = inplane_fields(MAT, static_trajectory([0, 0, 0]), step_force(q0, t_on=0.0), x, t,
                         rel_tol=1e-10)
-    exact = _inplane_static_step(MAT, np.array(x), t)[1] @ q0[:2]
+    exact = inplane_static_step(MAT, np.array(x), t)[1] @ q0[:2]
     np.testing.assert_allclose(fs.v, exact, rtol=0, atol=1e-13 + 1e-12 * np.max(np.abs(exact)))
 
 
@@ -569,13 +566,12 @@ def test_inplane_wavefront_proximity_warning():
 
 
 def test_fd_step_keeps_clear_of_knot_fronts():
-    # The moving case 1 of check_inplane_velocity at seed 2: a spline
+    # The moving case 1 of _inplane_cases at seed 2: a spline
     # worldline seen 9e-5 after the S front of a knot. The knot's fronts
     # floor the step, with a warning, and beta meets the Richardson
     # differences of a finer step (it read 2.5e-8 off them when the step
     # kept clear only of the switch-on fronts).
-    case = list(verify._inplane_cases(np.random.default_rng(2), 2))[1]
-    mat, (traj, prof, x, _) = case[0], case[4]
+    mat, traj, prof, x, _ = list(verify._inplane_cases(np.random.default_rng(2), 2))[1]
     t = 5.6985
     with pytest.warns(WavefrontProximityWarning):
         beta = inplane_fields(mat, traj, prof, x, t, rel_tol=1e-12).beta

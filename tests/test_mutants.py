@@ -2,7 +2,8 @@
 
 Each entry of ``DEFECTS`` patches one production function so that one
 part of the fields moves by a relative eps (eps / R for ``acc_steeper``,
-an absolute eps for the retarded times), and names reports of the quick
+an absolute eps for the retarded times, eps times a bounded force's scale
+after it switches off for ``force_tail``), and names reports of the quick
 check suite, ``run_check_suite(seed=0)``, that must fail under it at the
 entry's eps.
 At eps = 0 every patch leaves the fields bitwise unchanged, so the whole
@@ -12,6 +13,7 @@ ROADMAP item 18 holds its matrix. Tests of one check's sensitivity
 inject these defects too, at their own eps.
 """
 
+import dataclasses
 import inspect
 from dataclasses import dataclass
 from typing import Callable
@@ -19,7 +21,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from elastowave import kinematics, lineforce2d, pointforce3d
+from elastowave import kinematics, lineforce2d, pointforce3d, verify
 from elastowave.verify import CHECKS, run_check_suite
 
 
@@ -118,6 +120,13 @@ def _inplane_u_on_l_rows(monkeypatch, eps):
     _wrap(monkeypatch, lineforce2d, "_inplane_kernel", change)
 
 
+def _inplane_beta(monkeypatch, eps):
+    """Scale the in-plane distortion of ``inplane_fields``, not its u or v."""
+    for module in (lineforce2d, verify):
+        _wrap(monkeypatch, module, "inplane_fields",
+              lambda fs, *a, **k: dataclasses.replace(fs, beta=fs.beta * (1.0 + eps)))
+
+
 def _u1(monkeypatch, eps):
     """Scale u1 of both the point force and the in-plane line force, not their rates."""
     _scale_columns(slice(0, 1))(monkeypatch, eps)
@@ -136,6 +145,20 @@ def _retarded_offset(monkeypatch, eps):
         monkeypatch.setattr(module, "_finalize_state", shifted)
 
 
+def _force_tail(monkeypatch, eps):
+    """A bounded force leaves eps * its scale in each component after it switches off."""
+    original = kinematics.ForceProfile.eval
+
+    def evaluate(self, t):
+        q, qd = original(self, t)
+        if self.scale is None:
+            return q, qd
+        after = (np.asarray(t, dtype=float) > self.t_off)[..., None]
+        return np.where(after, eps * self.scale, q), qd
+
+    monkeypatch.setattr(kinematics.ForceProfile, "eval", evaluate)
+
+
 def _force_nonlinear(monkeypatch, eps):
     """Q(t) -> Q (1 + eps |Q|): fields no longer linear in the force strength."""
     original = kinematics.ForceProfile.eval
@@ -147,13 +170,15 @@ def _force_nonlinear(monkeypatch, eps):
     monkeypatch.setattr(kinematics.ForceProfile, "eval", evaluate)
 
 
-# Every 3D defect fails the two 3D closed-form oracles at 1e-6. A defect
-# names cheap reports of its row of the kill matrix (ROADMAP item 18 holds
-# whole rows); the slower ``line_descent``, ``uniform_motion_oracle`` and
-# ``inplane_velocity`` only where no cheaper check catches it.
+# Every 3D defect fails the two 3D closed-form oracles at 1e-6, and every
+# 2D one the line-force oracle. A defect names cheap reports of its row of
+# the kill matrix (ROADMAP item 18 holds whole rows); the slower
+# ``line_descent`` and ``uniform_motion_oracle`` only where no cheaper
+# check catches it, and ``line_descent`` for the in-plane distortion,
+# which only it and ``line_oracle`` judge.
 _ORACLES_3D = ("pulse_oracle", "smooth_oracle")
 _STATIC = ("kelvin_limit", "stokes_limit")
-_ANTIPLANE = ("antiplane_closed_form_derivs", "antiplane_closed_form_u")
+_LINE = ("line_oracle",)
 
 DEFECTS = {
     "b_vel_v_term": Defect(_b_vel_v_term, 1e-6, _ORACLES_3D),
@@ -162,16 +187,18 @@ DEFECTS = {
     "acc_steeper": Defect(_acc_steeper, 1e-6, _ORACLES_3D),
     "intermediate_channel": Defect(_intermediate_channel, 1e-6, _ORACLES_3D + _STATIC),
     "antiplane_rate": Defect(_antiplane_rate, 1e-6, ("line_descent",)),
-    "antiplane_u": Defect(_antiplane_u, 1e-6, ("antiplane_closed_form_u",)),
-    "inplane_rate": Defect(_inplane_rate, 1e-6, ("inplane_velocity_fd",)),
-    "inplane_u_on_l_rows": Defect(_inplane_u_on_l_rows, 1e-6, ("inplane_velocity_closed_form",)),
+    "antiplane_u": Defect(_antiplane_u, 1e-6, _LINE),
+    "inplane_rate": Defect(_inplane_rate, 1e-6, _LINE),
+    "inplane_u_on_l_rows": Defect(_inplane_u_on_l_rows, 1e-6, _LINE),
+    "inplane_beta": Defect(_inplane_beta, 1e-6, _LINE + ("line_descent",)),
     # a corrupted displacement, which breaks the equation of motion
-    "u1": Defect(_u1, 0.1, _ORACLES_3D + _STATIC + (
+    "u1": Defect(_u1, 0.1, _ORACLES_3D + _STATIC + _LINE + (
         "equivariance", "navier_residual_2d", "navier_residual_3d")),
     "retarded_offset": Defect(_retarded_offset, 1e-6,
-                              _ORACLES_3D + _STATIC + _ANTIPLANE + ("retarded_solver",)),
+                              _ORACLES_3D + _STATIC + _LINE + ("retarded_solver",)),
+    "force_tail": Defect(_force_tail, 1e-6, ("afterglow_huygens",)),
     "force_nonlinear": Defect(_force_nonlinear, 1e-6,
-                              _ORACLES_3D + _STATIC + _ANTIPLANE + ("linearity",)),
+                              _ORACLES_3D + _STATIC + _LINE + ("linearity",)),
 }
 
 

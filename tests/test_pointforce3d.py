@@ -39,9 +39,9 @@ from elastowave.verify import (
     _oracle_fields,
     _uniform_lags,
     check_uniform_motion_oracle,
-    fd_consistency,
 )
 from bisection_solver import retarded_time_bisection
+from reference_fields import fd_consistency
 from test_mutants import inject
 
 MAT = make_material_poisson(rho=1.0, mu=1.0, nu=0.25)  # cT = 1, cL = sqrt(3)

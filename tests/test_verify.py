@@ -1,17 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from elastowave.errors import ConfigError, RetardedConvergenceError, SupersonicError
 from elastowave.material import make_material, make_material_poisson
 from elastowave.pointforce3d import kelvin_displacement, kelvin_gradient
-from elastowave import verify
+from elastowave import lineforce2d, verify
 from elastowave.verify import (
     CHECKS,
     CheckReport,
-    fd_consistency,
     navier_residual,
     run_check_suite,
 )
+from reference_fields import fd_consistency, inplane_static_step
 from test_mutants import FIELD_BLOCKS, inject
 
 MAT = make_material_poisson(1.0, 1.0, 0.25)
@@ -107,19 +109,26 @@ def test_navier_plane_waves(dim, wave):
 
 def test_inplane_checks_make_one_displacement_call_per_case(monkeypatch):
     calls = []
-    displacement = verify.inplane_displacement
 
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[4]))
-        return displacement(*args, **kwargs)
+    def counted(displacement):
+        def wrapped(*args, **kwargs):
+            calls.append((np.shape(args[3]), np.shape(args[4])))
+            return displacement(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "inplane_displacement", counted)
-    rep_static, rep_fd = verify.check_inplane_velocity(seed=0, n_cases=2)
-    assert calls == [(18,), (18,)]  # the 6-offset stencil along x1, x2 and t
-    assert rep_static.passed and rep_fd.passed
+        return wrapped
+
+    monkeypatch.setattr(lineforce2d, "inplane_displacement",
+                        counted(lineforce2d.inplane_displacement))
+    rep = verify.check_line_oracle(seed=0, n_cases=2)
+    # one inplane_fields call per event: its centre and 6 offsets along x1 and x2
+    assert calls == [((13, 2), ())] * 4
+    assert rep.passed
+    monkeypatch.undo()
     calls.clear()
+    monkeypatch.setattr(verify, "inplane_displacement", counted(verify.inplane_displacement))
     assert verify.check_navier_residual_2d(seed=0, n_cases=2).passed
-    assert calls == [(25,), (25,)]  # centre, 4 per axis, a 4x4 grid in the plane
+    # centre, 4 per axis, a 4x4 grid in the plane
+    assert calls == [((25, 2), (25,)), ((25, 2), (25,))]
 
 
 def test_pulse_oracle_passes_every_block_at_zero(monkeypatch):
@@ -158,6 +167,45 @@ def test_newton_lags_raise_when_the_budget_is_spent():
         lags(x, t, k)
     tp, s, _ = verify._newton_lags(np.array([0.3, 0.1, 0.0]), 1.3, 0.2)(x, t, k)
     np.testing.assert_allclose(t - tp, k * np.linalg.norm(x - s, axis=1), rtol=1e-14)
+
+
+def _static_step_events():
+    """Static steps seen behind both fronts and inside the P-S shell: (x, t, q0)."""
+    rng = np.random.default_rng(1)
+    k_l, k_t = 1.0 / MAT.cL, 1.0 / MAT.cT
+    for _ in range(4):
+        r, phi, q0 = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi), rng.normal(size=3)
+        x = r * np.array([math.cos(phi), math.sin(phi), 0.0])
+        yield x, r * k_t + rng.uniform(0.2, 2.0), q0
+        yield x, r * (k_l + rng.uniform(0.05, 0.95) * (k_t - k_l)), q0
+
+
+@pytest.mark.parametrize("x, t, q0", list(_static_step_events()))
+def test_line_oracle_matches_the_static_step_closed_forms(x, t, q0):
+    # Anti-plane: u3 = q3 acosh(cT t / r) / (2 pi mu) behind the S front,
+    # zero inside the shell. In-plane: the plane-strain Green tensor (v)
+    # and its time integral (u).
+    lags = verify._newton_lags(np.zeros(3), 1.0, 0.0)
+    u, beta, v = verify._line_fields(MAT, lags, verify._polynomial_history(q0[None]), 0.0, x, t,
+                                     64)
+    r, ct = np.linalg.norm(x), MAT.cT * t
+    u3 = v3 = 0.0
+    beta3 = np.zeros(2)
+    if ct > r:
+        root, scale = math.sqrt(ct * ct - r * r), q0[2] / (2.0 * math.pi * MAT.mu)
+        u3, v3 = scale * math.acosh(ct / r), scale * MAT.cT / root
+        beta3 = -scale * ct / (r * root) * x[:2] / r
+    u_in, v_in = (g @ q0[:2] for g in inplane_static_step(MAT, x[:2], t))
+    for got, exact in ((u[:2], u_in), (v[:2], v_in), (u[2], u3), (beta[2], beta3), (v[2], v3)):
+        assert verify._rel_err(got, exact) <= 1e-12, (got, exact)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_line_oracle_rules_agree(seed):
+    for label, (mat, _, prof, lags, force, x, t) in verify._line_cases(seed, 30):
+        gl64, gl128 = (verify._line_fields(mat, lags, force, prof.t_on, x, t, n)
+                       for n in (64, 128))
+        assert max(verify._rel_err(f, r) for f, r in zip(gl128, gl64)) <= 1e-12, label
 
 
 def test_rel_err_of_an_all_zero_reference():
